@@ -30,6 +30,7 @@ from .config import (
     echo_config,
     load_config,
 )
+from .defaults import DEFAULTS
 from .records import params_hash, write_records
 from .sequence import parse_protocol, run_trials, spin_noise_reduction
 
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fringe", help="contrast fringe measurement")
     _common(p)
-    p.add_argument("--mt", type=float, default=4.1e4)
+    p.add_argument("--mt", type=float, default=DEFAULTS["probe"]["m_t"])
     p.add_argument("--points", type=int, default=16)
     p.set_defaults(func=cmd_fringe)
 

@@ -15,76 +15,20 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .defaults import DEFAULTS
 from .noise import NoiseCoeffs
 from .physics import TWO_PI, CavityParams, EnsembleParams
-from .sequence import SimParams
-from .state import ProbeConfig, TransitionProbs
+from .state import ProbeConfig, SimParams, TransitionProbs
 
 
 class ConfigError(ValueError):
     pass
 
 
-# section -> key -> default.  Frequencies are ordinary Hz in config files
-# (converted to rad/s internally); noise.contrast_excess is the excess
-# contrast-decay knob (0 = pure free-space-scattering law; 1.9 reproduces
-# the observed enhancement optimum).
-DEFAULTS: dict[str, dict] = {
-    "cavity": {
-        "g_hz": 447e3,
-        "kappa_hz": 11.8e6,
-        "kappa0_hz": 5.02e6,
-        "delta_hz": 200e6,
-        "gamma_hz": 6.07e6,
-        "omega_ax_hz": 150e3,
-        "omega_hf_hz": 6.834e9,
-        "recoil_hz_per_photon": 1.3,
-        "c1_coupling": 2.0 / 3.0,
-    },
-    "ensemble": {
-        "n_effective": 4.8e5,
-        "coupling_fraction": 0.663,
-        "initial_contrast": 0.97,
-    },
-    "probe": {
-        "m_t": 4.1e4,
-        "window_s": 40e-6,
-        "detuning_spread_frac": 0.045,   # of kappa/2
-        "ms_classical_frac": 0.04,
-    },
-    "transition": {
-        "p_ud": 8e-4,
-        "p_du": 7.3e-4,
-        "p_u1": 3.9e-3,
-        "p_d1": 3.6e-4,
-    },
-    "noise": {
-        "r_psn": 4.1e4 / 32.0,
-        "r_tf": 1.0 / 73.0,
-        "r_q": 0.0,
-        "r_c": (1.0 / 67.0) / (4.1e4 ** 2),
-        "n_reference": 4.8e5,
-        "m_reference": 4.1e4,
-        "laser_linewidth_rinv": 520.0,
-        "lineshape_penalty": 1.0,
-        "contrast_excess": 0.0,
-        "light_shift_per_photon": 0.0,
-        "rotation_angle_noise": 0.0,
-        "rotation_phase_noise": 0.0,
-        "opto_amp_hz": 5e4,
-        "opto_tau0_s": 10e-6,
-        "opto_asym": 0.5,
-    },
-    "run": {
-        "master_seed": 20260810,
-        "trials": 200,
-        "output_dir": "out",
-    },
-}
-
 CALIBRATED_CONTRAST_EXCESS = 1.9
 
-# value constraints beyond finiteness: (predicate, description)
+# value constraints beyond finiteness: (predicate, description); a numeric
+# key not listed must be >= 0
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _UNIT_OPEN = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
@@ -95,29 +39,14 @@ _CHECKS: dict[str, tuple] = {
     "cavity.kappa0_hz": _POSITIVE, "cavity.delta_hz": _POSITIVE,
     "cavity.gamma_hz": _POSITIVE, "cavity.omega_ax_hz": _POSITIVE,
     "cavity.omega_hf_hz": _POSITIVE,
-    "cavity.recoil_hz_per_photon": _NON_NEGATIVE,
     "cavity.c1_coupling": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     "ensemble.n_effective": _POSITIVE,
     "ensemble.coupling_fraction": _UNIT_HALF_OPEN,
     "ensemble.initial_contrast": _UNIT_HALF_OPEN,
-    "probe.m_t": _NON_NEGATIVE, "probe.window_s": _POSITIVE,
-    "probe.detuning_spread_frac": _NON_NEGATIVE,
-    "probe.ms_classical_frac": _NON_NEGATIVE,
     "transition.p_ud": _UNIT_OPEN, "transition.p_du": _UNIT_OPEN,
     "transition.p_u1": _UNIT_OPEN, "transition.p_d1": _UNIT_OPEN,
-    "noise.r_psn": _NON_NEGATIVE, "noise.r_tf": _NON_NEGATIVE,
-    "noise.r_q": _NON_NEGATIVE, "noise.r_c": _NON_NEGATIVE,
     "noise.n_reference": _POSITIVE, "noise.m_reference": _POSITIVE,
-    "noise.laser_linewidth_rinv": _POSITIVE,
-    "noise.lineshape_penalty": _NON_NEGATIVE,
-    "noise.contrast_excess": _NON_NEGATIVE,
-    "noise.light_shift_per_photon": _NON_NEGATIVE,
-    "noise.rotation_angle_noise": _NON_NEGATIVE,
-    "noise.rotation_phase_noise": _NON_NEGATIVE,
-    "noise.opto_amp_hz": _NON_NEGATIVE,
-    "noise.opto_tau0_s": _POSITIVE,
-    "noise.opto_asym": _NON_NEGATIVE,
-    "run.trials": _POSITIVE,
+    "noise.laser_linewidth_rinv": _POSITIVE, "run.trials": _POSITIVE,
 }
 
 
@@ -134,34 +63,23 @@ class RunConfig:
         c, e = self.values["cavity"], self.values["ensemble"]
         pr, tr, nz = (self.values["probe"], self.values["transition"],
                       self.values["noise"])
-        cavity = CavityParams(
-            g=TWO_PI * c["g_hz"], kappa=TWO_PI * c["kappa_hz"],
-            kappa0=TWO_PI * c["kappa0_hz"], delta=TWO_PI * c["delta_hz"],
-            gamma=TWO_PI * c["gamma_hz"],
-            omega_ax=TWO_PI * c["omega_ax_hz"],
-            omega_hf=TWO_PI * c["omega_hf_hz"],
+        cavity = CavityParams(  # key <field>_hz is that field in Hz
+            **{k[:-3]: TWO_PI * v for k, v in c.items() if k.endswith("_hz")},
             recoil_shift_per_photon=c["recoil_hz_per_photon"],
             c1_coupling=c["c1_coupling"])
         ensemble = EnsembleParams.from_effective(
             e["n_effective"], e["coupling_fraction"], e["initial_contrast"])
         probe = ProbeConfig(
-            m_t=pr["m_t"], window=pr["window_s"],
+            m_t=pr["m_t"],
             detuning_spread=pr["detuning_spread_frac"] * cavity.kappa / 2.0,
             ms_classical_frac=pr["ms_classical_frac"])
-        transitions = TransitionProbs(**tr)
-        coeffs = NoiseCoeffs(
-            r_psn=nz["r_psn"], r_tf=nz["r_tf"], r_q=nz["r_q"],
-            r_c=nz["r_c"], n_reference=nz["n_reference"],
-            m_reference=nz["m_reference"],
-            laser_linewidth_rinv=nz["laser_linewidth_rinv"])
-        return SimParams(
-            cavity=cavity, ensemble=ensemble, probe=probe,
-            transitions=transitions, coeffs=coeffs,
-            lineshape_penalty=nz["lineshape_penalty"],
-            contrast_excess=nz["contrast_excess"],
-            light_shift_per_photon=nz["light_shift_per_photon"],
-            rotation_angle_noise=nz["rotation_angle_noise"],
-            rotation_phase_noise=nz["rotation_phase_noise"])
+        # [noise] holds the NoiseCoeffs fields and the SimParams knobs
+        coeff_keys = NoiseCoeffs.__dataclass_fields__
+        coeffs = NoiseCoeffs(**{k: nz[k] for k in coeff_keys})
+        knobs = {k: v for k, v in nz.items() if k not in coeff_keys}
+        return SimParams(cavity=cavity, ensemble=ensemble, probe=probe,
+                         transitions=TransitionProbs(**tr), coeffs=coeffs,
+                         **knobs)
 
     @property
     def master_seed(self) -> int:
@@ -182,26 +100,30 @@ def default_config() -> RunConfig:
 
 def _convert(section: str, key: str, raw: str):
     default = DEFAULTS[section][key]
+    if isinstance(default, str):
+        return raw
     try:
-        if isinstance(default, str):
-            return raw
-        if isinstance(default, int) and not isinstance(default, bool):
-            try:
-                return int(raw)
-            except ValueError:
-                return int(float(raw))  # allow 2e3-style counts
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"malformed value for {section}.{key}: {raw!r}") from None
+    if not isinstance(default, int):
+        return value
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    if not value.is_integer():  # integral floats such as 2e3 are accepted
+        raise ConfigError(f"{section}.{key} must be an integer (got {raw!r})")
+    return int(value)
 
 
 def _validate(section: str, key: str, value) -> None:
     if not isinstance(value, str):
         if not math.isfinite(value):
             raise ConfigError(f"{section}.{key} must be finite")
-        check = _CHECKS.get(f"{section}.{key}")
-        if check and not check[0](value):
+        check = _CHECKS.get(f"{section}.{key}", _NON_NEGATIVE)
+        if not check[0](value):
             raise ConfigError(f"{section}.{key} {check[1]} (got {value!r})")
 
 

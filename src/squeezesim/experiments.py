@@ -56,26 +56,16 @@ def contrast_model(params: SimParams, m_t: float, windows: int = 1) -> float:
         -windows * (1.0 + params.contrast_excess) * m_s / n)
 
 
+def budget_terms(params: SimParams, m_t: float) -> _noise.BudgetTerms:
+    """The R terms of the simulated noise at probe strength ``m_t``."""
+    return _noise.budget_terms(
+        params.ensemble.n_effective, m_t, params.coeffs, params.cavity,
+        params.transitions, params.probe.ms_classical_frac)
+
+
 def expected_r(params: SimParams, m_t: float) -> float:
     """Analytic expectation of the simulated spin-noise reduction."""
-    n = params.ensemble.n_effective
-    cav, coeffs, tp = params.cavity, params.coeffs, params.transitions
-    alphas = _noise.alphas_for_ensemble(n, cav)
-    m_s = m_t * scattered_ratio(n / 2.0, cav)
-    eps = TWO_PI * cav.recoil_shift_per_photon
-    r_ext_q, r_ext_c = _noise.recoil_noise(
-        m_s, params.probe.ms_classical_frac, n, eps, alphas.up)
-    r_pop_q = _noise.pop_noise_quantum(m_s, n, tp, alphas)
-    r_pop_c = _noise.pop_noise_classical(
-        m_s, params.probe.ms_classical_frac, n, tp, alphas)
-    r_c_inj = _noise.classical_injection_coeff(
-        coeffs, params.probe.ms_classical_frac, cav, tp)
-    return (coeffs.r_psn * _noise.readout_scale(n, coeffs.n_reference, cav)
-            / m_t
-            + coeffs.r_tf * coeffs.n_reference / n
-            + r_c_inj * m_t * m_t * _noise.classical_scale(
-                n, coeffs.n_reference, cav)
-            + r_pop_q + r_ext_q + r_pop_c + r_ext_c)
+    return budget_terms(params, m_t).total
 
 
 def expected_w_inverse(params: SimParams, m_t: float,
@@ -193,10 +183,7 @@ class SweepRow:
     r: float
     contrast: float
     w_inv: float
-    r_psn_term: float
-    r_tf_term: float
-    r_q_term: float
-    r_c_term: float
+    terms: _noise.BudgetTerms  # the model R that r estimates, term by term
 
 
 @dataclass(frozen=True)
@@ -215,9 +202,10 @@ class SweepResult:
     def to_csv(self) -> str:
         lines = ["mt,R,C,Winv,R_psn,R_tf,R_q,R_c"]
         for row in self.rows:
+            t = row.terms
             lines.append(",".join(repr(v) for v in (
-                row.m_t, row.r, row.contrast, row.w_inv, row.r_psn_term,
-                row.r_tf_term, row.r_q_term, row.r_c_term)))
+                row.m_t, row.r, row.contrast, row.w_inv, t.psn, t.tf,
+                t.quantum, t.classical)))
         return "\n".join(lines) + "\n"
 
 
@@ -228,8 +216,6 @@ def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
     if not m_ts:
         raise ValueError("m_t_list must be non-empty")
     proto = standard_protocol()
-    n = params.ensemble.n_effective
-    cav, coeffs = params.cavity, params.coeffs
     rows = []
     for i, m_t in enumerate(m_ts):
         rs = run_trials(proto, params.with_mt(m_t), trials_per_point,
@@ -238,15 +224,10 @@ def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
         c = contrast_model(params, m_t)
         w_inv = _noise.spectroscopic_enhancement(
             r, c, params.ensemble.initial_contrast)
-        rows.append(SweepRow(
-            m_t=m_t, r=r, contrast=c, w_inv=w_inv,
-            r_psn_term=coeffs.r_psn * _noise.readout_scale(
-                n, coeffs.n_reference, cav) / m_t,
-            r_tf_term=coeffs.r_tf * coeffs.n_reference / n,
-            r_q_term=coeffs.r_q * m_t,
-            r_c_term=coeffs.r_c * m_t * m_t * _noise.classical_scale(
-                n, coeffs.n_reference, cav)))
-    return SweepResult(rows=tuple(rows), n_effective=n,
+        rows.append(SweepRow(m_t=m_t, r=r, contrast=c, w_inv=w_inv,
+                             terms=budget_terms(params, m_t)))
+    return SweepResult(rows=tuple(rows),
+                       n_effective=params.ensemble.n_effective,
                        trials_per_point=trials_per_point,
                        master_seed=master_seed)
 

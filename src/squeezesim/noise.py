@@ -19,14 +19,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.optimize import nnls
+from scipy.special import ndtr, stdtrit
 
+from .defaults import DEFAULTS
 from .physics import TWO_PI, CavityParams, alpha_per_atom, scattered_ratio
 
 # Fraction of a transition's variance that survives the unweighted time
 # averaging of the two measurement windows forming the differenced record.
 BETA_TIME_AVERAGE = 2.0 / 3.0
+
+_NOISE = DEFAULTS["noise"]
 
 
 @dataclass(frozen=True)
@@ -42,13 +45,13 @@ class NoiseCoeffs:
     pass-through constant, not a modeled term.
     """
 
-    r_psn: float = 4.1e4 / 32.0
-    r_tf: float = 1.0 / 73.0
-    r_q: float = 0.0
-    r_c: float = (1.0 / 67.0) / (4.1e4 ** 2)
-    n_reference: float = 4.8e5
-    m_reference: float = 4.1e4
-    laser_linewidth_rinv: float = 520.0
+    r_psn: float = _NOISE["r_psn"]
+    r_tf: float = _NOISE["r_tf"]
+    r_q: float = _NOISE["r_q"]
+    r_c: float = _NOISE["r_c"]
+    n_reference: float = _NOISE["n_reference"]
+    m_reference: float = _NOISE["m_reference"]
+    laser_linewidth_rinv: float = _NOISE["laser_linewidth_rinv"]
 
     def __post_init__(self) -> None:
         for name in ("r_psn", "r_tf", "r_q", "r_c"):
@@ -132,8 +135,8 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
                 continue
             samples[b] = _nnls_coeffs(m[take], r[take], w[take])
         n_pts = len(m)
-        alpha = float(stats.norm.cdf(
-            stats.t.ppf(0.025, n_pts - 1) * math.sqrt(n_pts / (n_pts - 1))))
+        alpha = float(ndtr(
+            stdtrit(n_pts - 1, 0.025) * math.sqrt(n_pts / (n_pts - 1))))
         lo = np.percentile(samples, 100.0 * alpha, axis=0)
         hi = np.percentile(samples, 100.0 * (1.0 - alpha), axis=0)
         intervals = {nm: (float(lo[i]), float(hi[i]))
@@ -242,23 +245,18 @@ def opto_ringing_trace(delta_p: float, t_grid, cav: CavityParams,
     return amp * np.exp(-t / tau) * np.cos(cav.omega_ax * t)
 
 
-def opto_noise_term(m_t: float, n: float,
-                    cav: CavityParams | None = None,
-                    rinv_ref: float = 620.0,
-                    m_ref: float = 4.1e4,
-                    n_ref: float = 4.8e5) -> float:
+def opto_noise_term(m_t: float, n: float, cav: CavityParams) -> float:
     """Variable-damping ringing contribution to R, scaling as M_t^2.
 
-    Calibrated so the term limits 1/R to ``rinv_ref`` at the reference
+    Calibrated so the term limits 1/R to 620 at the default reference
     operating point.  Across atom number the underlying collective
     frequency-noise amplitude scales as M_t * N (see
     :func:`classical_scale`).
     """
     if m_t < 0:
         raise ValueError("m_t must be non-negative")
-    cav = cav or CavityParams()
-    return (1.0 / rinv_ref) * (m_t / m_ref) ** 2 * classical_scale(
-        n, n_ref, cav)
+    return ((1.0 / 620.0) * (m_t / _NOISE["m_reference"]) ** 2
+            * classical_scale(n, _NOISE["n_reference"], cav))
 
 
 def spectroscopic_enhancement(r: float, contrast: float,
@@ -320,6 +318,18 @@ def floor_noise_atoms(coeffs: NoiseCoeffs) -> float:
     return math.sqrt(coeffs.r_tf * (coeffs.n_reference / 4.0) / 2.0)
 
 
+def _back_action(n: float, m_t: float, cav: CavityParams, tp,
+                 frac: float) -> dict[str, float]:
+    """The mechanistic back-action terms of :class:`BudgetTerms`."""
+    alphas = alphas_for_ensemble(n, cav)
+    m_s = m_t * scattered_ratio(n / 2.0, cav)
+    eps = TWO_PI * cav.recoil_shift_per_photon
+    ext_q, ext_c = recoil_noise(m_s, frac, n, eps, alphas.up)
+    return {"pop_q": pop_noise_quantum(m_s, n, tp, alphas), "ext_q": ext_q,
+            "pop_c": pop_noise_classical(m_s, frac, n, tp, alphas),
+            "ext_c": ext_c}
+
+
 def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
                               cav: CavityParams, tp) -> float:
     """Residual classical back-action to inject, per M_t^2, at the anchor.
@@ -330,13 +340,9 @@ def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
     total matches the fit.  The remainder (variable damping plus the
     unexplained residual) is injected as window frequency noise.
     """
-    n_ref, m_ref = coeffs.n_reference, coeffs.m_reference
-    alphas = alphas_for_ensemble(n_ref, cav)
-    m_s = m_ref * scattered_ratio(n_ref / 2.0, cav)
-    eps = TWO_PI * cav.recoil_shift_per_photon
-    _, r_ext_c = recoil_noise(m_s, frac, n_ref, eps, alphas.up)
-    r_pop_c = pop_noise_classical(m_s, frac, n_ref, tp, alphas)
-    return max(0.0, coeffs.r_c - (r_ext_c + r_pop_c) / m_ref ** 2)
+    m_ref = coeffs.m_reference
+    mech = _back_action(coeffs.n_reference, m_ref, cav, tp, frac)
+    return max(0.0, coeffs.r_c - (mech["ext_c"] + mech["pop_c"]) / m_ref ** 2)
 
 
 def injected_classical_freq(m_t: float, n: float, r_c_inj: float,
@@ -351,76 +357,99 @@ def injected_classical_freq(m_t: float, n: float, r_c_inj: float,
 
 
 # ---------------------------------------------------------------------------
-# budget report
+# budget terms and report
+
+
+@dataclass(frozen=True)
+class BudgetTerms:
+    """The simulated spin noise at one operating point, split into R terms.
+
+    Read noise ``psn``, technical floor ``tf``, injected classical noise,
+    and the quantum (q) and classical (c) back-action of population
+    diffusion (pop) and recoil heating (ext).
+    """
+
+    psn: float
+    tf: float
+    injected: float
+    pop_q: float
+    ext_q: float
+    pop_c: float
+    ext_c: float
+
+    @property
+    def quantum(self) -> float:
+        return self.pop_q + self.ext_q
+
+    @property
+    def classical(self) -> float:
+        return self.injected + self.pop_c + self.ext_c
+
+    @property
+    def total(self) -> float:
+        # one fixed summation order, so R is reproducible to the last bit
+        return (self.psn + self.tf + self.injected + self.pop_q + self.ext_q
+                + self.pop_c + self.ext_c)
+
+
+def budget_terms(n: float, m_t: float, coeffs: NoiseCoeffs,
+                 cav: CavityParams, tp, frac: float) -> BudgetTerms:
+    """Every R term the simulator generates at ``n`` atoms and strength m_t.
+
+    The fitted terms follow the atom-number scaling conventions above; the
+    back-action terms are evaluated from first principles with common
+    probe-power fluctuation ``frac``.
+    """
+    if m_t <= 0:
+        raise ValueError("m_t must be positive")
+    n_ref = coeffs.n_reference
+    return BudgetTerms(
+        psn=coeffs.r_psn * readout_scale(n, n_ref, cav) / m_t,
+        tf=coeffs.r_tf * n_ref / n,
+        injected=classical_injection_coeff(coeffs, frac, cav, tp)
+        * m_t * m_t * classical_scale(n, n_ref, cav),
+        **_back_action(n, m_t, cav, tp, frac))
 
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Per-term 1/R values at a stated probe strength."""
+    """Labelled 1/R values at a stated probe strength, in table order."""
 
     m_t: float
-    observed_optimum: float
-    photon_shot_noise: float
-    technical_floor: float
-    classical_total: float
-    variable_damping: float
-    recoil_classical: float
-    population_classical: float
-    quantum_total: float
-    recoil_quantum: float
-    population_quantum: float
-    laser_linewidth: float = 520.0
-
-    _ROWS = (
-        ("Observed Optimum", "observed_optimum"),
-        ("Photon Shot Noise r_PSN", "photon_shot_noise"),
-        ("Technical Noise Floor R_t", "technical_floor"),
-        ("  Laser Linewidth", "laser_linewidth"),
-        ("Classical Noise r_c", "classical_total"),
-        ("  Variable Damping R_o", "variable_damping"),
-        ("  Photon Recoil R_ext,c", "recoil_classical"),
-        ("  Population Change R_pop,c", "population_classical"),
-        ("Quantum Noise r_q", "quantum_total"),
-        ("  Photon Recoil R_ext,q", "recoil_quantum"),
-        ("  Population Diffusion R_pop,q", "population_quantum"),
-    )
+    terms: tuple[tuple[str, float], ...]
 
     def rows(self) -> list[tuple[str, float]]:
-        return [(label, getattr(self, attr)) for label, attr in self._ROWS]
+        return list(self.terms)
 
     def to_table(self) -> str:
         lines = ["term,R_inv"]
-        for label, value in self.rows():
+        for label, value in self.terms:
             lines.append(f"{label},{value:.6g}")
         return "\n".join(lines) + "\n"
 
 
 def budget_report(n: float, m_t: float, coeffs: NoiseCoeffs,
                   cav: CavityParams, tp, frac: float) -> BudgetReport:
-    """Evaluate every budget term at one operating point."""
-    alphas = alphas_for_ensemble(n, cav)
-    m_s = m_t * scattered_ratio(n / 2.0, cav)
-    eps = TWO_PI * cav.recoil_shift_per_photon
-    r_ext_q, r_ext_c = recoil_noise(m_s, frac, n, eps, alphas.up)
-    r_pop_q = pop_noise_quantum(m_s, n, tp, alphas)
-    r_pop_c = pop_noise_classical(m_s, frac, n, tp, alphas)
-    r_o = opto_noise_term(m_t, n, cav)
-    total = model_r(m_t, coeffs)
+    """Evaluate every budget term at one operating point.
+
+    The unindented rows are the fitted R(M_t) model at face value; the
+    back-action rows come from :func:`budget_terms`.
+    """
+    terms = budget_terms(n, m_t, coeffs, cav, tp, frac)
 
     def inv(x: float) -> float:
         return 1.0 / x if x > 0 else math.inf
 
-    return BudgetReport(
-        m_t=m_t,
-        observed_optimum=inv(total),
-        photon_shot_noise=inv(coeffs.r_psn / m_t),
-        technical_floor=inv(coeffs.r_tf),
-        classical_total=inv(coeffs.r_c * m_t * m_t),
-        variable_damping=inv(r_o),
-        recoil_classical=inv(r_ext_c),
-        population_classical=inv(r_pop_c),
-        quantum_total=inv(r_pop_q + r_ext_q),
-        recoil_quantum=inv(r_ext_q),
-        population_quantum=inv(r_pop_q),
-        laser_linewidth=coeffs.laser_linewidth_rinv,
-    )
+    return BudgetReport(m_t, (
+        ("Observed Optimum", inv(model_r(m_t, coeffs))),
+        ("Photon Shot Noise r_PSN", inv(coeffs.r_psn / m_t)),
+        ("Technical Noise Floor R_t", inv(coeffs.r_tf)),
+        ("  Laser Linewidth", coeffs.laser_linewidth_rinv),
+        ("Classical Noise r_c", inv(coeffs.r_c * m_t * m_t)),
+        ("  Variable Damping R_o", inv(opto_noise_term(m_t, n, cav))),
+        ("  Photon Recoil R_ext,c", inv(terms.ext_c)),
+        ("  Population Change R_pop,c", inv(terms.pop_c)),
+        ("Quantum Noise r_q", inv(terms.quantum)),
+        ("  Photon Recoil R_ext,q", inv(terms.ext_q)),
+        ("  Population Diffusion R_pop,q", inv(terms.pop_q)),
+    ))

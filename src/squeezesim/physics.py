@@ -10,7 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .defaults import DEFAULTS
+
 TWO_PI = 2.0 * math.pi
+_CAV, _ENS = DEFAULTS["cavity"], DEFAULTS["ensemble"]
 
 
 @dataclass(frozen=True)
@@ -18,10 +21,11 @@ class CavityParams:
     """Fixed physical constants of the cavity-atom system.
 
     Defaults are the nominal operating values of the system this model
-    describes.  ``g`` is the effective single-atom coupling (half the
-    effective single-photon Rabi frequency 2g = 2pi x 894 kHz).  Note some
-    write-ups quote g in MHz; the kHz scale is the physically consistent
-    one -- it is what yields ~140 MHz dressed shifts at N_up = 2.4e5.
+    describes, from :mod:`squeezesim.defaults`.  ``g`` is the effective
+    single-atom coupling (half the effective single-photon Rabi frequency
+    2g = 2pi x 894 kHz).  Note some write-ups quote g in MHz; the kHz scale
+    is the physically consistent one -- it is what yields ~140 MHz dressed
+    shifts at N_up = 2.4e5.
 
     Attributes:
         g: effective single-atom coupling, rad/s.
@@ -38,15 +42,15 @@ class CavityParams:
             only the combined effect is constrained by measurement.
     """
 
-    g: float = TWO_PI * 447e3
-    kappa: float = TWO_PI * 11.8e6
-    kappa0: float = TWO_PI * 5.02e6
-    delta: float = TWO_PI * 200e6
-    gamma: float = TWO_PI * 6.07e6
-    omega_ax: float = TWO_PI * 150e3
-    omega_hf: float = TWO_PI * 6.834e9
-    recoil_shift_per_photon: float = 1.3
-    c1_coupling: float = 2.0 / 3.0
+    g: float = TWO_PI * _CAV["g_hz"]
+    kappa: float = TWO_PI * _CAV["kappa_hz"]
+    kappa0: float = TWO_PI * _CAV["kappa0_hz"]
+    delta: float = TWO_PI * _CAV["delta_hz"]
+    gamma: float = TWO_PI * _CAV["gamma_hz"]
+    omega_ax: float = TWO_PI * _CAV["omega_ax_hz"]
+    omega_hf: float = TWO_PI * _CAV["omega_hf_hz"]
+    recoil_shift_per_photon: float = _CAV["recoil_hz_per_photon"]
+    c1_coupling: float = _CAV["c1_coupling"]
 
     def __post_init__(self) -> None:
         for name in ("g", "kappa", "kappa0", "delta", "gamma", "omega_ax",
@@ -70,10 +74,10 @@ class EnsembleParams:
     trapped number N0.  They are tied by ``coupling_fraction``.
     """
 
-    n_effective: float = 4.8e5
-    n_loaded: float = 4.8e5 / 0.663
-    coupling_fraction: float = 0.663
-    initial_contrast: float = 0.97
+    n_effective: float = _ENS["n_effective"]
+    n_loaded: float = _ENS["n_effective"] / _ENS["coupling_fraction"]
+    coupling_fraction: float = _ENS["coupling_fraction"]
+    initial_contrast: float = _ENS["initial_contrast"]
 
     def __post_init__(self) -> None:
         if self.n_effective <= 0 or self.n_loaded <= 0:
@@ -90,8 +94,9 @@ class EnsembleParams:
 
     @classmethod
     def from_effective(cls, n_effective: float,
-                       coupling_fraction: float = 0.663,
-                       initial_contrast: float = 0.97) -> "EnsembleParams":
+                       coupling_fraction: float = _ENS["coupling_fraction"],
+                       initial_contrast: float = _ENS["initial_contrast"]
+                       ) -> "EnsembleParams":
         return cls(n_effective=n_effective,
                    n_loaded=n_effective / coupling_fraction,
                    coupling_fraction=coupling_fraction,

@@ -25,19 +25,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseCoeffs
-from .physics import TWO_PI, CavityParams, EnsembleParams
-from .state import (
-    ProbeConfig,
-    TransitionProbs,
-    polarized_state,
-    probe_measure,
-    rotate,
-)
+from .physics import TWO_PI
+from .state import SimParams, polarized_state, probe_measure, rotate
 
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
 
@@ -138,53 +131,6 @@ def parse_protocol(text: str) -> Protocol:
 
 
 @dataclass(frozen=True)
-class SimParams:
-    """Everything a trial needs, bundled.
-
-    The last few knobs are sequence-level: ``lineshape_penalty`` converts a
-    residual probe detuning into extra read-noise variance,
-    ``contrast_excess`` multiplies the scattering contrast-decay exponent
-    (default off), ``light_shift_per_photon`` enables the static
-    inhomogeneous light shift refocused by the spin echo, and the rotation
-    noise knobs add microwave amplitude/phase jitter (default off).
-    """
-
-    cavity: CavityParams = field(default_factory=CavityParams)
-    ensemble: EnsembleParams = field(default_factory=EnsembleParams)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
-    transitions: TransitionProbs = field(default_factory=TransitionProbs)
-    coeffs: NoiseCoeffs = field(default_factory=NoiseCoeffs)
-    lineshape_penalty: float = 1.0
-    contrast_excess: float = 0.0
-    light_shift_per_photon: float = 0.0
-    rotation_angle_noise: float = 0.0
-    rotation_phase_noise: float = 0.0
-
-    def with_n(self, n_effective: float) -> "SimParams":
-        ens = EnsembleParams.from_effective(
-            n_effective, self.ensemble.coupling_fraction,
-            self.ensemble.initial_contrast)
-        return replace(self, ensemble=ens)
-
-    def with_mt(self, m_t: float) -> "SimParams":
-        return replace(self, probe=replace(self.probe, m_t=m_t))
-
-    def snapshot(self) -> dict:
-        """Flat key -> value mapping of every parameter (for metadata)."""
-        out: dict = {}
-        for section in ("cavity", "ensemble", "probe", "transitions",
-                        "coeffs"):
-            obj = getattr(self, section)
-            for name in obj.__dataclass_fields__:
-                out[f"{section}.{name}"] = getattr(obj, name)
-        for name in ("lineshape_penalty", "contrast_excess",
-                     "light_shift_per_photon", "rotation_angle_noise",
-                     "rotation_phase_noise"):
-            out[name] = getattr(self, name)
-        return out
-
-
-@dataclass(frozen=True)
 class LabeledOutcome:
     """What one probe window contributes to a trial record."""
 
@@ -273,14 +219,10 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
             state = rotate(state, angle, phase)
         elif isinstance(step, ProbeStep):
             base = step.m_t if step.m_t is not None else params.probe.m_t
-            cfg = replace(params.probe, m_t=base * power,
-                          detuning_offset=delta_p,
-                          lineshape_penalty=params.lineshape_penalty,
-                          contrast_excess=params.contrast_excess,
-                          light_shift_per_photon=params.light_shift_per_photon)
-            outcome, state = probe_measure(state, cfg, params.cavity,
-                                           params.transitions, params.coeffs,
-                                           rng)
+            outcome, state = probe_measure(
+                state, params.probe, params.cavity, params.transitions,
+                params.coeffs, rng, m_t=base * power, detuning_offset=delta_p,
+                knobs=params)
             outcomes[step.label] = LabeledOutcome(
                 n_up=outcome.n_up, freq_hz=outcome.freq / TWO_PI)
             trace.append(outcome.true_jz)
@@ -304,7 +246,11 @@ def _worker_count(workers: int | None) -> int:
         workers = 1
     cap = os.environ.get(THREAD_ENV_VAR)
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"{THREAD_ENV_VAR} must be an integer worker "
+                             f"count, got {cap!r}") from None
     return max(1, workers)
 
 

@@ -23,12 +23,13 @@ collapse law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import noise as _noise
+from .defaults import DEFAULTS
 from .physics import (
     TWO_PI,
     CavityParams,
@@ -40,16 +41,18 @@ from .physics import (
 )
 
 HEISENBERG_SLACK = 1e-9
+_PROBE, _TRANSITION, _NOISE = (DEFAULTS["probe"], DEFAULTS["transition"],
+                               DEFAULTS["noise"])
 
 
 @dataclass(frozen=True)
 class TransitionProbs:
     """Raman transition probabilities per free-space scattered photon."""
 
-    p_ud: float = 8e-4
-    p_du: float = 7.3e-4
-    p_u1: float = 3.9e-3
-    p_d1: float = 3.6e-4
+    p_ud: float = _TRANSITION["p_ud"]
+    p_du: float = _TRANSITION["p_du"]
+    p_u1: float = _TRANSITION["p_u1"]
+    p_d1: float = _TRANSITION["p_d1"]
 
     def __post_init__(self) -> None:
         for name in ("p_ud", "p_du", "p_u1", "p_d1"):
@@ -63,32 +66,70 @@ class TransitionProbs:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """One probe window's configuration.
+    """The probe windows' configuration.
 
-    ``m_t`` is the mean transmitted photon number per window.  The last
-    four fields are per-trial context threaded in by the sequence engine:
-    a realized probe-cavity detuning offset from pre-alignment, the
-    quadratic lineshape penalty it applies to read noise, an optional
-    excess contrast-decay multiplier, and an optional static inhomogeneous
-    light-shift dephasing rate (echo-phase units per transmitted photon).
+    ``m_t`` is the mean transmitted photon number per window,
+    ``detuning_spread`` the rad/s std. dev. of the probe-cavity detuning
+    left after pre-alignment, and ``ms_classical_frac`` the fractional std.
+    dev. of the probe power common to every window of a trial.
     """
 
-    m_t: float = 4.1e4
-    window: float = 40e-6
-    detuning_spread: float = 0.045 * (TWO_PI * 11.8e6) / 2.0
-    ms_classical_frac: float = 0.04
-    detuning_offset: float = 0.0
-    lineshape_penalty: float = 1.0
-    contrast_excess: float = 0.0
-    light_shift_per_photon: float = 0.0
+    m_t: float = _PROBE["m_t"]
+    detuning_spread: float = (_PROBE["detuning_spread_frac"]
+                              * CavityParams.kappa / 2.0)
+    ms_classical_frac: float = _PROBE["ms_classical_frac"]
 
     def __post_init__(self) -> None:
         if self.m_t < 0:
             raise ValueError("probe.m_t must be non-negative")
-        if self.window <= 0:
-            raise ValueError("probe.window must be positive")
         if self.detuning_spread < 0 or self.ms_classical_frac < 0:
             raise ValueError("probe spreads must be non-negative")
+
+
+@dataclass(frozen=True)
+class SimParams:
+    """Everything a trial needs, bundled.
+
+    The last few knobs are sequence-level: ``lineshape_penalty`` converts a
+    residual probe detuning into extra read-noise variance,
+    ``contrast_excess`` multiplies the scattering contrast-decay exponent
+    (default off), ``light_shift_per_photon`` enables the static
+    inhomogeneous light shift refocused by the spin echo (echo-phase units
+    per transmitted photon), and the rotation noise knobs add microwave
+    amplitude/phase jitter (default off).
+    """
+
+    cavity: CavityParams = field(default_factory=CavityParams)
+    ensemble: EnsembleParams = field(default_factory=EnsembleParams)
+    probe: ProbeConfig = field(default_factory=ProbeConfig)
+    transitions: TransitionProbs = field(default_factory=TransitionProbs)
+    coeffs: _noise.NoiseCoeffs = field(default_factory=_noise.NoiseCoeffs)
+    lineshape_penalty: float = _NOISE["lineshape_penalty"]
+    contrast_excess: float = _NOISE["contrast_excess"]
+    light_shift_per_photon: float = _NOISE["light_shift_per_photon"]
+    rotation_angle_noise: float = _NOISE["rotation_angle_noise"]
+    rotation_phase_noise: float = _NOISE["rotation_phase_noise"]
+
+    def with_n(self, n_effective: float) -> "SimParams":
+        ens = EnsembleParams.from_effective(
+            n_effective, self.ensemble.coupling_fraction,
+            self.ensemble.initial_contrast)
+        return replace(self, ensemble=ens)
+
+    def with_mt(self, m_t: float) -> "SimParams":
+        return replace(self, probe=replace(self.probe, m_t=m_t))
+
+    def snapshot(self) -> dict:
+        """Flat key -> value mapping of every parameter (for metadata)."""
+        out: dict = {}
+        for section in fields(self):
+            value = getattr(self, section.name)
+            if is_dataclass(value):
+                for name in value.__dataclass_fields__:
+                    out[f"{section.name}.{name}"] = getattr(value, name)
+            else:
+                out[section.name] = value
+        return out
 
 
 @dataclass(slots=True)
@@ -315,7 +356,7 @@ def _apply_counts(state: EnsembleState, counts: list[int],
 
 def apply_raman_diffusion(state: EnsembleState, m_s: float,
                           tp: TransitionProbs, rng: np.random.Generator,
-                          cav: CavityParams | None = None,
+                          cav: CavityParams,
                           repump_to_up: bool = False) -> EnsembleState:
     """Apply one window's worth of Raman population diffusion.
 
@@ -326,7 +367,6 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
-    cav = cav or CavityParams()
     new = state.copy()
     counts = _sample_counts(new, m_s, tp, rng)
     au = alpha_per_atom("up", max(new.pop_up, 0.0), cav)
@@ -348,10 +388,21 @@ def _injection_coeff(coeffs: _noise.NoiseCoeffs, frac: float,
 def probe_measure(state: EnsembleState, probe: ProbeConfig,
                   cav: CavityParams, tp: TransitionProbs,
                   coeffs: _noise.NoiseCoeffs,
-                  rng: np.random.Generator
+                  rng: np.random.Generator, m_t: float | None = None,
+                  detuning_offset: float = 0.0,
+                  knobs: SimParams = SimParams()
                   ) -> tuple[MeasurementOutcome, EnsembleState]:
-    """One probe window: measurement, back-action, conditional update."""
-    if probe.m_t <= 0:
+    """One probe window: measurement, back-action, conditional update.
+
+    ``m_t`` is the window's realized probe strength (``probe.m_t`` when
+    omitted) and ``detuning_offset`` the trial's probe-cavity detuning left
+    after pre-alignment, rad/s.  Only the sequence-level knobs of ``knobs``
+    are read here: the lineshape penalty, the excess contrast decay and the
+    static light shift.
+    """
+    if m_t is None:
+        m_t = probe.m_t
+    if m_t <= 0:
         raise ValueError("probe window needs m_t > 0; drop the step instead")
     new = state.copy()
     n = new.n_total
@@ -364,7 +415,7 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
         jz_true += math.sqrt(new.jz_var * sin2) * rng.standard_normal()
     n_up_true = min(max(n / 2.0 + jz_true, 0.0), n)
 
-    m_s = probe.m_t * scattered_ratio(n_up_true, cav)
+    m_s = m_t * scattered_ratio(n_up_true, cav)
     au = alpha_per_atom("up", n_up_true, cav)
     ad = alpha_per_atom("down", 0.0, cav)
     a1 = cav.c1_coupling * au
@@ -384,14 +435,14 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     recoil_visible = -eps * _visible_sum(n_phot, rng)
 
     # technical noises of the reading
-    read_sig = _noise.read_noise_freq(probe.m_t, coeffs, cav)
-    if probe.lineshape_penalty and probe.detuning_offset:
+    read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
+    if knobs.lineshape_penalty and detuning_offset:
         read_sig *= math.sqrt(
-            1.0 + probe.lineshape_penalty
-            * (probe.detuning_offset / (cav.kappa / 2.0)) ** 2)
+            1.0 + knobs.lineshape_penalty
+            * (detuning_offset / (cav.kappa / 2.0)) ** 2)
     r_c_inj = _injection_coeff(coeffs, probe.ms_classical_frac, cav, tp)
     class_sig = _noise.injected_classical_freq(
-        probe.m_t, n, r_c_inj, coeffs, cav)
+        m_t, n, r_c_inj, coeffs, cav)
     floor_sig = _noise.floor_noise_atoms(coeffs) * au
 
     read_noise = read_sig * rng.standard_normal() if read_sig > 0 else 0.0
@@ -420,9 +471,9 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     # persistent back-action
     _apply_counts(new, counts, (au, ad, a1), repump_to_up=False)
     new.freq_offset += -eps * n_phot
-    new.contrast *= math.exp(-(1.0 + probe.contrast_excess) * m_s / n)
-    if probe.light_shift_per_photon:
-        new.echo_phase += probe.light_shift_per_photon * probe.m_t
+    new.contrast *= math.exp(-(1.0 + knobs.contrast_excess) * m_s / n)
+    if knobs.light_shift_per_photon:
+        new.echo_phase += knobs.light_shift_per_photon * m_t
 
     # anti-squeezing keeps the uncertainty product legal
     bound = new.contrast * n / 4.0

@@ -10,15 +10,7 @@ import numpy as np
 import pytest
 
 import squeezesim as sq
-from squeezesim.noise import (
-    alphas_for_ensemble,
-    classical_injection_coeff,
-    classical_scale,
-    pop_noise_classical,
-    pop_noise_quantum,
-    recoil_noise,
-)
-from squeezesim.physics import TWO_PI, scattered_ratio
+from squeezesim.experiments import expected_r
 from squeezesim.state import prepare_css, probe_measure
 
 N = 4.8e5
@@ -57,23 +49,6 @@ def mc_differenced_r(params: sq.SimParams, seed: int) -> float:
     return float(np.var(diffs, ddof=1) / (N / 4.0))
 
 
-def analytic_terms(params: sq.SimParams) -> float:
-    cav, coeffs, tp = params.cavity, params.coeffs, params.transitions
-    frac = params.probe.ms_classical_frac
-    alphas = alphas_for_ensemble(N, cav)
-    m_s = M_T * scattered_ratio(N / 2.0, cav)
-    eps = TWO_PI * cav.recoil_shift_per_photon
-    rec_q, rec_c = recoil_noise(m_s, frac, N, eps, alphas.up)
-    r_c_inj = classical_injection_coeff(coeffs, frac, cav, tp)
-    return (coeffs.r_psn / M_T
-            + coeffs.r_tf * coeffs.n_reference / N
-            + r_c_inj * M_T * M_T * classical_scale(N, coeffs.n_reference,
-                                                    cav)
-            + pop_noise_quantum(m_s, N, tp, alphas)
-            + pop_noise_classical(m_s, frac, N, tp, alphas)
-            + rec_q + rec_c)
-
-
 CASES = {
     "read_only": IDEAL,
     "read_plus_diffusion": replace(IDEAL, transitions=BASE.transitions),
@@ -90,5 +65,5 @@ def test_budget_additivity(name):
     import zlib
     params = CASES[name]
     r_mc = mc_differenced_r(params, seed=zlib.crc32(name.encode()))
-    expected = analytic_terms(params)
+    expected = expected_r(params, M_T)
     assert r_mc == pytest.approx(expected, rel=0.05), name

@@ -66,6 +66,21 @@ class TestConfigLoading:
             f"[noise]\ncontrast_excess = {CALIBRATED_CONTRAST_EXCESS}\n")
         assert cfg.sim_params().contrast_excess == CALIBRATED_CONTRAST_EXCESS
 
+    def test_defaults_match_dataclass_defaults(self):
+        assert default_config().sim_params() == SimParams()
+
+    @pytest.mark.parametrize("key", ["probe.window_s", "noise.opto_amp_hz",
+                                     "noise.opto_tau0_s", "noise.opto_asym"])
+    def test_removed_keys_named(self, key):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=key):
+            loads_config(f"[{section}]\n{name} = 0.5\n")
+
+    def test_fractional_count_named(self):
+        with pytest.raises(ConfigError, match="run.trials"):
+            loads_config("[run]\ntrials = 2.5\n")
+        assert loads_config("[run]\ntrials = 2e3\n").trials == 2000
+
     def test_overrides_apply(self):
         cfg = loads_config("[ensemble]\nn_effective = 2.1e5\n"
                            "[run]\nmaster_seed = 7\ntrials = 50\n")

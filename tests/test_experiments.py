@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -65,6 +67,17 @@ class TestSqueezingSweep:
                                   master_seed=9)
         header = res.to_csv().splitlines()[0]
         assert header == "mt,R,C,Winv,R_psn,R_tf,R_q,R_c"
+
+    def test_csv_terms_sum_to_expected_r(self):
+        # the four term columns decompose the model the simulator runs
+        res = exp.squeezing_sweep(CAL, [1e3, 4.1e4, 1e5], trials_per_point=20,
+                                  master_seed=9)
+        rows = list(csv.DictReader(io.StringIO(res.to_csv())))
+        assert len(rows) == 3
+        for row in rows:
+            terms = sum(float(row[k]) for k in ("R_psn", "R_tf", "R_q", "R_c"))
+            assert terms == pytest.approx(
+                exp.expected_r(CAL, float(row["mt"])), rel=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

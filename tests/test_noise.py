@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import squeezesim
 
 from squeezesim.noise import (
     BETA_TIME_AVERAGE,
@@ -89,6 +95,18 @@ class TestFitR:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_r([(1e3, 0.1), (1e4, 0.05), (1e5, 0.2)], n_boot=0)
+
+    def test_package_import_skips_scipy_stats(self):
+        # scipy.stats costs most of the import time and fit_r needs only
+        # two special functions
+        src = str(Path(squeezesim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, squeezesim; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestPopNoise:

@@ -126,6 +126,19 @@ class TestRunTrials:
         plain = run_trials(standard_protocol(), PARAMS, 20, master_seed=9)
         assert capped == plain
 
+    def test_env_var_garbage_named(self, monkeypatch):
+        monkeypatch.setenv("SQUEEZE_SIM_THREADS", "abc")
+        with pytest.raises(ValueError, match="SQUEEZE_SIM_THREADS"):
+            run_trials(standard_protocol(), PARAMS, 2, master_seed=9)
+
+    def test_params_snapshot_holds_knobs_once(self):
+        params = replace(PARAMS, contrast_excess=1.9, lineshape_penalty=3.0)
+        rs = run_trials(standard_protocol(), params, 2, master_seed=9)
+        assert rs.params["contrast_excess"] == 1.9
+        assert rs.params["lineshape_penalty"] == 3.0
+        assert {k for k in rs.params if k.startswith("probe.")} == {
+            "probe.m_t", "probe.detuning_spread", "probe.ms_classical_frac"}
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_trials(standard_protocol(), PARAMS, 0, master_seed=1)

@@ -35,6 +35,15 @@ IDEAL_CAV = replace(CAV, recoil_shift_per_photon=0.0)
 IDEAL_PROBE = ProbeConfig(ms_classical_frac=0.0, detuning_spread=0.0)
 
 
+def test_realized_mt_argument_matches_probe_config():
+    s = prepare_css(4.8e5, ENS)
+    a = probe_measure(s, ProbeConfig(m_t=2e4), CAV, TP, COEFFS,
+                      np.random.default_rng(3))
+    b = probe_measure(s, ProbeConfig(), CAV, TP, COEFFS,
+                      np.random.default_rng(3), m_t=2e4)
+    assert a == b
+
+
 class TestPrepareCss:
     def test_reference_state(self):
         s = prepare_css(4.8e5, ENS)

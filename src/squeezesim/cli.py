@@ -46,6 +46,9 @@ def _common(sub: argparse.ArgumentParser) -> None:
 
 def _context(args) -> tuple[RunConfig, int, int, Path]:
     cfg = load_config(args.config) if args.config else default_config()
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, "
+                          f"got {args.seed}")
     seed = args.seed if args.seed is not None else cfg.master_seed
     trials = args.trials if args.trials is not None else cfg.trials
     out = Path(args.out if args.out is not None else cfg.output_dir)

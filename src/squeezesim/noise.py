@@ -23,6 +23,7 @@ from scipy.optimize import nnls
 from scipy.special import ndtr, stdtrit
 
 from .defaults import DEFAULTS
+from .elementwise import ops
 from .physics import TWO_PI, CavityParams, alpha_per_atom, scattered_ratio
 
 # Fraction of a transition's variance that survives the unweighted time
@@ -303,12 +304,13 @@ def read_noise_freq(m_t: float, coeffs: NoiseCoeffs,
     Calibrated so two independent windows reproduce the fitted photon-shot
     noise r_psn/M_t at the reference ensemble.
     """
-    if m_t <= 0:
+    xp = ops(m_t)
+    if xp.any(m_t <= 0):
         raise ValueError("m_t must be positive")
     if coeffs.r_psn == 0.0:
         return 0.0
     au_ref = alpha_per_atom("up", coeffs.n_reference / 2.0, cav)
-    sigma_atoms = math.sqrt(
+    sigma_atoms = xp.sqrt(
         (coeffs.n_reference / 4.0) * coeffs.r_psn / (2.0 * m_t))
     return au_ref * sigma_atoms
 
@@ -348,12 +350,12 @@ def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
 def injected_classical_freq(m_t: float, n: float, r_c_inj: float,
                             coeffs: NoiseCoeffs, cav: CavityParams) -> float:
     """Per-window injected classical frequency noise std. dev., rad/s."""
-    if r_c_inj <= 0.0 or m_t <= 0.0:
+    if r_c_inj <= 0.0:
         return 0.0
     au = alpha_per_atom("up", n / 2.0, cav)
     var_atoms = 0.5 * r_c_inj * m_t * m_t * (n / 4.0) * classical_scale(
         n, coeffs.n_reference, cav)
-    return au * math.sqrt(var_atoms)
+    return au * ops(var_atoms).sqrt(var_atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,20 @@ Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``,
 starting with ``#`` are comments.  Probe labels must be unique.
 
 Trials are pure functions of (protocol, params, seed); trial seeds derive
-deterministically from a master seed so a record set is identical under
-any execution order or worker count.
+deterministically from a master seed.  Reproducibility contract: trial i
+of ``run_trials(protocol, params, n, master_seed)`` equals
+``run_trial(protocol, params, trial_seed(master_seed, i))`` bit for bit.
+``run_trials`` passes ``run_trial`` batches of at most ``CHUNK_TRIALS``
+seeds; a batch holds its state as arrays over its trials, each trial
+drawing from its own generator, so a record set is the same for any batch
+size.  ``workers`` and SQUEEZE_SIM_THREADS are validated but change
+nothing.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,8 @@ from .physics import TWO_PI
 from .state import SimParams, polarized_state, probe_measure, rotate
 
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
+# trials per batch; bounds the generators alive at once (about 1.4 kB each)
+CHUNK_TRIALS = 512
 
 
 class ProtocolError(ValueError):
@@ -180,59 +187,74 @@ def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
                     "m_t > 0 (drop the step for a no-probe sequence)")
 
 
-def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
-    """Execute one seeded trial of a protocol.
+def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
+    """Execute one seeded trial of a protocol, or a batch of them.
 
-    The trial-level random context (a common probe-power fluctuation shared
-    by every window, then the per-step draws in protocol order) comes from
-    a generator seeded with ``seed`` alone, so records are reproducible
-    individually.
+    ``seed`` is one seed, giving one ``TrialRecord``, or a list of seeds,
+    giving a list with one record per seed, run as one batch; ``first``
+    numbers the batch's first trial in error messages.  Each trial draws
+    from a generator seeded with its seed alone: the common probe-power
+    fluctuation shared by every window, then the per-step draws in
+    protocol order.  The state invariants are checked after every
+    rotation and probe window.
     """
     _validate_runnable(protocol, params)
-    rng = np.random.default_rng(int(seed))
+    seeds = [int(s) for s in seed] if isinstance(seed, list) else [int(seed)]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    ens, probe = params.ensemble, params.probe
 
     # common probe-power fluctuation: the classical M_s noise channel
-    power = 1.0 + params.probe.ms_classical_frac * rng.standard_normal()
-    power = max(power, 0.05)
+    power = np.maximum(1.0 + probe.ms_classical_frac
+                       * np.array([g.standard_normal() for g in rngs]), 0.05)
 
-    state = polarized_state(params.ensemble.n_effective, params.ensemble,
-                            "down")
-    delta_p = 0.0
-    outcomes: dict[str, LabeledOutcome] = {}
-    trace: list[float] = []
+    state = polarized_state(ens.n_effective, ens, "down").tile(len(seeds))
+    delta_p = np.zeros(len(seeds))
+    n_up, freq_hz, trace = [], [], []
+    noise_k = (params.rotation_angle_noise > 0) + (
+        params.rotation_phase_noise > 0)
 
     for step in protocol.steps:
         if isinstance(step, Prealign):
-            if params.probe.detuning_spread > 0:
-                delta_p = params.probe.detuning_spread * rng.standard_normal()
+            if probe.detuning_spread > 0:
+                delta_p = probe.detuning_spread * np.array(
+                    [g.standard_normal() for g in rngs])
         elif isinstance(step, OpticalPump):
             heating = state.freq_offset  # pumping does not cool the ensemble
-            state = polarized_state(params.ensemble.n_effective,
-                                    params.ensemble, step.target)
+            state = polarized_state(ens.n_effective, ens,
+                                    step.target).tile(len(seeds))
             state.freq_offset = heating
         elif isinstance(step, MicrowavePulse):
             angle, phase = step.angle, step.phase
-            if params.rotation_angle_noise > 0:
-                angle *= 1.0 + params.rotation_angle_noise * rng.standard_normal()
-            if params.rotation_phase_noise > 0:
-                phase += params.rotation_phase_noise * rng.standard_normal()
+            if noise_k:
+                # one normal per knob > 0; a knob at 0 adds exactly nothing
+                z = np.array([g.standard_normal(noise_k) for g in rngs]).T
+                angle = angle * (1.0 + params.rotation_angle_noise * z[0])
+                phase = phase + params.rotation_phase_noise * z[-1]
             state = rotate(state, angle, phase)
+            state.validate(seeds, first)
         elif isinstance(step, ProbeStep):
-            base = step.m_t if step.m_t is not None else params.probe.m_t
+            base = step.m_t if step.m_t is not None else probe.m_t
             outcome, state = probe_measure(
-                state, params.probe, params.cavity, params.transitions,
-                params.coeffs, rng, m_t=base * power, detuning_offset=delta_p,
-                knobs=params)
-            outcomes[step.label] = LabeledOutcome(
-                n_up=outcome.n_up, freq_hz=outcome.freq / TWO_PI)
-            trace.append(outcome.true_jz)
+                state, probe, params.cavity, params.transitions,
+                params.coeffs, rngs, m_t=base * power,
+                detuning_offset=delta_p, knobs=params)
+            state.validate(seeds, first)
+            n_up.append(outcome.n_up.tolist())
+            freq_hz.append((outcome.freq / TWO_PI).tolist())
+            trace.append(outcome.true_jz.tolist())
         elif isinstance(step, Wait):
             pass  # no decoherence clock in scope
         else:  # pragma: no cover - exhaustive by construction
             raise ProtocolError(f"unhandled step {step!r}")
 
-    return TrialRecord(outcomes=outcomes, true_jz_trace=tuple(trace),
-                       seed=int(seed), omega_p_offset_hz=delta_p / TWO_PI)
+    labels = protocol.probe_labels
+    offsets = (delta_p / TWO_PI).tolist()
+    records = [TrialRecord(
+        outcomes={lb: LabeledOutcome(n_up=n_up[k][j], freq_hz=freq_hz[k][j])
+                  for k, lb in enumerate(labels)},
+        true_jz_trace=tuple(tr[j] for tr in trace), seed=s,
+        omega_p_offset_hz=offsets[j]) for j, s in enumerate(seeds)]
+    return records if isinstance(seed, list) else records[0]
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -241,34 +263,32 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        workers = 1
+def _check_workers(workers: int | None) -> None:
+    """Validate the worker count and its environment cap; neither is used."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     cap = os.environ.get(THREAD_ENV_VAR)
     if cap:
         try:
-            workers = min(workers, max(1, int(cap)))
+            int(cap)
         except ValueError:
             raise ValueError(f"{THREAD_ENV_VAR} must be an integer worker "
                              f"count, got {cap!r}") from None
-    return max(1, workers)
 
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
                master_seed: int, workers: int | None = None) -> RecordSet:
-    """Run ``n_trials`` seeded trials; identical for any worker count."""
+    """Run ``n_trials`` seeded trials; trial i is the ``run_trial`` of
+    ``trial_seed(master_seed, i)``.  ``workers`` changes nothing."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    _validate_runnable(protocol, params)
+    _check_workers(workers)
     seeds = [trial_seed(master_seed, i) for i in range(n_trials)]
-    workers = _worker_count(workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = tuple(pool.map(
-                lambda s: run_trial(protocol, params, s), seeds))
-    else:
-        trials = tuple(run_trial(protocol, params, s) for s in seeds)
-    return RecordSet(trials=trials, params=params.snapshot(),
+    trials: list[TrialRecord] = []
+    for first in range(0, n_trials, CHUNK_TRIALS):
+        trials += run_trial(protocol, params,
+                            seeds[first:first + CHUNK_TRIALS], first)
+    return RecordSet(trials=tuple(trials), params=params.snapshot(),
                      master_seed=int(master_seed))
 
 

@@ -18,6 +18,12 @@ noisy dressed-frequency reading, condition the state on the reading
 (Kalman update), inflate the anti-squeezed quadrature to respect the
 uncertainty relation, and decay the contrast by the free-space-scattering
 collapse law.
+
+The state of a batch of trials holds each field as an array over its
+trials, and ``rotate``, ``apply_raman_diffusion`` and ``probe_measure``
+take either one trial's state (floats) or a batch: one body of code whose
+elementwise operations work on both, each trial drawing from its own
+generator in the same order either way.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import numpy as np
 
 from . import noise as _noise
 from .defaults import DEFAULTS
+from .elementwise import ops
 from .physics import (
     TWO_PI,
     CavityParams,
@@ -41,6 +48,8 @@ from .physics import (
 )
 
 HEISENBERG_SLACK = 1e-9
+# the least Jz variance the uncertainty relation is applied with
+JZ_VAR_FLOOR = 1e-30
 _PROBE, _TRANSITION, _NOISE = (DEFAULTS["probe"], DEFAULTS["transition"],
                                DEFAULTS["noise"])
 
@@ -134,12 +143,13 @@ class SimParams:
 
 @dataclass(slots=True)
 class EnsembleState:
-    """Gaussian-moment collective spin state.
+    """Gaussian-moment collective spin state of one trial or of a batch.
 
-    ``freq_offset`` accumulates persistent probe-induced displacements of
-    the dressed frequency (recoil heating plus the dispersive pulls of
-    atoms moved out of the up-state bookkeeping); ``echo_phase`` tracks the
-    static inhomogeneous light-shift phase refocused by pi pulses.
+    A batch holds each field as an array over its trials.  ``freq_offset``
+    accumulates persistent probe-induced displacements of the dressed
+    frequency (recoil heating plus the dispersive pulls of atoms moved out
+    of the up-state bookkeeping); ``echo_phase`` tracks the static
+    inhomogeneous light-shift phase refocused by pi pulses.
     """
 
     n_total: float
@@ -155,25 +165,63 @@ class EnsembleState:
     echo_phase: float = 0.0
 
     def copy(self) -> "EnsembleState":
-        return replace(self)
+        values = [getattr(self, name) for name in _FIELDS]
+        if isinstance(self.n_total, np.ndarray):
+            values = [np.array(v) for v in values]
+        return EnsembleState(*values)
 
-    def bloch_length(self) -> float:
+    def tile(self, size: int) -> "EnsembleState":
+        """A batch of ``size`` trials, each in this (single-trial) state."""
+        return EnsembleState(*(np.array([getattr(self, name)] * size,
+                                        dtype=float) for name in _FIELDS))
+
+    def bloch_length(self):
         return self.contrast * self.n_total / 2.0
 
-    def cos_polar(self) -> float:
-        j = self.bloch_length()
-        if j <= 0.0:
-            return 0.0
-        return min(1.0, max(-1.0, self.jz_mean / j))
+    def cos_polar(self):
+        xp, j = ops(self.n_total), self.bloch_length()
+        with np.errstate(over="ignore"):
+            ratio = self.jz_mean / xp.where(j > 0.0, j, 1.0)
+        return xp.where(j > 0.0, xp.minimum(1.0, xp.maximum(-1.0, ratio)),
+                        0.0)
 
-    def validate(self) -> None:
-        if abs(self.pop_up + self.pop_down + self.pop_one
-               - self.n_total) > 1e-6 * self.n_total:
-            raise ValueError("population conservation violated")
-        if self.jz_var < 0 or self.jy_var < 0:
-            raise ValueError("variances must be non-negative")
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ValueError("contrast must lie in [0, 1]")
+    def invariants(self) -> dict[str, np.ndarray]:
+        """Whether each state invariant holds (per trial for a batch).
+
+        The Heisenberg product takes the Jz variance at no less than
+        ``JZ_VAR_FLOOR``, as the anti-squeezing of ``probe_measure`` does.
+        """
+        total = self.pop_up + self.pop_down + self.pop_one
+        bound = self.contrast * self.n_total / 4.0
+        with np.errstate(invalid="ignore"):
+            product = np.sqrt(np.maximum(self.jz_var, JZ_VAR_FLOOR)
+                              * self.jy_var)
+        return {"population conservation":
+                abs(total - self.n_total) <= 1e-6 * self.n_total,
+                "non-negative variances":
+                np.logical_and(self.jz_var >= 0, self.jy_var >= 0),
+                "contrast in [0, 1]":
+                np.logical_and(self.contrast >= 0.0, self.contrast <= 1.0),
+                "Heisenberg product":
+                product >= bound * (1.0 - HEISENBERG_SLACK)}
+
+    def validate(self, seeds=None, first: int = 0) -> None:
+        """Raise ValueError naming the first invariant broken; for a batch
+        whose trial j has seed ``seeds[j]``, also trial ``first + j``."""
+        for name, ok in self.invariants().items():
+            bad = np.flatnonzero(np.logical_not(ok))
+            if bad.size:
+                where = "" if seeds is None else (
+                    f" in trial {first + bad[0]} (seed {seeds[bad[0]]})")
+                raise ValueError(f"state invariant violated: {name}{where}")
+
+
+_FIELDS = tuple(f.name for f in fields(EnsembleState))
+
+
+def heisenberg_check(state: EnsembleState) -> bool:
+    """True iff the quadrature product respects the uncertainty relation."""
+    return bool(np.all(state.invariants()["Heisenberg product"]))
 
 
 @dataclass(frozen=True)
@@ -215,15 +263,7 @@ def polarized_state(n: float, ens: EnsembleParams,
         contrast=ens.initial_contrast, azimuth=0.0)
 
 
-def _bloch_unit(state: EnsembleState) -> np.ndarray:
-    cz = state.cos_polar()
-    sz = math.sqrt(max(0.0, 1.0 - cz * cz))
-    return np.array([sz * math.cos(state.azimuth),
-                     sz * math.sin(state.azimuth), cz])
-
-
-def rotate(state: EnsembleState, angle: float,
-           pulse_phase: float) -> EnsembleState:
+def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     """Coherent microwave rotation about an equatorial axis.
 
     The rotation axis sits in the equatorial plane at the pulse phase
@@ -233,41 +273,48 @@ def rotate(state: EnsembleState, angle: float,
     noiseless: the uncertainty disk co-rotates, leaving the stored
     quadrature variances untouched.  Exact pi pulses negate the
     accumulated echo phase; any other angle converts coherence and folds
-    the accumulated dephasing into the contrast.
+    the accumulated dephasing into the contrast.  For a batch, ``angle``
+    and ``pulse_phase`` are numbers or arrays with one value per trial.
     """
-    new = state.copy()
-    if angle == 0.0:
+    xp, new = ops(state.n_total), state.copy()
+    turning = angle != 0.0
+    if not xp.any(turning):
         return new
 
     half_turns = angle / math.pi
-    is_pi = abs(half_turns - round(half_turns)) < 1e-12 and (
-        round(half_turns) % 2 != 0)
-    if new.echo_phase != 0.0:
-        if is_pi:
-            new.echo_phase = -new.echo_phase
-        else:
-            new.contrast *= math.exp(-0.5 * new.echo_phase ** 2)
-            new.echo_phase = 0.0
+    turns = np.round(half_turns)
+    is_pi = (abs(half_turns - turns) < 1e-12) & (turns % 2 != 0)
+    echo = state.echo_phase
+    new.contrast = xp.where(is_pi | (echo == 0.0), state.contrast,
+                            state.contrast * xp.exp(-0.5 * xp.square(echo)))
+    new.echo_phase = xp.where(is_pi, -echo, 0.0)
 
-    u = _bloch_unit(state)
-    axis = np.array([math.sin(pulse_phase), -math.cos(pulse_phase), 0.0])
-    ca, sa = math.cos(angle), math.sin(angle)
-    u2 = (u * ca + np.cross(axis, u) * sa + axis * np.dot(axis, u) * (1 - ca))
+    # unit Bloch vectors, shape (3,) or (trials, 3); np.vecdot makes the
+    # BLAS call np.dot makes on one vector and ``cross`` spells out
+    # np.cross, so a trial's rotation does not depend on the batch
+    cz = state.cos_polar()
+    sz = xp.sqrt(xp.maximum(0.0, 1.0 - cz * cz))
+    u = np.array([sz * xp.cos(state.azimuth), sz * xp.sin(state.azimuth),
+                  cz]).T
+    axis = np.array([xp.sin(pulse_phase), -xp.cos(pulse_phase),
+                     np.zeros(np.shape(pulse_phase))]).T
+    ca, sa = (np.asarray(f(angle))[..., None] for f in (xp.cos, xp.sin))
+    cross = (axis[..., [1, 2, 0]] * u[..., [2, 0, 1]]
+             - axis[..., [2, 0, 1]] * u[..., [1, 2, 0]])
+    u2 = (u * ca + cross * sa
+          + axis * np.vecdot(axis, u)[..., None] * (1 - ca))
+    ux, uy, uz = u2.T if u2.ndim > 1 else u2.tolist()
 
-    j = new.bloch_length()
-    new.jz_mean = j * float(u2[2])
-    if u2[0] ** 2 + u2[1] ** 2 > 1e-24:
-        new.azimuth = math.atan2(float(u2[1]), float(u2[0]))
+    new.jz_mean = new.bloch_length() * uz
+    new.azimuth = xp.where(ux * ux + uy * uy > 1e-24, xp.atan2(uy, ux),
+                           state.azimuth)
     new.pop_up = new.n_total / 2.0 + new.jz_mean
     new.pop_down = new.n_total - new.pop_one - new.pop_up
+    if np.count_nonzero(turning) < np.size(turning):
+        # a zero angle leaves its trial untouched
+        new = EnsembleState(*(np.where(turning, getattr(new, f),
+                                       getattr(state, f)) for f in _FIELDS))
     return new
-
-
-def heisenberg_check(state: EnsembleState) -> bool:
-    """True iff the quadrature product respects the uncertainty relation."""
-    bound = state.contrast * state.n_total / 4.0
-    return math.sqrt(state.jz_var * state.jy_var) >= bound * (
-        1.0 - HEISENBERG_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +330,30 @@ _CHANNELS = (
 )
 
 
-def _sample_counts(state: EnsembleState, m_s: float, tp: TransitionProbs,
-                   rng: np.random.Generator) -> list[int]:
-    """Poisson transition counts, one per channel.
+def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
+                   rngs: list[np.random.Generator]) -> list:
+    """Poisson transition counts per channel (arrays for a batch).
 
     Channel means are p * m_s weighted by the source population relative to
     the half-polarized operating point N/2, so the standard noise formulas
     hold exactly on the equator and polarized preparations scale with the
     actual source population.
     """
-    half = state.n_total / 2.0
-    counts = []
-    for p_attr, src_attr, *_ in _CHANNELS:
-        p = getattr(tp, p_attr)
-        src = max(0.0, getattr(state, src_attr))
-        lam = p * m_s * src / half
-        counts.append(int(rng.poisson(lam)) if lam > 0.0 else 0)
+    xp, n, half = ops(state.n_total), state.n_total, state.n_total / 2.0
+    lams = [xp.each(getattr(tp, p_attr) * m_s
+                    * xp.maximum(0.0, getattr(state, src_attr)) / half, n)
+            for p_attr, src_attr, *_ in _CHANNELS]
+    counts = list(xp.columns(
+        [[int(g.poisson(lam)) if lam > 0.0 else 0 for lam in trial]
+         for g, trial in zip(rngs, zip(*lams))]))
     # cannot move more atoms than a state holds
-    up_out = counts[0] + counts[2]
-    if up_out > state.pop_up > 0:
-        scale = state.pop_up / up_out
-        counts[0] = int(counts[0] * scale)
-        counts[2] = int(counts[2] * scale)
-    down_out = counts[1] + counts[3]
-    if down_out > state.pop_down > 0:
-        scale = state.pop_down / down_out
-        counts[1] = int(counts[1] * scale)
-        counts[3] = int(counts[3] * scale)
+    for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
+        out = counts[a] + counts[b]
+        clip = (out > pop) & (pop > 0)
+        if np.count_nonzero(clip):
+            scale = pop / xp.where(clip, out, 1)
+            counts[a] = xp.where(clip, xp.trunc(counts[a] * scale), counts[a])
+            counts[b] = xp.where(clip, xp.trunc(counts[b] * scale), counts[b])
     return counts
 
 
@@ -323,13 +367,12 @@ def _visible_sum(count: int, rng: np.random.Generator) -> float:
     if count == 0:
         return 0.0
     if count <= 64:
-        return float(np.sum(1.0 - rng.random(count)))
+        return float((1.0 - rng.random(count)).sum())
     return 0.5 * count + math.sqrt(count / 12.0) * rng.standard_normal()
 
 
-def _apply_counts(state: EnsembleState, counts: list[int],
-                  alphas: tuple[float, float, float],
-                  repump_to_up: bool) -> None:
+def _apply_counts(state: EnsembleState, counts: list,
+                  alphas: tuple, repump_to_up: bool) -> None:
     """Move populations for realized transition counts (in place).
 
     Updates the persistent frequency offset with the non-up-state
@@ -363,13 +406,14 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     ``m_s`` is the mean scattered photon number at the half-polarized
     reference configuration.  With ``repump_to_up`` the |1> state is
     treated as instantly recycled to up (the calibration-experiment
-    regime).
+    regime).  For a batch, ``rng`` holds one generator per trial.
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
     new = state.copy()
-    counts = _sample_counts(new, m_s, tp, rng)
-    au = alpha_per_atom("up", max(new.pop_up, 0.0), cav)
+    counts = _sample_counts(new, m_s, tp, rng if isinstance(rng, list)
+                            else [rng])
+    au = alpha_per_atom("up", ops(new.n_total).maximum(new.pop_up, 0.0), cav)
     ad = alpha_per_atom("down", 0.0, cav)
     _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
     return new
@@ -398,22 +442,26 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     omitted) and ``detuning_offset`` the trial's probe-cavity detuning left
     after pre-alignment, rad/s.  Only the sequence-level knobs of ``knobs``
     are read here: the lineshape penalty, the excess contrast decay and the
-    static light shift.
+    static light shift.  For a batch, ``rng`` holds one generator per
+    trial, and ``m_t`` and ``detuning_offset`` may hold one value per trial.
     """
     if m_t is None:
         m_t = probe.m_t
-    if m_t <= 0:
+    xp = ops(state.n_total)
+    if xp.any(m_t <= 0):
         raise ValueError("probe window needs m_t > 0; drop the step instead")
+    rngs = rng if isinstance(rng, list) else [rng]
     new = state.copy()
     n = new.n_total
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = new.cos_polar()
-    sin2 = max(0.0, 1.0 - cz * cz)
-    jz_true = new.jz_mean
-    if sin2 > 0.0 and new.jz_var > 0.0:
-        jz_true += math.sqrt(new.jz_var * sin2) * rng.standard_normal()
-    n_up_true = min(max(n / 2.0 + jz_true, 0.0), n)
+    sin2 = xp.maximum(0.0, 1.0 - cz * cz)
+    spread = (sin2 > 0.0) & (new.jz_var > 0.0)
+    z_jz = xp.columns([[g.standard_normal() if on else 0.0]
+                       for g, on in zip(rngs, xp.each(spread, n))])
+    jz_true = new.jz_mean + xp.sqrt(new.jz_var * sin2) * z_jz[0]
+    n_up_true = xp.minimum(xp.maximum(n / 2.0 + jz_true, 0.0), n)
 
     m_s = m_t * scattered_ratio(n_up_true, cav)
     au = alpha_per_atom("up", n_up_true, cav)
@@ -421,64 +469,72 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     a1 = cav.c1_coupling * au
     eps = TWO_PI * cav.recoil_shift_per_photon
 
-    # Raman events: full effect persists, a (1 - tau) share shows in this
-    # window's reading
-    counts = _sample_counts(new, m_s, tp, rng)
-    jumps = (ad - au, au - ad, a1 - au, a1 - ad)
-    raman_visible = 0.0
-    for cnt, jump in zip(counts, jumps):
-        if cnt:
-            raman_visible += jump * _visible_sum(cnt, rng)
-
-    # recoil heating from the realized scattered photon count
-    n_phot = int(rng.poisson(m_s)) if (m_s > 0.0 and eps > 0.0) else 0
-    recoil_visible = -eps * _visible_sum(n_phot, rng)
-
     # technical noises of the reading
     read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
-    if knobs.lineshape_penalty and detuning_offset:
-        read_sig *= math.sqrt(
+    if knobs.lineshape_penalty:
+        read_sig = read_sig * xp.sqrt(
             1.0 + knobs.lineshape_penalty
-            * (detuning_offset / (cav.kappa / 2.0)) ** 2)
+            * xp.square(detuning_offset / (cav.kappa / 2.0)))
     r_c_inj = _injection_coeff(coeffs, probe.ms_classical_frac, cav, tp)
     class_sig = _noise.injected_classical_freq(
         m_t, n, r_c_inj, coeffs, cav)
     floor_sig = _noise.floor_noise_atoms(coeffs) * au
 
-    read_noise = read_sig * rng.standard_normal() if read_sig > 0 else 0.0
-    tech_noise = 0.0
-    if class_sig > 0.0:
-        tech_noise += class_sig * rng.standard_normal()
-    if floor_sig > 0.0:
-        tech_noise += floor_sig * rng.standard_normal()
+    # Raman events and recoil photons: full effect persists, a (1 - tau)
+    # share shows in this window's reading.  Each trial then draws its
+    # read, classical and floor noise normals, those whose std. dev. is > 0
+    counts = _sample_counts(new, m_s, tp, rngs)
+    draws = []
+    for g, cnt, recoil_mean, tail in zip(
+            rngs, zip(*(xp.each(c, n) for c in counts)),
+            xp.each(m_s * (eps > 0.0), n),
+            zip(*(xp.each(sig > 0.0, n) for sig in (read_sig, class_sig,
+                                                  floor_sig)))):
+        row = [_visible_sum(int(c), g) for c in cnt]
+        row.append(int(g.poisson(recoil_mean)) if recoil_mean > 0.0 else 0)
+        row.append(_visible_sum(row[-1], g))
+        z = iter(g.standard_normal(sum(tail)).tolist())
+        draws.append(row + [next(z) if on else 0.0 for on in tail])
+    *raman_shares, n_phot, recoil_share, z_read, z_class, z_floor = (
+        xp.columns(draws))
+    raman_visible = 0.0
+    for jump, share in zip((ad - au, au - ad, a1 - au, a1 - ad),
+                           raman_shares):
+        raman_visible = raman_visible + jump * share
+    recoil_visible = -eps * recoil_share
 
+    read_noise = read_sig * z_read
+    tech_noise = 0.0 + class_sig * z_class + floor_sig * z_floor
     reading = (dressed_shift(n_up_true, cav) + new.freq_offset
                + raman_visible + recoil_visible + read_noise + tech_noise)
 
     # condition the state on the spin information in the reading
-    sigma_m = read_sig / au if read_sig > 0.0 else 0.0
+    informative = read_sig > 0.0
+    sigma_m = xp.where(informative, read_sig / au, 0.0)
+    sigma_m2 = xp.square(sigma_m)
     eff_var = new.jz_var * sin2
-    if sigma_m == 0.0:
-        if sin2 > 0.0:
-            new.jz_mean = jz_true
-            new.jz_var = 0.0
-    elif eff_var > 0.0:
-        z = jz_true + sigma_m * (read_noise / read_sig)
-        gain = eff_var / (eff_var + sigma_m ** 2)
-        new.jz_mean += gain * (z - new.jz_mean)
-        new.jz_var = new.jz_var * sigma_m ** 2 / (eff_var + sigma_m ** 2)
+    z = jz_true + sigma_m * (read_noise
+                             / xp.where(informative, read_sig, 1.0))
+    update = (sigma_m != 0.0) & (eff_var > 0.0)
+    denominator = xp.where(update, eff_var + sigma_m2, 1.0)
+    gain = eff_var / denominator
+    exact = (sigma_m == 0.0) & (sin2 > 0.0)
+    new.jz_mean = xp.where(update, new.jz_mean + gain * (z - new.jz_mean),
+                           xp.where(exact, jz_true, new.jz_mean))
+    new.jz_var = xp.where(update, new.jz_var * sigma_m2 / denominator,
+                          xp.where(exact, 0.0, new.jz_var))
 
     # persistent back-action
     _apply_counts(new, counts, (au, ad, a1), repump_to_up=False)
     new.freq_offset += -eps * n_phot
-    new.contrast *= math.exp(-(1.0 + knobs.contrast_excess) * m_s / n)
+    new.contrast *= xp.exp(-(1.0 + knobs.contrast_excess) * m_s / n)
     if knobs.light_shift_per_photon:
         new.echo_phase += knobs.light_shift_per_photon * m_t
 
     # anti-squeezing keeps the uncertainty product legal
     bound = new.contrast * n / 4.0
-    jz_var_floor = max(new.jz_var, 1e-30)
-    new.jy_var = max(new.jy_var, bound * bound / jz_var_floor)
+    jz_var_floor = xp.maximum(new.jz_var, JZ_VAR_FLOOR)
+    new.jy_var = xp.maximum(new.jy_var, bound * bound / jz_var_floor)
 
     outcome = MeasurementOutcome(
         freq=reading, n_up=invert_dressed_shift(reading, cav),

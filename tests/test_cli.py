@@ -116,3 +116,27 @@ def test_echoed_config_reloads_identically(tmp_path):
     assert rc == 0
     assert (tmp_path / "budget.csv").read_bytes() == (
         out2 / "budget.csv").read_bytes()
+
+
+def test_sweep_with_noiseless_read(tmp_path):
+    # r_psn = 0 is a legal config value: an exact read, no photon-shot noise
+    cfgfile = tmp_path / "exact.ini"
+    cfgfile.write_text("[noise]\nr_psn = 0\n")
+    rc = cli_dispatch(["sweep", "--config", str(cfgfile), "--points", "3",
+                       "--mt-min", "1e4", "--mt-max", "5e4", "--trials",
+                       "40", "--seed", "9", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("value,code", [("-1", 1), ("1.5", 2), ("x", 2)])
+def test_bad_seed_names_the_flag(tmp_path, capsys, value, code):
+    proto = tmp_path / "seq.txt"
+    proto.write_text("pump down\npulse 90 0\nprobe N\n")
+    rc = cli_dispatch(["run", "--protocol", str(proto), "--seed", value,
+                       "--trials", "2", "--out", str(tmp_path)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "--seed" in err and value in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "records.csv").exists()

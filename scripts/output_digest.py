@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the files every squeezesim subcommand writes.
+
+Runs each CLI subcommand (sweep, phase-detect, scaling, fringe, budget,
+calibrate-raman, fit, run) at fixed seeds and small sizes in a temporary
+directory, and prints one line per file written: its sha256 and its name.
+That covers every CSV, every ``*.config.ini`` echo and ``fit.json``; the
+``*.meta.json`` sidecars are left out, since they carry the time of the
+run.  Two revisions whose outputs agree byte for byte print the same
+lines, so a change meant to keep the outputs is checked with
+
+    PYTHONPATH=src python scripts/output_digest.py > after.txt
+    diff before.txt after.txt
+
+Takes about a minute on one core.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from squeezesim.cli import cli_dispatch
+
+PROTOCOL = """\
+prealign
+pump down
+pulse 90 0
+probe N1
+pulse 180 0
+probe N2
+probe N3 mt=2e4
+pulse 90 90
+probe N4
+"""
+
+# a config that switches on the knobs the default run leaves off
+KNOBS = """\
+[noise]
+contrast_excess = 1.9
+light_shift_per_photon = 2e-5
+rotation_angle_noise = 0.01
+rotation_phase_noise = 0.02
+lineshape_penalty = 3
+"""
+
+
+def commands(work: Path) -> dict[str, list]:
+    """Each digest section's name and its ``squeezesim`` arguments."""
+    return {
+        "sweep": ["sweep", "--seed", 3, "--trials", 300, "--points", 6],
+        "phase-detect": ["phase-detect", "--seed", 4, "--trials", 1000],
+        "scaling": ["scaling", "--seed", 5, "--trials", 200,
+                    "--scan-trials", 200, "--n-list", "6e4,1.2e5,4.8e5"],
+        "fringe": ["fringe", "--seed", 6, "--trials", 100, "--points", 8],
+        "budget": ["budget", "--seed", 7],
+        "calibrate-raman": ["calibrate-raman", "--seed", 8, "--trials", 100,
+                            "--points", 4],
+        "fit": ["fit", "--seed", 9, "--boot", 200, "--in",
+                work / "sweep" / "sweep.csv"],
+        "run": ["run", "--seed", 10, "--trials", 600, "--protocol",
+                work / "protocol.txt"],
+        "run-knobs": ["run", "--seed", 11, "--trials", 600, "--protocol",
+                      work / "protocol.txt", "--config", work / "knobs.ini"],
+    }
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "protocol.txt").write_text(PROTOCOL)
+        (work / "knobs.ini").write_text(KNOBS)
+        for name, argv in commands(work).items():
+            out = work / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_dispatch([str(a) for a in argv]
+                                    + ["--out", str(out)])
+            if code:
+                print(f"error: squeezesim {argv[0]} exited {code}",
+                      file=sys.stderr)
+                return code
+            for path in sorted(out.iterdir()):
+                if not path.name.endswith(".meta.json"):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {name}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Seed margins of the Monte Carlo acceptance criteria 4 and 5.
+"""Seed margins of the Monte Carlo acceptance gates.
 
-Reruns criterion 4 (probe-strength sweep: best 1/R, its M_t, best 1/W) and
-criterion 5 (single-shot phase detection: CSS and squeezed error rates) at
-their acceptance sizes over K master seeds, and prints each measured
-value's minimum, median and maximum next to its tolerance band, with how
-many seeds land inside the band.  Seed k is 20260810 + 2k, so k = 0
-repeats the acceptance tests exactly; the phase-detection CSS arm uses
-seed + 1, as the tests do.  Takes about 10 s per seed on one core:
+Reruns, at their test sizes and over K master seeds, criterion 4
+(probe-strength sweep: best 1/R, its M_t, best 1/W), criterion 5
+(single-shot phase detection: CSS and squeezed error rates), criterion 6
+(atom-number scaling: phase-variance and SQL slopes) and the fit of
+``tests/test_experiments.py::test_simulated_sweep_fit_rq_consistent_with_zero``
+(r_q's lower 95 % bound, its share r_q M_t / R at M_t = 4.1e4, r_psn and
+r_c against their calibration values).  It prints each measured value's
+minimum, median and maximum next to its tolerance band, with how many
+seeds land inside the band.  For criteria 4 to 6 seed k is
+20260810 + 2k, so k = 0 repeats the acceptance tests exactly; the
+phase-detection CSS arm uses seed + 1, as the tests do.  The r_q fit's
+sweep uses seed 77 + k (k = 0 is the test) with the test's bootstrap
+seed 5.  Per seed, on one core: c4 about 6 s, c5 about 3 s, c6 about
+25 s, rq about 2 s; ``--only`` picks some of them:
 
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8
+    PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only rq
 """
 
 import argparse
+import math
 import statistics
 import time
 from dataclasses import replace
@@ -24,62 +33,98 @@ from squeezesim import experiments as exp
 
 BASE_SEED = 20260810
 
-# name -> (lower, upper) tolerance band of tests/test_acceptance.py
+# group -> name -> (lower, upper) tolerance band of the tests
 BANDS = {
-    "c4 best 1/R": (13.0, 19.0),
-    "c4 M_t at best 1/R": (2e4, 8e4),
-    "c4 best 1/W": (9.0, 13.5),
-    "c5 CSS error rate": (0.20, 0.30),
-    "c5 squeezed error rate": (0.012, 0.032),
+    "c4": {"c4 best 1/R": (13.0, 19.0),
+           "c4 M_t at best 1/R": (2e4, 8e4),
+           "c4 best 1/W": (9.0, 13.5)},
+    "c5": {"c5 CSS error rate": (0.20, 0.30),
+           "c5 squeezed error rate": (0.012, 0.032)},
+    "c6": {"c6 phase-variance slope": (-2.2, -1.7),
+           "c6 SQL slope": (-0.55, -0.45)},
+    "rq": {"rq lower bound of r_q": (0.0, 0.0),
+           "rq share r_q M_t / R": (-math.inf, 0.1),
+           "rq r_psn / 1281.25": (0.9, 1.1),
+           "rq r_c / calibration": (0.75, 1.25)},
 }
 
 
-def measure(seed: int) -> dict[str, float]:
+def measure(group: str, k: int) -> dict[str, float]:
     params = sq.SimParams()
     calibrated = replace(params,
                          contrast_excess=sq.CALIBRATED_CONTRAST_EXCESS)
-    sweep = exp.squeezing_sweep(calibrated, np.logspace(3.0, 5.0, 15),
-                                trials_per_point=2000, master_seed=seed)
-    par = params.with_n(4.3e5)
-    squeezed = exp.phase_detection(par, 2.3e-3, premeasure=True,
-                                   trials=10_000, master_seed=seed,
-                                   target_w_inv=7.5)
-    css = exp.phase_detection(par, 2.3e-3, premeasure=False,
-                              trials=10_000, master_seed=seed + 1,
-                              m_t=squeezed.m_t)
-    return {
-        "c4 best 1/R": 1.0 / sweep.best_r().r,
-        "c4 M_t at best 1/R": sweep.best_r().m_t,
-        "c4 best 1/W": sweep.best().w_inv,
-        "c5 CSS error rate": css.error_rate,
-        "c5 squeezed error rate": squeezed.error_rate,
-    }
+    seed = BASE_SEED + 2 * k
+    if group == "c4":
+        sweep = exp.squeezing_sweep(calibrated, np.logspace(3.0, 5.0, 15),
+                                    trials_per_point=2000, master_seed=seed)
+        return {"c4 best 1/R": 1.0 / sweep.best_r().r,
+                "c4 M_t at best 1/R": sweep.best_r().m_t,
+                "c4 best 1/W": sweep.best().w_inv}
+    if group == "c5":
+        par = params.with_n(4.3e5)
+        squeezed = exp.phase_detection(par, 2.3e-3, premeasure=True,
+                                       trials=10_000, master_seed=seed,
+                                       target_w_inv=7.5)
+        css = exp.phase_detection(par, 2.3e-3, premeasure=False,
+                                  trials=10_000, master_seed=seed + 1,
+                                  m_t=squeezed.m_t)
+        return {"c5 CSS error rate": css.error_rate,
+                "c5 squeezed error rate": squeezed.error_rate}
+    if group == "c6":
+        res = exp.n_scaling(calibrated, [6e4, 1.2e5, 2.4e5, 4.8e5],
+                            trials_per_point=30_000, master_seed=seed,
+                            scan_trials=2000)
+        return {"c6 phase-variance slope": res.slope_squeezed,
+                "c6 SQL slope": res.slope_sql}
+    sweep = exp.squeezing_sweep(calibrated, np.logspace(3, 5, 12),
+                                trials_per_point=800, master_seed=77 + k)
+    fit = sq.fit_r([(row.m_t, row.r) for row in sweep.rows], n_boot=400,
+                   rng=5)
+    return {"rq lower bound of r_q": fit.intervals["r_q"][0],
+            "rq share r_q M_t / R": (fit.coeffs.r_q * 4.1e4
+                                     / sq.model_r(4.1e4, fit.coeffs)),
+            "rq r_psn / 1281.25": fit.coeffs.r_psn / 1281.25,
+            "rq r_c / calibration": fit.coeffs.r_c / params.coeffs.r_c}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=8, metavar="K",
                     help="number of master seeds (default 8)")
+    ap.add_argument("--only", default=",".join(BANDS), metavar="GROUPS",
+                    help="comma-separated groups to run, of "
+                         f"{', '.join(BANDS)} (default all)")
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error("--seeds must be >= 1")
+    groups = args.only.split(",")
+    unknown = [g for g in groups if g not in BANDS]
+    if unknown:
+        ap.error(f"unknown group {unknown[0]!r}; choose from "
+                 f"{', '.join(BANDS)}")
 
-    values: dict[str, list[float]] = {name: [] for name in BANDS}
+    values: dict[str, list[float]] = {
+        name: [] for g in groups for name in BANDS[g]}
     for k in range(args.seeds):
-        seed = BASE_SEED + 2 * k
         t0 = time.perf_counter()
-        for name, value in measure(seed).items():
-            values[name].append(value)
-        print(f"seed {seed}: {time.perf_counter() - t0:.1f} s", flush=True)
+        for group in groups:
+            for name, value in measure(group, k).items():
+                values[name].append(value)
+        print(f"seed k = {k}: {time.perf_counter() - t0:.1f} s", flush=True)
 
-    print(f"\n{'value':24s} {'min':>10s} {'median':>10s} {'max':>10s}  "
+    print(f"\n{'value':26s} {'min':>10s} {'median':>10s} {'max':>10s}  "
           f"{'band':>20s}  inside")
-    for name, (lo, hi) in BANDS.items():
-        v = values[name]
-        inside = sum(lo <= x <= hi for x in v)
-        print(f"{name:24s} {min(v):10.4g} {statistics.median(v):10.4g} "
-              f"{max(v):10.4g}  [{lo:8.4g}, {hi:8.4g}]  "
-              f"{inside}/{len(v)}")
+    for group in groups:
+        passed = [True] * args.seeds
+        for name, (lo, hi) in BANDS[group].items():
+            v = values[name]
+            ok = [lo <= x <= hi for x in v]
+            passed = [a and b for a, b in zip(passed, ok)]
+            print(f"{name:26s} {min(v):10.4g} {statistics.median(v):10.4g} "
+                  f"{max(v):10.4g}  [{lo:8.4g}, {hi:8.4g}]  "
+                  f"{sum(ok)}/{len(v)}")
+        print(f"{group + ' every value inside':26s} {'':56s}"
+              f"{sum(passed)}/{args.seeds}")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .sequence import (
     parse_protocol,
     run_trials,
     spin_noise_reduction,
+    trial_generators,
     trial_seed,
 )
 from .state import apply_raman_diffusion, polarized_state, rotate
@@ -480,9 +481,8 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     means_down, means_up = [], []
     for i, m_t in enumerate(grid):
         acc_d, acc_u = 0.0, 0.0
-        for k in range(trials):
-            rng = np.random.default_rng(
-                trial_seed(_sub_seed(master_seed, i), k))
+        seeds = trial_seed(_sub_seed(master_seed, i), np.arange(trials))
+        for rng in trial_generators(seeds.tolist()):
             s = polarized_state(n, p.ensemble, "down")
             if m_t > 0:
                 s = drive(s, m_t, rng)

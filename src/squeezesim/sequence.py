@@ -24,15 +24,23 @@ seeds; a batch holds its state as arrays over its trials, each trial
 drawing from its own generator, so a record set is the same for any batch
 size.  ``workers`` and SQUEEZE_SIM_THREADS are validated but change
 nothing.
+
+Trial i's seed is ``SeedSequence(master_seed, spawn_key=(i,))``'s first
+64-bit state word, and its generator is ``default_rng(seed)``.  Both are
+computed here with numpy's SeedSequence hash mix written out in uint32
+arithmetic over arrays, so one pass serves every trial of a run: the same
+values, without a SeedSequence object per trial.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .physics import TWO_PI
 from .state import SimParams, polarized_state, probe_measure, rotate
@@ -40,6 +48,16 @@ from .state import SimParams, polarized_state, probe_measure, rotate
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
 # trials per batch; bounds the generators alive at once (about 1.4 kB each)
 CHUNK_TRIALS = 512
+# trial indices are one uint32 word of a seed sequence's spawn key
+INDEX_LIMIT = 2**32
+SEED_LIMIT = 2**64
+
+# numpy's SeedSequence: pool size and hash-mix constants
+_POOL = 4
+_MASK = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class ProtocolError(ValueError):
@@ -200,7 +218,7 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
     """
     _validate_runnable(protocol, params)
     seeds = [int(s) for s in seed] if isinstance(seed, list) else [int(seed)]
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = trial_generators(seeds)
     ens, probe = params.ensemble, params.probe
 
     # common probe-power fluctuation: the classical M_s noise channel
@@ -257,10 +275,100 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
     return records if isinstance(seed, list) else records[0]
 
 
-def trial_seed(master_seed: int, index: int) -> int:
-    """Deterministic, order-independent per-trial seed derivation."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _hashes(init: int, mult: int):
+    """The (xor, multiplier) constants of successive SeedSequence hashes."""
+    return itertools.pairwise(itertools.accumulate(
+        itertools.repeat(mult), lambda c, m: c * m & _MASK, initial=init))
+
+
+def _hash(word, hashes):
+    xor, mult = next(hashes)
+    word = (word ^ xor) * mult & _MASK
+    return word ^ word >> 16
+
+
+def _mix(x, y):
+    word = (_MIX_L * x - _MIX_R * y) & _MASK
+    return word ^ word >> 16
+
+
+def _seed_state(entropy: list, n_words: int) -> list:
+    """``SeedSequence`` state: ``n_words`` 64-bit words from entropy words.
+
+    ``entropy`` is the assembled entropy, uint32 words in order, each a
+    Python int or a uint64 array of one word per trial; the result words
+    are ints or arrays alike.  Mixing in the entropy and drawing the state
+    follow numpy's ``SeedSequence.mix_entropy`` and ``generate_state``.
+    """
+    hashes = _hashes(_INIT_A, _MULT_A)
+    pool = [_hash(entropy[i] if i < len(entropy) else 0, hashes)
+            for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], hashes))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(word, hashes))
+    hashes = _hashes(_INIT_B, _MULT_B)
+    out = [_hash(pool[i % _POOL], hashes) for i in range(2 * n_words)]
+    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+
+
+def trial_seed(master_seed: int, index):
+    """Deterministic, order-independent per-trial seed derivation.
+
+    The seed of trial ``index`` is the first uint64 state word of
+    ``SeedSequence(master_seed, spawn_key=(index,))``.  ``index`` is one
+    index (giving an int) or an array of them (giving a uint64 array), each
+    in [0, ``INDEX_LIMIT``); ``master_seed`` is any non-negative integer.
+    """
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ValueError(f"master_seed must be a non-negative integer, "
+                         f"got {master_seed!r}")
+    indices = np.asarray(index)
+    bad = (indices if indices.dtype.kind not in "iu" else
+           indices[(indices < 0) | (indices >= INDEX_LIMIT)]).ravel()
+    if bad.size:
+        raise ValueError(f"trial index must be an integer in [0, 2**32), "
+                         f"got {bad[:1].tolist()[0]!r}")
+    master, words = int(master_seed), []
+    while master or not words:
+        words.append(master & _MASK)
+        master >>= 32
+    # with a spawn key, the master's words are zero-padded to the pool size
+    words += [0] * (_POOL - len(words))
+    word = int(indices) if indices.ndim == 0 else indices.astype(np.uint64)
+    return _seed_state(words + [word], 1)[0]
+
+
+class _SeedState(ISeedSequence):
+    """The four uint64 words ``SeedSequence(seed)`` gives a PCG64."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or dtype is not np.uint64:
+            raise ValueError("a trial's PCG64 state is 4 uint64 words")
+        return self.words
+
+
+def trial_generators(seeds) -> list[np.random.Generator]:
+    """``default_rng(seed)`` for each seed in [0, 2**64), all at once."""
+    bad = [s for s in seeds if not 0 <= s < SEED_LIMIT]
+    if bad:
+        raise ValueError(f"trial seed must be an integer in [0, 2**64), "
+                         f"got {bad[0]!r}")
+    s = np.array(seeds, dtype=np.uint64)
+    # a seed below 2**32 is one entropy word, and a missing word mixes in
+    # as a zero word: two words serve every seed
+    state = np.ascontiguousarray(np.array(
+        _seed_state([s & _MASK, s >> 32], 4)).T)
+    return [np.random.Generator(np.random.PCG64(_SeedState(row)))
+            for row in state]
 
 
 def _check_workers(workers: int | None) -> None:
@@ -283,7 +391,7 @@ def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _check_workers(workers)
-    seeds = [trial_seed(master_seed, i) for i in range(n_trials)]
+    seeds = trial_seed(master_seed, np.arange(n_trials)).tolist()
     trials: list[TrialRecord] = []
     for first in range(0, n_trials, CHUNK_TRIALS):
         trials += run_trial(protocol, params,

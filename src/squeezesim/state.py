@@ -180,7 +180,7 @@ class EnsembleState:
 
     def cos_polar(self):
         xp, j = ops(self.n_total), self.bloch_length()
-        with np.errstate(over="ignore"):
+        with xp.errstate(over="ignore"):
             ratio = self.jz_mean / xp.where(j > 0.0, j, 1.0)
         return xp.where(j > 0.0, xp.minimum(1.0, xp.maximum(-1.0, ratio)),
                         0.0)
@@ -340,35 +340,83 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     actual source population.
     """
     xp, n, half = ops(state.n_total), state.n_total, state.n_total / 2.0
-    lams = [xp.each(getattr(tp, p_attr) * m_s
-                    * xp.maximum(0.0, getattr(state, src_attr)) / half, n)
-            for p_attr, src_attr, *_ in _CHANNELS]
+    lams = xp.rows(*(getattr(tp, p_attr) * m_s
+                     * xp.maximum(0.0, getattr(state, src_attr)) / half
+                     for p_attr, src_attr, *_ in _CHANNELS))
     counts = list(xp.columns(
-        [[int(g.poisson(lam)) if lam > 0.0 else 0 for lam in trial]
-         for g, trial in zip(rngs, zip(*lams))]))
+        [[g.poisson(lam) if lam > 0.0 else 0 for lam in trial]
+         for g, trial in zip(rngs, lams)]))
     # cannot move more atoms than a state holds
     for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
         out = counts[a] + counts[b]
         clip = (out > pop) & (pop > 0)
-        if np.count_nonzero(clip):
+        if xp.any(clip):
             scale = pop / xp.where(clip, out, 1)
             counts[a] = xp.where(clip, xp.trunc(counts[a] * scale), counts[a])
             counts[b] = xp.where(clip, xp.trunc(counts[b] * scale), counts[b])
     return counts
 
 
-def _visible_sum(count: int, rng: np.random.Generator) -> float:
-    """Sum of (1 - tau_i) over events with uniform arrival times tau.
+# the visible share of at most this many events sums their arrival times;
+# a larger share is drawn from its normal approximation
+EXACT_EVENTS = 64
 
-    This is the fraction of each event's effect seen by the current
-    window's time-averaged reading; its mean-1/3 square statistics are what
-    produce the 2/3 time-average factor in the differenced-window noise.
+
+def _visible_draws(rngs: list[np.random.Generator], counts: list,
+                   recoil_mean, tails: list, like) -> list:
+    """A probe window's draws after its Raman counts, trial by trial.
+
+    Each trial draws, in order, the visible share of each Raman channel's
+    count, its recoil photon count (Poisson of mean ``recoil_mean``, drawn
+    when > 0) and that count's visible share, and one standard normal per
+    true value of ``tails``.  The visible share of c events is the sum of
+    (1 - tau) over their uniform arrival times tau: the fraction of each
+    event's effect seen by the window's time-averaged reading, whose
+    mean-1/3 square statistics give the 2/3 time-average factor of the
+    differenced-window noise.  Above ``EXACT_EVENTS`` it is
+    0.5 c + sqrt(c / 12) z.  The loop over trials makes generator calls
+    only, one per run of consecutive uniforms or normals; the shares are
+    then taken for all trials at once.
+
+    Returns the four Raman shares, the photon count, its share and one
+    normal per ``tails`` column (0 where false), a value per trial each.
     """
-    if count == 0:
-        return 0.0
-    if count <= 64:
-        return float((1.0 - rng.random(count)).sum())
-    return 0.5 * count + math.sqrt(count / 12.0) * rng.standard_normal()
+    xp, uniforms, normals, events = ops(like), [], [], []
+    for g, row, mean, k in zip(rngs, xp.rows(*counts),
+                               xp.each(recoil_mean, like),
+                               xp.each(sum(tails), like)):
+        due_u = due_z = 0  # uniforms and normals due, not yet drawn
+        for c in row:
+            if c > EXACT_EVENTS:
+                if due_u:
+                    uniforms.append(g.random(due_u))
+                    due_u = 0
+                due_z += 1
+            elif c:
+                if due_z:
+                    normals.append(g.standard_normal(due_z))
+                    due_z = 0
+                due_u += c
+        if due_u:
+            uniforms.append(g.random(due_u))
+        if due_z:
+            normals.append(g.standard_normal(due_z))
+        photons = g.poisson(mean) if mean > 0.0 else 0
+        if 0 < photons <= EXACT_EVENTS:
+            uniforms.append(g.random(photons))
+        normals.append(g.standard_normal(k + (photons > EXACT_EVENTS)))
+        events.append([*row, photons])
+
+    events = xp.columns(events)
+    big = [c > EXACT_EVENTS for c in events]
+    # each normal is a run of one in the stream of normals
+    z = xp.segment_sums(np.concatenate(normals), big + tails)
+    sums = (xp.segment_sums(1.0 - np.concatenate(uniforms),
+                            [c * (c <= EXACT_EVENTS) for c in events])
+            if uniforms else [0.0] * len(events))
+    shares = [xp.where(b, 0.5 * c + xp.sqrt(c / 12.0) * zc, total)
+              for b, c, zc, total in zip(big, events, z, sums)]
+    return [*shares[:4], events[4], shares[4], *z[5:]]
 
 
 def _apply_counts(state: EnsembleState, counts: list,
@@ -484,19 +532,9 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     # share shows in this window's reading.  Each trial then draws its
     # read, classical and floor noise normals, those whose std. dev. is > 0
     counts = _sample_counts(new, m_s, tp, rngs)
-    draws = []
-    for g, cnt, recoil_mean, tail in zip(
-            rngs, zip(*(xp.each(c, n) for c in counts)),
-            xp.each(m_s * (eps > 0.0), n),
-            zip(*(xp.each(sig > 0.0, n) for sig in (read_sig, class_sig,
-                                                  floor_sig)))):
-        row = [_visible_sum(int(c), g) for c in cnt]
-        row.append(int(g.poisson(recoil_mean)) if recoil_mean > 0.0 else 0)
-        row.append(_visible_sum(row[-1], g))
-        z = iter(g.standard_normal(sum(tail)).tolist())
-        draws.append(row + [next(z) if on else 0.0 for on in tail])
+    tails = [sig > 0.0 for sig in (read_sig, class_sig, floor_sig)]
     *raman_shares, n_phot, recoil_share, z_read, z_class, z_floor = (
-        xp.columns(draws))
+        _visible_draws(rngs, counts, m_s * (eps > 0.0), tails, n))
     raman_visible = 0.0
     for jump, share in zip((ad - au, au - ad, a1 - au, a1 - ad),
                            raman_shares):

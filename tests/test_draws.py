@@ -1,0 +1,210 @@
+"""The bulk draws of the trial engine against numpy's own draws.
+
+Trial seeds and trial generators are computed for a whole run at once, a
+trial's consecutive uniforms (and normals) are drawn by one generator
+call, and the visible-share sums of a window are taken for a whole batch;
+each must give exactly what the per-trial ``SeedSequence``,
+``default_rng`` and ``(1 - u).sum()`` calls give.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import squeezesim.state as state
+from squeezesim.elementwise import Arrays, Floats
+from squeezesim.sequence import (
+    INDEX_LIMIT,
+    SEED_LIMIT,
+    SimParams,
+    parse_protocol,
+    run_trials,
+    trial_generators,
+    trial_seed,
+)
+from test_engine import assert_matches_reference
+
+
+def seed_sequence_seed(master: int, index: int) -> int:
+    ss = np.random.SeedSequence(master, spawn_key=(index,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+MASTERS = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                    st.integers(2**32, 2**128), st.integers(2**128, 2**200))
+INDICES = st.one_of(st.sampled_from([0, 1, INDEX_LIMIT - 1]),
+                    st.integers(0, INDEX_LIMIT - 1))
+
+
+@settings(deadline=None)
+@given(master=MASTERS, index=INDICES)
+def test_trial_seed_equals_seed_sequence(master, index):
+    expected = seed_sequence_seed(master, index)
+    assert trial_seed(master, index) == expected
+    assert type(trial_seed(master, index)) is int
+    assert trial_seed(master, np.array([index]))[0] == expected
+
+
+@settings(deadline=None, max_examples=20)
+@given(master=MASTERS)
+def test_vectorised_seeds_equal_one_by_one(master):
+    indices = np.array([0, 1, 2, 99_999, 100_000, 2**31, INDEX_LIMIT - 1])
+    seeds = trial_seed(master, indices)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [seed_sequence_seed(master, int(i))
+                              for i in indices]
+    run = trial_seed(master, np.arange(600))
+    assert run.tolist() == [seed_sequence_seed(master, i)
+                            for i in range(600)]
+
+
+@pytest.mark.parametrize("master,index,named", [
+    (-1, 0, "master_seed"),
+    (2.0, 0, "master_seed"),
+    (3, -1, "trial index"),
+    (3, INDEX_LIMIT, "trial index"),
+    (3, 1.5, "trial index"),
+    (3, np.array([4, INDEX_LIMIT + 7]), "trial index"),
+])
+def test_seed_out_of_range_is_named(master, index, named):
+    with pytest.raises(ValueError, match=named) as err:
+        trial_seed(master, index)
+    bad = master if named == "master_seed" else np.max(index)
+    assert str(bad) in str(err.value)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seeds=st.lists(st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, SEED_LIMIT - 1]),
+    st.integers(0, SEED_LIMIT - 1)), min_size=1, max_size=8))
+def test_trial_generators_equal_default_rng(seeds):
+    for g, seed in zip(trial_generators(seeds), seeds):
+        ref = np.random.default_rng(seed)
+        assert g.bit_generator.state == ref.bit_generator.state
+        assert g.random(3).tolist() == ref.random(3).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+def test_generator_seed_out_of_range_is_named(seed):
+    with pytest.raises(ValueError, match=f"trial seed .* got {seed}"):
+        trial_generators([5, seed])
+
+
+# ---------------------------------------------------------------------------
+# merged draws and batch-wide sums
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (3, 64), (64, 5), (17, 40)])
+def test_merged_draws_equal_separate_calls(a, b):
+    one, two = np.random.default_rng(a * 100 + b), np.random.default_rng(
+        a * 100 + b)
+    assert one.random(a + b).tolist() == (two.random(a).tolist()
+                                          + two.random(b).tolist())
+    assert one.standard_normal(a + b).tolist() == (
+        two.standard_normal(a).tolist() + two.standard_normal(b).tolist())
+    # a Poisson of mean 0 draws nothing
+    assert two.poisson(0.0) == 0
+    assert one.random() == two.random()
+
+
+def test_segment_sums_equal_one_dimensional_sums():
+    rng = np.random.default_rng(20261018)
+    # every length from 1 to 64, each several times in several columns,
+    # with empty runs between them
+    lengths = np.array([rng.permutation(65) for _ in range(6)])
+    values = 1.0 - rng.random(int(lengths.sum()))
+    starts = np.cumsum(lengths.ravel()) - lengths.ravel()
+    expected = [(values[a:a + n]).sum() if n else 0.0
+                for a, n in zip(starts, lengths.ravel())]
+    batch = Arrays.segment_sums(values, list(lengths.T))
+    assert batch.T.ravel().tolist() == expected
+    for trial, row in enumerate(lengths):
+        at = starts[trial * lengths.shape[1]]
+        one = Floats.segment_sums(values[at:at + row.sum()], row.tolist())
+        assert one == expected[trial * len(row):(trial + 1) * len(row)]
+    for n in range(1, 65):
+        u = rng.random(n)
+        assert Floats.segment_sums(1.0 - u, [n]) == [(1.0 - u).sum()]
+        assert (Arrays.segment_sums(1.0 - u, [np.array([n])])[0, 0]
+                == (1.0 - u).sum())
+
+
+def test_runs_of_one_take_values_in_trial_then_column_order():
+    # the engine places its normals as runs of length 0 or 1
+    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    runs = [np.array([True, False, True]), np.array([False, True, True]),
+            True]
+    # trial 0 takes 1 and 2, trial 1 takes 3 and 4, trial 2 takes 5 to 7
+    assert [c.tolist() for c in Arrays.segment_sums(values, runs)] == [
+        [1.0, 0.0, 5.0], [0.0, 3.0, 6.0], [2.0, 4.0, 7.0]]
+    assert Floats.segment_sums(values[:2], [False, True, True]) == [
+        0.0, 1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# every draw path of a probe window, against the scalar engine
+
+# probe strengths that give: a recoil count of at most 64 with few Raman
+# events (mt=40); the up-to-one channel near 64 while the others are below
+# (mt=3e4); three channels above 64 in a row (mt=1.2e5); all four above 64
+# (mt=3e5)
+DRAW_PATHS = parse_protocol("""\
+prealign
+pump down
+pulse 90 0
+probe W mt=40
+probe M mt=30000
+pulse 180 0
+probe H mt=120000
+probe A mt=300000
+""")
+
+
+def window_draws(monkeypatch, protocol, params, n_trials, master_seed):
+    """The Raman counts and recoil photon counts of every probe window."""
+    seen = []
+    real = state._visible_draws
+
+    def spy(rngs, counts, recoil_mean, tails, like):
+        out = real(rngs, counts, recoil_mean, tails, like)
+        seen.append((np.array(counts).T, np.asarray(out[4])))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(state, "_visible_draws", spy)
+        run_trials(protocol, params, n_trials, master_seed)
+    return seen
+
+
+def test_every_draw_path_equals_scalar_engine(monkeypatch):
+    params = replace(SimParams(), contrast_excess=1.9)
+    seen = window_draws(monkeypatch, DRAW_PATHS, params, 200,
+                        master_seed=21)
+    counts = np.vstack([c for c, _ in seen])
+    photons = np.concatenate([p for _, p in seen])
+    small, big = (counts > 0) & (counts <= 64), counts > 64
+    # one trial's window mixes exact and approximated Raman shares
+    assert np.any(small.any(axis=1) & big.any(axis=1))
+    # consecutive channels above 64 share one normal call, and all four too
+    assert np.any(big[:, 0] & big[:, 1] & big[:, 2])
+    assert np.any(big.all(axis=1))
+    # a recoil share from its uniform arrival times, and from its normal
+    assert np.any((photons > 0) & (photons <= 64))
+    assert np.any(photons > 64)
+    assert_matches_reference(DRAW_PATHS, params, 200, master_seed=21)
+
+
+def test_default_engine_case_mixes_exact_and_normal_shares(monkeypatch):
+    # the default case of test_engine reaches the mixed windows: at
+    # M_t = 4.1e4 the up-to-one channel is above 64 and the others below
+    from test_engine import CASES
+    protocol, params, n_trials = CASES["default"]
+    seen = window_draws(monkeypatch, protocol, params, n_trials,
+                        master_seed=11)
+    mixed = sum(int(np.count_nonzero(((c > 0) & (c <= 64)).any(axis=1)
+                                     & (c > 64).any(axis=1)))
+                for c, _ in seen)
+    assert mixed > n_trials

@@ -30,7 +30,7 @@ from .config import (
     echo_config,
     load_config,
 )
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, check_value
 from .records import params_hash, write_records
 from .sequence import parse_protocol, run_trials, spin_noise_reduction
 
@@ -46,11 +46,13 @@ def _common(sub: argparse.ArgumentParser) -> None:
 
 def _context(args) -> tuple[RunConfig, int, int, Path]:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, "
-                          f"got {args.seed}")
-    seed = args.seed if args.seed is not None else cfg.master_seed
-    trials = args.trials if args.trials is not None else cfg.trials
+    seed, trials = cfg.master_seed, cfg.trials
+    if args.seed is not None:
+        check_value("run", "master_seed", args.seed, "--seed")
+        seed = args.seed
+    if args.trials is not None:
+        check_value("run", "trials", args.trials, "--trials")
+        trials = args.trials
     out = Path(args.out if args.out is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, seed, trials, out
@@ -126,10 +128,7 @@ def cmd_fringe(args) -> int:
     theta = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     result = exp.contrast_fringe(cfg.sim_params(), args.mt, theta, trials,
                                  master_seed=seed)
-    lines = ["theta_rad,mean_n_up"]
-    for th, m in zip(result.theta_grid, result.mean_n_up):
-        lines.append(f"{th!r},{m!r}")
-    path = _write_output(out, "fringe", "\n".join(lines) + "\n", cfg, seed,
+    path = _write_output(out, "fringe", result.to_csv(), cfg, seed,
                          "fringe", {"m_t": args.mt,
                                     "contrast": result.contrast,
                                     "contrast_err": result.contrast_err})

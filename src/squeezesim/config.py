@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, check_value
 from .noise import NoiseCoeffs
 from .physics import TWO_PI, CavityParams, EnsembleParams
 from .state import ProbeConfig, SimParams, TransitionProbs
@@ -26,28 +25,6 @@ class ConfigError(ValueError):
 
 
 CALIBRATED_CONTRAST_EXCESS = 1.9
-
-# value constraints beyond finiteness: (predicate, description); a numeric
-# key not listed must be >= 0
-_POSITIVE = (lambda v: v > 0, "must be > 0")
-_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
-_UNIT_OPEN = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
-_UNIT_HALF_OPEN = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
-
-_CHECKS: dict[str, tuple] = {
-    "cavity.g_hz": _POSITIVE, "cavity.kappa_hz": _POSITIVE,
-    "cavity.kappa0_hz": _POSITIVE, "cavity.delta_hz": _POSITIVE,
-    "cavity.gamma_hz": _POSITIVE, "cavity.omega_ax_hz": _POSITIVE,
-    "cavity.omega_hf_hz": _POSITIVE,
-    "cavity.c1_coupling": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "ensemble.n_effective": _POSITIVE,
-    "ensemble.coupling_fraction": _UNIT_HALF_OPEN,
-    "ensemble.initial_contrast": _UNIT_HALF_OPEN,
-    "transition.p_ud": _UNIT_OPEN, "transition.p_du": _UNIT_OPEN,
-    "transition.p_u1": _UNIT_OPEN, "transition.p_d1": _UNIT_OPEN,
-    "noise.n_reference": _POSITIVE, "noise.m_reference": _POSITIVE,
-    "noise.laser_linewidth_rinv": _POSITIVE, "run.trials": _POSITIVE,
-}
 
 
 @dataclass(frozen=True)
@@ -118,20 +95,6 @@ def _convert(section: str, key: str, raw: str):
     return int(value)
 
 
-def _validate(section: str, key: str, value) -> None:
-    if not isinstance(value, str):
-        if not math.isfinite(value):
-            raise ConfigError(f"{section}.{key} must be finite")
-        check = _CHECKS.get(f"{section}.{key}", _NON_NEGATIVE)
-        if not check[0](value):
-            raise ConfigError(f"{section}.{key} {check[1]} (got {value!r})")
-
-
-def _cross_validate(values: dict) -> None:
-    if values["cavity"]["kappa0_hz"] > values["cavity"]["kappa_hz"]:
-        raise ConfigError("cavity.kappa0_hz must not exceed cavity.kappa_hz")
-
-
 def loads_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -139,17 +102,22 @@ def loads_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
     values = {s: dict(kv) for s, kv in DEFAULTS.items()}
-    for section in parser.sections():
-        if section not in DEFAULTS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in DEFAULTS[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-            value = _convert(section, key, raw)
-            _validate(section, key, value)
-            values[section][key] = value
-    _cross_validate(values)
-    return RunConfig(values)
+    try:
+        for section in parser.sections():
+            if section not in DEFAULTS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in DEFAULTS[section]:
+                    raise ConfigError(f"unknown key {section}.{key}")
+                value = _convert(section, key, raw)
+                if not isinstance(value, str):
+                    check_value(section, key, value)
+                values[section][key] = value
+        cfg = RunConfig(values)
+        cfg.sim_params()  # the dataclasses hold the cross-field rules
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def load_config(path) -> RunConfig:

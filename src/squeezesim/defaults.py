@@ -1,9 +1,13 @@
-"""The nominal parameter set in config-file units: every default, once.
+"""The nominal parameter set in config-file units: every default and every
+range rule, once.
 
 The config loader and the parameter dataclasses both take their defaults
-from this table.  Frequencies are in Hz; the dataclasses convert Hz to
-rad/s (never back), so an echoed config repeats these exact numbers.
+and range rules from these tables.  Frequencies are in Hz; the dataclasses
+convert Hz to rad/s (never back), so an echoed config repeats these exact
+numbers.
 """
+
+import math
 
 # the reference operating point the noise coefficients were fitted at
 _N_REFERENCE = 4.8e5
@@ -60,3 +64,50 @@ DEFAULTS: dict[str, dict] = {
         "output_dir": "out",
     },
 }
+
+# range rules beyond finiteness, keyed like DEFAULTS: (predicate, rule).  A
+# numeric key not listed must be >= 0.  The Hz keys have sign rules only, so
+# each also holds on the rad/s field it sets.
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_UNIT_OPEN = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
+_UNIT_HALF_OPEN = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
+
+RULES: dict[str, dict] = {
+    "cavity": {"g_hz": _POSITIVE, "kappa_hz": _POSITIVE,
+               "kappa0_hz": _POSITIVE, "delta_hz": _POSITIVE,
+               "gamma_hz": _POSITIVE, "omega_ax_hz": _POSITIVE,
+               "omega_hf_hz": _POSITIVE,
+               "c1_coupling": (lambda v: 0 <= v <= 1, "must lie in [0, 1]")},
+    "ensemble": {"n_effective": _POSITIVE,
+                 "coupling_fraction": _UNIT_HALF_OPEN,
+                 "initial_contrast": _UNIT_HALF_OPEN},
+    "transition": dict.fromkeys(DEFAULTS["transition"], _UNIT_OPEN),
+    "noise": {"n_reference": _POSITIVE, "m_reference": _POSITIVE,
+              "laser_linewidth_rinv": _POSITIVE},
+    "run": {"trials": _POSITIVE},
+}
+
+
+def check_value(section: str, key: str, value, name: str = "") -> None:
+    """Raise ``ValueError("<name> <rule> (got <value>)")`` unless ``value``
+    is finite and obeys the rule of ``section.key`` (the default name)."""
+    accept, rule = RULES.get(section, {}).get(key, _NON_NEGATIVE)
+    # an int is finite, and math.isfinite overflows on one beyond 1e308
+    if not (isinstance(value, int) or math.isfinite(value)):
+        rule = "must be finite"
+    elif accept(value):
+        return
+    raise ValueError(f"{name or f'{section}.{key}'} {rule} (got {value!r})")
+
+
+def check_fields(params, section: str, **keys: str) -> None:
+    """``check_value`` on each field of a parameter dataclass that has a key
+    in ``section`` (``keys[field]``, the field's name or, for a field in
+    rad/s, ``<field>_hz``), naming the field ``<section>.<field>``."""
+    for name in params.__dataclass_fields__:
+        key = keys.get(name, name)
+        key = key if key in DEFAULTS[section] else key + "_hz"
+        if key in DEFAULTS[section]:
+            check_value(section, key, getattr(params, name),
+                        f"{section}.{name}")

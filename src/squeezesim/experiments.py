@@ -45,6 +45,12 @@ def _sub_seed(master_seed: int, index: int) -> int:
     return trial_seed(master_seed, 100_000 + index)
 
 
+def _csv(header: str, rows) -> str:
+    """A result's CSV text: the header, then each row's values by repr."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # analytic expectations (used to bracket optimizers and for sweep columns)
 
@@ -119,6 +125,10 @@ class FringeResult:
     m_t: float
     theta_grid: tuple[float, ...]
     mean_n_up: tuple[float, ...]
+
+    def to_csv(self) -> str:
+        return _csv("theta_rad,mean_n_up", zip(self.theta_grid,
+                                                self.mean_n_up))
 
 
 def fit_fringe(theta: np.ndarray, n_up: np.ndarray,
@@ -201,13 +211,9 @@ class SweepResult:
         return min(self.rows, key=lambda row: row.r)
 
     def to_csv(self) -> str:
-        lines = ["mt,R,C,Winv,R_psn,R_tf,R_q,R_c"]
-        for row in self.rows:
-            t = row.terms
-            lines.append(",".join(repr(v) for v in (
-                row.m_t, row.r, row.contrast, row.w_inv, t.psn, t.tf,
-                t.quantum, t.classical)))
-        return "\n".join(lines) + "\n"
+        return _csv("mt,R,C,Winv,R_psn,R_tf,R_q,R_c", (
+            (r.m_t, r.r, r.contrast, r.w_inv, r.terms.psn, r.terms.tf,
+             r.terms.quantum, r.terms.classical) for r in self.rows))
 
 
 def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
@@ -250,12 +256,9 @@ class PhaseDetectionResult:
     trials: int
 
     def to_csv(self) -> str:
-        lines = ["bin_left,bin_right,applied,null"]
         e = self.hist_edges
-        for i in range(len(self.hist_applied)):
-            lines.append(f"{e[i]!r},{e[i + 1]!r},"
-                         f"{self.hist_applied[i]},{self.hist_null[i]}")
-        return "\n".join(lines) + "\n"
+        return _csv("bin_left,bin_right,applied,null",
+                    zip(e, e[1:], self.hist_applied, self.hist_null))
 
 
 def _detection_protocol(psi: float, premeasure: bool) -> Protocol:
@@ -342,11 +345,9 @@ class ScalingResult:
     slope_sql: float       # d log(sql dtheta) / d log N
 
     def to_csv(self) -> str:
-        lines = ["n,m_opt,Winv,dtheta2,sql_dtheta"]
-        for r in self.rows:
-            lines.append(",".join(repr(v) for v in (
-                r.n, r.m_opt, r.w_inv, r.dtheta2, r.sql_dtheta)))
-        return "\n".join(lines) + "\n"
+        return _csv("n,m_opt,Winv,dtheta2,sql_dtheta", (
+            (r.n, r.m_opt, r.w_inv, r.dtheta2, r.sql_dtheta)
+            for r in self.rows))
 
 
 def optimize_w_inverse(params: SimParams, trials_per_point: int,
@@ -432,11 +433,8 @@ class CalibrationResult:
     mean_freq_up_hz: tuple[float, ...]
 
     def to_csv(self) -> str:
-        lines = ["mt,freq_down_hz,freq_up_hz"]
-        for m, fd, fu in zip(self.m_t_grid, self.mean_freq_down_hz,
-                             self.mean_freq_up_hz):
-            lines.append(f"{m!r},{fd!r},{fu!r}")
-        return "\n".join(lines) + "\n"
+        return _csv("mt,freq_down_hz,freq_up_hz", zip(
+            self.m_t_grid, self.mean_freq_down_hz, self.mean_freq_up_hz))
 
 
 def _calibration_reading(state, params: SimParams, rng) -> float:

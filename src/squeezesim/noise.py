@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.special import ndtr, stdtrit
 
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, check_fields
 from .elementwise import ops
 from .physics import TWO_PI, CavityParams, alpha_per_atom, scattered_ratio
 
@@ -55,11 +55,7 @@ class NoiseCoeffs:
     laser_linewidth_rinv: float = _NOISE["laser_linewidth_rinv"]
 
     def __post_init__(self) -> None:
-        for name in ("r_psn", "r_tf", "r_q", "r_c"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"noise.{name} must be non-negative")
-        if self.n_reference <= 0 or self.m_reference <= 0:
-            raise ValueError("noise reference anchors must be positive")
+        check_fields(self, "noise")
 
 
 @dataclass(frozen=True)

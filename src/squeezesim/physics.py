@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, check_fields
 from .elementwise import ops
 
 TWO_PI = 2.0 * math.pi
@@ -56,16 +56,10 @@ class CavityParams:
     c1_coupling: float = _CAV["c1_coupling"]
 
     def __post_init__(self) -> None:
-        for name in ("g", "kappa", "kappa0", "delta", "gamma", "omega_ax",
-                     "omega_hf"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"cavity.{name} must be strictly positive")
+        check_fields(self, "cavity",
+                     recoil_shift_per_photon="recoil_hz_per_photon")
         if self.kappa0 > self.kappa:
             raise ValueError("cavity.kappa0 must not exceed cavity.kappa")
-        if self.recoil_shift_per_photon < 0.0:
-            raise ValueError("cavity.recoil_shift_per_photon must be >= 0")
-        if not 0.0 <= self.c1_coupling <= 1.0:
-            raise ValueError("cavity.c1_coupling must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,8 @@ class EnsembleParams:
 
     ``n_effective`` is the uniformly-coupled equivalent atom number N that
     reproduces the observed projection noise; ``n_loaded`` is the raw
-    trapped number N0.  They are tied by ``coupling_fraction``.
+    trapped number N0.  They are tied by ``coupling_fraction`` (which makes
+    ``n_loaded`` positive).
     """
 
     n_effective: float = _ENS["n_effective"]
@@ -83,17 +78,12 @@ class EnsembleParams:
     initial_contrast: float = _ENS["initial_contrast"]
 
     def __post_init__(self) -> None:
-        if self.n_effective <= 0 or self.n_loaded <= 0:
-            raise ValueError("ensemble atom numbers must be positive")
-        if not 0.0 < self.coupling_fraction <= 1.0:
-            raise ValueError("ensemble.coupling_fraction must be in (0, 1]")
-        if not 0.0 < self.initial_contrast <= 1.0:
-            raise ValueError("ensemble.initial_contrast must be in (0, 1]")
+        check_fields(self, "ensemble")
         if not math.isclose(self.n_effective,
                             self.coupling_fraction * self.n_loaded,
                             rel_tol=1e-6):
-            raise ValueError(
-                "ensemble.n_effective must equal coupling_fraction * n_loaded")
+            raise ValueError(f"ensemble.n_loaded must equal n_effective / "
+                             f"coupling_fraction (got {self.n_loaded!r})")
 
     @classmethod
     def from_effective(cls, n_effective: float,

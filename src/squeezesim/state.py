@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import noise as _noise
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, check_fields
 from .elementwise import ops
 from .physics import (
     TWO_PI,
@@ -64,10 +64,7 @@ class TransitionProbs:
     p_d1: float = _TRANSITION["p_d1"]
 
     def __post_init__(self) -> None:
-        for name in ("p_ud", "p_du", "p_u1", "p_d1"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"transition.{name} must lie in [0, 1)")
+        check_fields(self, "transition")
 
     def zeroed(self) -> "TransitionProbs":
         return TransitionProbs(0.0, 0.0, 0.0, 0.0)
@@ -89,10 +86,7 @@ class ProbeConfig:
     ms_classical_frac: float = _PROBE["ms_classical_frac"]
 
     def __post_init__(self) -> None:
-        if self.m_t < 0:
-            raise ValueError("probe.m_t must be non-negative")
-        if self.detuning_spread < 0 or self.ms_classical_frac < 0:
-            raise ValueError("probe spreads must be non-negative")
+        check_fields(self, "probe", detuning_spread="detuning_spread_frac")
 
 
 @dataclass(frozen=True)
@@ -118,6 +112,9 @@ class SimParams:
     light_shift_per_photon: float = _NOISE["light_shift_per_photon"]
     rotation_angle_noise: float = _NOISE["rotation_angle_noise"]
     rotation_phase_noise: float = _NOISE["rotation_phase_noise"]
+
+    def __post_init__(self) -> None:
+        check_fields(self, "noise")  # the knobs; the parts check themselves
 
     def with_n(self, n_effective: float) -> "SimParams":
         ens = EnsembleParams.from_effective(

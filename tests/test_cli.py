@@ -129,14 +129,18 @@ def test_sweep_with_noiseless_read(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
 
 
-@pytest.mark.parametrize("value,code", [("-1", 1), ("1.5", 2), ("x", 2)])
-def test_bad_seed_names_the_flag(tmp_path, capsys, value, code):
+@pytest.mark.parametrize("flag,value,code", [
+    ("--seed", "-1", 1), ("--seed", "1.5", 2), ("--seed", "x", 2),
+    ("--trials", "0", 1), ("--trials", "-4", 1), ("--trials", "2.5", 2)],
+    ids=["-1-1", "1.5-2", "x-2", "trials-0-1", "trials--4-1", "trials-2.5-2"])
+def test_bad_seed_names_the_flag(tmp_path, capsys, flag, value, code):
     proto = tmp_path / "seq.txt"
     proto.write_text("pump down\npulse 90 0\nprobe N\n")
-    rc = cli_dispatch(["run", "--protocol", str(proto), "--seed", value,
-                       "--trials", "2", "--out", str(tmp_path)])
+    args = {"--seed": "5", "--trials": "2", flag: value}
+    rc = cli_dispatch(["run", "--protocol", str(proto), "--out", str(tmp_path),
+                       *(a for item in args.items() for a in item)])
     assert rc == code
     err = capsys.readouterr().err
-    assert "--seed" in err and value in err
+    assert flag in err and value in err
     assert "Traceback" not in err
     assert not (tmp_path / "records.csv").exists()

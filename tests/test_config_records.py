@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from squeezesim.config import (
     load_config,
     loads_config,
 )
+from squeezesim.defaults import DEFAULTS, RULES
+from squeezesim.noise import NoiseCoeffs
+from squeezesim.physics import TWO_PI, CavityParams, EnsembleParams
+from squeezesim.state import ProbeConfig, TransitionProbs
 from squeezesim.records import RecordIOError, read_records, write_records
 from squeezesim.sequence import SimParams, run_trials
 from squeezesim.experiments import standard_protocol
@@ -87,6 +92,79 @@ class TestConfigLoading:
         assert cfg.master_seed == 7
         assert cfg.trials == 50
         assert cfg.sim_params().ensemble.n_effective == 2.1e5
+
+
+# values just outside each rule of the range table
+_OUT_OF_RANGE = {
+    "must be > 0": [0.0],
+    "must be >= 0": [-1e-9],
+    "must lie in [0, 1)": [-1e-9, 1.0],
+    "must lie in (0, 1]": [0.0, 1.0 + 1e-9],
+    "must lie in [0, 1]": [-1e-9, 1.0 + 1e-9],
+}
+_NUMERIC_KEYS = [f"{section}.{key}" for section, kv in DEFAULTS.items()
+                 for key, value in kv.items() if not isinstance(value, str)]
+
+
+def _dataclass_field(section, key):
+    """The parameter dataclass and field that config key section.key sets,
+    and the factor from config units to the field's units."""
+    if section == "cavity" and key.endswith("_hz"):
+        return CavityParams, key[:-3], TWO_PI
+    if (section, key) == ("cavity", "recoil_hz_per_photon"):
+        return CavityParams, "recoil_shift_per_photon", 1.0
+    if (section, key) == ("probe", "detuning_spread_frac"):
+        return ProbeConfig, "detuning_spread", CavityParams().kappa / 2.0
+    if section == "noise" and key not in NoiseCoeffs.__dataclass_fields__:
+        return SimParams, key, 1.0
+    return {"cavity": CavityParams, "ensemble": EnsembleParams,
+            "probe": ProbeConfig, "transition": TransitionProbs,
+            "noise": NoiseCoeffs}[section], key, 1.0
+
+
+# direct constructions of values that a config file is rejected for
+_DIRECT_CONSTRUCTIONS = [
+    ("cavity.g", lambda: CavityParams(g=math.nan)),
+    ("cavity.recoil_shift_per_photon",
+     lambda: CavityParams(recoil_shift_per_photon=math.inf)),
+    ("probe.m_t", lambda: ProbeConfig(m_t=math.nan)),
+    ("ensemble.n_effective", lambda: EnsembleParams.from_effective(math.inf)),
+    ("noise.laser_linewidth_rinv",
+     lambda: NoiseCoeffs(laser_linewidth_rinv=-1)),
+    ("noise.contrast_excess", lambda: SimParams(contrast_excess=-1)),
+]
+
+
+class TestRangeRules:
+    @pytest.mark.parametrize("name", _NUMERIC_KEYS)
+    def test_config_and_dataclass_reject_alike(self, name):
+        section, key = name.split(".")
+        rule = RULES.get(section, {}).get(key, (None, "must be >= 0"))[1]
+        values = _OUT_OF_RANGE[rule] + [math.nan, math.inf]
+        if isinstance(DEFAULTS[section][key], int):
+            values = [math.floor(v) if math.isfinite(v) else v
+                      for v in values]
+        for value in values:
+            with pytest.raises(ConfigError, match=re.escape(name + " ")) as e:
+                loads_config(f"[{section}]\n{key} = {value!r}\n")
+            assert repr(value) in str(e.value)
+            if section == "run":  # the flags: test_bad_seed_names_the_flag
+                continue
+            cls, field, scale = _dataclass_field(section, key)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{section}.{field} ")):
+                cls(**{field: scale * value})
+
+    @pytest.mark.parametrize("name,build", _DIRECT_CONSTRUCTIONS,
+                             ids=[name for name, _ in _DIRECT_CONSTRUCTIONS])
+    def test_dataclass_rejects_what_config_rejects(self, name, build):
+        with pytest.raises(ValueError, match=re.escape(name + " ")):
+            build()
+
+    @pytest.mark.parametrize("n_loaded", [math.nan, math.inf, 0.0, -7.2e5])
+    def test_loaded_count_tied_to_effective(self, n_loaded):
+        with pytest.raises(ValueError, match="ensemble.n_loaded "):
+            EnsembleParams(n_loaded=n_loaded)
 
 
 class TestConfigEcho:

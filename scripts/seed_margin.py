@@ -7,29 +7,38 @@ Reruns, at their test sizes and over K master seeds, criterion 4
 (atom-number scaling: phase-variance and SQL slopes) and the fit of
 ``tests/test_experiments.py::test_simulated_sweep_fit_rq_consistent_with_zero``
 (r_q's lower 95 % bound, its share r_q M_t / R at M_t = 4.1e4, r_psn and
-r_c against their calibration values).  It prints each measured value's
-minimum, median and maximum next to its tolerance band, with how many
-seeds land inside the band.  For criteria 4 to 6 seed k is
+r_c against their calibration values), and the Monte Carlo oracles of
+``tests/test_budget_additivity.py`` and ``tests/test_state.py`` (each
+simulated variance or mean over its analytic value; the ideal probe's R
+at successive M_t over the one before).  It prints each measured value's
+minimum, median and maximum next to its tolerance band, the least
+distance of any seed's value to an edge of the band (negative outside),
+and how many seeds land inside the band.  For criteria 4 to 6 seed k is
 20260810 + 2k, so k = 0 repeats the acceptance tests exactly; the
 phase-detection CSS arm uses seed + 1, as the tests do.  The r_q fit's
 sweep uses seed 77 + k (k = 0 is the test) with the test's bootstrap
-seed 5.  Per seed, on one core: c4 about 6 s, c5 about 3 s, c6 about
-25 s, rq about 2 s; ``--only`` picks some of them:
+seed 5, and each oracle its test's seed + k.  Per seed, on one core: c4
+about 6 s, c5 about 3 s, c6 about 25 s, rq about 2 s, oracles about
+30 s; ``--only`` picks some of them:
 
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8
     PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only rq
+    PYTHONPATH=src python scripts/seed_margin.py --seeds 8 --only oracles
 """
 
 import argparse
 import math
 import statistics
 import time
+import zlib
 from dataclasses import replace
 
 import numpy as np
 
 import squeezesim as sq
 from squeezesim import experiments as exp
+from squeezesim import noise
+from squeezesim.physics import TWO_PI
 
 BASE_SEED = 20260810
 
@@ -46,7 +55,94 @@ BANDS = {
            "rq share r_q M_t / R": (-math.inf, 0.1),
            "rq r_psn / 1281.25": (0.9, 1.1),
            "rq r_c / calibration": (0.75, 1.25)},
+    "oracles": {
+        **{f"budget {name}": (0.95, 1.05) for name in (
+            "all_channels", "read_only", "read_plus_diffusion",
+            "read_plus_floor_and_injection", "read_plus_recoil")},
+        "two-window variance": (0.95, 1.05),
+        "Raman net change variance": (0.95, 1.05),
+        "Raman net mean offset / tolerance": (-1.0, 1.0),
+        "source weighting mean": (0.95, 1.05),
+        "ideal R(1e4) / R(1e3)": (-math.inf, 1.0),
+        "ideal R(1e5) / R(1e4)": (-math.inf, 1.0)},
 }
+ORACLE_TRIALS = 100_000
+
+
+def oracles(k: int) -> dict[str, float]:
+    """The oracles of tests/test_budget_additivity.py and the
+    TestRamanDiffusion / TestProbeMeasure oracles of tests/test_state.py,
+    each at its test's seed + k and size."""
+    base = sq.SimParams()
+    ideal = replace(
+        base, transitions=base.transitions.zeroed(),
+        cavity=replace(base.cavity, recoil_shift_per_photon=0.0),
+        probe=replace(base.probe, ms_classical_frac=0.0, detuning_spread=0.0),
+        coeffs=replace(base.coeffs, r_tf=0.0, r_c=0.0))
+    cases = {
+        "read_only": ideal,
+        "read_plus_diffusion": replace(ideal, transitions=base.transitions),
+        "read_plus_recoil": replace(ideal, cavity=base.cavity),
+        "read_plus_floor_and_injection": replace(ideal, coeffs=base.coeffs),
+        "all_channels": replace(base, probe=replace(base.probe,
+                                                    detuning_spread=0.0))}
+    pair = sq.parse_protocol("pump down\npulse 90 0\nprobe Np\nprobe Nf\n")
+    out = {}
+    for name, params in cases.items():
+        rs = sq.run_trials(pair, params, ORACLE_TRIALS,
+                           zlib.crc32(name.encode()) + k)
+        out[f"budget {name}"] = (sq.spin_noise_reduction(rs, "Nf", "Np")
+                                 / exp.expected_r(params, 4.1e4))
+
+    cav, tp, ens, n = base.cavity, base.transitions, base.ensemble, 4.8e5
+    coeffs = replace(base.coeffs, r_tf=0.0, r_q=0.0, r_c=0.0)
+    probe = sq.ProbeConfig(ms_classical_frac=0.0, detuning_spread=0.0)
+
+    def diffs(state, probe, cav, tp, rng, trials):
+        a, state = sq.probe_measure(state, probe, cav, tp, coeffs,
+                                    [rng] * trials)
+        b, state = sq.probe_measure(state, probe, cav, tp, coeffs,
+                                    [rng] * trials)
+        return np.var(b.n_up - a.n_up, ddof=1) / (n / 4.0)
+
+    rng = np.random.default_rng(9 + k)
+    al = noise.alphas_for_ensemble(n, cav)
+    m_s = probe.m_t * sq.scattered_ratio(n / 2.0, cav)
+    expected = (coeffs.r_psn / probe.m_t
+                + noise.pop_noise_quantum(m_s, n, tp, al)
+                + noise.recoil_noise(m_s, 0.0, n, TWO_PI * 1.3, al.up)[0])
+    out["two-window variance"] = diffs(
+        sq.prepare_css(n, ens).tile(ORACLE_TRIALS), probe, cav, tp, rng,
+        ORACLE_TRIALS) / expected
+
+    m_s = 4.1e4
+    lam = (tp.p_ud + tp.p_du + tp.p_u1) * m_s
+    css = sq.prepare_css(n, ens)
+    nets = sq.apply_raman_diffusion(
+        css.tile(ORACLE_TRIALS), m_s, tp,
+        [np.random.default_rng(2 + k)] * ORACLE_TRIALS, cav).pop_up - n / 2
+    out["Raman net change variance"] = np.var(nets, ddof=1) / lam
+    out["Raman net mean offset / tolerance"] = (
+        (np.mean(nets) - (tp.p_du - tp.p_ud - tp.p_u1) * m_s)
+        / (0.05 * lam ** 0.5))
+
+    trials = 20_000
+    moved = sq.apply_raman_diffusion(
+        sq.polarized_state(2e5, ens, "down").tile(trials), 1e4, tp,
+        [np.random.default_rng(3 + k)] * trials, cav,
+        repump_to_up=True).pop_up
+    out["source weighting mean"] = np.mean(moved) / (
+        (tp.p_du + tp.p_d1) * 1e4 * 2.0)
+
+    rng, trials, r = np.random.default_rng(12 + k), 4000, []
+    ideal_cav = replace(cav, recoil_shift_per_photon=0.0)
+    for m_t in (1e3, 1e4, 1e5):
+        r.append(diffs(sq.prepare_css(n, ens).tile(trials),
+                       replace(probe, m_t=m_t), ideal_cav, tp.zeroed(), rng,
+                       trials))
+    out["ideal R(1e4) / R(1e3)"] = r[1] / r[0]
+    out["ideal R(1e5) / R(1e4)"] = r[2] / r[1]
+    return {name: float(v) for name, v in out.items()}
 
 
 def measure(group: str, k: int) -> dict[str, float]:
@@ -54,6 +150,8 @@ def measure(group: str, k: int) -> dict[str, float]:
     calibrated = replace(params,
                          contrast_excess=sq.CALIBRATED_CONTRAST_EXCESS)
     seed = BASE_SEED + 2 * k
+    if group == "oracles":
+        return oracles(k)
     if group == "c4":
         sweep = exp.squeezing_sweep(calibrated, np.logspace(3.0, 5.0, 15),
                                     trials_per_point=2000, master_seed=seed)
@@ -112,18 +210,19 @@ def main() -> None:
                 values[name].append(value)
         print(f"seed k = {k}: {time.perf_counter() - t0:.1f} s", flush=True)
 
-    print(f"\n{'value':26s} {'min':>10s} {'median':>10s} {'max':>10s}  "
-          f"{'band':>20s}  inside")
+    print(f"\n{'value':36s} {'min':>10s} {'median':>10s} {'max':>10s}  "
+          f"{'band':>20s} {'margin':>10s}  inside")
     for group in groups:
         passed = [True] * args.seeds
         for name, (lo, hi) in BANDS[group].items():
             v = values[name]
             ok = [lo <= x <= hi for x in v]
             passed = [a and b for a, b in zip(passed, ok)]
-            print(f"{name:26s} {min(v):10.4g} {statistics.median(v):10.4g} "
-                  f"{max(v):10.4g}  [{lo:8.4g}, {hi:8.4g}]  "
+            margin = min(min(x - lo, hi - x) for x in v)
+            print(f"{name:36s} {min(v):10.4g} {statistics.median(v):10.4g} "
+                  f"{max(v):10.4g}  [{lo:8.4g}, {hi:8.4g}] {margin:10.4g}  "
                   f"{sum(ok)}/{len(v)}")
-        print(f"{group + ' every value inside':26s} {'':56s}"
+        print(f"{group + ' every value inside':36s} {'':67s}"
               f"{sum(passed)}/{args.seeds}")
 
 

@@ -37,22 +37,46 @@ from .sequence import parse_protocol, run_trials, spin_noise_reduction
 USAGE_EXIT = 2
 
 
+def _flag(sub: argparse.ArgumentParser, name: str, rule: tuple[str, str],
+          **kwargs) -> None:
+    """Add a numeric flag that must obey the range rule of ``rule``, a
+    (section, key) of ``defaults.RULES``."""
+    dest = sub.add_argument(name, **kwargs).dest
+    rules = sub.get_default("rules") or {}
+    sub.set_defaults(rules={**rules, dest: (name, *rule)})
+
+
+def _check_flags(args) -> None:
+    """Check each numeric flag given against its rule, naming the flag.  A
+    comma-separated list is checked number by number and replaced by its
+    numbers."""
+    for dest, (flag, section, key) in args.rules.items():
+        value = getattr(args, dest)
+        if isinstance(value, str):
+            try:
+                value = [float(x) for x in value.split(",")]
+            except ValueError:
+                raise ValueError(f"{flag} must be a comma-separated list of "
+                                 f"numbers (got {value!r})") from None
+            setattr(args, dest, value)
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None:
+                check_value(section, key, item, flag)
+
+
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file (defaults if omitted)")
-    sub.add_argument("--seed", type=int, help="master seed override")
-    sub.add_argument("--trials", type=int, help="trials per point override")
+    _flag(sub, "--seed", ("run", "master_seed"), type=int,
+          help="master seed override")
+    _flag(sub, "--trials", ("run", "trials"), type=int,
+          help="trials per point override")
     sub.add_argument("--out", help="output directory override")
 
 
 def _context(args) -> tuple[RunConfig, int, int, Path]:
     cfg = load_config(args.config) if args.config else default_config()
-    seed, trials = cfg.master_seed, cfg.trials
-    if args.seed is not None:
-        check_value("run", "master_seed", args.seed, "--seed")
-        seed = args.seed
-    if args.trials is not None:
-        check_value("run", "trials", args.trials, "--trials")
-        trials = args.trials
+    seed = cfg.master_seed if args.seed is None else args.seed
+    trials = cfg.trials if args.trials is None else args.trials
     out = Path(args.out if args.out is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, seed, trials, out
@@ -111,8 +135,7 @@ def cmd_phase_detect(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg, seed, trials, out = _context(args)
-    n_list = [float(x) for x in args.n_list.split(",")]
-    result = exp.n_scaling(cfg.sim_params(), n_list, trials, seed,
+    result = exp.n_scaling(cfg.sim_params(), args.n_list, trials, seed,
                            scan_trials=args.scan_trials)
     path = _write_output(out, "scaling", result.to_csv(), cfg, seed,
                          "scaling", {"slope_squeezed": result.slope_squeezed,
@@ -223,49 +246,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "spin squeezing")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # the range rules of the numeric flags: a probe strength, a count of
+    # points or trials, an atom number
+    strength, count, atoms = ("cli", "m_t"), ("run", "trials"), (
+        "ensemble", "n_effective")
+
     p = subs.add_parser("sweep", help="noise reduction vs probe strength")
     _common(p)
-    p.add_argument("--points", type=int, default=15)
-    p.add_argument("--mt-min", type=float, default=1e3)
-    p.add_argument("--mt-max", type=float, default=1e5)
+    _flag(p, "--points", count, type=int, default=15)
+    _flag(p, "--mt-min", strength, type=float, default=1e3)
+    _flag(p, "--mt-max", strength, type=float, default=1e5)
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("phase-detect", help="single-shot phase detection")
     _common(p)
-    p.add_argument("--psi", type=float, default=2.3e-3)
-    p.add_argument("--mt", type=float, default=None)
-    p.add_argument("--target-winv", type=float, default=7.5)
+    _flag(p, "--psi", ("cli", "psi"), type=float, default=2.3e-3)
+    _flag(p, "--mt", strength, type=float, default=None)
+    _flag(p, "--target-winv", ("cli", "target_winv"), type=float,
+          default=7.5)
     p.set_defaults(func=cmd_phase_detect)
 
     p = subs.add_parser("scaling", help="phase resolution vs atom number")
     _common(p)
-    p.add_argument("--n-list", default="6e4,1.2e5,2.4e5,4.8e5")
-    p.add_argument("--scan-trials", type=int, default=2000)
+    _flag(p, "--n-list", atoms, default="6e4,1.2e5,2.4e5,4.8e5")
+    _flag(p, "--scan-trials", count, type=int, default=2000)
     p.set_defaults(func=cmd_scaling)
 
     p = subs.add_parser("fringe", help="contrast fringe measurement")
     _common(p)
-    p.add_argument("--mt", type=float, default=DEFAULTS["probe"]["m_t"])
-    p.add_argument("--points", type=int, default=16)
+    # 0 skips the pre-measurement: the no-probe reference
+    _flag(p, "--mt", ("probe", "m_t"), type=float,
+          default=DEFAULTS["probe"]["m_t"])
+    _flag(p, "--points", count, type=int, default=16)
     p.set_defaults(func=cmd_fringe)
 
     p = subs.add_parser("budget", help="noise budget table")
     _common(p)
-    p.add_argument("--mt", type=float, default=None)
+    _flag(p, "--mt", strength, type=float, default=None)
     p.set_defaults(func=cmd_budget)
 
     p = subs.add_parser("calibrate-raman",
                         help="transition probability calibration")
     _common(p)
-    p.add_argument("--mt-max", type=float, default=1.2e5)
-    p.add_argument("--points", type=int, default=7)
-    p.add_argument("--n-atoms", type=float, default=2.1e5)
+    _flag(p, "--mt-max", strength, type=float, default=1.2e5)
+    _flag(p, "--points", count, type=int, default=7)
+    _flag(p, "--n-atoms", atoms, type=float, default=2.1e5)
     p.set_defaults(func=cmd_calibrate_raman)
 
     p = subs.add_parser("fit", help="fit the R(M_t) model to a CSV")
     _common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--boot", type=int, default=1000)
+    _flag(p, "--boot", ("cli", "boot"), type=int, default=1000)
     p.set_defaults(func=cmd_fit)
 
     p = subs.add_parser("run", help="run an arbitrary protocol file")
@@ -282,6 +313,7 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
+        _check_flags(args)
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

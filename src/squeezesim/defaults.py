@@ -67,7 +67,8 @@ DEFAULTS: dict[str, dict] = {
 
 # range rules beyond finiteness, keyed like DEFAULTS: (predicate, rule).  A
 # numeric key not listed must be >= 0.  The Hz keys have sign rules only, so
-# each also holds on the rad/s field it sets.
+# each also holds on the rad/s field it sets.  The command-line flags are
+# checked against these rules too (cli.py names the rule of each).
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _UNIT_OPEN = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
@@ -86,6 +87,10 @@ RULES: dict[str, dict] = {
     "noise": {"n_reference": _POSITIVE, "m_reference": _POSITIVE,
               "laser_linewidth_rinv": _POSITIVE},
     "run": {"trials": _POSITIVE},
+    # quantities only a command-line flag sets, in no config file
+    "cli": {"m_t": _POSITIVE, "target_winv": _POSITIVE,
+            "psi": (lambda v: True, "must be finite"),
+            "boot": _NON_NEGATIVE},
 }
 
 

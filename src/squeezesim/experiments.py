@@ -46,8 +46,11 @@ def _sub_seed(master_seed: int, index: int) -> int:
 
 
 def _csv(header: str, rows) -> str:
-    """A result's CSV text: the header, then each row's values by repr."""
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    """A result's CSV text: the header, then each row's values by repr, a
+    numpy float as the Python float it equals."""
+    lines = [header] + [",".join(
+        repr(float(v)) if isinstance(v, float) else repr(v) for v in row)
+        for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -437,12 +440,13 @@ class CalibrationResult:
             self.m_t_grid, self.mean_freq_down_hz, self.mean_freq_up_hz))
 
 
-def _calibration_reading(state, params: SimParams, rng) -> float:
-    """Dressed-frequency readout of a (nearly) polarized ensemble, rad/s."""
+def _calibration_reading(state, params: SimParams, rngs) -> np.ndarray:
+    """Dressed-frequency readout of (nearly) polarized ensembles, rad/s."""
     read_sig = _noise.read_noise_freq(params.probe.m_t, params.coeffs,
                                       params.cavity)
-    return (dressed_shift(max(state.pop_up, 0.0), params.cavity)
-            + state.freq_offset + read_sig * rng.standard_normal())
+    return (dressed_shift(np.maximum(state.pop_up, 0.0), params.cavity)
+            + state.freq_offset
+            + read_sig * np.array([g.standard_normal() for g in rngs]))
 
 
 def raman_calibration(params: SimParams, m_t_grid, trials: int,
@@ -456,7 +460,9 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     driven at the half-polarized reference flux: transitions for source
     state s scale as p * M_s(N/2) * N_s/(N/2), and atoms reaching |1> are
     treated as instantly recycled to up.  Linear fits of the mean reading
-    versus M_t give the two slopes.
+    versus M_t give the two slopes.  Each M_t point runs its trials as one
+    batch, trial i drawing from the generator of
+    ``trial_seed(_sub_seed(master_seed, point), i)``.
     """
     grid = sorted(float(m) for m in m_t_grid)
     if not grid:
@@ -467,33 +473,34 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     flux_ref = scattered_ratio(n / 2.0, cav)  # photons scattered per M_t
     eps = TWO_PI * cav.recoil_shift_per_photon
 
-    def drive(state, m_t: float, rng):
+    def drive(state, m_t: float, rngs):
         m_s_ref = m_t * flux_ref
-        new = apply_raman_diffusion(state, m_s_ref, tp, rng, cav,
+        new = apply_raman_diffusion(state, m_s_ref, tp, rngs, cav,
                                     repump_to_up=True)
-        recoil_photons = m_s_ref * max(new.pop_up, 0.0) / (n / 2.0)
-        if recoil_photons > 0:
-            new.freq_offset -= eps * rng.poisson(recoil_photons)
+        recoil_photons = m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0)
+        new.freq_offset -= eps * np.array(
+            [g.poisson(lam) if lam > 0 else 0
+             for g, lam in zip(rngs, recoil_photons.tolist())])
         return new
+
+    def mean_hz(readings: np.ndarray) -> float:
+        # added one after another in trial order: a pairwise sum would
+        # change the last bits
+        return float(np.add.accumulate(readings)[-1]) / trials / TWO_PI
 
     means_down, means_up = [], []
     for i, m_t in enumerate(grid):
-        acc_d, acc_u = 0.0, 0.0
         seeds = trial_seed(_sub_seed(master_seed, i), np.arange(trials))
-        for rng in trial_generators(seeds.tolist()):
-            s = polarized_state(n, p.ensemble, "down")
-            if m_t > 0:
-                s = drive(s, m_t, rng)
-            acc_d += _calibration_reading(s, p, rng)
+        rngs = trial_generators(seeds.tolist())
+        pumped = polarized_state(n, p.ensemble, "down").tile(trials)
+        s = drive(pumped, m_t, rngs) if m_t > 0 else pumped
+        means_down.append(mean_hz(_calibration_reading(s, p, rngs)))
 
-            s = polarized_state(n, p.ensemble, "down")
-            s = rotate(s, math.pi, 0.0)
-            if m_t > 0:
-                s = drive(s, m_t, rng)
-            s = rotate(s, math.pi, 0.0)
-            acc_u += _calibration_reading(s, p, rng)
-        means_down.append(float(acc_d) / trials / TWO_PI)
-        means_up.append(float(acc_u) / trials / TWO_PI)
+        s = rotate(pumped, math.pi, 0.0)
+        if m_t > 0:
+            s = drive(s, m_t, rngs)
+        s = rotate(s, math.pi, 0.0)
+        means_up.append(mean_hz(_calibration_reading(s, p, rngs)))
 
     slope_down = float(np.polyfit(grid, means_down, 1)[0])
     slope_up = float(np.polyfit(grid, means_up, 1)[0])

@@ -19,11 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import ndtr, stdtrit
 
 from .defaults import DEFAULTS, check_fields
-from .elementwise import ops
 from .physics import TWO_PI, CavityParams, alpha_per_atom, scattered_ratio
 
 # Fraction of a transition's variance that survives the unweighted time
@@ -76,8 +73,8 @@ def alphas_for_ensemble(n: float, cav: CavityParams) -> Alphas:
 
 def model_r(m_t: float, c: NoiseCoeffs) -> float:
     """Evaluate the four-term spin-noise model at probe strength ``m_t``."""
-    if m_t <= 0:
-        raise ValueError("m_t must be positive")
+    if not m_t > 0:  # NaN too
+        raise ValueError(f"m_t must be positive (got {m_t!r})")
     return c.r_psn / m_t + c.r_tf + c.r_q * m_t + c.r_c * m_t * m_t
 
 
@@ -86,13 +83,6 @@ class FitResult:
     coeffs: NoiseCoeffs
     intervals: dict = field(default_factory=dict)  # name -> (lo, hi), 95%
     n_boot: int = 0
-
-
-def _nnls_coeffs(m: np.ndarray, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
-    sw = np.sqrt(w)
-    sol, _ = nnls(design * sw[:, None], r * sw)
-    return sol
 
 
 def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
@@ -104,6 +94,15 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     levels (the usual small-sample correction) so nominal coverage holds at
     realistic point counts.
     """
+    # loaded here, not on import: they cost most of the package's start
+    from scipy.optimize import nnls
+    from scipy.special import ndtr, stdtrit
+
+    def nnls_coeffs(m, r, w) -> np.ndarray:
+        design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
+        sw = np.sqrt(w)
+        return nnls(design * sw[:, None], r * sw)[0]
+
     pts = [tuple(p) for p in points]
     if len(pts) < 4:
         raise ValueError("fit_r needs at least 4 points")
@@ -115,7 +114,7 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
         raise ValueError("fit_r points must span at least a decade in m_t")
     w = np.array([p[2] if len(p) > 2 else 1.0 / (p[1] ** 2) for p in pts])
 
-    sol = _nnls_coeffs(m, r, w)
+    sol = nnls_coeffs(m, r, w)
     if not np.any(sol > 0):
         raise ValueError("degenerate design: fit collapsed to zero")
     names = ("r_psn", "r_tf", "r_q", "r_c")
@@ -130,7 +129,7 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
             if np.ptp(m[take]) == 0.0:
                 samples[b] = sol
                 continue
-            samples[b] = _nnls_coeffs(m[take], r[take], w[take])
+            samples[b] = nnls_coeffs(m[take], r[take], w[take])
         n_pts = len(m)
         alpha = float(ndtr(
             stdtrit(n_pts - 1, 0.025) * math.sqrt(n_pts / (n_pts - 1))))
@@ -300,13 +299,12 @@ def read_noise_freq(m_t: float, coeffs: NoiseCoeffs,
     Calibrated so two independent windows reproduce the fitted photon-shot
     noise r_psn/M_t at the reference ensemble.
     """
-    xp = ops(m_t)
-    if xp.any(m_t <= 0):
+    if np.any(m_t <= 0):
         raise ValueError("m_t must be positive")
     if coeffs.r_psn == 0.0:
         return 0.0
     au_ref = alpha_per_atom("up", coeffs.n_reference / 2.0, cav)
-    sigma_atoms = xp.sqrt(
+    sigma_atoms = np.sqrt(
         (coeffs.n_reference / 4.0) * coeffs.r_psn / (2.0 * m_t))
     return au_ref * sigma_atoms
 
@@ -351,7 +349,7 @@ def injected_classical_freq(m_t: float, n: float, r_c_inj: float,
     au = alpha_per_atom("up", n / 2.0, cav)
     var_atoms = 0.5 * r_c_inj * m_t * m_t * (n / 4.0) * classical_scale(
         n, coeffs.n_reference, cav)
-    return au * ops(var_atoms).sqrt(var_atoms)
+    return au * np.sqrt(var_atoms)
 
 
 # ---------------------------------------------------------------------------

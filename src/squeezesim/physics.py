@@ -3,8 +3,8 @@
 Everything in this module is a pure function of its inputs.  All angular
 frequencies are in rad/s; atom counts are real-valued (the simulator works
 at the Gaussian-moment level, so fractional atoms are meaningful).  The
-formulas the trial engine calls take a number or a numpy array of atom
-counts, one per trial, and return the same kind.
+formulas are plain numpy code: they take a number or an array of atom
+counts, one per trial, and give numpy numbers or arrays.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .defaults import DEFAULTS, check_fields
-from .elementwise import ops
 
 TWO_PI = 2.0 * math.pi
 _CAV, _ENS = DEFAULTS["cavity"], DEFAULTS["ensemble"]
@@ -104,11 +105,10 @@ def dressed_shift(n_up: float, cav: CavityParams) -> float:
     small-N_up values keep full double precision.  Monotone increasing and
     concave in ``n_up``; the slope at the origin is g^2/delta.
     """
-    xp = ops(n_up)
-    if xp.any(n_up < 0):
+    if np.any(n_up < 0):
         raise ValueError("n_up must be non-negative")
     x = 4.0 * cav.g * cav.g * n_up
-    return x / (2.0 * (xp.sqrt(cav.delta * cav.delta + x) + cav.delta))
+    return x / (2.0 * (np.sqrt(cav.delta * cav.delta + x) + cav.delta))
 
 
 def invert_dressed_shift(shift: float, cav: CavityParams) -> float:
@@ -128,11 +128,10 @@ def alpha_per_atom(state_label: str, n_up: float, cav: CavityParams) -> float:
     ``down`` -> far-detuned dispersive pull at detuning delta + omega_hf
     ``one``  -> c1_coupling times the up-state value
     """
-    xp = ops(n_up)
-    if xp.any(n_up < 0):
+    if np.any(n_up < 0):
         raise ValueError("n_up must be non-negative")
     if state_label == "up":
-        return cav.g * cav.g / xp.sqrt(
+        return cav.g * cav.g / np.sqrt(
             cav.delta * cav.delta + 4.0 * cav.g * cav.g * n_up)
     if state_label == "down":
         return cav.g * cav.g / (cav.delta + cav.omega_hf)
@@ -158,7 +157,7 @@ def scattered_ratio(n_up: float, cav: CavityParams) -> float:
     (2 Gamma / kappa0) * 4 g^2 N_up / (4 (delta + dressed_shift)^2).
     Monotone increasing in ``n_up`` and bounded above by 2 Gamma / kappa0.
     """
-    if ops(n_up).any(n_up < 0):
+    if np.any(n_up < 0):
         raise ValueError("n_up must be non-negative")
     probe_det = cav.delta + dressed_shift(n_up, cav)
     return (2.0 * cav.gamma / cav.kappa0) * (4.0 * cav.g * cav.g * n_up) / (

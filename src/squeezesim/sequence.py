@@ -20,10 +20,10 @@ deterministically from a master seed.  Reproducibility contract: trial i
 of ``run_trials(protocol, params, n, master_seed)`` equals
 ``run_trial(protocol, params, trial_seed(master_seed, i))`` bit for bit.
 ``run_trials`` passes ``run_trial`` batches of at most ``CHUNK_TRIALS``
-seeds; a batch holds its state as arrays over its trials, each trial
-drawing from its own generator, so a record set is the same for any batch
-size.  ``workers`` and SQUEEZE_SIM_THREADS are validated but change
-nothing.
+seeds, and a single seed is a batch of one.  A batch holds its state as
+arrays over its trials, each trial drawing from its own generator, so a
+record set is the same for any batch size.  ``workers`` and
+SQUEEZE_SIM_THREADS are validated but change nothing.
 
 Trial i's seed is ``SeedSequence(master_seed, spawn_key=(i,))``'s first
 64-bit state word, and its generator is ``default_rng(seed)``.  Both are

@@ -19,11 +19,12 @@ noisy dressed-frequency reading, condition the state on the reading
 uncertainty relation, and decay the contrast by the free-space-scattering
 collapse law.
 
-The state of a batch of trials holds each field as an array over its
-trials, and ``rotate``, ``apply_raman_diffusion`` and ``probe_measure``
-take either one trial's state (floats) or a batch: one body of code whose
-elementwise operations work on both, each trial drawing from its own
-generator in the same order either way.
+A state is a batch of trials: each field is an array over its trials,
+and a single trial is a batch of one (``prepare_css`` and
+``polarized_state`` return arrays of one element, and ``tile`` repeats
+them).  ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` are
+plain numpy code over the batch, each trial drawing from its own
+generator in the order a lone trial would.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import elementwise as ew
 from . import noise as _noise
 from .defaults import DEFAULTS, check_fields
-from .elementwise import ops
 from .physics import (
     TWO_PI,
     CavityParams,
@@ -140,50 +141,49 @@ class SimParams:
 
 @dataclass(slots=True)
 class EnsembleState:
-    """Gaussian-moment collective spin state of one trial or of a batch.
+    """Gaussian-moment collective spin state of a batch of trials.
 
-    A batch holds each field as an array over its trials.  ``freq_offset``
-    accumulates persistent probe-induced displacements of the dressed
-    frequency (recoil heating plus the dispersive pulls of atoms moved out
-    of the up-state bookkeeping); ``echo_phase`` tracks the static
-    inhomogeneous light-shift phase refocused by pi pulses.
+    Each field is an array over the batch's trials; a single trial is a
+    batch of one.  ``freq_offset`` accumulates persistent probe-induced
+    displacements of the dressed frequency (recoil heating plus the
+    dispersive pulls of atoms moved out of the up-state bookkeeping);
+    ``echo_phase`` tracks the static inhomogeneous light-shift phase
+    refocused by pi pulses.
     """
 
-    n_total: float
-    pop_up: float
-    pop_down: float
-    pop_one: float
-    jz_mean: float
-    jz_var: float
-    jy_var: float
-    contrast: float
-    azimuth: float = 0.0
-    freq_offset: float = 0.0
-    echo_phase: float = 0.0
+    n_total: np.ndarray
+    pop_up: np.ndarray
+    pop_down: np.ndarray
+    pop_one: np.ndarray
+    jz_mean: np.ndarray
+    jz_var: np.ndarray
+    jy_var: np.ndarray
+    contrast: np.ndarray
+    azimuth: np.ndarray
+    freq_offset: np.ndarray
+    echo_phase: np.ndarray
 
     def copy(self) -> "EnsembleState":
-        values = [getattr(self, name) for name in _FIELDS]
-        if isinstance(self.n_total, np.ndarray):
-            values = [np.array(v) for v in values]
-        return EnsembleState(*values)
+        return EnsembleState(*(np.array(getattr(self, name))
+                               for name in _FIELDS))
 
     def tile(self, size: int) -> "EnsembleState":
-        """A batch of ``size`` trials, each in this (single-trial) state."""
-        return EnsembleState(*(np.array([getattr(self, name)] * size,
-                                        dtype=float) for name in _FIELDS))
+        """A batch of ``size`` trials, each in this single-trial state."""
+        return EnsembleState(*(np.repeat(getattr(self, name), size)
+                               for name in _FIELDS))
 
-    def bloch_length(self):
+    def bloch_length(self) -> np.ndarray:
         return self.contrast * self.n_total / 2.0
 
-    def cos_polar(self):
-        xp, j = ops(self.n_total), self.bloch_length()
-        with xp.errstate(over="ignore"):
-            ratio = self.jz_mean / xp.where(j > 0.0, j, 1.0)
-        return xp.where(j > 0.0, xp.minimum(1.0, xp.maximum(-1.0, ratio)),
+    def cos_polar(self) -> np.ndarray:
+        j = self.bloch_length()
+        with np.errstate(over="ignore"):
+            ratio = self.jz_mean / np.where(j > 0.0, j, 1.0)
+        return np.where(j > 0.0, np.minimum(1.0, np.maximum(-1.0, ratio)),
                         0.0)
 
     def invariants(self) -> dict[str, np.ndarray]:
-        """Whether each state invariant holds (per trial for a batch).
+        """Whether each state invariant holds, per trial.
 
         The Heisenberg product takes the Jz variance at no less than
         ``JZ_VAR_FLOOR``, as the anti-squeezing of ``probe_measure`` does.
@@ -203,8 +203,8 @@ class EnsembleState:
                 product >= bound * (1.0 - HEISENBERG_SLACK)}
 
     def validate(self, seeds=None, first: int = 0) -> None:
-        """Raise ValueError naming the first invariant broken; for a batch
-        whose trial j has seed ``seeds[j]``, also trial ``first + j``."""
+        """Raise ValueError naming the first invariant broken; with the
+        seed ``seeds[j]`` of each trial j, also trial ``first + j``."""
         for name, ok in self.invariants().items():
             bad = np.flatnonzero(np.logical_not(ok))
             if bad.size:
@@ -223,22 +223,29 @@ def heisenberg_check(state: EnsembleState) -> bool:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """One probe window's result: raw frequency and inferred population."""
+    """One probe window's result, an array over the batch's trials each:
+    raw frequency and inferred population."""
 
-    freq: float         # dressed-frequency reading, rad/s above bare cavity
-    n_up: float         # apparent up population from inverting the shift
-    m_s: float          # mean free-space scattered photons this window
-    true_jz: float      # realized Jz at the window start (diagnostic)
+    freq: np.ndarray     # dressed-frequency reading, rad/s above bare cavity
+    n_up: np.ndarray     # apparent up population from inverting the shift
+    m_s: np.ndarray      # mean free-space scattered photons this window
+    true_jz: np.ndarray  # realized Jz at the window start (diagnostic)
+
+
+def _single_trial(n: float, up: float, ens: EnsembleParams) -> EnsembleState:
+    """A batch of one trial with ``up`` of its ``n`` atoms in the up state,
+    its Bloch vector along x-hat or a pole, and an uncertainty disk of the
+    N/4 projection noise."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return EnsembleState(*(np.array([v], dtype=float) for v in (
+        n, up, n - up, 0.0, up - n / 2.0, n / 4.0, n / 4.0,
+        ens.initial_contrast, 0.0, 0.0, 0.0)))
 
 
 def prepare_css(n: float, ens: EnsembleParams) -> EnsembleState:
     """Coherent spin state along x-hat: equal populations, noise N/4."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return EnsembleState(
-        n_total=n, pop_up=n / 2.0, pop_down=n / 2.0, pop_one=0.0,
-        jz_mean=0.0, jz_var=n / 4.0, jy_var=n / 4.0,
-        contrast=ens.initial_contrast, azimuth=0.0)
+    return _single_trial(n, n / 2.0, ens)
 
 
 def polarized_state(n: float, ens: EnsembleParams,
@@ -249,15 +256,9 @@ def polarized_state(n: float, ens: EnsembleParams,
     subsequent pi/2 pulse rotates into projection noise; the lab-frame
     population variance of the polarized state itself is zero.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
     if target not in ("up", "down"):
         raise ValueError(f"unknown pump target {target!r}")
-    up = n if target == "up" else 0.0
-    return EnsembleState(
-        n_total=n, pop_up=up, pop_down=n - up, pop_one=0.0,
-        jz_mean=up - n / 2.0, jz_var=n / 4.0, jy_var=n / 4.0,
-        contrast=ens.initial_contrast, azimuth=0.0)
+    return _single_trial(n, n if target == "up" else 0.0, ens)
 
 
 def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
@@ -270,40 +271,41 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     noiseless: the uncertainty disk co-rotates, leaving the stored
     quadrature variances untouched.  Exact pi pulses negate the
     accumulated echo phase; any other angle converts coherence and folds
-    the accumulated dephasing into the contrast.  For a batch, ``angle``
-    and ``pulse_phase`` are numbers or arrays with one value per trial.
+    the accumulated dephasing into the contrast.  ``angle`` and
+    ``pulse_phase`` are numbers or arrays with one value per trial.
     """
-    xp, new = ops(state.n_total), state.copy()
+    new = state.copy()
     turning = angle != 0.0
-    if not xp.any(turning):
+    if not np.any(turning):
         return new
 
     half_turns = angle / math.pi
     turns = np.round(half_turns)
     is_pi = (abs(half_turns - turns) < 1e-12) & (turns % 2 != 0)
     echo = state.echo_phase
-    new.contrast = xp.where(is_pi | (echo == 0.0), state.contrast,
-                            state.contrast * xp.exp(-0.5 * xp.square(echo)))
-    new.echo_phase = xp.where(is_pi, -echo, 0.0)
+    new.contrast = np.where(is_pi | (echo == 0.0), state.contrast,
+                            state.contrast * ew.exp(-0.5 * ew.square(echo)))
+    # a zero phase stays +0.0 under a pi pulse
+    new.echo_phase = np.where(is_pi & (echo != 0.0), -echo, 0.0)
 
-    # unit Bloch vectors, shape (3,) or (trials, 3); np.vecdot makes the
-    # BLAS call np.dot makes on one vector and ``cross`` spells out
-    # np.cross, so a trial's rotation does not depend on the batch
+    # unit Bloch vectors, shape (trials, 3); np.vecdot makes the BLAS call
+    # np.dot makes on one vector and ``cross`` spells out np.cross, so a
+    # trial's rotation does not depend on the batch
     cz = state.cos_polar()
-    sz = xp.sqrt(xp.maximum(0.0, 1.0 - cz * cz))
-    u = np.array([sz * xp.cos(state.azimuth), sz * xp.sin(state.azimuth),
+    sz = np.sqrt(np.maximum(0.0, 1.0 - cz * cz))
+    u = np.array([sz * ew.cos(state.azimuth), sz * ew.sin(state.azimuth),
                   cz]).T
-    axis = np.array([xp.sin(pulse_phase), -xp.cos(pulse_phase),
+    axis = np.array([ew.sin(pulse_phase), -ew.cos(pulse_phase),
                      np.zeros(np.shape(pulse_phase))]).T
-    ca, sa = (np.asarray(f(angle))[..., None] for f in (xp.cos, xp.sin))
+    ca, sa = (np.asarray(f(angle))[..., None] for f in (ew.cos, ew.sin))
     cross = (axis[..., [1, 2, 0]] * u[..., [2, 0, 1]]
              - axis[..., [2, 0, 1]] * u[..., [1, 2, 0]])
     u2 = (u * ca + cross * sa
           + axis * np.vecdot(axis, u)[..., None] * (1 - ca))
-    ux, uy, uz = u2.T if u2.ndim > 1 else u2.tolist()
+    ux, uy, uz = u2.T
 
     new.jz_mean = new.bloch_length() * uz
-    new.azimuth = xp.where(ux * ux + uy * uy > 1e-24, xp.atan2(uy, ux),
+    new.azimuth = np.where(ux * ux + uy * uy > 1e-24, ew.atan2(uy, ux),
                            state.azimuth)
     new.pop_up = new.n_total / 2.0 + new.jz_mean
     new.pop_down = new.n_total - new.pop_one - new.pop_up
@@ -329,28 +331,28 @@ _CHANNELS = (
 
 def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
                    rngs: list[np.random.Generator]) -> list:
-    """Poisson transition counts per channel (arrays for a batch).
+    """Poisson transition counts per channel, an array over trials each.
 
     Channel means are p * m_s weighted by the source population relative to
     the half-polarized operating point N/2, so the standard noise formulas
     hold exactly on the equator and polarized preparations scale with the
     actual source population.
     """
-    xp, n, half = ops(state.n_total), state.n_total, state.n_total / 2.0
-    lams = xp.rows(*(getattr(tp, p_attr) * m_s
-                     * xp.maximum(0.0, getattr(state, src_attr)) / half
-                     for p_attr, src_attr, *_ in _CHANNELS))
-    counts = list(xp.columns(
+    half = state.n_total / 2.0
+    lams = np.array([getattr(tp, p_attr) * m_s
+                     * np.maximum(0.0, getattr(state, src_attr)) / half
+                     for p_attr, src_attr, *_ in _CHANNELS]).T.tolist()
+    counts = list(np.array(
         [[g.poisson(lam) if lam > 0.0 else 0 for lam in trial]
-         for g, trial in zip(rngs, lams)]))
+         for g, trial in zip(rngs, lams)]).T)
     # cannot move more atoms than a state holds
     for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
         out = counts[a] + counts[b]
         clip = (out > pop) & (pop > 0)
-        if xp.any(clip):
-            scale = pop / xp.where(clip, out, 1)
-            counts[a] = xp.where(clip, xp.trunc(counts[a] * scale), counts[a])
-            counts[b] = xp.where(clip, xp.trunc(counts[b] * scale), counts[b])
+        if np.any(clip):
+            scale = pop / np.where(clip, out, 1)
+            counts[a] = np.where(clip, ew.trunc(counts[a] * scale), counts[a])
+            counts[b] = np.where(clip, ew.trunc(counts[b] * scale), counts[b])
     return counts
 
 
@@ -360,7 +362,7 @@ EXACT_EVENTS = 64
 
 
 def _visible_draws(rngs: list[np.random.Generator], counts: list,
-                   recoil_mean, tails: list, like) -> list:
+                   recoil_mean, tails: list) -> list:
     """A probe window's draws after its Raman counts, trial by trial.
 
     Each trial draws, in order, the visible share of each Raman channel's
@@ -375,13 +377,15 @@ def _visible_draws(rngs: list[np.random.Generator], counts: list,
     only, one per run of consecutive uniforms or normals; the shares are
     then taken for all trials at once.
 
-    Returns the four Raman shares, the photon count, its share and one
-    normal per ``tails`` column (0 where false), a value per trial each.
+    ``recoil_mean`` holds a value per trial, and each column of ``tails``
+    a value per trial or one for all.  Returns the four Raman shares, the
+    photon count, its share and one normal per ``tails`` column (0 where
+    false), a value per trial each.
     """
-    xp, uniforms, normals, events = ops(like), [], [], []
-    for g, row, mean, k in zip(rngs, xp.rows(*counts),
-                               xp.each(recoil_mean, like),
-                               xp.each(sum(tails), like)):
+    uniforms, normals, events = [], [], []
+    for g, row, mean, k in zip(
+            rngs, np.array(counts).T.tolist(), recoil_mean.tolist(),
+            np.broadcast_to(sum(tails), recoil_mean.shape).tolist()):
         due_u = due_z = 0  # uniforms and normals due, not yet drawn
         for c in row:
             if c > EXACT_EVENTS:
@@ -404,14 +408,14 @@ def _visible_draws(rngs: list[np.random.Generator], counts: list,
         normals.append(g.standard_normal(k + (photons > EXACT_EVENTS)))
         events.append([*row, photons])
 
-    events = xp.columns(events)
+    events = np.array(events).T
     big = [c > EXACT_EVENTS for c in events]
     # each normal is a run of one in the stream of normals
-    z = xp.segment_sums(np.concatenate(normals), big + tails)
-    sums = (xp.segment_sums(1.0 - np.concatenate(uniforms),
+    z = ew.segment_sums(np.concatenate(normals), big + tails)
+    sums = (ew.segment_sums(1.0 - np.concatenate(uniforms),
                             [c * (c <= EXACT_EVENTS) for c in events])
             if uniforms else [0.0] * len(events))
-    shares = [xp.where(b, 0.5 * c + xp.sqrt(c / 12.0) * zc, total)
+    shares = [np.where(b, 0.5 * c + np.sqrt(c / 12.0) * zc, total)
               for b, c, zc, total in zip(big, events, z, sums)]
     return [*shares[:4], events[4], shares[4], *z[5:]]
 
@@ -451,14 +455,15 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     ``m_s`` is the mean scattered photon number at the half-polarized
     reference configuration.  With ``repump_to_up`` the |1> state is
     treated as instantly recycled to up (the calibration-experiment
-    regime).  For a batch, ``rng`` holds one generator per trial.
+    regime).  ``rng`` is a list of one generator per trial, or one
+    generator for a batch of one.
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
     new = state.copy()
     counts = _sample_counts(new, m_s, tp, rng if isinstance(rng, list)
                             else [rng])
-    au = alpha_per_atom("up", ops(new.n_total).maximum(new.pop_up, 0.0), cav)
+    au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
     ad = alpha_per_atom("down", 0.0, cav)
     _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
     return new
@@ -487,13 +492,13 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     omitted) and ``detuning_offset`` the trial's probe-cavity detuning left
     after pre-alignment, rad/s.  Only the sequence-level knobs of ``knobs``
     are read here: the lineshape penalty, the excess contrast decay and the
-    static light shift.  For a batch, ``rng`` holds one generator per
-    trial, and ``m_t`` and ``detuning_offset`` may hold one value per trial.
+    static light shift.  ``rng`` is a list of one generator per trial, or
+    one generator for a batch of one, and ``m_t`` and ``detuning_offset``
+    may hold one value per trial.
     """
     if m_t is None:
         m_t = probe.m_t
-    xp = ops(state.n_total)
-    if xp.any(m_t <= 0):
+    if np.any(m_t <= 0):
         raise ValueError("probe window needs m_t > 0; drop the step instead")
     rngs = rng if isinstance(rng, list) else [rng]
     new = state.copy()
@@ -501,12 +506,12 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = new.cos_polar()
-    sin2 = xp.maximum(0.0, 1.0 - cz * cz)
+    sin2 = np.maximum(0.0, 1.0 - cz * cz)
     spread = (sin2 > 0.0) & (new.jz_var > 0.0)
-    z_jz = xp.columns([[g.standard_normal() if on else 0.0]
-                       for g, on in zip(rngs, xp.each(spread, n))])
-    jz_true = new.jz_mean + xp.sqrt(new.jz_var * sin2) * z_jz[0]
-    n_up_true = xp.minimum(xp.maximum(n / 2.0 + jz_true, 0.0), n)
+    z_jz = np.array([g.standard_normal() if on else 0.0
+                     for g, on in zip(rngs, spread.tolist())])
+    jz_true = new.jz_mean + np.sqrt(new.jz_var * sin2) * z_jz
+    n_up_true = np.minimum(np.maximum(n / 2.0 + jz_true, 0.0), n)
 
     m_s = m_t * scattered_ratio(n_up_true, cav)
     au = alpha_per_atom("up", n_up_true, cav)
@@ -517,9 +522,9 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     # technical noises of the reading
     read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
     if knobs.lineshape_penalty:
-        read_sig = read_sig * xp.sqrt(
+        read_sig = read_sig * np.sqrt(
             1.0 + knobs.lineshape_penalty
-            * xp.square(detuning_offset / (cav.kappa / 2.0)))
+            * ew.square(detuning_offset / (cav.kappa / 2.0)))
     r_c_inj = _injection_coeff(coeffs, probe.ms_classical_frac, cav, tp)
     class_sig = _noise.injected_classical_freq(
         m_t, n, r_c_inj, coeffs, cav)
@@ -531,7 +536,7 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     counts = _sample_counts(new, m_s, tp, rngs)
     tails = [sig > 0.0 for sig in (read_sig, class_sig, floor_sig)]
     *raman_shares, n_phot, recoil_share, z_read, z_class, z_floor = (
-        _visible_draws(rngs, counts, m_s * (eps > 0.0), tails, n))
+        _visible_draws(rngs, counts, m_s * (eps > 0.0), tails))
     raman_visible = 0.0
     for jump, share in zip((ad - au, au - ad, a1 - au, a1 - ad),
                            raman_shares):
@@ -545,31 +550,31 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
 
     # condition the state on the spin information in the reading
     informative = read_sig > 0.0
-    sigma_m = xp.where(informative, read_sig / au, 0.0)
-    sigma_m2 = xp.square(sigma_m)
+    sigma_m = np.where(informative, read_sig / au, 0.0)
+    sigma_m2 = ew.square(sigma_m)
     eff_var = new.jz_var * sin2
     z = jz_true + sigma_m * (read_noise
-                             / xp.where(informative, read_sig, 1.0))
+                             / np.where(informative, read_sig, 1.0))
     update = (sigma_m != 0.0) & (eff_var > 0.0)
-    denominator = xp.where(update, eff_var + sigma_m2, 1.0)
+    denominator = np.where(update, eff_var + sigma_m2, 1.0)
     gain = eff_var / denominator
     exact = (sigma_m == 0.0) & (sin2 > 0.0)
-    new.jz_mean = xp.where(update, new.jz_mean + gain * (z - new.jz_mean),
-                           xp.where(exact, jz_true, new.jz_mean))
-    new.jz_var = xp.where(update, new.jz_var * sigma_m2 / denominator,
-                          xp.where(exact, 0.0, new.jz_var))
+    new.jz_mean = np.where(update, new.jz_mean + gain * (z - new.jz_mean),
+                           np.where(exact, jz_true, new.jz_mean))
+    new.jz_var = np.where(update, new.jz_var * sigma_m2 / denominator,
+                          np.where(exact, 0.0, new.jz_var))
 
     # persistent back-action
     _apply_counts(new, counts, (au, ad, a1), repump_to_up=False)
     new.freq_offset += -eps * n_phot
-    new.contrast *= xp.exp(-(1.0 + knobs.contrast_excess) * m_s / n)
+    new.contrast *= ew.exp(-(1.0 + knobs.contrast_excess) * m_s / n)
     if knobs.light_shift_per_photon:
         new.echo_phase += knobs.light_shift_per_photon * m_t
 
     # anti-squeezing keeps the uncertainty product legal
     bound = new.contrast * n / 4.0
-    jz_var_floor = xp.maximum(new.jz_var, JZ_VAR_FLOOR)
-    new.jy_var = xp.maximum(new.jy_var, bound * bound / jz_var_floor)
+    jz_var_floor = np.maximum(new.jz_var, JZ_VAR_FLOOR)
+    new.jy_var = np.maximum(new.jy_var, bound * bound / jz_var_floor)
 
     outcome = MeasurementOutcome(
         freq=reading, n_up=invert_dressed_shift(reading, cav),

@@ -3,9 +3,11 @@
 Everything below the imports is the single-trial code of ``squeezesim``
 before trials were batched: one ``EnsembleState`` of floats per trial,
 ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` on that state,
-and ``run_trial`` stepping through a protocol.  It calls the package's physics and noise formulas,
-whose float path is unchanged.  Tests compare ``run_trials`` with it; it
-is not part of the package.
+``run_trial`` stepping through a protocol, and ``raman_calibration``
+running its trials one at a time on that state.  It calls the package's
+physics and noise formulas, which give numpy floats of the values the
+scalar code computed.  Tests compare ``run_trials`` and
+``experiments.raman_calibration`` with it; it is not part of the package.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from squeezesim import noise as _noise
+from squeezesim.experiments import CalibrationResult, _sub_seed
 from squeezesim.physics import (
     TWO_PI,
     CavityParams,
@@ -37,6 +40,8 @@ from squeezesim.sequence import (
     TrialRecord,
     Wait,
     _validate_runnable,
+    trial_generators,
+    trial_seed,
 )
 from squeezesim.state import (
     MeasurementOutcome,
@@ -425,3 +430,68 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
     return TrialRecord(outcomes=outcomes, true_jz_trace=tuple(trace),
                        seed=int(seed), omega_p_offset_hz=delta_p / TWO_PI)
 
+
+def _calibration_reading(state, params: SimParams, rng) -> float:
+    """Dressed-frequency readout of a (nearly) polarized ensemble, rad/s."""
+    read_sig = _noise.read_noise_freq(params.probe.m_t, params.coeffs,
+                                      params.cavity)
+    return (dressed_shift(max(state.pop_up, 0.0), params.cavity)
+            + state.freq_offset + read_sig * rng.standard_normal())
+
+
+def raman_calibration(params: SimParams, m_t_grid, trials: int,
+                      master_seed: int = 0,
+                      n_atoms: float = 2.1e5) -> CalibrationResult:
+    """Mean dressed-frequency change per transmitted scattering photon.
+
+    Two preparations: all atoms pumped to down (the reading counts atoms
+    scattered out of down), and pumped to up with a population swap before
+    readout (the reading counts atoms scattered out of up).  Scattering is
+    driven at the half-polarized reference flux: transitions for source
+    state s scale as p * M_s(N/2) * N_s/(N/2), and atoms reaching |1> are
+    treated as instantly recycled to up.  Linear fits of the mean reading
+    versus M_t give the two slopes.
+    """
+    grid = sorted(float(m) for m in m_t_grid)
+    if not grid:
+        raise ValueError("m_t_grid must be non-empty")
+    p = params.with_n(n_atoms)
+    cav, tp = p.cavity, p.transitions
+    n = p.ensemble.n_effective
+    flux_ref = scattered_ratio(n / 2.0, cav)  # photons scattered per M_t
+    eps = TWO_PI * cav.recoil_shift_per_photon
+
+    def drive(state, m_t: float, rng):
+        m_s_ref = m_t * flux_ref
+        new = apply_raman_diffusion(state, m_s_ref, tp, rng, cav,
+                                    repump_to_up=True)
+        recoil_photons = m_s_ref * max(new.pop_up, 0.0) / (n / 2.0)
+        if recoil_photons > 0:
+            new.freq_offset -= eps * rng.poisson(recoil_photons)
+        return new
+
+    means_down, means_up = [], []
+    for i, m_t in enumerate(grid):
+        acc_d, acc_u = 0.0, 0.0
+        seeds = trial_seed(_sub_seed(master_seed, i), np.arange(trials))
+        for rng in trial_generators(seeds.tolist()):
+            s = polarized_state(n, p.ensemble, "down")
+            if m_t > 0:
+                s = drive(s, m_t, rng)
+            acc_d += _calibration_reading(s, p, rng)
+
+            s = polarized_state(n, p.ensemble, "down")
+            s = rotate(s, math.pi, 0.0)
+            if m_t > 0:
+                s = drive(s, m_t, rng)
+            s = rotate(s, math.pi, 0.0)
+            acc_u += _calibration_reading(s, p, rng)
+        means_down.append(float(acc_d) / trials / TWO_PI)
+        means_up.append(float(acc_u) / trials / TWO_PI)
+
+    slope_down = float(np.polyfit(grid, means_down, 1)[0])
+    slope_up = float(np.polyfit(grid, means_up, 1)[0])
+    return CalibrationResult(
+        slope_down_hz=slope_down, slope_up_hz=slope_up,
+        m_t_grid=tuple(grid), mean_freq_down_hz=tuple(means_down),
+        mean_freq_up_hz=tuple(means_up))

@@ -1,19 +1,17 @@
 """Simulated noise equals the sum of the enabled analytic terms.
 
-Channels are toggled independently; at 1e5 trial pairs the Monte Carlo
-variance estimate must match the analytic sum within 5%.
+Channels are toggled independently; at 1e5 trials of a bare pre/final
+probe pair on a coherent state the Monte Carlo variance estimate must
+match the analytic sum within 5%.
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import squeezesim as sq
 from squeezesim.experiments import expected_r
-from squeezesim.state import prepare_css, probe_measure
 
-N = 4.8e5
 M_T = 4.1e4
 TRIALS = 100_000
 
@@ -24,29 +22,7 @@ IDEAL = replace(
     cavity=replace(BASE.cavity, recoil_shift_per_photon=0.0),
     probe=replace(BASE.probe, ms_classical_frac=0.0, detuning_spread=0.0),
     coeffs=replace(BASE.coeffs, r_tf=0.0, r_c=0.0))
-
-
-def mc_differenced_r(params: sq.SimParams, seed: int) -> float:
-    """Variance of paired measurements on fresh coherent states, in R units.
-
-    Mirrors the sequence engine's trial mechanics (including the
-    trial-common probe-power fluctuation) on a bare pre/final pair.
-    """
-    rng = np.random.default_rng(seed)
-    frac = params.probe.ms_classical_frac
-    diffs = np.empty(TRIALS)
-    for i in range(TRIALS):
-        probe = params.probe
-        if frac > 0.0:
-            power = max(1.0 + frac * rng.standard_normal(), 0.05)
-            probe = replace(probe, m_t=probe.m_t * power)
-        s = prepare_css(N, params.ensemble)
-        a, s = probe_measure(s, probe, params.cavity, params.transitions,
-                             params.coeffs, rng)
-        b, s = probe_measure(s, probe, params.cavity, params.transitions,
-                             params.coeffs, rng)
-        diffs[i] = b.n_up - a.n_up
-    return float(np.var(diffs, ddof=1) / (N / 4.0))
+PAIR = sq.parse_protocol("pump down\npulse 90 0\nprobe Np\nprobe Nf\n")
 
 
 CASES = {
@@ -64,6 +40,7 @@ CASES = {
 def test_budget_additivity(name):
     import zlib
     params = CASES[name]
-    r_mc = mc_differenced_r(params, seed=zlib.crc32(name.encode()))
+    rs = sq.run_trials(PAIR, params, TRIALS, zlib.crc32(name.encode()))
+    r_mc = sq.spin_noise_reduction(rs, "Nf", "Np")
     expected = expected_r(params, M_T)
     assert r_mc == pytest.approx(expected, rel=0.05), name

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,3 +145,22 @@ def test_bad_seed_names_the_flag(tmp_path, capsys, flag, value, code):
     assert flag in err and value in err
     assert "Traceback" not in err
     assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("budget", "--mt", "nan"),
+    ("sweep", "--mt-min", "-1"),
+    ("scaling", "--n-list", "abc"),
+    ("fringe", "--mt", "-5"),
+    ("phase-detect", "--psi", "nan")])
+def test_bad_numeric_flag_names_the_flag(tmp_path, capsys, command, flag,
+                                         value):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's log10 warning included
+        rc = cli_dispatch([command, flag, value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag} " in err and value in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squeezesim.state as state
-from squeezesim.elementwise import Arrays, Floats
+from squeezesim.elementwise import segment_sums
 from squeezesim.sequence import (
     INDEX_LIMIT,
     SEED_LIMIT,
@@ -119,16 +119,11 @@ def test_segment_sums_equal_one_dimensional_sums():
     starts = np.cumsum(lengths.ravel()) - lengths.ravel()
     expected = [(values[a:a + n]).sum() if n else 0.0
                 for a, n in zip(starts, lengths.ravel())]
-    batch = Arrays.segment_sums(values, list(lengths.T))
+    batch = segment_sums(values, list(lengths.T))
     assert batch.T.ravel().tolist() == expected
-    for trial, row in enumerate(lengths):
-        at = starts[trial * lengths.shape[1]]
-        one = Floats.segment_sums(values[at:at + row.sum()], row.tolist())
-        assert one == expected[trial * len(row):(trial + 1) * len(row)]
     for n in range(1, 65):
         u = rng.random(n)
-        assert Floats.segment_sums(1.0 - u, [n]) == [(1.0 - u).sum()]
-        assert (Arrays.segment_sums(1.0 - u, [np.array([n])])[0, 0]
+        assert (segment_sums(1.0 - u, [np.array([n])])[0, 0]
                 == (1.0 - u).sum())
 
 
@@ -138,10 +133,8 @@ def test_runs_of_one_take_values_in_trial_then_column_order():
     runs = [np.array([True, False, True]), np.array([False, True, True]),
             True]
     # trial 0 takes 1 and 2, trial 1 takes 3 and 4, trial 2 takes 5 to 7
-    assert [c.tolist() for c in Arrays.segment_sums(values, runs)] == [
+    assert [c.tolist() for c in segment_sums(values, runs)] == [
         [1.0, 0.0, 5.0], [0.0, 3.0, 6.0], [2.0, 4.0, 7.0]]
-    assert Floats.segment_sums(values[:2], [False, True, True]) == [
-        0.0, 1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +161,8 @@ def window_draws(monkeypatch, protocol, params, n_trials, master_seed):
     seen = []
     real = state._visible_draws
 
-    def spy(rngs, counts, recoil_mean, tails, like):
-        out = real(rngs, counts, recoil_mean, tails, like)
+    def spy(rngs, counts, recoil_mean, tails):
+        out = real(rngs, counts, recoil_mean, tails)
         seen.append((np.array(counts).T, np.asarray(out[4])))
         return out
 

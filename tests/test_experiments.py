@@ -176,6 +176,17 @@ class TestRamanCalibration:
         with pytest.raises(ValueError):
             exp.raman_calibration(PARAMS, [], 10)
 
+    @pytest.mark.parametrize("trials", [1, 7, 100])
+    def test_batch_equals_per_trial_loop(self, trials):
+        # each M_t point runs its trials as one batch; the result must be
+        # the per-trial loop's to the last bit, M_t = 0 included
+        import scalar_reference
+        assert self.GRID[0] == 0.0
+        res = exp.raman_calibration(PARAMS, self.GRID, trials, master_seed=5)
+        ref = scalar_reference.raman_calibration(PARAMS, self.GRID, trials,
+                                                 master_seed=5)
+        assert repr(res) == repr(ref)
+
 
 class TestModelHelpers:
     def test_expected_r_matches_reference(self):

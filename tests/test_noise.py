@@ -54,8 +54,9 @@ class TestModelR:
         assert model_r(2.0, c) == 0.5
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            model_r(0.0, NoiseCoeffs())
+        for m_t in (0.0, math.nan):
+            with pytest.raises(ValueError, match="m_t must be positive"):
+                model_r(m_t, NoiseCoeffs())
 
 
 class TestFitR:
@@ -97,16 +98,16 @@ class TestFitR:
             fit_r([(1e3, 0.1), (1e4, 0.05), (1e5, 0.2)], n_boot=0)
 
     def test_package_import_skips_scipy_stats(self):
-        # scipy.stats costs most of the import time and fit_r needs only
-        # two special functions
+        # scipy costs most of the import time, and only fit_r needs it:
+        # nnls and two special functions, loaded when it runs
         src = str(Path(squeezesim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, squeezesim; "
-                "print('scipy.stats' in sys.modules)")
+        code = ("import sys, squeezesim; print([m in sys.modules for m in "
+                "('scipy.stats', 'scipy.optimize', 'scipy.special')])")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False, False]"
 
 
 class TestPopNoise:

@@ -230,10 +230,10 @@ def cmd_run(args) -> int:
     path = out / "records.csv"
     write_records(rs, path)
     (out / "records.config.ini").write_text(echo_config(cfg))
-    print(f"wrote {path} ({len(rs.trials)} trials, "
+    print(f"wrote {path} ({len(rs)} trials, "
           f"labels: {', '.join(rs.labels) or 'none'})")
     labels = rs.labels
-    if "Np" in labels and "Nf" in labels and len(rs.trials) > 1:
+    if "Np" in labels and "Nf" in labels and len(rs) > 1:
         r = spin_noise_reduction(rs, "Nf", "Np")
         print(f"spin noise reduction 1/R = {1.0 / r:.2f}")
     return 0
@@ -288,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("calibrate-raman",
                         help="transition probability calibration")
     _common(p)
-    _flag(p, "--mt-max", strength, type=float, default=1.2e5)
-    _flag(p, "--points", count, type=int, default=7)
+    _flag(p, "--mt-max", ("cli", "calibration_span"), type=float,
+          default=1.2e5)
+    _flag(p, "--points", ("cli", "calibration_points"), type=int, default=7)
     _flag(p, "--n-atoms", atoms, type=float, default=2.1e5)
     p.set_defaults(func=cmd_calibrate_raman)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as _noise
+from .defaults import check_value
 from .physics import TWO_PI, dressed_shift, scattered_ratio
 from .sequence import (
     Protocol,
@@ -460,13 +461,16 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     driven at the half-polarized reference flux: transitions for source
     state s scale as p * M_s(N/2) * N_s/(N/2), and atoms reaching |1> are
     treated as instantly recycled to up.  Linear fits of the mean reading
-    versus M_t give the two slopes.  Each M_t point runs its trials as one
+    versus M_t give the two slopes, so the grid needs two distinct M_t
+    values at least one photon apart.  Each M_t point runs its trials as one
     batch, trial i drawing from the generator of
     ``trial_seed(_sub_seed(master_seed, point), i)``.
     """
     grid = sorted(float(m) for m in m_t_grid)
-    if not grid:
-        raise ValueError("m_t_grid must be non-empty")
+    check_value("cli", "calibration_points", len(set(grid)),
+                "the number of distinct M_t values in m_t_grid")
+    check_value("cli", "calibration_span", grid[-1] - grid[0],
+                "the M_t span of m_t_grid")
     p = params.with_n(n_atoms)
     cav, tp = p.cavity, p.transitions
     n = p.ensemble.n_effective

@@ -6,11 +6,18 @@ for a record set with probe labels L1..Lk::
     trial, seed, L1, ..., Lk, omega_p_offset_hz,
     L1_freq_hz, ..., Lk_freq_hz, true_jz_1, ..., true_jz_m
 
-Floats are serialized with ``repr`` (shortest round-trip form), so
-``read_records(write_records(rs)) == rs`` bit-exactly.  The sidecar
-``<path>.meta.json`` carries the parameter snapshot, the master seed, a
-content hash of the canonical parameter text, and a timestamp (the only
-non-reproducible output field).
+Each file column is one column of the ``RecordSet``: ``seeds``, the
+``n_up`` and ``freq_hz`` column of each label, ``omega_p_offset_hz`` and
+the m columns of ``true_jz``.  Both functions work a column at a time and
+build no ``TrialRecord``.  Floats are serialized with ``repr`` (shortest
+round-trip form), so ``read_records(write_records(rs)) == rs`` bit-exactly.
+The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
+master seed, the trial count, a content hash of the canonical parameter
+text, and a timestamp (the only non-reproducible output field).
+``read_records`` raises ``RecordIOError``, naming the file and where it
+can the line and column, for a row count that differs from the sidecar's,
+a row whose length differs from the header's, a cell that is not a
+number, or a sidecar label with no column.
 """
 
 from __future__ import annotations
@@ -21,9 +28,13 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .sequence import LabeledOutcome, RecordSet, TrialRecord
+import numpy as np
+
+from .sequence import RecordSet
 
 SCHEMA_VERSION = 1
+# file line of the first data row: the schema comment, then the header
+_FIRST_ROW_LINE = 3
 
 
 class RecordIOError(ValueError):
@@ -39,36 +50,34 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _reprs(column: np.ndarray):
+    return map(repr, column.tolist())
 
 
 def write_records(rs: RecordSet, path) -> None:
     path = Path(path)
     labels = list(rs.labels)
-    n_windows = max((len(t.true_jz_trace) for t in rs.trials), default=0)
     header = (["trial", "seed"] + labels + ["omega_p_offset_hz"]
               + [f"{lb}_freq_hz" for lb in labels]
-              + [f"true_jz_{i + 1}" for i in range(n_windows)])
+              + [f"true_jz_{i + 1}" for i in range(rs.true_jz.shape[1])])
+    columns = ([map(str, range(len(rs))), map(str, rs.seeds.tolist())]
+               + [_reprs(rs.n_up[lb]) for lb in labels]
+               + [_reprs(rs.omega_p_offset_hz)]
+               + [_reprs(rs.freq_hz[lb]) for lb in labels]
+               + [_reprs(c) for c in rs.true_jz.T])
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema={SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(rs.trials):
-            row = [str(i), str(t.seed)]
-            row += [_fmt(t.outcomes[lb].n_up) for lb in labels]
-            row.append(_fmt(t.omega_p_offset_hz))
-            row += [_fmt(t.outcomes[lb].freq_hz) for lb in labels]
-            row += [_fmt(v) for v in t.true_jz_trace]
-            row += [""] * (n_windows - len(t.true_jz_trace))
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        # a number needs no quoting, so a row is its cells joined the way
+        # csv.writer joins them
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
     meta = {
         "schema": SCHEMA_VERSION,
         "master_seed": rs.master_seed,
-        "n_trials": len(rs.trials),
+        "n_trials": len(rs),
         "labels": labels,
         "params": rs.params,
         "content_hash": params_hash(rs.params),
@@ -77,6 +86,23 @@ def write_records(rs: RecordSet, path) -> None:
     with open(_sidecar(path), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _parse(path: Path, name: str, cells: tuple, dtype) -> np.ndarray:
+    """One column's cells as an array, or an error naming the first cell
+    that is not a number."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for k, cell in enumerate(cells):
+            try:
+                np.array(cell, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise RecordIOError(
+                    f"{path}, line {_FIRST_ROW_LINE + k}, column {name!r}: "
+                    f"{cell!r} is not a {np.dtype(dtype).name} value"
+                ) from None
+        raise
 
 
 def read_records(path) -> RecordSet:
@@ -102,29 +128,36 @@ def read_records(path) -> RecordSet:
         header = next(reader, None)
         if header is None:
             raise RecordIOError("missing CSV header row")
-        required = (["trial", "seed"] + labels + ["omega_p_offset_hz"]
-                    + [f"{lb}_freq_hz" for lb in labels])
-        col: dict[str, int] = {name: i for i, name in enumerate(header)}
-        for name in required:
-            if name not in col:
-                raise RecordIOError(f"missing column {name!r} in {path}")
-        trace_cols = [i for i, name in enumerate(header)
-                      if name.startswith("true_jz_")]
+        rows = list(reader)
 
-        trials: list[TrialRecord] = []
-        for row in reader:
-            outcomes = {
-                lb: LabeledOutcome(
-                    n_up=float(row[col[lb]]),
-                    freq_hz=float(row[col[f"{lb}_freq_hz"]]))
-                for lb in labels
-            }
-            trace = tuple(float(row[i]) for i in trace_cols
-                          if i < len(row) and row[i] != "")
-            trials.append(TrialRecord(
-                outcomes=outcomes, true_jz_trace=trace,
-                seed=int(row[col["seed"]]),
-                omega_p_offset_hz=float(row[col["omega_p_offset_hz"]])))
+    required = (["trial", "seed"] + labels + ["omega_p_offset_hz"]
+                + [f"{lb}_freq_hz" for lb in labels])
+    col: dict[str, int] = {name: i for i, name in enumerate(header)}
+    for name in required:
+        if name not in col:
+            raise RecordIOError(
+                f"{path}, line {_FIRST_ROW_LINE - 1}: missing column "
+                f"{name!r} (sidecar labels: {', '.join(labels) or 'none'})")
+    if len(rows) != meta["n_trials"]:
+        raise RecordIOError(f"{path}: {len(rows)} data rows, but the "
+                            f"sidecar says n_trials = {meta['n_trials']}")
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise RecordIOError(
+                f"{path}, line {_FIRST_ROW_LINE + k}: {len(row)} cells, but "
+                f"the header has {len(header)} columns")
+    cells = list(zip(*rows)) or [()] * len(header)
 
-    return RecordSet(trials=tuple(trials), params=meta["params"],
-                     master_seed=int(meta["master_seed"]))
+    def floats(name: str) -> np.ndarray:
+        return _parse(path, name, cells[col[name]], np.float64)
+
+    traces = [name for name in header if name.startswith("true_jz_")]
+    master_seed = meta["master_seed"]
+    return RecordSet.from_columns(
+        meta["params"], None if master_seed is None else int(master_seed),
+        seeds=_parse(path, "seed", cells[col["seed"]], np.uint64),
+        omega_p_offset_hz=floats("omega_p_offset_hz"),
+        n_up={lb: floats(lb) for lb in labels},
+        freq_hz={lb: floats(f"{lb}_freq_hz") for lb in labels},
+        true_jz=np.reshape([floats(name) for name in traces],
+                           (len(traces), len(rows))).T)

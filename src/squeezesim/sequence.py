@@ -25,6 +25,12 @@ arrays over its trials, each trial drawing from its own generator, so a
 record set is the same for any batch size.  ``workers`` and
 SQUEEZE_SIM_THREADS are validated but change nothing.
 
+A ``RecordSet`` holds a run's records as read-only columns: ``seeds``,
+``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
+label, and ``true_jz`` as trials x windows.  ``run_trial`` fills them
+straight from each window's outcome arrays and ``run_trials`` joins its
+batches once; ``RecordSet.trials`` gives ``TrialRecord`` values on demand.
+
 Trial i's seed is ``SeedSequence(master_seed, spawn_key=(i,))``'s first
 64-bit state word, and its generator is ``default_rng(seed)``.  Both are
 computed here with numpy's SeedSequence hash mix written out in uint32
@@ -38,6 +44,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -178,21 +185,145 @@ class TrialRecord:
                 and self.omega_p_offset_hz == other.omega_p_offset_hz)
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 class RecordSet:
-    trials: tuple[TrialRecord, ...]
-    params: dict
-    master_seed: int
+    """The records of a run, held as read-only columns over its trials.
+
+    ``seeds`` (uint64) and ``omega_p_offset_hz`` hold one value per trial;
+    ``n_up`` and ``freq_hz`` map each probe label, in protocol order, to one
+    float64 column; ``true_jz`` is trials x probe windows.  ``params`` is
+    the parameter snapshot and ``master_seed`` the seed the trial seeds
+    derive from (None for a batch run on seeds given directly).
+
+    ``RecordSet(trials, params, master_seed)`` builds the columns once from
+    a sequence of ``TrialRecord`` values, every trial with the same labels
+    and trace length; ``RecordSet.from_columns`` takes the columns as they
+    are.  ``trials`` is a tuple view of ``TrialRecord`` values, built on
+    first use and kept; ``len`` and ``column`` build nothing.  Two sets are
+    equal when their parameters, master seeds and every column are equal
+    under float ``==``.
+    """
+
+    def __init__(self, trials, params: dict, master_seed: int | None) -> None:
+        trials = tuple(trials)
+        labels = tuple(trials[0].outcomes) if trials else ()
+        if any(t.outcomes.keys() != set(labels) for t in trials):
+            raise ValueError("every trial of a record set needs the same "
+                             f"probe labels, the first has {labels}")
+        widths = sorted({len(t.true_jz_trace) for t in trials})
+        if len(widths) > 1:
+            raise ValueError(f"ragged true_jz traces: trials have {widths} "
+                             "windows; every trial needs the same number")
+        self._fill(
+            params, master_seed, seeds=[t.seed for t in trials],
+            omega_p_offset_hz=[t.omega_p_offset_hz for t in trials],
+            n_up={lb: [t.outcomes[lb].n_up for t in trials] for lb in labels},
+            freq_hz={lb: [t.outcomes[lb].freq_hz for t in trials]
+                     for lb in labels},
+            true_jz=np.array([t.true_jz_trace for t in trials],
+                             dtype=np.float64).reshape(
+                                 len(trials), widths[0] if widths else 0))
+
+    @classmethod
+    def from_columns(cls, params: dict, master_seed: int | None, *, seeds,
+                     omega_p_offset_hz, n_up: dict, freq_hz: dict,
+                     true_jz) -> RecordSet:
+        rs = cls.__new__(cls)
+        rs._fill(params, master_seed, seeds, omega_p_offset_hz, n_up,
+                 freq_hz, true_jz)
+        return rs
+
+    @classmethod
+    def concat(cls, parts: list[RecordSet],
+               master_seed: int | None) -> RecordSet:
+        """The trials of ``parts`` in order, with the first part's params."""
+        def cat(column):
+            return np.concatenate([column(p) for p in parts])
+
+        labels = parts[0].labels
+        return cls.from_columns(
+            parts[0].params, master_seed, seeds=cat(lambda p: p.seeds),
+            omega_p_offset_hz=cat(lambda p: p.omega_p_offset_hz),
+            n_up={lb: cat(lambda p: p.n_up[lb]) for lb in labels},
+            freq_hz={lb: cat(lambda p: p.freq_hz[lb]) for lb in labels},
+            true_jz=cat(lambda p: p.true_jz))
+
+    def _fill(self, params, master_seed, seeds, omega_p_offset_hz, n_up,
+              freq_hz, true_jz) -> None:
+        cols = {"seeds": _frozen(seeds, np.uint64),
+                "omega_p_offset_hz": _frozen(omega_p_offset_hz, np.float64),
+                "true_jz": _frozen(true_jz, np.float64),
+                "n_up": {lb: _frozen(v, np.float64) for lb, v in n_up.items()},
+                "freq_hz": {lb: _frozen(freq_hz[lb], np.float64)
+                            for lb in n_up}}
+        n = len(cols["seeds"])
+        if cols["true_jz"].ndim != 2 or any(len(c) != n for c in (
+                cols["omega_p_offset_hz"], cols["true_jz"],
+                *cols["n_up"].values(), *cols["freq_hz"].values())):
+            raise ValueError(f"every column needs one entry per trial of "
+                             f"{n}, and true_jz two dimensions")
+        # the instance dict is written directly: attributes are read-only
+        self.__dict__.update(cols, params=params, master_seed=master_seed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a RecordSet is read-only; cannot set {name!r}")
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordSet):
+            return NotImplemented
+        return (self.params == other.params
+                and self.master_seed == other.master_seed
+                and self.n_up.keys() == other.n_up.keys()
+                and np.array_equal(self.seeds, other.seeds)
+                and np.array_equal(self.omega_p_offset_hz,
+                                   other.omega_p_offset_hz)
+                and np.array_equal(self.true_jz, other.true_jz)
+                and all(np.array_equal(self.n_up[lb], other.n_up[lb])
+                        and np.array_equal(self.freq_hz[lb],
+                                           other.freq_hz[lb])
+                        for lb in self.n_up))
+
+    def __repr__(self) -> str:
+        return (f"RecordSet({len(self)} trials, labels {self.labels}, "
+                f"master_seed={self.master_seed!r})")
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.trials[0].outcomes.keys()) if self.trials else ()
+        return tuple(self.n_up)
 
     def column(self, label: str) -> np.ndarray:
+        """The read-only ``n_up`` column of probe ``label``."""
         try:
-            return np.array([t.outcomes[label].n_up for t in self.trials])
+            return self.n_up[label]
         except KeyError:
             raise KeyError(f"no probe label {label!r} in records") from None
+
+    @cached_property
+    def trials(self) -> tuple[TrialRecord, ...]:
+        """The records as ``TrialRecord`` values, built on first use."""
+        labels = self.labels
+        n_up = [self.n_up[lb].tolist() for lb in labels]
+        freq_hz = [self.freq_hz[lb].tolist() for lb in labels]
+        return tuple(
+            TrialRecord(
+                outcomes={lb: LabeledOutcome(n_up[k][i], freq_hz[k][i])
+                          for k, lb in enumerate(labels)},
+                true_jz_trace=tuple(trace), seed=seed,
+                omega_p_offset_hz=offset)
+            for i, (seed, offset, trace) in enumerate(zip(
+                self.seeds.tolist(), self.omega_p_offset_hz.tolist(),
+                self.true_jz.tolist())))
 
 
 def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
@@ -209,11 +340,12 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
     """Execute one seeded trial of a protocol, or a batch of them.
 
     ``seed`` is one seed, giving one ``TrialRecord``, or a list of seeds,
-    giving a list with one record per seed, run as one batch; ``first``
-    numbers the batch's first trial in error messages.  Each trial draws
-    from a generator seeded with its seed alone: the common probe-power
-    fluctuation shared by every window, then the per-step draws in
-    protocol order.  The state invariants are checked after every
+    giving a ``RecordSet`` (``master_seed`` None) with one trial per seed,
+    run as one batch and stored straight from the probe outcome arrays;
+    ``first`` numbers the batch's first trial in error messages.  Each
+    trial draws from a generator seeded with its seed alone: the common
+    probe-power fluctuation shared by every window, then the per-step
+    draws in protocol order.  The state invariants are checked after every
     rotation and probe window.
     """
     _validate_runnable(protocol, params)
@@ -227,7 +359,7 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
 
     state = polarized_state(ens.n_effective, ens, "down").tile(len(seeds))
     delta_p = np.zeros(len(seeds))
-    n_up, freq_hz, trace = [], [], []
+    n_up, freq_hz, true_jz = [], [], []
     noise_k = (params.rotation_angle_noise > 0) + (
         params.rotation_phase_noise > 0)
 
@@ -257,22 +389,21 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
                 params.coeffs, rngs, m_t=base * power,
                 detuning_offset=delta_p, knobs=params)
             state.validate(seeds, first)
-            n_up.append(outcome.n_up.tolist())
-            freq_hz.append((outcome.freq / TWO_PI).tolist())
-            trace.append(outcome.true_jz.tolist())
+            n_up.append(outcome.n_up)
+            freq_hz.append(outcome.freq / TWO_PI)
+            true_jz.append(outcome.true_jz)
         elif isinstance(step, Wait):
             pass  # no decoherence clock in scope
         else:  # pragma: no cover - exhaustive by construction
             raise ProtocolError(f"unhandled step {step!r}")
 
     labels = protocol.probe_labels
-    offsets = (delta_p / TWO_PI).tolist()
-    records = [TrialRecord(
-        outcomes={lb: LabeledOutcome(n_up=n_up[k][j], freq_hz=freq_hz[k][j])
-                  for k, lb in enumerate(labels)},
-        true_jz_trace=tuple(tr[j] for tr in trace), seed=s,
-        omega_p_offset_hz=offsets[j]) for j, s in enumerate(seeds)]
-    return records if isinstance(seed, list) else records[0]
+    batch = RecordSet.from_columns(
+        params.snapshot(), None, seeds=seeds,
+        omega_p_offset_hz=delta_p / TWO_PI, n_up=dict(zip(labels, n_up)),
+        freq_hz=dict(zip(labels, freq_hz)),
+        true_jz=np.reshape(true_jz, (len(labels), len(seeds))).T)
+    return batch if isinstance(seed, list) else batch.trials[0]
 
 
 def _hashes(init: int, mult: int):
@@ -392,18 +523,15 @@ def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
         raise ValueError("n_trials must be >= 1")
     _check_workers(workers)
     seeds = trial_seed(master_seed, np.arange(n_trials)).tolist()
-    trials: list[TrialRecord] = []
-    for first in range(0, n_trials, CHUNK_TRIALS):
-        trials += run_trial(protocol, params,
-                            seeds[first:first + CHUNK_TRIALS], first)
-    return RecordSet(trials=tuple(trials), params=params.snapshot(),
-                     master_seed=int(master_seed))
+    return RecordSet.concat(
+        [run_trial(protocol, params, seeds[first:first + CHUNK_TRIALS], first)
+         for first in range(0, n_trials, CHUNK_TRIALS)], int(master_seed))
 
 
 def spin_noise_reduction(rs: RecordSet, final_label: str,
                          pre_label: str) -> float:
     """Sample variance of (N_final - N_pre) over CSS projection noise N/4."""
-    if len(rs.trials) < 2:
+    if len(rs) < 2:
         raise ValueError("need at least 2 trials to estimate a variance")
     diff = rs.column(final_label) - rs.column(pre_label)
     n = rs.params["ensemble.n_effective"]

@@ -83,7 +83,10 @@ class EnsembleState:
         j = self.bloch_length()
         if j <= 0.0:
             return 0.0
-        return min(1.0, max(-1.0, self.jz_mean / j))
+        # the package's formulas return numpy floats, which warn where
+        # Python floats overflowed to inf silently
+        with np.errstate(over="ignore"):
+            return min(1.0, max(-1.0, self.jz_mean / j))
 
     def validate(self) -> None:
         if abs(self.pop_up + self.pop_down + self.pop_one

@@ -164,3 +164,23 @@ def test_bad_numeric_flag_names_the_flag(tmp_path, capsys, command, flag,
     assert f"error: {flag} " in err and value in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--points", "1"), ("--points", "0"), ("--mt-max", "1e-300"),
+    ("--mt-max", "0.5")])
+def test_degenerate_calibration_grid_names_the_flag(tmp_path, capfd, flag,
+                                                    value):
+    # one M_t point, or a span of under a photon, leaves no line to fit
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_dispatch(["calibrate-raman", flag, value, "--trials", "5",
+                           "--out", str(out)])
+    assert rc == 1
+    captured = capfd.readouterr()
+    assert f"error: {flag} must be" in captured.err and value in captured.err
+    assert "line fit" in captured.err
+    assert "DLASCL" not in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -1,5 +1,8 @@
+import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from squeezesim.noise import NoiseCoeffs
 from squeezesim.physics import TWO_PI, CavityParams, EnsembleParams
 from squeezesim.state import ProbeConfig, TransitionProbs
 from squeezesim.records import RecordIOError, read_records, write_records
-from squeezesim.sequence import SimParams, run_trials
+from squeezesim.sequence import RecordSet, SimParams, run_trials
 from squeezesim.experiments import standard_protocol
 
 
@@ -190,6 +193,36 @@ class TestConfigEcho:
         assert loads_config(echo_config(cfg)) == cfg
 
 
+EDGE_FLOATS = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.797e308, math.inf, -math.inf]
+
+
+def column_set(seeds, offsets, per_label, traces) -> RecordSet:
+    """A record set from its columns; ``per_label`` maps a label to its
+    (n_up, freq_hz) columns and ``traces`` holds one column per window."""
+    return RecordSet.from_columns(
+        SimParams().snapshot(), 2**64 + 3, seeds=seeds,
+        omega_p_offset_hz=offsets,
+        n_up={lb: cols[0] for lb, cols in per_label.items()},
+        freq_hz={lb: cols[1] for lb, cols in per_label.items()},
+        true_jz=np.reshape(traces, (len(traces), len(seeds))).T)
+
+
+def assert_same_bits(a: RecordSet, b: RecordSet) -> None:
+    def bits(column):
+        return column.view(np.uint64).tolist()
+
+    assert a.labels == b.labels
+    assert (a.params, a.master_seed) == (b.params, b.master_seed)
+    assert a.seeds.tolist() == b.seeds.tolist()
+    assert bits(a.omega_p_offset_hz) == bits(b.omega_p_offset_hz)
+    assert bits(a.true_jz) == bits(b.true_jz)
+    assert a.true_jz.shape == b.true_jz.shape
+    for lb in a.labels:
+        assert bits(a.n_up[lb]) == bits(b.n_up[lb])
+        assert bits(a.freq_hz[lb]) == bits(b.freq_hz[lb])
+
+
 class TestRecordIO:
     def make_records(self, n=20, seed=5):
         return run_trials(standard_protocol(), SimParams(), n, seed)
@@ -231,6 +264,93 @@ class TestRecordIO:
         cols = header.split(",")
         assert cols[:6] == ["trial", "seed", "Nd", "Np", "Nf",
                             "omega_p_offset_hz"]
+
+    def test_row_count_must_match_sidecar(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(5), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(RecordIOError,
+                           match=r"records\.csv: 4 data rows, .*n_trials = 5"):
+            read_records(path)
+
+    def test_short_row_named(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(5), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "\r\n"
+        path.write_text("".join(lines))
+        with pytest.raises(RecordIOError,
+                           match=r"records\.csv, line 4: 11 cells, .* 12"):
+            read_records(path)
+
+    def test_cell_not_a_number_named(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(5), path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[5].split(",")
+        cells[3] = "abc"  # the Np column
+        lines[5] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(RecordIOError, match=r"records\.csv, line 6, "
+                           r"column 'Np': 'abc' is not a float64 value"):
+            read_records(path)
+
+    def test_bad_seed_named(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].split(",")
+        cells[1] = "-1"  # the seed column
+        lines[2] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(RecordIOError, match=r"line 3, column 'seed': "
+                           r"'-1' is not a uint64 value"):
+            read_records(path)
+
+    def test_sidecar_label_without_column_named(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(3), path)
+        meta_path = tmp_path / "records.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["labels"].append("Nx")
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(RecordIOError,
+                           match=r"records\.csv, line 2: missing column 'Nx'"):
+            read_records(path)
+
+    def test_edge_values_roundtrip_bit_exact(self, tmp_path):
+        edges = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3,
+                 1.797e308, -1.797e308, math.inf, -math.inf, 0.1]
+        seeds = [0, 2**63 - 1, 2**63, 2**64 - 1, 1, 2, 3, 4, 5]
+        rs = column_set(seeds, edges, {"Np": (edges, edges[::-1])},
+                        [edges, edges[::-1]])
+        path = tmp_path / "edges.csv"
+        write_records(rs, path)
+        assert_same_bits(read_records(path), rs)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_column_sets_roundtrip_bit_exact(self, data):
+        n = data.draw(st.integers(0, 6))
+        labels = data.draw(st.lists(st.sampled_from(["Np", "Nf", "N,d"]),
+                                    unique=True, max_size=3))
+        windows = data.draw(st.integers(0, 3))
+        floats = st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                    st.floats(allow_nan=False)),
+                          min_size=n, max_size=n)
+        seeds = data.draw(st.lists(st.one_of(
+            st.sampled_from([0, 2**63, 2**64 - 1]),
+            st.integers(0, 2**64 - 1)), min_size=n, max_size=n))
+        rs = column_set(
+            seeds, data.draw(floats),
+            {lb: (data.draw(floats), data.draw(floats)) for lb in labels},
+            [data.draw(floats) for _ in range(windows)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(rs, path)
+            back = read_records(path)
+        assert_same_bits(back, rs)
 
     def test_large_set_roundtrip_under_budget(self, tmp_path):
         # informational local benchmark: 1e5 trials must round trip in < 5 s

@@ -18,6 +18,7 @@ from squeezesim.experiments import standard_protocol
 from squeezesim.physics import scattered_ratio
 from squeezesim.sequence import (
     CHUNK_TRIALS,
+    RecordSet,
     SimParams,
     parse_protocol,
     run_trial,
@@ -125,7 +126,10 @@ def test_run_trial_is_a_batch_of_one():
     seeds = [trial_seed(2, i) for i in range(3)]
     for seed, rec in zip(seeds, rs.trials):
         assert run_trial(VARIED, BASE, seed) == rec
-    assert run_trial(VARIED, BASE, seeds) == list(rs.trials)
+    batch = run_trial(VARIED, BASE, seeds)
+    assert batch.master_seed is None
+    assert batch.trials == rs.trials
+    assert RecordSet.concat([batch], master_seed=2) == rs
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,15 @@ class TestRamanCalibration:
         with pytest.raises(ValueError):
             exp.raman_calibration(PARAMS, [], 10)
 
+    @pytest.mark.parametrize("grid,message", [
+        ([5e4], "number of distinct M_t values"),
+        ([3e4, 3e4, 3e4], "number of distinct M_t values"),
+        ([0.0, 1e-300], "M_t span"),
+        ([1e5, 1e5 + 0.5], "M_t span")])
+    def test_degenerate_grid_rejected(self, grid, message):
+        with pytest.raises(ValueError, match=f"{message} .* line fit"):
+            exp.raman_calibration(PARAMS, grid, 10)
+
     @pytest.mark.parametrize("trials", [1, 7, 100])
     def test_batch_equals_per_trial_loop(self, trials):
         # each M_t point runs its trials as one batch; the result must be

@@ -1,10 +1,12 @@
 import math
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from squeezesim.records import read_records, write_records
 from squeezesim.sequence import (
     LabeledOutcome,
     MicrowavePulse,
@@ -19,6 +21,7 @@ from squeezesim.sequence import (
     run_trial,
     run_trials,
     spin_noise_reduction,
+    trial_seed,
 )
 from squeezesim.experiments import SQUEEZING_PROTOCOL_TEXT, standard_protocol
 
@@ -224,6 +227,74 @@ class TestSpinEcho:
 
     def test_light_shift_off_by_default(self):
         assert PARAMS.light_shift_per_photon == 0.0
+
+
+class TestColumnStorage:
+    def test_records_view_round_trips_to_the_same_columns(self):
+        rs = run_trials(standard_protocol(), PARAMS, 30, master_seed=8)
+        again = RecordSet(trials=rs.trials, params=rs.params,
+                          master_seed=rs.master_seed)
+        assert again == rs
+        assert RecordSet(rs.trials, rs.params, rs.master_seed) == rs
+        assert again.trials == rs.trials
+        for i in (0, 17, 29):
+            assert rs.trials[i] == run_trial(standard_protocol(), PARAMS,
+                                             trial_seed(8, i))
+
+    def test_columns_and_shapes(self):
+        rs = run_trials(standard_protocol(), PARAMS, 7, master_seed=8)
+        assert len(rs) == 7
+        assert rs.labels == ("Nd", "Np", "Nf")
+        assert rs.seeds.dtype == np.uint64
+        assert rs.true_jz.shape == (7, 3)
+        assert rs.seeds.tolist() == [trial_seed(8, i) for i in range(7)]
+        assert rs.column("Np") is rs.n_up["Np"]
+        assert rs.trials is rs.trials  # built once
+
+    def test_read_only(self):
+        rs = run_trials(standard_protocol(), PARAMS, 3, master_seed=8)
+        for column in (rs.seeds, rs.omega_p_offset_hz, rs.true_jz,
+                       rs.n_up["Np"], rs.freq_hz["Nf"]):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        with pytest.raises(AttributeError, match="read-only"):
+            rs.seeds = rs.seeds
+        assert pickle.loads(pickle.dumps(rs)) == rs
+
+    def test_ragged_traces_rejected(self):
+        outcomes = {"Np": LabeledOutcome(0.0, 0.0)}
+        trials = (TrialRecord(outcomes, (1.0,), seed=1),
+                  TrialRecord(outcomes, (1.0, 2.0), seed=2))
+        with pytest.raises(ValueError, match="ragged true_jz traces"):
+            RecordSet(trials, PARAMS.snapshot(), 0)
+
+    def test_mixed_labels_rejected(self):
+        trials = (TrialRecord({"Np": LabeledOutcome(0.0, 0.0)}, (), seed=1),
+                  TrialRecord({"Nf": LabeledOutcome(0.0, 0.0)}, (), seed=2))
+        with pytest.raises(ValueError, match="same probe labels"):
+            RecordSet(trials, PARAMS.snapshot(), 0)
+
+    def test_equality_is_float_equality(self):
+        def one(n_up: float, seed: int = 3) -> RecordSet:
+            rec = TrialRecord({"Np": LabeledOutcome(n_up, 1.0)}, (2.0,), seed)
+            return RecordSet((rec,), {"k": 1}, 0)
+
+        assert one(0.0) == one(-0.0)
+        assert one(math.nan) != one(math.nan)
+        assert one(1.0) != one(1.0, seed=4)
+        assert one(1.0) != one(1.0 + 2**-52)
+
+    def test_no_record_objects_built(self, tmp_path, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a record object was built")
+
+        monkeypatch.setattr(TrialRecord, "__init__", refuse)
+        monkeypatch.setattr(LabeledOutcome, "__init__", refuse)
+        rs = run_trials(standard_protocol(), PARAMS, 600, master_seed=8)
+        write_records(rs, tmp_path / "records.csv")
+        back = read_records(tmp_path / "records.csv")
+        assert back == rs
+        assert spin_noise_reduction(back, "Nf", "Np") > 0.0
 
 
 class TestDeterminism:

@@ -97,12 +97,11 @@ def oracles(k: int) -> dict[str, float]:
     cav, tp, ens, n = base.cavity, base.transitions, base.ensemble, 4.8e5
     coeffs = replace(base.coeffs, r_tf=0.0, r_q=0.0, r_c=0.0)
     probe = sq.ProbeConfig(ms_classical_frac=0.0, detuning_spread=0.0)
+    window = replace(base, probe=probe, coeffs=coeffs)
 
-    def diffs(state, probe, cav, tp, rng, trials):
-        a, state = sq.probe_measure(state, probe, cav, tp, coeffs,
-                                    [rng] * trials)
-        b, state = sq.probe_measure(state, probe, cav, tp, coeffs,
-                                    [rng] * trials)
+    def diffs(state, params, rng, trials):
+        a, state = sq.probe_measure(state, params, [rng] * trials)
+        b, state = sq.probe_measure(state, params, [rng] * trials)
         return np.var(b.n_up - a.n_up, ddof=1) / (n / 4.0)
 
     rng = np.random.default_rng(9 + k)
@@ -112,15 +111,15 @@ def oracles(k: int) -> dict[str, float]:
                 + noise.pop_noise_quantum(m_s, n, tp, al)
                 + noise.recoil_noise(m_s, 0.0, n, TWO_PI * 1.3, al.up)[0])
     out["two-window variance"] = diffs(
-        sq.prepare_css(n, ens).tile(ORACLE_TRIALS), probe, cav, tp, rng,
+        sq.prepare_css(n, ens).tile(ORACLE_TRIALS), window, rng,
         ORACLE_TRIALS) / expected
 
     m_s = 4.1e4
     lam = (tp.p_ud + tp.p_du + tp.p_u1) * m_s
     css = sq.prepare_css(n, ens)
     nets = sq.apply_raman_diffusion(
-        css.tile(ORACLE_TRIALS), m_s, tp,
-        [np.random.default_rng(2 + k)] * ORACLE_TRIALS, cav).pop_up - n / 2
+        css.tile(ORACLE_TRIALS), m_s, base,
+        [np.random.default_rng(2 + k)] * ORACLE_TRIALS).pop_up - n / 2
     out["Raman net change variance"] = np.var(nets, ddof=1) / lam
     out["Raman net mean offset / tolerance"] = (
         (np.mean(nets) - (tp.p_du - tp.p_ud - tp.p_u1) * m_s)
@@ -128,18 +127,18 @@ def oracles(k: int) -> dict[str, float]:
 
     trials = 20_000
     moved = sq.apply_raman_diffusion(
-        sq.polarized_state(2e5, ens, "down").tile(trials), 1e4, tp,
-        [np.random.default_rng(3 + k)] * trials, cav,
-        repump_to_up=True).pop_up
+        sq.polarized_state(2e5, ens, "down").tile(trials), 1e4, base,
+        [np.random.default_rng(3 + k)] * trials, repump_to_up=True).pop_up
     out["source weighting mean"] = np.mean(moved) / (
         (tp.p_du + tp.p_d1) * 1e4 * 2.0)
 
     rng, trials, r = np.random.default_rng(12 + k), 4000, []
-    ideal_cav = replace(cav, recoil_shift_per_photon=0.0)
+    ideal_window = replace(
+        window, cavity=replace(cav, recoil_shift_per_photon=0.0),
+        transitions=tp.zeroed())
     for m_t in (1e3, 1e4, 1e5):
         r.append(diffs(sq.prepare_css(n, ens).tile(trials),
-                       replace(probe, m_t=m_t), ideal_cav, tp.zeroed(), rng,
-                       trials))
+                       ideal_window.with_mt(m_t), rng, trials))
     out["ideal R(1e4) / R(1e3)"] = r[1] / r[0]
     out["ideal R(1e5) / R(1e4)"] = r[2] / r[1]
     return {name: float(v) for name, v in out.items()}

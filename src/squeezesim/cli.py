@@ -83,7 +83,7 @@ def _context(args) -> tuple[RunConfig, int, int, Path]:
 
 
 def _write_output(out_dir: Path, name: str, csv_text: str, cfg: RunConfig,
-                  seed: int, command: str, extra: dict | None = None) -> Path:
+                  seed: int, command: str, extra: dict) -> Path:
     path = out_dir / f"{name}.csv"
     path.write_text(csv_text)
     echo = echo_config(cfg)
@@ -93,8 +93,8 @@ def _write_output(out_dir: Path, name: str, csv_text: str, cfg: RunConfig,
         "master_seed": seed,
         "config_hash": params_hash({"config": echo}),
         "created": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    meta.update(extra or {})
     (out_dir / f"{name}.meta.json").write_text(
         json.dumps(meta, indent=1, sort_keys=True) + "\n")
     return path

@@ -44,8 +44,7 @@ class RunConfig:
             **{k[:-3]: TWO_PI * v for k, v in c.items() if k.endswith("_hz")},
             recoil_shift_per_photon=c["recoil_hz_per_photon"],
             c1_coupling=c["c1_coupling"])
-        ensemble = EnsembleParams.from_effective(
-            e["n_effective"], e["coupling_fraction"], e["initial_contrast"])
+        ensemble = EnsembleParams(**e)
         probe = ProbeConfig(
             m_t=pr["m_t"],
             detuning_spread=pr["detuning_spread_frac"] * cavity.kappa / 2.0,

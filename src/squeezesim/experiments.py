@@ -94,13 +94,14 @@ def expected_w_inverse(params: SimParams, m_t: float,
 
 
 def tune_mt_for_w_inverse(params: SimParams, target: float,
-                          m_lo: float = 1e3, m_hi: float = 3e5,
                           contrast_windows: int = 1) -> float:
     """Probe strength at which the model predicts 1/W = target.
 
     Searches the rising (photon-shot-noise limited) branch below the model
-    optimum; raises if the target exceeds the reachable maximum.
+    optimum, between 1e3 and 3e5 photons; raises if the target exceeds the
+    reachable maximum.
     """
+    m_lo, m_hi = 1e3, 3e5
     grid = np.logspace(math.log10(m_lo), math.log10(m_hi), 200)
     w = np.array([expected_w_inverse(params, m, contrast_windows)
                   for m in grid])
@@ -135,8 +136,8 @@ class FringeResult:
                                                 self.mean_n_up))
 
 
-def fit_fringe(theta: np.ndarray, n_up: np.ndarray,
-               weights: np.ndarray | None = None) -> tuple[float, float, float]:
+def fit_fringe(theta: np.ndarray,
+               n_up: np.ndarray) -> tuple[float, float, float]:
     """Least-squares fit of offset + amplitude * cos(theta - phase).
 
     Returns (offset, amplitude, amplitude standard error); linear in the
@@ -144,12 +145,7 @@ def fit_fringe(theta: np.ndarray, n_up: np.ndarray,
     """
     design = np.column_stack([np.ones_like(theta), np.cos(theta),
                               np.sin(theta)])
-    if weights is not None:
-        sw = np.sqrt(weights)
-        coef, res, rank, _ = np.linalg.lstsq(design * sw[:, None],
-                                             n_up * sw, rcond=None)
-    else:
-        coef, res, rank, _ = np.linalg.lstsq(design, n_up, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, n_up, rcond=None)
     if rank < 3:
         raise ValueError("degenerate fringe fit: need >= 3 distinct phases")
     amp = math.hypot(coef[1], coef[2])
@@ -472,14 +468,14 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     check_value("cli", "calibration_span", grid[-1] - grid[0],
                 "the M_t span of m_t_grid")
     p = params.with_n(n_atoms)
-    cav, tp = p.cavity, p.transitions
+    cav = p.cavity
     n = p.ensemble.n_effective
     flux_ref = scattered_ratio(n / 2.0, cav)  # photons scattered per M_t
     eps = TWO_PI * cav.recoil_shift_per_photon
 
     def drive(state, m_t: float, rngs):
         m_s_ref = m_t * flux_ref
-        new = apply_raman_diffusion(state, m_s_ref, tp, rngs, cav,
+        new = apply_raman_diffusion(state, m_s_ref, p, rngs,
                                     repump_to_up=True)
         recoil_photons = m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0)
         new.freq_offset -= eps * np.array(

@@ -147,20 +147,19 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
 # population (Raman) back-action
 
 
-def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas,
-                      beta: float = BETA_TIME_AVERAGE) -> float:
+def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:
     """Spin-noise term from quantum fluctuations of the transition counts.
 
-    Each channel contributes a Poisson variance p * beta * m_s weighted by
-    the squared frequency jump of one transition, converted to atom units
-    through alpha_up.
+    Each channel contributes a Poisson variance p * beta * m_s (beta is
+    ``BETA_TIME_AVERAGE``) weighted by the squared frequency jump of one
+    transition, converted to atom units through alpha_up.
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
     au, ad, a1 = alphas.up, alphas.down, alphas.one
     bracket = (tp.p_ud * (ad - au) ** 2 + tp.p_u1 * (a1 - au) ** 2
                + tp.p_du * (au - ad) ** 2 + tp.p_d1 * (a1 - ad) ** 2)
-    return beta * m_s / (n / 4.0) * bracket / (au * au)
+    return BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket / (au * au)
 
 
 def pop_noise_classical(m_s: float, frac: float, n: float, tp,
@@ -183,26 +182,25 @@ def pop_noise_classical(m_s: float, frac: float, n: float, tp,
 
 
 def recoil_noise(m_s: float, frac: float, n: float, eps: float,
-                 alpha_up: float,
-                 beta: float = BETA_TIME_AVERAGE) -> tuple[float, float]:
+                 alpha_up: float) -> tuple[float, float]:
     """Quantum and classical spin-noise terms from recoil heating.
 
     Every free-space scattered photon shifts the dressed frequency by
-    ``eps``; Poisson photon-number fluctuations give the quantum term and
-    the common fractional power fluctuation ``frac`` the classical one.
+    ``eps``; Poisson photon-number fluctuations, time-averaged by
+    ``BETA_TIME_AVERAGE``, give the quantum term and the common fractional
+    power fluctuation ``frac`` the classical one.
     ``eps`` and ``alpha_up`` must share units (only their ratio enters).
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
     per_photon_atoms = eps / alpha_up
-    quantum = beta * m_s * per_photon_atoms ** 2 / (n / 4.0)
+    quantum = BETA_TIME_AVERAGE * m_s * per_photon_atoms ** 2 / (n / 4.0)
     classical = (frac * m_s * per_photon_atoms) ** 2 / (n / 4.0)
     return quantum, classical
 
 
 def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
-                           p_clock: float = 2.0 / 3.0,
-                           beta: float = BETA_TIME_AVERAGE) -> float:
+                           p_clock: float = 2.0 / 3.0) -> float:
     """Diffusion-limited R for a legacy clock-state probe.
 
     In a clock-state system the per-scattered-photon transition probability
@@ -210,12 +208,14 @@ def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
     diffusion variance enters the differenced record independently:
 
         R = 2 * beta * (M_s / (N/4)) * p * [(a_d-a_u)^2 + (a_u-a_d)^2] / a_u^2
+
+    with beta = ``BETA_TIME_AVERAGE``.
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
     au, ad = alphas.up, alphas.down
     bracket = p_clock * 2.0 * (au - ad) ** 2 / (au * au)
-    return 2.0 * beta * m_s / (n / 4.0) * bracket
+    return 2.0 * BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +223,19 @@ def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
 
 
 def opto_ringing_trace(delta_p: float, t_grid, cav: CavityParams,
-                       amp: float, tau0: float = 10e-6,
-                       asym: float = 0.5) -> np.ndarray:
+                       amp: float, tau0: float = 10e-6) -> np.ndarray:
     """Damped dressed-frequency oscillation following probe turn-on.
 
-    A * exp(-t/tau) * cos(omega_ax t) with a damping time that lengthens
-    when the probe sits above the dressed resonance (delta_p > 0,
-    anti-damping) and shortens below it.  ``amp`` in the caller's frequency
-    units, ``tau0`` the on-resonance decay time.
+    A * exp(-t/tau) * cos(omega_ax t) with a damping time
+    tau = tau0 (1 + delta_p / kappa), which lengthens when the probe sits
+    above the dressed resonance (delta_p > 0, anti-damping) and shortens
+    below it.  ``amp`` in the caller's frequency units, ``tau0`` the
+    on-resonance decay time.
     """
     if tau0 <= 0:
         raise ValueError("tau0 must be positive")
     t = np.asarray(t_grid, dtype=float)
-    tau = tau0 * (1.0 + asym * math.copysign(1.0, delta_p) * abs(delta_p)
-                  / (cav.kappa / 2.0))
+    tau = tau0 * (1.0 + delta_p / cav.kappa)
     tau = max(tau, 1e-3 * tau0)
     return amp * np.exp(-t / tau) * np.cos(cav.omega_ax * t)
 

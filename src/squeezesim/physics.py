@@ -68,33 +68,20 @@ class EnsembleParams:
     """Atom-number bookkeeping for the trapped ensemble.
 
     ``n_effective`` is the uniformly-coupled equivalent atom number N that
-    reproduces the observed projection noise; ``n_loaded`` is the raw
-    trapped number N0.  They are tied by ``coupling_fraction`` (which makes
-    ``n_loaded`` positive).
+    reproduces the observed projection noise; the raw trapped number N0,
+    ``n_loaded``, follows from it through ``coupling_fraction``.
     """
 
     n_effective: float = _ENS["n_effective"]
-    n_loaded: float = _ENS["n_effective"] / _ENS["coupling_fraction"]
     coupling_fraction: float = _ENS["coupling_fraction"]
     initial_contrast: float = _ENS["initial_contrast"]
 
     def __post_init__(self) -> None:
         check_fields(self, "ensemble")
-        if not math.isclose(self.n_effective,
-                            self.coupling_fraction * self.n_loaded,
-                            rel_tol=1e-6):
-            raise ValueError(f"ensemble.n_loaded must equal n_effective / "
-                             f"coupling_fraction (got {self.n_loaded!r})")
 
-    @classmethod
-    def from_effective(cls, n_effective: float,
-                       coupling_fraction: float = _ENS["coupling_fraction"],
-                       initial_contrast: float = _ENS["initial_contrast"]
-                       ) -> "EnsembleParams":
-        return cls(n_effective=n_effective,
-                   n_loaded=n_effective / coupling_fraction,
-                   coupling_fraction=coupling_fraction,
-                   initial_contrast=initial_contrast)
+    @property
+    def n_loaded(self) -> float:
+        return self.n_effective / self.coupling_fraction
 
 
 def dressed_shift(n_up: float, cav: CavityParams) -> float:

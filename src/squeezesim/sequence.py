@@ -13,7 +13,8 @@ A protocol is an ordered list of steps in a small line-based language::
 
 Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``,
 ``probe <label> [mt=<float>]``, ``prealign``, ``wait <seconds>``.  Lines
-starting with ``#`` are comments.  Probe labels must be unique.
+starting with ``#`` are comments.  Probe labels must be unique, every
+number finite and a wait non-negative.
 
 Trials are pure functions of (protocol, params, seed); trial seeds derive
 deterministically from a master seed.  Reproducibility contract: trial i
@@ -115,8 +116,24 @@ class Protocol:
         return tuple(s.label for s in self.steps if isinstance(s, ProbeStep))
 
 
+# step keyword -> the step's form: its words after the keyword are the
+# step's arguments, a bracketed one optional
+_FORMS = {"pump": "pump <up|down>", "pulse": "pulse <deg> <phase_deg>",
+          "probe": "probe <label> [mt=<float>]", "prealign": "prealign",
+          "wait": "wait <seconds>"}
+
+
+def _number(text: str, name: str) -> float:
+    """``text`` as a float; ValueError unless it is a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite (got {text!r})")
+    return value
+
+
 def parse_protocol(text: str) -> Protocol:
-    """Parse protocol text; raises :class:`ProtocolError` with line numbers."""
+    """Parse protocol text; raises :class:`ProtocolError` with line numbers,
+    stating the expected form of a step given the wrong arguments."""
     steps: list[Step] = []
     seen_labels: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,38 +143,38 @@ def parse_protocol(text: str) -> Protocol:
         tokens = line.split()
         kind, args = tokens[0].lower(), tokens[1:]
         try:
+            if kind not in _FORMS:
+                raise ValueError(f"unknown step keyword {kind!r}")
+            form = _FORMS[kind]
+            most = len(form.split()) - 1
+            if not most - form.count("[") <= len(args) <= most or (
+                    kind == "probe" and args[1:]
+                    and not args[1].startswith("mt=")):
+                raise ValueError(f"expected: {form}")
             if kind == "pump":
-                (target,) = args
-                if target not in ("up", "down"):
-                    raise ValueError(f"unknown pump target {target!r}")
-                steps.append(OpticalPump(target))
+                if args[0] not in ("up", "down"):
+                    raise ValueError(f"unknown pump target {args[0]!r}")
+                steps.append(OpticalPump(args[0]))
             elif kind == "pulse":
-                deg, phase_deg = args
-                steps.append(MicrowavePulse(math.radians(float(deg)),
-                                            math.radians(float(phase_deg))))
+                deg, phase_deg = (_number(a, name) for a, name in
+                                  zip(args, ("pulse angle", "pulse phase")))
+                steps.append(MicrowavePulse(math.radians(deg),
+                                            math.radians(phase_deg)))
             elif kind == "probe":
-                if len(args) == 1:
-                    label, m_t = args[0], None
-                elif len(args) == 2 and args[1].startswith("mt="):
-                    label, m_t = args[0], float(args[1][3:])
-                else:
-                    raise ValueError("expected: probe <label> [mt=<float>]")
+                label = args[0]
+                m_t = _number(args[1][3:], "mt") if args[1:] else None
                 if label in seen_labels:
                     raise ValueError(f"duplicate probe label {label!r}")
                 seen_labels.add(label)
                 steps.append(ProbeStep(label, m_t))
             elif kind == "prealign":
-                if args:
-                    raise ValueError("prealign takes no arguments")
                 steps.append(Prealign())
-            elif kind == "wait":
-                (dur,) = args
-                steps.append(Wait(float(dur)))
-            else:
-                raise ValueError(f"unknown step keyword {kind!r}")
-        except ProtocolError:
-            raise
-        except Exception as exc:
+            else:  # wait
+                duration = _number(args[0], "wait")
+                if duration < 0:
+                    raise ValueError(f"wait must be >= 0 (got {args[0]!r})")
+                steps.append(Wait(duration))
+        except ValueError as exc:
             raise ProtocolError(f"line {lineno}: {exc}") from exc
     return Protocol(tuple(steps))
 
@@ -384,10 +401,9 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
             state.validate(seeds, first)
         elif isinstance(step, ProbeStep):
             base = step.m_t if step.m_t is not None else probe.m_t
-            outcome, state = probe_measure(
-                state, probe, params.cavity, params.transitions,
-                params.coeffs, rngs, m_t=base * power,
-                detuning_offset=delta_p, knobs=params)
+            outcome, state = probe_measure(state, params, rngs,
+                                           m_t=base * power,
+                                           detuning_offset=delta_p)
             state.validate(seeds, first)
             n_up.append(outcome.n_up)
             freq_hz.append(outcome.freq / TWO_PI)
@@ -509,10 +525,12 @@ def _check_workers(workers: int | None) -> None:
     cap = os.environ.get(THREAD_ENV_VAR)
     if cap:
         try:
-            int(cap)
+            valid = int(cap) >= 1
         except ValueError:
+            valid = False
+        if not valid:
             raise ValueError(f"{THREAD_ENV_VAR} must be an integer worker "
-                             f"count, got {cap!r}") from None
+                             f"count >= 1, got {cap!r}")
 
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,

@@ -118,10 +118,8 @@ class SimParams:
         check_fields(self, "noise")  # the knobs; the parts check themselves
 
     def with_n(self, n_effective: float) -> "SimParams":
-        ens = EnsembleParams.from_effective(
-            n_effective, self.ensemble.coupling_fraction,
-            self.ensemble.initial_contrast)
-        return replace(self, ensemble=ens)
+        return replace(self, ensemble=replace(self.ensemble,
+                                              n_effective=n_effective))
 
     def with_mt(self, m_t: float) -> "SimParams":
         return replace(self, probe=replace(self.probe, m_t=m_t))
@@ -447,22 +445,20 @@ def _apply_counts(state: EnsembleState, counts: list,
 
 
 def apply_raman_diffusion(state: EnsembleState, m_s: float,
-                          tp: TransitionProbs, rng: np.random.Generator,
-                          cav: CavityParams,
+                          params: SimParams, rngs: list[np.random.Generator],
                           repump_to_up: bool = False) -> EnsembleState:
     """Apply one window's worth of Raman population diffusion.
 
     ``m_s`` is the mean scattered photon number at the half-polarized
-    reference configuration.  With ``repump_to_up`` the |1> state is
-    treated as instantly recycled to up (the calibration-experiment
-    regime).  ``rng`` is a list of one generator per trial, or one
-    generator for a batch of one.
+    reference configuration, and ``rngs`` holds one generator per trial.
+    With ``repump_to_up`` the |1> state is treated as instantly recycled to
+    up (the calibration-experiment regime).
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
+    cav = params.cavity
     new = state.copy()
-    counts = _sample_counts(new, m_s, tp, rng if isinstance(rng, list)
-                            else [rng])
+    counts = _sample_counts(new, m_s, params.transitions, rngs)
     au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
     ad = alpha_per_atom("down", 0.0, cav)
     _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
@@ -479,28 +475,22 @@ def _injection_coeff(coeffs: _noise.NoiseCoeffs, frac: float,
     return _noise.classical_injection_coeff(coeffs, frac, cav, tp)
 
 
-def probe_measure(state: EnsembleState, probe: ProbeConfig,
-                  cav: CavityParams, tp: TransitionProbs,
-                  coeffs: _noise.NoiseCoeffs,
-                  rng: np.random.Generator, m_t: float | None = None,
-                  detuning_offset: float = 0.0,
-                  knobs: SimParams = SimParams()
+def probe_measure(state: EnsembleState, params: SimParams,
+                  rngs: list[np.random.Generator], m_t: float | None = None,
+                  detuning_offset: float = 0.0
                   ) -> tuple[MeasurementOutcome, EnsembleState]:
     """One probe window: measurement, back-action, conditional update.
 
-    ``m_t`` is the window's realized probe strength (``probe.m_t`` when
-    omitted) and ``detuning_offset`` the trial's probe-cavity detuning left
-    after pre-alignment, rad/s.  Only the sequence-level knobs of ``knobs``
-    are read here: the lineshape penalty, the excess contrast decay and the
-    static light shift.  ``rng`` is a list of one generator per trial, or
-    one generator for a batch of one, and ``m_t`` and ``detuning_offset``
-    may hold one value per trial.
+    ``rngs`` holds one generator per trial.  ``m_t`` is the window's
+    realized probe strength (``params.probe.m_t`` when omitted) and
+    ``detuning_offset`` the trial's probe-cavity detuning left after
+    pre-alignment, rad/s; either may hold one value per trial.
     """
+    cav, tp, coeffs = params.cavity, params.transitions, params.coeffs
     if m_t is None:
-        m_t = probe.m_t
+        m_t = params.probe.m_t
     if np.any(m_t <= 0):
         raise ValueError("probe window needs m_t > 0; drop the step instead")
-    rngs = rng if isinstance(rng, list) else [rng]
     new = state.copy()
     n = new.n_total
 
@@ -521,11 +511,12 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
 
     # technical noises of the reading
     read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
-    if knobs.lineshape_penalty:
+    if params.lineshape_penalty:
         read_sig = read_sig * np.sqrt(
-            1.0 + knobs.lineshape_penalty
+            1.0 + params.lineshape_penalty
             * ew.square(detuning_offset / (cav.kappa / 2.0)))
-    r_c_inj = _injection_coeff(coeffs, probe.ms_classical_frac, cav, tp)
+    r_c_inj = _injection_coeff(coeffs, params.probe.ms_classical_frac,
+                              cav, tp)
     class_sig = _noise.injected_classical_freq(
         m_t, n, r_c_inj, coeffs, cav)
     floor_sig = _noise.floor_noise_atoms(coeffs) * au
@@ -567,9 +558,9 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     # persistent back-action
     _apply_counts(new, counts, (au, ad, a1), repump_to_up=False)
     new.freq_offset += -eps * n_phot
-    new.contrast *= ew.exp(-(1.0 + knobs.contrast_excess) * m_s / n)
-    if knobs.light_shift_per_photon:
-        new.echo_phase += knobs.light_shift_per_photon * m_t
+    new.contrast *= ew.exp(-(1.0 + params.contrast_excess) * m_s / n)
+    if params.light_shift_per_photon:
+        new.echo_phase += params.light_shift_per_photon * m_t
 
     # anti-squeezing keeps the uncertainty product legal
     bound = new.contrast * n / 4.0

@@ -171,15 +171,11 @@ class TestCriterion8Properties:
                     s = sq.rotate(s, float(rng.uniform(-math.pi, math.pi)),
                                   float(rng.uniform(0, 2 * math.pi)))
                 elif kind == 1:
-                    probe = replace(PARAMS.probe,
-                                    m_t=float(rng.uniform(1e3, 1e5)))
-                    _, s = sq.probe_measure(s, probe, PARAMS.cavity,
-                                            PARAMS.transitions,
-                                            PARAMS.coeffs, rng)
+                    params = PARAMS.with_mt(float(rng.uniform(1e3, 1e5)))
+                    _, s = sq.probe_measure(s, params, [rng])
                 else:
                     s = sq.apply_raman_diffusion(
-                        s, float(rng.uniform(0, 1e5)), PARAMS.transitions,
-                        rng, PARAMS.cavity)
+                        s, float(rng.uniform(0, 1e5)), PARAMS, [rng])
                 total = s.pop_up + s.pop_down + s.pop_one
                 assert total == pytest.approx(n, abs=1e-6 * n)
                 assert sq.heisenberg_check(s)

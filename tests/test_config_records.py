@@ -21,7 +21,8 @@ from squeezesim.noise import NoiseCoeffs
 from squeezesim.physics import TWO_PI, CavityParams, EnsembleParams
 from squeezesim.state import ProbeConfig, TransitionProbs
 from squeezesim.records import RecordIOError, read_records, write_records
-from squeezesim.sequence import RecordSet, SimParams, run_trials
+from squeezesim.sequence import (RecordSet, SimParams, parse_protocol,
+                                 run_trials)
 from squeezesim.experiments import standard_protocol
 
 
@@ -131,7 +132,7 @@ _DIRECT_CONSTRUCTIONS = [
     ("cavity.recoil_shift_per_photon",
      lambda: CavityParams(recoil_shift_per_photon=math.inf)),
     ("probe.m_t", lambda: ProbeConfig(m_t=math.nan)),
-    ("ensemble.n_effective", lambda: EnsembleParams.from_effective(math.inf)),
+    ("ensemble.n_effective", lambda: EnsembleParams(n_effective=math.inf)),
     ("noise.laser_linewidth_rinv",
      lambda: NoiseCoeffs(laser_linewidth_rinv=-1)),
     ("noise.contrast_excess", lambda: SimParams(contrast_excess=-1)),
@@ -164,11 +165,6 @@ class TestRangeRules:
         with pytest.raises(ValueError, match=re.escape(name + " ")):
             build()
 
-    @pytest.mark.parametrize("n_loaded", [math.nan, math.inf, 0.0, -7.2e5])
-    def test_loaded_count_tied_to_effective(self, n_loaded):
-        with pytest.raises(ValueError, match="ensemble.n_loaded "):
-            EnsembleParams(n_loaded=n_loaded)
-
 
 class TestConfigEcho:
     def test_fixed_point(self):
@@ -195,6 +191,66 @@ class TestConfigEcho:
 
 EDGE_FLOATS = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.797e308, math.inf, -math.inf]
+
+
+# a records file and its sidecar as written before ensemble.n_loaded left
+# the parameter snapshot: three trials of "prealign / pump down / pulse 90 0
+# / probe Np / probe Nf" at default parameters, master seed 5
+OLD_RECORDS_CSV = ("# schema=1\n" + "".join(line + "\r\n" for line in (
+    "trial,seed,Np,Nf,omega_p_offset_hz,Np_freq_hz,Nf_freq_hz,true_jz_1,"
+    "true_jz_2",
+    "0,15658875773272509128,239482.37322196414,239058.864258578,"
+    "-213841.96338863115,140521794.25388342,140345818.78751752,"
+    "-477.10061901742404,-634.3617313805197",
+    "1,6924645418555453511,239629.5232080746,239370.15491084626,"
+    "239753.13739822007,140582907.5447426,140475178.1007372,"
+    "-207.0466011570557,-473.0390394512862",
+    "2,1725439304048894018,240547.12764437924,240421.55778787332,"
+    "110454.57267703598,140963650.84281024,140911583.44927537,"
+    "680.0868120269304,457.47238186299853"))).encode()
+OLD_RECORDS_META = {
+    "content_hash": "1a6d7c3ba46209bb03bf6298d409150349132a946dfa86ef"
+                    "25187099b1fde91d",
+    "created": "2026-10-18T14:56:25.693949+00:00",
+    "labels": ["Np", "Nf"],
+    "master_seed": 5,
+    "n_trials": 3,
+    "params": {
+        "cavity.c1_coupling": 0.6666666666666666,
+        "cavity.delta": 1256637061.4359171,
+        "cavity.g": 2808583.832309275,
+        "cavity.gamma": 38138934.81458009,
+        "cavity.kappa": 74141586.62471911,
+        "cavity.kappa0": 31541590.242041524,
+        "cavity.omega_ax": 942477.7960769379,
+        "cavity.omega_hf": 42939288389.26529,
+        "cavity.recoil_shift_per_photon": 1.3,
+        "coeffs.laser_linewidth_rinv": 520.0,
+        "coeffs.m_reference": 41000.0,
+        "coeffs.n_reference": 480000.0,
+        "coeffs.r_c": 8.878865636126328e-12,
+        "coeffs.r_psn": 1281.25,
+        "coeffs.r_q": 0.0,
+        "coeffs.r_tf": 0.0136986301369863,
+        "contrast_excess": 0.0,
+        "ensemble.coupling_fraction": 0.663,
+        "ensemble.initial_contrast": 0.97,
+        "ensemble.n_effective": 480000.0,
+        "ensemble.n_loaded": 723981.9004524887,
+        "light_shift_per_photon": 0.0,
+        "lineshape_penalty": 1.0,
+        "probe.detuning_spread": 1668185.69905618,
+        "probe.m_t": 41000.0,
+        "probe.ms_classical_frac": 0.04,
+        "rotation_angle_noise": 0.0,
+        "rotation_phase_noise": 0.0,
+        "transitions.p_d1": 0.00036,
+        "transitions.p_du": 0.00073,
+        "transitions.p_u1": 0.0039,
+        "transitions.p_ud": 0.0008,
+    },
+    "schema": 1,
+}
 
 
 def column_set(seeds, offsets, per_label, traces) -> RecordSet:
@@ -318,6 +374,36 @@ class TestRecordIO:
         with pytest.raises(RecordIOError,
                            match=r"records\.csv, line 2: missing column 'Nx'"):
             read_records(path)
+
+    def test_file_listing_loaded_count_reads_and_roundtrips(self, tmp_path):
+        # written before n_loaded became a derived property: its sidecar
+        # params list ensemble.n_loaded, which a snapshot no longer does
+        path = tmp_path / "records.csv"
+        path.write_bytes(OLD_RECORDS_CSV)
+        (tmp_path / "records.csv.meta.json").write_text(
+            json.dumps(OLD_RECORDS_META))
+        rs = read_records(path)
+        assert rs.params == OLD_RECORDS_META["params"]
+
+        again = tmp_path / "again.csv"
+        write_records(rs, again)
+        assert again.read_bytes() == OLD_RECORDS_CSV
+        meta = json.loads((tmp_path / "again.csv.meta.json").read_text())
+        assert {**meta, "created": None} == {**OLD_RECORDS_META,
+                                             "created": None}
+        assert_same_bits(read_records(again), rs)
+
+        # the records themselves are the ones this engine writes today
+        now = run_trials(parse_protocol(
+            "prealign\npump down\npulse 90 0\nprobe Np\nprobe Nf\n"),
+            SimParams(), 3, 5)
+        old_params = dict(rs.params)
+        assert old_params.pop("ensemble.n_loaded") == 723981.9004524887
+        assert now.params == old_params
+        assert_same_bits(RecordSet.from_columns(
+            rs.params, rs.master_seed, seeds=now.seeds,
+            omega_p_offset_hz=now.omega_p_offset_hz, n_up=now.n_up,
+            freq_hz=now.freq_hz, true_jz=now.true_jz), rs)
 
     def test_edge_values_roundtrip_bit_exact(self, tmp_path):
         edges = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3,

@@ -195,9 +195,7 @@ def test_exact_read_passes_the_heisenberg_check():
     # against the floored Jz variance, which the check uses too
     params = replace(BASE, coeffs=replace(BASE.coeffs, r_psn=0.0))
     state = healthy_state()
-    _, after = probe_measure(state, params.probe, params.cavity,
-                             params.transitions, params.coeffs,
-                             np.random.default_rng(1), knobs=params)
+    _, after = probe_measure(state, params, [np.random.default_rng(1)])
     assert after.jz_var == 0.0
     after.validate()
     assert heisenberg_check(after)
@@ -241,9 +239,7 @@ def test_single_trial_calls_equal_scalar_engine():
                 m_t, offset = float(ops.uniform(1e3, 1e5)), float(
                     ops.normal(0.0, 1e6))
                 out, new = batched_probe(
-                    new, params.probe, params.cavity, params.transitions,
-                    params.coeffs, rng_new, m_t=m_t, detuning_offset=offset,
-                    knobs=params)
+                    new, params, [rng_new], m_t=m_t, detuning_offset=offset)
                 out_ref, ref = scalar_reference.probe_measure(
                     ref, params.probe, params.cavity, params.transitions,
                     params.coeffs, rng_ref, m_t=m_t, detuning_offset=offset,
@@ -252,8 +248,7 @@ def test_single_trial_calls_equal_scalar_engine():
                     astuple(out_ref))
             else:
                 m_s = float(ops.uniform(0.0, 1e5))
-                new = apply_raman_diffusion(new, m_s, params.transitions,
-                                            rng_new, params.cavity)
+                new = apply_raman_diffusion(new, m_s, params, [rng_new])
                 ref = scalar_reference.apply_raman_diffusion(
                     ref, m_s, params.transitions, rng_ref, params.cavity)
             assert all(v.shape == (1,) for v in astuple(new))

@@ -145,15 +145,12 @@ class TestParamValidation:
             CavityParams(g=0.0)
 
     def test_ensemble_consistency(self):
-        with pytest.raises(ValueError):
-            EnsembleParams(n_effective=1e5, n_loaded=1e5,
-                           coupling_fraction=0.663)
-        ens = EnsembleParams.from_effective(1e5)
+        ens = EnsembleParams(n_effective=1e5)
         assert ens.n_loaded == pytest.approx(1e5 / 0.663)
 
     def test_contrast_range(self):
         with pytest.raises(ValueError):
-            EnsembleParams.from_effective(1e5, initial_contrast=1.5)
+            EnsembleParams(n_effective=1e5, initial_contrast=1.5)
 
 
 def test_purity_bit_identical():

@@ -63,6 +63,24 @@ class TestParser:
         p = parse_protocol("probe A mt=123.5")
         assert p.steps[0] == ProbeStep("A", 123.5)
 
+    @pytest.mark.parametrize("text,message", [
+        ("probe Np mt=nan", "mt must be finite (got 'nan')"),
+        ("probe Np mt=inf", "mt must be finite (got 'inf')"),
+        ("pulse 90 inf", "pulse phase must be finite (got 'inf')"),
+        ("pulse nan 0", "pulse angle must be finite (got 'nan')"),
+        ("wait -1", "wait must be >= 0 (got '-1')"),
+        ("wait nan", "wait must be finite (got 'nan')"),
+        ("pulse 90 0 extra", "expected: pulse <deg> <phase_deg>"),
+        ("pump", "expected: pump <up|down>"),
+        ("probe A B C", "expected: probe <label> [mt=<float>]"),
+        ("prealign now", "expected: prealign"),
+        ("wait", "expected: wait <seconds>"),
+    ])
+    def test_bad_step_named_at_parse(self, text, message):
+        with pytest.raises(ProtocolError) as err:
+            parse_protocol(f"pump down\n{text}\nprobe Z")
+        assert str(err.value) == f"line 2: {message}"
+
     def test_manual_duplicate_rejected(self):
         with pytest.raises(ProtocolError):
             Protocol((ProbeStep("A"), ProbeStep("A")))
@@ -130,9 +148,11 @@ class TestRunTrials:
         assert capped == plain
 
     def test_env_var_garbage_named(self, monkeypatch):
-        monkeypatch.setenv("SQUEEZE_SIM_THREADS", "abc")
-        with pytest.raises(ValueError, match="SQUEEZE_SIM_THREADS"):
-            run_trials(standard_protocol(), PARAMS, 2, master_seed=9)
+        # the variable obeys the rule of ``workers``: an integer >= 1
+        for value in ("abc", "0", "-3"):
+            monkeypatch.setenv("SQUEEZE_SIM_THREADS", value)
+            with pytest.raises(ValueError, match="SQUEEZE_SIM_THREADS"):
+                run_trials(standard_protocol(), PARAMS, 2, master_seed=9)
 
     def test_params_snapshot_holds_knobs_once(self):
         params = replace(PARAMS, contrast_excess=1.9, lineshape_penalty=3.0)

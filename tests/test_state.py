@@ -10,6 +10,7 @@ from squeezesim.physics import CavityParams, EnsembleParams, scattered_ratio
 from squeezesim.state import (
     EnsembleState,
     ProbeConfig,
+    SimParams,
     TransitionProbs,
     apply_raman_diffusion,
     heisenberg_check,
@@ -35,12 +36,16 @@ IDEAL_CAV = replace(CAV, recoil_shift_per_photon=0.0)
 IDEAL_PROBE = ProbeConfig(ms_classical_frac=0.0, detuning_spread=0.0)
 
 
+def sim(probe=ProbeConfig(), cav=CAV, tp=TP, coeffs=COEFFS) -> SimParams:
+    """Default run parameters with these parts."""
+    return SimParams(cavity=cav, probe=probe, transitions=tp, coeffs=coeffs)
+
+
 def test_realized_mt_argument_matches_probe_config():
     s = prepare_css(4.8e5, ENS)
-    a = probe_measure(s, ProbeConfig(m_t=2e4), CAV, TP, COEFFS,
-                      np.random.default_rng(3))
-    b = probe_measure(s, ProbeConfig(), CAV, TP, COEFFS,
-                      np.random.default_rng(3), m_t=2e4)
+    a = probe_measure(s, sim(ProbeConfig(m_t=2e4)),
+                      [np.random.default_rng(3)])
+    b = probe_measure(s, sim(), [np.random.default_rng(3)], m_t=2e4)
     assert a == b
 
 
@@ -121,7 +126,7 @@ def replace_state(s: EnsembleState, **kw) -> EnsembleState:
 
 class TestHeisenberg:
     def test_fresh_css_at_unit_contrast(self):
-        ens = EnsembleParams.from_effective(1e5, initial_contrast=1.0)
+        ens = EnsembleParams(n_effective=1e5, initial_contrast=1.0)
         s = prepare_css(1e5, ens)
         assert heisenberg_check(s)
         # equality: product exactly N/4 * N/4
@@ -132,7 +137,7 @@ class TestHeisenberg:
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            _, s = probe_measure(s, ProbeConfig(), CAV, TP, COEFFS, rng)
+            _, s = probe_measure(s, sim(), [rng])
             assert heisenberg_check(s)
 
     def test_violation_detected(self):
@@ -145,7 +150,7 @@ class TestRamanDiffusion:
     def test_zero_probabilities_identity(self):
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(1)
-        s2 = apply_raman_diffusion(s, 4.1e4, TP.zeroed(), rng, CAV)
+        s2 = apply_raman_diffusion(s, 4.1e4, sim(tp=TP.zeroed()), [rng])
         assert s2.pop_up == s.pop_up and s2.pop_one == s.pop_one
         assert s2.jz_mean == s.jz_mean
 
@@ -156,8 +161,8 @@ class TestRamanDiffusion:
         rng = np.random.default_rng(2)
         s = prepare_css(4.8e5, ENS)
         trials = 100_000
-        s2 = apply_raman_diffusion(s.tile(trials), m_s, TP, [rng] * trials,
-                                   CAV)
+        s2 = apply_raman_diffusion(s.tile(trials), m_s, sim(),
+                                   [rng] * trials)
         nets = s2.pop_up - s.pop_up
         assert np.var(nets, ddof=1) == pytest.approx(lam, rel=0.05)
         mean_net = (TP.p_du - TP.p_ud - TP.p_u1) * m_s
@@ -168,8 +173,8 @@ class TestRamanDiffusion:
         s = polarized_state(2e5, ENS, "down")
         rng = np.random.default_rng(3)
         trials = 20_000
-        moved = apply_raman_diffusion(s.tile(trials), 1e4, TP,
-                                      [rng] * trials, CAV,
+        moved = apply_raman_diffusion(s.tile(trials), 1e4, sim(),
+                                      [rng] * trials,
                                       repump_to_up=True).pop_up
         lam = (TP.p_du + TP.p_d1) * 1e4 * 2.0
         assert np.mean(moved) == pytest.approx(lam, rel=0.05)
@@ -178,7 +183,7 @@ class TestRamanDiffusion:
         s = prepare_css(1e5, ENS)
         rng = np.random.default_rng(4)
         for _ in range(100):
-            s = apply_raman_diffusion(s, 4.1e4, TP, rng, CAV)
+            s = apply_raman_diffusion(s, 4.1e4, sim(), [rng])
             total = s.pop_up + s.pop_down + s.pop_one
             assert total == pytest.approx(1e5, abs=1e-6 * 1e5)
 
@@ -189,8 +194,8 @@ class TestProbeMeasure:
         # the r_psn/(2 M_t) share of the differenced variance: 1/R of 32
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(5)
-        _, s2 = probe_measure(s, IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                              ideal_coeffs(), rng)
+        _, s2 = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
+                                     ideal_coeffs()), [rng])
         r_contrib = 2.0 * s2.jz_var / (4.8e5 / 4.0)
         assert 1.0 / r_contrib == pytest.approx(32.0, rel=0.05)
 
@@ -198,8 +203,8 @@ class TestProbeMeasure:
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(6)
         weak = replace(IDEAL_PROBE, m_t=1e-9)
-        _, s2 = probe_measure(s, weak, IDEAL_CAV, TP.zeroed(),
-                              ideal_coeffs(), rng)
+        _, s2 = probe_measure(s, sim(weak, IDEAL_CAV, TP.zeroed(),
+                                     ideal_coeffs()), [rng])
         assert s2.jz_var == pytest.approx(s.jz_var, rel=1e-6)
         assert s2.jz_mean == pytest.approx(s.jz_mean, abs=1e-3)
 
@@ -207,14 +212,13 @@ class TestProbeMeasure:
         s = prepare_css(1e5, ENS)
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            probe_measure(s, replace(IDEAL_PROBE, m_t=0.0), CAV, TP,
-                          COEFFS, rng)
+            probe_measure(s, sim(replace(IDEAL_PROBE, m_t=0.0)), [rng])
 
     def test_kalman_update_matches_formulas(self):
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(8)
-        out, s2 = probe_measure(s, IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                                ideal_coeffs(), rng)
+        out, s2 = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
+                                       ideal_coeffs()), [rng])
         from squeezesim.noise import read_noise_freq
         from squeezesim.physics import alpha_per_atom, dressed_shift
         n_up_true = 4.8e5 / 2.0 + out.true_jz
@@ -240,8 +244,8 @@ class TestProbeMeasure:
         rng = np.random.default_rng(9)
         trials = 100_000
         s = prepare_css(n, ENS).tile(trials)
-        out_p, s = probe_measure(s, probe, CAV, TP, coeffs, [rng] * trials)
-        out_f, s = probe_measure(s, probe, CAV, TP, coeffs, [rng] * trials)
+        out_p, s = probe_measure(s, sim(probe, coeffs=coeffs), [rng] * trials)
+        out_f, s = probe_measure(s, sim(probe, coeffs=coeffs), [rng] * trials)
         diffs = out_f.n_up - out_p.n_up
         r_mc = np.var(diffs, ddof=1) / (n / 4.0)
         al = alphas_for_ensemble(n, CAV)
@@ -259,15 +263,15 @@ class TestProbeMeasure:
         rng = np.random.default_rng(10)
         m_s = IDEAL_PROBE.m_t * scattered_ratio(n / 2.0, CAV)
         for k in range(1, 4):
-            _, s = probe_measure(s, IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                                 ideal_coeffs(), rng)
+            _, s = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
+                                        ideal_coeffs()), [rng])
             assert s.contrast == pytest.approx(
                 ENS.initial_contrast * math.exp(-k * m_s / n), rel=1e-9)
 
     def test_antisqueezing_inflates_jy(self):
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(11)
-        _, s2 = probe_measure(s, ProbeConfig(), CAV, TP, COEFFS, rng)
+        _, s2 = probe_measure(s, sim(), [rng])
         assert s2.jy_var > s.jy_var
         assert heisenberg_check(s2)
 
@@ -280,10 +284,9 @@ class TestProbeMeasure:
             probe = replace(IDEAL_PROBE, m_t=m_t)
             trials = 4000
             s = prepare_css(n, ENS).tile(trials)
-            a, s = probe_measure(s, probe, IDEAL_CAV, TP.zeroed(),
-                                 ideal_coeffs(), [rng] * trials)
-            b, s = probe_measure(s, probe, IDEAL_CAV, TP.zeroed(),
-                                 ideal_coeffs(), [rng] * trials)
+            ideal = sim(probe, IDEAL_CAV, TP.zeroed(), ideal_coeffs())
+            a, s = probe_measure(s, ideal, [rng] * trials)
+            b, s = probe_measure(s, ideal, [rng] * trials)
             diffs = b.n_up - a.n_up
             r_values.append(np.var(diffs, ddof=1) / (n / 4.0))
         assert r_values[0] > r_values[1] > r_values[2]
@@ -292,8 +295,8 @@ class TestProbeMeasure:
         # pumped ensembles carry no lab-frame projection noise
         s = polarized_state(2.1e5, ENS, "down")
         rng = np.random.default_rng(13)
-        out, _ = probe_measure(s, IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                               ideal_coeffs(r_psn=1e-12), rng)
+        out, _ = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
+                                      ideal_coeffs(r_psn=1e-12)), [rng])
         assert out.true_jz == s.jz_mean
         assert out.n_up == pytest.approx(0.0, abs=1e-3)
 
@@ -343,10 +346,9 @@ def test_invariants_under_random_sequences(ops, seed):
         if op[0] == "rotate":
             s = rotate(s, op[1], op[2])
         elif op[0] == "probe":
-            probe = ProbeConfig(m_t=op[1])
-            _, s = probe_measure(s, probe, CAV, TP, COEFFS, rng)
+            _, s = probe_measure(s, sim(ProbeConfig(m_t=op[1])), [rng])
         else:
-            s = apply_raman_diffusion(s, op[1], TP, rng, CAV)
+            s = apply_raman_diffusion(s, op[1], sim(), [rng])
         total = s.pop_up + s.pop_down + s.pop_one
         assert total == pytest.approx(4.8e5, abs=1e-6 * 4.8e5)
         assert heisenberg_check(s)

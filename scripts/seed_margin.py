@@ -10,28 +10,38 @@ Reruns, at their test sizes and over K master seeds, criterion 4
 r_c against their calibration values), and the Monte Carlo oracles of
 ``tests/test_budget_additivity.py`` and ``tests/test_state.py`` (each
 simulated variance or mean over its analytic value; the ideal probe's R
-at successive M_t over the one before).  It prints each measured value's
+at successive M_t over the one before), and the moment comparisons of
+``tests/test_engine.py`` and ``tests/test_draws.py`` (the largest
+difference, in standard errors, between the engine's and the scalar
+engine's column means and variances over every case; a seed outside the
+band is a false alarm of those tests).  It prints each measured value's
 minimum, median and maximum next to its tolerance band, the least
 distance of any seed's value to an edge of the band (negative outside),
 and how many seeds land inside the band.  For criteria 4 to 6 seed k is
 20260810 + 2k, so k = 0 repeats the acceptance tests exactly; the
 phase-detection CSS arm uses seed + 1, as the tests do.  The r_q fit's
 sweep uses seed 77 + k (k = 0 is the test) with the test's bootstrap
-seed 5, and each oracle its test's seed + k.  Per seed, on one core: c4
-about 6 s, c5 about 3 s, c6 about 25 s, rq about 2 s, oracles about
-30 s; ``--only`` picks some of them:
+seed 5, each oracle its test's seed + k, and each moment comparison its
+test's engine seed + 2k.  Per seed, on one core: c4 about 6 s, c5 about
+3 s, c6 about 25 s, rq about 2 s, oracles about 30 s, moments about 7 s;
+``--only`` picks some of them, and ``--rq-trials`` sets the r_q fit's
+trials per point (800, the test's size, by default):
 
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8
     PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only rq
+    PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only rq \\
+        --rq-trials 3200
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8 --only oracles
 """
 
 import argparse
 import math
 import statistics
+import sys
 import time
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +75,8 @@ BANDS = {
         "source weighting mean": (0.95, 1.05),
         "ideal R(1e4) / R(1e3)": (-math.inf, 1.0),
         "ideal R(1e5) / R(1e4)": (-math.inf, 1.0)},
+    # the upper edge is test_engine.K_SE
+    "moments": {"moments largest z, every case": (0.0, 5.0)},
 }
 ORACLE_TRIALS = 100_000
 
@@ -99,9 +111,9 @@ def oracles(k: int) -> dict[str, float]:
     probe = sq.ProbeConfig(ms_classical_frac=0.0, detuning_spread=0.0)
     window = replace(base, probe=probe, coeffs=coeffs)
 
-    def diffs(state, params, rng, trials):
-        a, state = sq.probe_measure(state, params, [rng] * trials)
-        b, state = sq.probe_measure(state, params, [rng] * trials)
+    def diffs(state, params, rng):
+        a, state = sq.probe_measure(state, params, rng)
+        b, state = sq.probe_measure(state, params, rng)
         return np.var(b.n_up - a.n_up, ddof=1) / (n / 4.0)
 
     rng = np.random.default_rng(9 + k)
@@ -111,15 +123,14 @@ def oracles(k: int) -> dict[str, float]:
                 + noise.pop_noise_quantum(m_s, n, tp, al)
                 + noise.recoil_noise(m_s, 0.0, n, TWO_PI * 1.3, al.up)[0])
     out["two-window variance"] = diffs(
-        sq.prepare_css(n, ens).tile(ORACLE_TRIALS), window, rng,
-        ORACLE_TRIALS) / expected
+        sq.prepare_css(n, ens).tile(ORACLE_TRIALS), window, rng) / expected
 
     m_s = 4.1e4
     lam = (tp.p_ud + tp.p_du + tp.p_u1) * m_s
     css = sq.prepare_css(n, ens)
     nets = sq.apply_raman_diffusion(
         css.tile(ORACLE_TRIALS), m_s, base,
-        [np.random.default_rng(2 + k)] * ORACLE_TRIALS).pop_up - n / 2
+        np.random.default_rng(2 + k)).pop_up - n / 2
     out["Raman net change variance"] = np.var(nets, ddof=1) / lam
     out["Raman net mean offset / tolerance"] = (
         (np.mean(nets) - (tp.p_du - tp.p_ud - tp.p_u1) * m_s)
@@ -128,7 +139,7 @@ def oracles(k: int) -> dict[str, float]:
     trials = 20_000
     moved = sq.apply_raman_diffusion(
         sq.polarized_state(2e5, ens, "down").tile(trials), 1e4, base,
-        [np.random.default_rng(3 + k)] * trials, repump_to_up=True).pop_up
+        np.random.default_rng(3 + k), repump_to_up=True).pop_up
     out["source weighting mean"] = np.mean(moved) / (
         (tp.p_du + tp.p_d1) * 1e4 * 2.0)
 
@@ -138,19 +149,36 @@ def oracles(k: int) -> dict[str, float]:
         transitions=tp.zeroed())
     for m_t in (1e3, 1e4, 1e5):
         r.append(diffs(sq.prepare_css(n, ens).tile(trials),
-                       ideal_window.with_mt(m_t), rng, trials))
+                       ideal_window.with_mt(m_t), rng))
     out["ideal R(1e4) / R(1e3)"] = r[1] / r[0]
     out["ideal R(1e5) / R(1e4)"] = r[2] / r[1]
     return {name: float(v) for name, v in out.items()}
 
 
-def measure(group: str, k: int) -> dict[str, float]:
+def moments(k: int) -> dict[str, float]:
+    """The largest moment z-score of the test_engine cases (engine seed
+    11 + 2k) and of test_draws' draw-path protocol (21 + 2k)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from test_draws import DRAW_PATHS
+    from test_engine import CASES, moment_z_scores
+
+    runs = [(protocol, params, 11 + 2 * k)
+            for protocol, params, _ in CASES.values()]
+    runs.append((DRAW_PATHS, replace(sq.SimParams(), contrast_excess=1.9),
+                 21 + 2 * k))
+    return {"moments largest z, every case": max(
+        max(moment_z_scores(*run).values()) for run in runs)}
+
+
+def measure(group: str, k: int, rq_trials: int) -> dict[str, float]:
     params = sq.SimParams()
     calibrated = replace(params,
                          contrast_excess=sq.CALIBRATED_CONTRAST_EXCESS)
     seed = BASE_SEED + 2 * k
     if group == "oracles":
         return oracles(k)
+    if group == "moments":
+        return moments(k)
     if group == "c4":
         sweep = exp.squeezing_sweep(calibrated, np.logspace(3.0, 5.0, 15),
                                     trials_per_point=2000, master_seed=seed)
@@ -174,7 +202,8 @@ def measure(group: str, k: int) -> dict[str, float]:
         return {"c6 phase-variance slope": res.slope_squeezed,
                 "c6 SQL slope": res.slope_sql}
     sweep = exp.squeezing_sweep(calibrated, np.logspace(3, 5, 12),
-                                trials_per_point=800, master_seed=77 + k)
+                                trials_per_point=rq_trials,
+                                master_seed=77 + k)
     fit = sq.fit_r([(row.m_t, row.r) for row in sweep.rows], n_boot=400,
                    rng=5)
     return {"rq lower bound of r_q": fit.intervals["r_q"][0],
@@ -191,9 +220,14 @@ def main() -> None:
     ap.add_argument("--only", default=",".join(BANDS), metavar="GROUPS",
                     help="comma-separated groups to run, of "
                          f"{', '.join(BANDS)} (default all)")
+    ap.add_argument("--rq-trials", type=int, default=800, metavar="T",
+                    help="trials per M_t point of the r_q fit's sweep "
+                         "(default 800, the test's size)")
     args = ap.parse_args()
     if args.seeds < 1:
         ap.error("--seeds must be >= 1")
+    if args.rq_trials < 2:
+        ap.error("--rq-trials must be >= 2")
     groups = args.only.split(",")
     unknown = [g for g in groups if g not in BANDS]
     if unknown:
@@ -205,7 +239,7 @@ def main() -> None:
     for k in range(args.seeds):
         t0 = time.perf_counter()
         for group in groups:
-            for name, value in measure(group, k).items():
+            for name, value in measure(group, k, args.rq_trials).items():
                 values[name].append(value)
         print(f"seed k = {k}: {time.perf_counter() - t0:.1f} s", flush=True)
 

@@ -20,7 +20,6 @@ from .sequence import (
     parse_protocol,
     run_trials,
     spin_noise_reduction,
-    trial_generators,
     trial_seed,
 )
 from .state import apply_raman_diffusion, polarized_state, rotate
@@ -170,7 +169,7 @@ def contrast_fringe(params: SimParams, m_t: float, theta_grid,
     for i, th in enumerate(theta):
         lines = ["prealign", "pump down", "pulse 90 0"]
         if m_t > 0:
-            lines.append(f"probe Np mt={m_t!r}")
+            lines.append(f"probe Np mt={float(m_t)!r}")
         lines.append(f"pulse 90 {math.degrees(th)!r}")
         lines.append("probe Nf")
         proto = parse_protocol("\n".join(lines))
@@ -437,13 +436,13 @@ class CalibrationResult:
             self.m_t_grid, self.mean_freq_down_hz, self.mean_freq_up_hz))
 
 
-def _calibration_reading(state, params: SimParams, rngs) -> np.ndarray:
+def _calibration_reading(state, params: SimParams, rng) -> np.ndarray:
     """Dressed-frequency readout of (nearly) polarized ensembles, rad/s."""
     read_sig = _noise.read_noise_freq(params.probe.m_t, params.coeffs,
                                       params.cavity)
     return (dressed_shift(np.maximum(state.pop_up, 0.0), params.cavity)
             + state.freq_offset
-            + read_sig * np.array([g.standard_normal() for g in rngs]))
+            + read_sig * rng.standard_normal(state.pop_up.size))
 
 
 def raman_calibration(params: SimParams, m_t_grid, trials: int,
@@ -459,8 +458,8 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     treated as instantly recycled to up.  Linear fits of the mean reading
     versus M_t give the two slopes, so the grid needs two distinct M_t
     values at least one photon apart.  Each M_t point runs its trials as one
-    batch, trial i drawing from the generator of
-    ``trial_seed(_sub_seed(master_seed, point), i)``.
+    batch, drawing from one generator,
+    ``default_rng(_sub_seed(master_seed, point))``.
     """
     grid = sorted(float(m) for m in m_t_grid)
     check_value("cli", "calibration_points", len(set(grid)),
@@ -473,34 +472,25 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     flux_ref = scattered_ratio(n / 2.0, cav)  # photons scattered per M_t
     eps = TWO_PI * cav.recoil_shift_per_photon
 
-    def drive(state, m_t: float, rngs):
+    def drive(state, m_t: float, rng):
         m_s_ref = m_t * flux_ref
-        new = apply_raman_diffusion(state, m_s_ref, p, rngs,
+        new = apply_raman_diffusion(state, m_s_ref, p, rng,
                                     repump_to_up=True)
-        recoil_photons = m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0)
-        new.freq_offset -= eps * np.array(
-            [g.poisson(lam) if lam > 0 else 0
-             for g, lam in zip(rngs, recoil_photons.tolist())])
+        new.freq_offset -= eps * rng.poisson(
+            m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0))
         return new
 
-    def mean_hz(readings: np.ndarray) -> float:
-        # added one after another in trial order: a pairwise sum would
-        # change the last bits
-        return float(np.add.accumulate(readings)[-1]) / trials / TWO_PI
+    def mean_hz(state, rng) -> float:
+        return float(np.mean(_calibration_reading(state, p, rng))) / TWO_PI
 
     means_down, means_up = [], []
     for i, m_t in enumerate(grid):
-        seeds = trial_seed(_sub_seed(master_seed, i), np.arange(trials))
-        rngs = trial_generators(seeds.tolist())
+        rng = np.random.default_rng(_sub_seed(master_seed, i))
         pumped = polarized_state(n, p.ensemble, "down").tile(trials)
-        s = drive(pumped, m_t, rngs) if m_t > 0 else pumped
-        means_down.append(mean_hz(_calibration_reading(s, p, rngs)))
-
-        s = rotate(pumped, math.pi, 0.0)
-        if m_t > 0:
-            s = drive(s, m_t, rngs)
-        s = rotate(s, math.pi, 0.0)
-        means_up.append(mean_hz(_calibration_reading(s, p, rngs)))
+        means_down.append(mean_hz(drive(pumped, m_t, rng), rng))
+        swapped = rotate(drive(rotate(pumped, math.pi, 0.0), m_t, rng),
+                         math.pi, 0.0)
+        means_up.append(mean_hz(swapped, rng))
 
     slope_down = float(np.polyfit(grid, means_down, 1)[0])
     slope_up = float(np.polyfit(grid, means_up, 1)[0])

@@ -1,14 +1,16 @@
 """Lossless trial-record persistence: CSV rows plus a JSON metadata sidecar.
 
-The CSV starts with a ``# schema=1`` comment, then a header row.  Columns
+The CSV starts with a ``# schema=2`` comment, then a header row.  Columns
 for a record set with probe labels L1..Lk::
 
-    trial, seed, L1, ..., Lk, omega_p_offset_hz,
+    trial, L1, ..., Lk, omega_p_offset_hz,
     L1_freq_hz, ..., Lk_freq_hz, true_jz_1, ..., true_jz_m
 
-Each file column is one column of the ``RecordSet``: ``seeds``, the
-``n_up`` and ``freq_hz`` column of each label, ``omega_p_offset_hz`` and
-the m columns of ``true_jz``.  Both functions work a column at a time and
+``trial`` is the trial's index in the run; with the sidecar's master seed
+it names the trial, whose chunk is ``trial // CHUNK_TRIALS``.  Every other
+file column is one column of the ``RecordSet``: the ``n_up`` and
+``freq_hz`` column of each label, ``omega_p_offset_hz`` and the m columns
+of ``true_jz``.  Both functions work a column at a time and
 build no ``TrialRecord``.  Floats are serialized with ``repr`` (shortest
 round-trip form), so ``read_records(write_records(rs)) == rs`` bit-exactly.
 The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
@@ -17,7 +19,9 @@ text, and a timestamp (the only non-reproducible output field).
 ``read_records`` raises ``RecordIOError``, naming the file and where it
 can the line and column, for a row count that differs from the sidecar's,
 a row whose length differs from the header's, a cell that is not a
-number, or a sidecar label with no column.
+number, or a sidecar label with no column.  It rejects a schema-1 file,
+written when every trial drew from a seed of its own, the file's
+``seed`` column.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .sequence import RecordSet
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # file line of the first data row: the schema comment, then the header
 _FIRST_ROW_LINE = 3
 
@@ -57,10 +61,10 @@ def _reprs(column: np.ndarray):
 def write_records(rs: RecordSet, path) -> None:
     path = Path(path)
     labels = list(rs.labels)
-    header = (["trial", "seed"] + labels + ["omega_p_offset_hz"]
+    header = (["trial"] + labels + ["omega_p_offset_hz"]
               + [f"{lb}_freq_hz" for lb in labels]
               + [f"true_jz_{i + 1}" for i in range(rs.true_jz.shape[1])])
-    columns = ([map(str, range(len(rs))), map(str, rs.seeds.tolist())]
+    columns = ([map(str, range(len(rs)))]
                + [_reprs(rs.n_up[lb]) for lb in labels]
                + [_reprs(rs.omega_p_offset_hz)]
                + [_reprs(rs.freq_hz[lb]) for lb in labels]
@@ -88,20 +92,19 @@ def write_records(rs: RecordSet, path) -> None:
         fh.write("\n")
 
 
-def _parse(path: Path, name: str, cells: tuple, dtype) -> np.ndarray:
-    """One column's cells as an array, or an error naming the first cell
-    that is not a number."""
+def _parse(path: Path, name: str, cells: tuple) -> np.ndarray:
+    """One column's cells as a float64 array, or an error naming the first
+    cell that is not a number."""
     try:
-        return np.array(cells, dtype=dtype)
+        return np.array(cells, dtype=np.float64)
     except (ValueError, OverflowError):
         for k, cell in enumerate(cells):
             try:
-                np.array(cell, dtype=dtype)
+                np.array(cell, dtype=np.float64)
             except (ValueError, OverflowError):
                 raise RecordIOError(
                     f"{path}, line {_FIRST_ROW_LINE + k}, column {name!r}: "
-                    f"{cell!r} is not a {np.dtype(dtype).name} value"
-                ) from None
+                    f"{cell!r} is not a float64 value") from None
         raise
 
 
@@ -114,6 +117,11 @@ def read_records(path) -> RecordSet:
         raise RecordIOError(f"missing metadata sidecar {meta_path}")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if meta.get("schema") == 1:
+        raise RecordIOError(
+            f"{path}: schema 1 records were written under the per-trial "
+            f"seed contract, which no longer holds; rerun the command to "
+            f"write schema {SCHEMA_VERSION}")
     if meta.get("schema") != SCHEMA_VERSION:
         raise RecordIOError(f"unsupported schema {meta.get('schema')!r}")
     labels = meta["labels"]
@@ -130,7 +138,7 @@ def read_records(path) -> RecordSet:
             raise RecordIOError("missing CSV header row")
         rows = list(reader)
 
-    required = (["trial", "seed"] + labels + ["omega_p_offset_hz"]
+    required = (["trial"] + labels + ["omega_p_offset_hz"]
                 + [f"{lb}_freq_hz" for lb in labels])
     col: dict[str, int] = {name: i for i, name in enumerate(header)}
     for name in required:
@@ -149,13 +157,12 @@ def read_records(path) -> RecordSet:
     cells = list(zip(*rows)) or [()] * len(header)
 
     def floats(name: str) -> np.ndarray:
-        return _parse(path, name, cells[col[name]], np.float64)
+        return _parse(path, name, cells[col[name]])
 
     traces = [name for name in header if name.startswith("true_jz_")]
     master_seed = meta["master_seed"]
     return RecordSet.from_columns(
         meta["params"], None if master_seed is None else int(master_seed),
-        seeds=_parse(path, "seed", cells[col["seed"]], np.uint64),
         omega_p_offset_hz=floats("omega_p_offset_hz"),
         n_up={lb: floats(lb) for lb in labels},
         freq_hz={lb: floats(f"{lb}_freq_hz") for lb in labels},

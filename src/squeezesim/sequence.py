@@ -16,56 +16,46 @@ Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``,
 starting with ``#`` are comments.  Probe labels must be unique, every
 number finite and a wait non-negative.
 
-Trials are pure functions of (protocol, params, seed); trial seeds derive
-deterministically from a master seed.  Reproducibility contract: trial i
-of ``run_trials(protocol, params, n, master_seed)`` equals
-``run_trial(protocol, params, trial_seed(master_seed, i))`` bit for bit.
-``run_trials`` passes ``run_trial`` batches of at most ``CHUNK_TRIALS``
-seeds, and a single seed is a batch of one.  A batch holds its state as
-arrays over its trials, each trial drawing from its own generator, so a
-record set is the same for any batch size.  ``workers`` and
-SQUEEZE_SIM_THREADS are validated but change nothing.
+Reproducibility contract: trial i of ``run_trials(protocol, params, n,
+master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
+constant), and chunk k draws from one generator,
+``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``.
+``run_trial`` runs one chunk as one batch, its state held as arrays over
+the chunk's trials and every draw one bulk call over them (see
+``state``).  A run's records are a function of (protocol, params,
+n_trials, master_seed) alone, and every full chunk is also independent
+of n_trials.  A trial has no seed of its own: it is named by its index
+and the run's master seed.  ``workers`` and SQUEEZE_SIM_THREADS are
+validated but change nothing.
 
-A ``RecordSet`` holds a run's records as read-only columns: ``seeds``,
+A ``RecordSet`` holds a run's records as read-only columns:
 ``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
 label, and ``true_jz`` as trials x windows.  ``run_trial`` fills them
 straight from each window's outcome arrays and ``run_trials`` joins its
-batches once; ``RecordSet.trials`` gives ``TrialRecord`` values on demand.
-
-Trial i's seed is ``SeedSequence(master_seed, spawn_key=(i,))``'s first
-64-bit state word, and its generator is ``default_rng(seed)``.  Both are
-computed here with numpy's SeedSequence hash mix written out in uint32
-arithmetic over arrays, so one pass serves every trial of a run: the same
-values, without a SeedSequence object per trial.
+chunks once; ``RecordSet.trials`` gives ``TrialRecord`` values on demand.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .physics import TWO_PI
-from .state import SimParams, polarized_state, probe_measure, rotate
+from .state import (
+    CHUNK_TRIALS,
+    SimParams,
+    polarized_state,
+    probe_measure,
+    rotate,
+)
 
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
-# trials per batch; bounds the generators alive at once (about 1.4 kB each)
-CHUNK_TRIALS = 512
-# trial indices are one uint32 word of a seed sequence's spawn key
+# an index is one uint32 word of a seed sequence's spawn key
 INDEX_LIMIT = 2**32
-SEED_LIMIT = 2**64
-
-# numpy's SeedSequence: pool size and hash-mix constants
-_POOL = 4
-_MASK = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class ProtocolError(ValueError):
@@ -191,20 +181,12 @@ class LabeledOutcome:
 class TrialRecord:
     outcomes: dict[str, LabeledOutcome]
     true_jz_trace: tuple[float, ...]
-    seed: int
     omega_p_offset_hz: float = 0.0
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TrialRecord)
-                and self.outcomes == other.outcomes
-                and self.true_jz_trace == other.true_jz_trace
-                and self.seed == other.seed
-                and self.omega_p_offset_hz == other.omega_p_offset_hz)
 
-
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only copy of ``values`` as an array of ``dtype``."""
-    arr = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``."""
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
@@ -212,11 +194,11 @@ def _frozen(values, dtype) -> np.ndarray:
 class RecordSet:
     """The records of a run, held as read-only columns over its trials.
 
-    ``seeds`` (uint64) and ``omega_p_offset_hz`` hold one value per trial;
-    ``n_up`` and ``freq_hz`` map each probe label, in protocol order, to one
-    float64 column; ``true_jz`` is trials x probe windows.  ``params`` is
-    the parameter snapshot and ``master_seed`` the seed the trial seeds
-    derive from (None for a batch run on seeds given directly).
+    ``omega_p_offset_hz`` holds one value per trial; ``n_up`` and
+    ``freq_hz`` map each probe label, in protocol order, to one float64
+    column; ``true_jz`` is trials x probe windows.  ``params`` is the
+    parameter snapshot and ``master_seed`` the seed of the run's chunk
+    generators (None for a chunk run on a generator given directly).
 
     ``RecordSet(trials, params, master_seed)`` builds the columns once from
     a sequence of ``TrialRecord`` values, every trial with the same labels
@@ -238,7 +220,7 @@ class RecordSet:
             raise ValueError(f"ragged true_jz traces: trials have {widths} "
                              "windows; every trial needs the same number")
         self._fill(
-            params, master_seed, seeds=[t.seed for t in trials],
+            params, master_seed,
             omega_p_offset_hz=[t.omega_p_offset_hz for t in trials],
             n_up={lb: [t.outcomes[lb].n_up for t in trials] for lb in labels},
             freq_hz={lb: [t.outcomes[lb].freq_hz for t in trials]
@@ -248,12 +230,12 @@ class RecordSet:
                                  len(trials), widths[0] if widths else 0))
 
     @classmethod
-    def from_columns(cls, params: dict, master_seed: int | None, *, seeds,
+    def from_columns(cls, params: dict, master_seed: int | None, *,
                      omega_p_offset_hz, n_up: dict, freq_hz: dict,
                      true_jz) -> RecordSet:
         rs = cls.__new__(cls)
-        rs._fill(params, master_seed, seeds, omega_p_offset_hz, n_up,
-                 freq_hz, true_jz)
+        rs._fill(params, master_seed, omega_p_offset_hz, n_up, freq_hz,
+                 true_jz)
         return rs
 
     @classmethod
@@ -265,24 +247,22 @@ class RecordSet:
 
         labels = parts[0].labels
         return cls.from_columns(
-            parts[0].params, master_seed, seeds=cat(lambda p: p.seeds),
+            parts[0].params, master_seed,
             omega_p_offset_hz=cat(lambda p: p.omega_p_offset_hz),
             n_up={lb: cat(lambda p: p.n_up[lb]) for lb in labels},
             freq_hz={lb: cat(lambda p: p.freq_hz[lb]) for lb in labels},
             true_jz=cat(lambda p: p.true_jz))
 
-    def _fill(self, params, master_seed, seeds, omega_p_offset_hz, n_up,
-              freq_hz, true_jz) -> None:
-        cols = {"seeds": _frozen(seeds, np.uint64),
-                "omega_p_offset_hz": _frozen(omega_p_offset_hz, np.float64),
-                "true_jz": _frozen(true_jz, np.float64),
-                "n_up": {lb: _frozen(v, np.float64) for lb, v in n_up.items()},
-                "freq_hz": {lb: _frozen(freq_hz[lb], np.float64)
-                            for lb in n_up}}
-        n = len(cols["seeds"])
+    def _fill(self, params, master_seed, omega_p_offset_hz, n_up, freq_hz,
+              true_jz) -> None:
+        cols = {"omega_p_offset_hz": _frozen(omega_p_offset_hz),
+                "true_jz": _frozen(true_jz),
+                "n_up": {lb: _frozen(v) for lb, v in n_up.items()},
+                "freq_hz": {lb: _frozen(freq_hz[lb]) for lb in n_up}}
+        n = len(cols["omega_p_offset_hz"])
         if cols["true_jz"].ndim != 2 or any(len(c) != n for c in (
-                cols["omega_p_offset_hz"], cols["true_jz"],
-                *cols["n_up"].values(), *cols["freq_hz"].values())):
+                cols["true_jz"], *cols["n_up"].values(),
+                *cols["freq_hz"].values())):
             raise ValueError(f"every column needs one entry per trial of "
                              f"{n}, and true_jz two dimensions")
         # the instance dict is written directly: attributes are read-only
@@ -294,7 +274,7 @@ class RecordSet:
     __hash__ = None
 
     def __len__(self) -> int:
-        return len(self.seeds)
+        return len(self.omega_p_offset_hz)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordSet):
@@ -302,7 +282,6 @@ class RecordSet:
         return (self.params == other.params
                 and self.master_seed == other.master_seed
                 and self.n_up.keys() == other.n_up.keys()
-                and np.array_equal(self.seeds, other.seeds)
                 and np.array_equal(self.omega_p_offset_hz,
                                    other.omega_p_offset_hz)
                 and np.array_equal(self.true_jz, other.true_jz)
@@ -336,11 +315,9 @@ class RecordSet:
             TrialRecord(
                 outcomes={lb: LabeledOutcome(n_up[k][i], freq_hz[k][i])
                           for k, lb in enumerate(labels)},
-                true_jz_trace=tuple(trace), seed=seed,
-                omega_p_offset_hz=offset)
-            for i, (seed, offset, trace) in enumerate(zip(
-                self.seeds.tolist(), self.omega_p_offset_hz.tolist(),
-                self.true_jz.tolist())))
+                true_jz_trace=tuple(trace), omega_p_offset_hz=offset)
+            for i, (offset, trace) in enumerate(zip(
+                self.omega_p_offset_hz.tolist(), self.true_jz.tolist())))
 
 
 def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
@@ -353,58 +330,52 @@ def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
                     "m_t > 0 (drop the step for a no-probe sequence)")
 
 
-def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
-    """Execute one seeded trial of a protocol, or a batch of them.
+def run_trial(protocol: Protocol, params: SimParams,
+              rng: np.random.Generator, n_trials: int,
+              first: int = 0) -> RecordSet:
+    """Run one chunk: ``n_trials`` trials of a protocol as one batch.
 
-    ``seed`` is one seed, giving one ``TrialRecord``, or a list of seeds,
-    giving a ``RecordSet`` (``master_seed`` None) with one trial per seed,
-    run as one batch and stored straight from the probe outcome arrays;
-    ``first`` numbers the batch's first trial in error messages.  Each
-    trial draws from a generator seeded with its seed alone: the common
-    probe-power fluctuation shared by every window, then the per-step
-    draws in protocol order.  The state invariants are checked after every
-    rotation and probe window.
+    Every draw comes from ``rng``, one bulk call over the chunk's trials
+    each: first the common probe-power fluctuation shared by all of a
+    trial's windows, then each step's draws in protocol order.  ``first``
+    is the run index of the chunk's first trial, which error messages
+    name.  The state invariants are checked after every rotation and
+    probe window.  Returns the chunk's records, ``master_seed`` None.
     """
     _validate_runnable(protocol, params)
-    seeds = [int(s) for s in seed] if isinstance(seed, list) else [int(seed)]
-    rngs = trial_generators(seeds)
     ens, probe = params.ensemble, params.probe
 
     # common probe-power fluctuation: the classical M_s noise channel
     power = np.maximum(1.0 + probe.ms_classical_frac
-                       * np.array([g.standard_normal() for g in rngs]), 0.05)
+                       * rng.standard_normal(n_trials), 0.05)
 
-    state = polarized_state(ens.n_effective, ens, "down").tile(len(seeds))
-    delta_p = np.zeros(len(seeds))
+    state = polarized_state(ens.n_effective, ens, "down").tile(n_trials)
+    delta_p = np.zeros(n_trials)
     n_up, freq_hz, true_jz = [], [], []
-    noise_k = (params.rotation_angle_noise > 0) + (
-        params.rotation_phase_noise > 0)
 
     for step in protocol.steps:
         if isinstance(step, Prealign):
-            if probe.detuning_spread > 0:
-                delta_p = probe.detuning_spread * np.array(
-                    [g.standard_normal() for g in rngs])
+            # adding 0.0 turns the -0.0 of a zero spread into 0.0
+            delta_p = (probe.detuning_spread * rng.standard_normal(n_trials)
+                       + 0.0)
         elif isinstance(step, OpticalPump):
             heating = state.freq_offset  # pumping does not cool the ensemble
             state = polarized_state(ens.n_effective, ens,
-                                    step.target).tile(len(seeds))
+                                    step.target).tile(n_trials)
             state.freq_offset = heating
         elif isinstance(step, MicrowavePulse):
-            angle, phase = step.angle, step.phase
-            if noise_k:
-                # one normal per knob > 0; a knob at 0 adds exactly nothing
-                z = np.array([g.standard_normal(noise_k) for g in rngs]).T
-                angle = angle * (1.0 + params.rotation_angle_noise * z[0])
-                phase = phase + params.rotation_phase_noise * z[-1]
-            state = rotate(state, angle, phase)
-            state.validate(seeds, first)
+            z_angle, z_phase = rng.standard_normal((2, n_trials))
+            state = rotate(
+                state,
+                step.angle * (1.0 + params.rotation_angle_noise * z_angle),
+                step.phase + params.rotation_phase_noise * z_phase)
+            state.validate(first)
         elif isinstance(step, ProbeStep):
             base = step.m_t if step.m_t is not None else probe.m_t
-            outcome, state = probe_measure(state, params, rngs,
+            outcome, state = probe_measure(state, params, rng,
                                            m_t=base * power,
                                            detuning_offset=delta_p)
-            state.validate(seeds, first)
+            state.validate(first)
             n_up.append(outcome.n_up)
             freq_hz.append(outcome.freq / TWO_PI)
             true_jz.append(outcome.true_jz)
@@ -414,108 +385,31 @@ def run_trial(protocol: Protocol, params: SimParams, seed, first: int = 0):
             raise ProtocolError(f"unhandled step {step!r}")
 
     labels = protocol.probe_labels
-    batch = RecordSet.from_columns(
-        params.snapshot(), None, seeds=seeds,
-        omega_p_offset_hz=delta_p / TWO_PI, n_up=dict(zip(labels, n_up)),
-        freq_hz=dict(zip(labels, freq_hz)),
-        true_jz=np.reshape(true_jz, (len(labels), len(seeds))).T)
-    return batch if isinstance(seed, list) else batch.trials[0]
+    return RecordSet.from_columns(
+        params.snapshot(), None, omega_p_offset_hz=delta_p / TWO_PI,
+        n_up=dict(zip(labels, n_up)), freq_hz=dict(zip(labels, freq_hz)),
+        true_jz=np.reshape(true_jz, (len(labels), n_trials)).T)
 
 
-def _hashes(init: int, mult: int):
-    """The (xor, multiplier) constants of successive SeedSequence hashes."""
-    return itertools.pairwise(itertools.accumulate(
-        itertools.repeat(mult), lambda c, m: c * m & _MASK, initial=init))
-
-
-def _hash(word, hashes):
-    xor, mult = next(hashes)
-    word = (word ^ xor) * mult & _MASK
-    return word ^ word >> 16
-
-
-def _mix(x, y):
-    word = (_MIX_L * x - _MIX_R * y) & _MASK
-    return word ^ word >> 16
-
-
-def _seed_state(entropy: list, n_words: int) -> list:
-    """``SeedSequence`` state: ``n_words`` 64-bit words from entropy words.
-
-    ``entropy`` is the assembled entropy, uint32 words in order, each a
-    Python int or a uint64 array of one word per trial; the result words
-    are ints or arrays alike.  Mixing in the entropy and drawing the state
-    follow numpy's ``SeedSequence.mix_entropy`` and ``generate_state``.
-    """
-    hashes = _hashes(_INIT_A, _MULT_A)
-    pool = [_hash(entropy[i] if i < len(entropy) else 0, hashes)
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], hashes))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(word, hashes))
-    hashes = _hashes(_INIT_B, _MULT_B)
-    out = [_hash(pool[i % _POOL], hashes) for i in range(2 * n_words)]
-    return [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
-
-
-def trial_seed(master_seed: int, index):
-    """Deterministic, order-independent per-trial seed derivation.
-
-    The seed of trial ``index`` is the first uint64 state word of
-    ``SeedSequence(master_seed, spawn_key=(index,))``.  ``index`` is one
-    index (giving an int) or an array of them (giving a uint64 array), each
-    in [0, ``INDEX_LIMIT``); ``master_seed`` is any non-negative integer.
-    """
+def _seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
+    """``SeedSequence(master_seed, spawn_key=(index,))``; ValueError naming
+    a master seed that is not a non-negative integer, or an index that is
+    not an integer in [0, ``INDEX_LIMIT``)."""
     if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, "
                          f"got {master_seed!r}")
-    indices = np.asarray(index)
-    bad = (indices if indices.dtype.kind not in "iu" else
-           indices[(indices < 0) | (indices >= INDEX_LIMIT)]).ravel()
-    if bad.size:
+    if not isinstance(index, (int, np.integer)) or not (
+            0 <= index < INDEX_LIMIT):
         raise ValueError(f"trial index must be an integer in [0, 2**32), "
-                         f"got {bad[:1].tolist()[0]!r}")
-    master, words = int(master_seed), []
-    while master or not words:
-        words.append(master & _MASK)
-        master >>= 32
-    # with a spawn key, the master's words are zero-padded to the pool size
-    words += [0] * (_POOL - len(words))
-    word = int(indices) if indices.ndim == 0 else indices.astype(np.uint64)
-    return _seed_state(words + [word], 1)[0]
+                         f"got {index!r}")
+    return np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
 
 
-class _SeedState(ISeedSequence):
-    """The four uint64 words ``SeedSequence(seed)`` gives a PCG64."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or dtype is not np.uint64:
-            raise ValueError("a trial's PCG64 state is 4 uint64 words")
-        return self.words
-
-
-def trial_generators(seeds) -> list[np.random.Generator]:
-    """``default_rng(seed)`` for each seed in [0, 2**64), all at once."""
-    bad = [s for s in seeds if not 0 <= s < SEED_LIMIT]
-    if bad:
-        raise ValueError(f"trial seed must be an integer in [0, 2**64), "
-                         f"got {bad[0]!r}")
-    s = np.array(seeds, dtype=np.uint64)
-    # a seed below 2**32 is one entropy word, and a missing word mixes in
-    # as a zero word: two words serve every seed
-    state = np.ascontiguousarray(np.array(
-        _seed_state([s & _MASK, s >> 32], 4)).T)
-    return [np.random.Generator(np.random.PCG64(_SeedState(row)))
-            for row in state]
+def trial_seed(master_seed: int, index: int) -> int:
+    """A seed derived from a master seed and an index: the first uint64
+    state word of ``SeedSequence(master_seed, spawn_key=(index,))``."""
+    return int(_seed_sequence(master_seed, index).generate_state(
+        1, np.uint64)[0])
 
 
 def _check_workers(workers: int | None) -> None:
@@ -535,15 +429,18 @@ def _check_workers(workers: int | None) -> None:
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
                master_seed: int, workers: int | None = None) -> RecordSet:
-    """Run ``n_trials`` seeded trials; trial i is the ``run_trial`` of
-    ``trial_seed(master_seed, i)``.  ``workers`` changes nothing."""
+    """Run ``n_trials`` seeded trials in chunks of ``CHUNK_TRIALS``: chunk k
+    is the ``run_trial`` of ``default_rng(SeedSequence(master_seed,
+    spawn_key=(k,)))``.  ``workers`` changes nothing."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _check_workers(workers)
-    seeds = trial_seed(master_seed, np.arange(n_trials)).tolist()
-    return RecordSet.concat(
-        [run_trial(protocol, params, seeds[first:first + CHUNK_TRIALS], first)
-         for first in range(0, n_trials, CHUNK_TRIALS)], int(master_seed))
+    return RecordSet.concat([run_trial(
+        protocol, params,
+        np.random.default_rng(_seed_sequence(master_seed, k)),
+        min(CHUNK_TRIALS, n_trials - first), first)
+        for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))],
+        int(master_seed))
 
 
 def spin_noise_reduction(rs: RecordSet, final_label: str,

@@ -23,8 +23,11 @@ A state is a batch of trials: each field is an array over its trials,
 and a single trial is a batch of one (``prepare_css`` and
 ``polarized_state`` return arrays of one element, and ``tile`` repeats
 them).  ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` are
-plain numpy code over the batch, each trial drawing from its own
-generator in the order a lone trial would.
+plain numpy code over the batch.  The two that draw take one generator
+for the whole batch, and each of their draws is one bulk call over the
+batch's trials: a normal is drawn for every trial and channel and scaled
+by a std. dev. that is zero where the channel is off, and a Poisson of
+mean zero draws 0.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import elementwise as ew
 from . import noise as _noise
 from .defaults import DEFAULTS, check_fields
 from .physics import (
@@ -48,6 +50,9 @@ from .physics import (
     scattered_ratio,
 )
 
+# trials per chunk of a run, each chunk one batch with one generator: a
+# fixed constant of the reproducibility contract (see ``sequence``)
+CHUNK_TRIALS = 512
 HEISENBERG_SLACK = 1e-9
 # the least Jz variance the uncertainty relation is applied with
 JZ_VAR_FLOOR = 1e-30
@@ -200,14 +205,16 @@ class EnsembleState:
                 "Heisenberg product":
                 product >= bound * (1.0 - HEISENBERG_SLACK)}
 
-    def validate(self, seeds=None, first: int = 0) -> None:
-        """Raise ValueError naming the first invariant broken; with the
-        seed ``seeds[j]`` of each trial j, also trial ``first + j``."""
+    def validate(self, first: int | None = None) -> None:
+        """Raise ValueError naming the first invariant broken; given the
+        run index ``first`` of the batch's first trial, also the first
+        trial that breaks it and that trial's chunk."""
         for name, ok in self.invariants().items():
             bad = np.flatnonzero(np.logical_not(ok))
             if bad.size:
-                where = "" if seeds is None else (
-                    f" in trial {first + bad[0]} (seed {seeds[bad[0]]})")
+                trial = None if first is None else first + int(bad[0])
+                where = "" if trial is None else (
+                    f" in trial {trial} (chunk {trial // CHUNK_TRIALS})")
                 raise ValueError(f"state invariant violated: {name}{where}")
 
 
@@ -282,20 +289,19 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     is_pi = (abs(half_turns - turns) < 1e-12) & (turns % 2 != 0)
     echo = state.echo_phase
     new.contrast = np.where(is_pi | (echo == 0.0), state.contrast,
-                            state.contrast * ew.exp(-0.5 * ew.square(echo)))
+                            state.contrast * np.exp(-0.5 * echo * echo))
     # a zero phase stays +0.0 under a pi pulse
     new.echo_phase = np.where(is_pi & (echo != 0.0), -echo, 0.0)
 
-    # unit Bloch vectors, shape (trials, 3); np.vecdot makes the BLAS call
-    # np.dot makes on one vector and ``cross`` spells out np.cross, so a
-    # trial's rotation does not depend on the batch
+    # unit Bloch vectors and rotation axes, shape (trials, 3); the cross
+    # product is spelled out, as np.cross costs more than it on a batch
     cz = state.cos_polar()
     sz = np.sqrt(np.maximum(0.0, 1.0 - cz * cz))
-    u = np.array([sz * ew.cos(state.azimuth), sz * ew.sin(state.azimuth),
+    u = np.array([sz * np.cos(state.azimuth), sz * np.sin(state.azimuth),
                   cz]).T
-    axis = np.array([ew.sin(pulse_phase), -ew.cos(pulse_phase),
+    axis = np.array([np.sin(pulse_phase), -np.cos(pulse_phase),
                      np.zeros(np.shape(pulse_phase))]).T
-    ca, sa = (np.asarray(f(angle))[..., None] for f in (ew.cos, ew.sin))
+    ca, sa = (np.asarray(f(angle))[..., None] for f in (np.cos, np.sin))
     cross = (axis[..., [1, 2, 0]] * u[..., [2, 0, 1]]
              - axis[..., [2, 0, 1]] * u[..., [1, 2, 0]])
     u2 = (u * ca + cross * sa
@@ -303,7 +309,7 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     ux, uy, uz = u2.T
 
     new.jz_mean = new.bloch_length() * uz
-    new.azimuth = np.where(ux * ux + uy * uy > 1e-24, ew.atan2(uy, ux),
+    new.azimuth = np.where(ux * ux + uy * uy > 1e-24, np.arctan2(uy, ux),
                            state.azimuth)
     new.pop_up = new.n_total / 2.0 + new.jz_mean
     new.pop_down = new.n_total - new.pop_one - new.pop_up
@@ -328,8 +334,8 @@ _CHANNELS = (
 
 
 def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
-                   rngs: list[np.random.Generator]) -> list:
-    """Poisson transition counts per channel, an array over trials each.
+                   rng: np.random.Generator) -> np.ndarray:
+    """Poisson transition counts, channels x trials, from one call.
 
     Channel means are p * m_s weighted by the source population relative to
     the half-polarized operating point N/2, so the standard noise formulas
@@ -337,20 +343,18 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     actual source population.
     """
     half = state.n_total / 2.0
-    lams = np.array([getattr(tp, p_attr) * m_s
-                     * np.maximum(0.0, getattr(state, src_attr)) / half
-                     for p_attr, src_attr, *_ in _CHANNELS]).T.tolist()
-    counts = list(np.array(
-        [[g.poisson(lam) if lam > 0.0 else 0 for lam in trial]
-         for g, trial in zip(rngs, lams)]).T)
+    counts = rng.poisson([getattr(tp, p_attr) * m_s
+                          * np.maximum(0.0, getattr(state, src_attr)) / half
+                          for p_attr, src_attr, *_ in _CHANNELS])
     # cannot move more atoms than a state holds
     for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
         out = counts[a] + counts[b]
         clip = (out > pop) & (pop > 0)
         if np.any(clip):
             scale = pop / np.where(clip, out, 1)
-            counts[a] = np.where(clip, ew.trunc(counts[a] * scale), counts[a])
-            counts[b] = np.where(clip, ew.trunc(counts[b] * scale), counts[b])
+            for c in (a, b):
+                counts[c] = np.where(clip, np.trunc(counts[c] * scale),
+                                     counts[c])
     return counts
 
 
@@ -359,66 +363,38 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
 EXACT_EVENTS = 64
 
 
-def _visible_draws(rngs: list[np.random.Generator], counts: list,
-                   recoil_mean, tails: list) -> list:
-    """A probe window's draws after its Raman counts, trial by trial.
+def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
+    """The sum of each run of ``values``, an array shaped like ``lengths``:
+    runs of the given lengths lie end to end in the C order of
+    ``lengths``, and an empty run sums to 0."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    flat = lengths.ravel()
+    sums = np.zeros(flat.shape)
+    on = flat > 0
+    if np.any(on):
+        sums[on] = np.add.reduceat(values, (np.cumsum(flat) - flat)[on])
+    return sums.reshape(lengths.shape)
 
-    Each trial draws, in order, the visible share of each Raman channel's
-    count, its recoil photon count (Poisson of mean ``recoil_mean``, drawn
-    when > 0) and that count's visible share, and one standard normal per
-    true value of ``tails``.  The visible share of c events is the sum of
-    (1 - tau) over their uniform arrival times tau: the fraction of each
-    event's effect seen by the window's time-averaged reading, whose
-    mean-1/3 square statistics give the 2/3 time-average factor of the
-    differenced-window noise.  Above ``EXACT_EVENTS`` it is
-    0.5 c + sqrt(c / 12) z.  The loop over trials makes generator calls
-    only, one per run of consecutive uniforms or normals; the shares are
-    then taken for all trials at once.
 
-    ``recoil_mean`` holds a value per trial, and each column of ``tails``
-    a value per trial or one for all.  Returns the four Raman shares, the
-    photon count, its share and one normal per ``tails`` column (0 where
-    false), a value per trial each.
+def _visible_shares(rng: np.random.Generator,
+                    events: np.ndarray) -> np.ndarray:
+    """The visible share of each count of ``events``, shaped alike.
+
+    The visible share of c events is the sum of (1 - tau) over their
+    uniform arrival times tau: the fraction of each event's effect seen by
+    the window's time-averaged reading, whose mean-1/3 square statistics
+    give the 2/3 time-average factor of the differenced-window noise.
+    Above ``EXACT_EVENTS`` it is 0.5 c + sqrt(c / 12) z.  One uniform call
+    serves every exact share and one normal call every count.
     """
-    uniforms, normals, events = [], [], []
-    for g, row, mean, k in zip(
-            rngs, np.array(counts).T.tolist(), recoil_mean.tolist(),
-            np.broadcast_to(sum(tails), recoil_mean.shape).tolist()):
-        due_u = due_z = 0  # uniforms and normals due, not yet drawn
-        for c in row:
-            if c > EXACT_EVENTS:
-                if due_u:
-                    uniforms.append(g.random(due_u))
-                    due_u = 0
-                due_z += 1
-            elif c:
-                if due_z:
-                    normals.append(g.standard_normal(due_z))
-                    due_z = 0
-                due_u += c
-        if due_u:
-            uniforms.append(g.random(due_u))
-        if due_z:
-            normals.append(g.standard_normal(due_z))
-        photons = g.poisson(mean) if mean > 0.0 else 0
-        if 0 < photons <= EXACT_EVENTS:
-            uniforms.append(g.random(photons))
-        normals.append(g.standard_normal(k + (photons > EXACT_EVENTS)))
-        events.append([*row, photons])
-
-    events = np.array(events).T
-    big = [c > EXACT_EVENTS for c in events]
-    # each normal is a run of one in the stream of normals
-    z = ew.segment_sums(np.concatenate(normals), big + tails)
-    sums = (ew.segment_sums(1.0 - np.concatenate(uniforms),
-                            [c * (c <= EXACT_EVENTS) for c in events])
-            if uniforms else [0.0] * len(events))
-    shares = [np.where(b, 0.5 * c + np.sqrt(c / 12.0) * zc, total)
-              for b, c, zc, total in zip(big, events, z, sums)]
-    return [*shares[:4], events[4], shares[4], *z[5:]]
+    exact = events <= EXACT_EVENTS
+    sums = segment_sums(1.0 - rng.random(int(events[exact].sum())),
+                        np.where(exact, events, 0))
+    z = rng.standard_normal(events.shape)
+    return np.where(exact, sums, 0.5 * events + np.sqrt(events / 12.0) * z)
 
 
-def _apply_counts(state: EnsembleState, counts: list,
+def _apply_counts(state: EnsembleState, counts,
                   alphas: tuple, repump_to_up: bool) -> None:
     """Move populations for realized transition counts (in place).
 
@@ -445,12 +421,12 @@ def _apply_counts(state: EnsembleState, counts: list,
 
 
 def apply_raman_diffusion(state: EnsembleState, m_s: float,
-                          params: SimParams, rngs: list[np.random.Generator],
+                          params: SimParams, rng: np.random.Generator,
                           repump_to_up: bool = False) -> EnsembleState:
     """Apply one window's worth of Raman population diffusion.
 
     ``m_s`` is the mean scattered photon number at the half-polarized
-    reference configuration, and ``rngs`` holds one generator per trial.
+    reference configuration, and ``rng`` draws for the whole batch.
     With ``repump_to_up`` the |1> state is treated as instantly recycled to
     up (the calibration-experiment regime).
     """
@@ -458,7 +434,7 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
         raise ValueError("m_s must be non-negative")
     cav = params.cavity
     new = state.copy()
-    counts = _sample_counts(new, m_s, params.transitions, rngs)
+    counts = _sample_counts(new, m_s, params.transitions, rng)
     au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
     ad = alpha_per_atom("down", 0.0, cav)
     _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
@@ -476,15 +452,17 @@ def _injection_coeff(coeffs: _noise.NoiseCoeffs, frac: float,
 
 
 def probe_measure(state: EnsembleState, params: SimParams,
-                  rngs: list[np.random.Generator], m_t: float | None = None,
+                  rng: np.random.Generator, m_t: float | None = None,
                   detuning_offset: float = 0.0
                   ) -> tuple[MeasurementOutcome, EnsembleState]:
     """One probe window: measurement, back-action, conditional update.
 
-    ``rngs`` holds one generator per trial.  ``m_t`` is the window's
-    realized probe strength (``params.probe.m_t`` when omitted) and
-    ``detuning_offset`` the trial's probe-cavity detuning left after
-    pre-alignment, rad/s; either may hold one value per trial.
+    ``rng`` draws for the whole batch, in order: the normals of the
+    realized Jz and of the read, classical and floor noise, the Raman
+    counts, the recoil photon counts, then the visible shares of both.
+    ``m_t`` is the window's realized probe strength (``params.probe.m_t``
+    when omitted) and ``detuning_offset`` the trial's probe-cavity detuning
+    left after pre-alignment, rad/s; either may hold one value per trial.
     """
     cav, tp, coeffs = params.cavity, params.transitions, params.coeffs
     if m_t is None:
@@ -493,13 +471,11 @@ def probe_measure(state: EnsembleState, params: SimParams,
         raise ValueError("probe window needs m_t > 0; drop the step instead")
     new = state.copy()
     n = new.n_total
+    z_jz, z_read, z_class, z_floor = rng.standard_normal((4, n.size))
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = new.cos_polar()
     sin2 = np.maximum(0.0, 1.0 - cz * cz)
-    spread = (sin2 > 0.0) & (new.jz_var > 0.0)
-    z_jz = np.array([g.standard_normal() if on else 0.0
-                     for g, on in zip(rngs, spread.tolist())])
     jz_true = new.jz_mean + np.sqrt(new.jz_var * sin2) * z_jz
     n_up_true = np.minimum(np.maximum(n / 2.0 + jz_true, 0.0), n)
 
@@ -512,9 +488,9 @@ def probe_measure(state: EnsembleState, params: SimParams,
     # technical noises of the reading
     read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
     if params.lineshape_penalty:
+        offset = detuning_offset / (cav.kappa / 2.0)
         read_sig = read_sig * np.sqrt(
-            1.0 + params.lineshape_penalty
-            * ew.square(detuning_offset / (cav.kappa / 2.0)))
+            1.0 + params.lineshape_penalty * offset * offset)
     r_c_inj = _injection_coeff(coeffs, params.probe.ms_classical_frac,
                               cav, tp)
     class_sig = _noise.injected_classical_freq(
@@ -522,30 +498,24 @@ def probe_measure(state: EnsembleState, params: SimParams,
     floor_sig = _noise.floor_noise_atoms(coeffs) * au
 
     # Raman events and recoil photons: full effect persists, a (1 - tau)
-    # share shows in this window's reading.  Each trial then draws its
-    # read, classical and floor noise normals, those whose std. dev. is > 0
-    counts = _sample_counts(new, m_s, tp, rngs)
-    tails = [sig > 0.0 for sig in (read_sig, class_sig, floor_sig)]
-    *raman_shares, n_phot, recoil_share, z_read, z_class, z_floor = (
-        _visible_draws(rngs, counts, m_s * (eps > 0.0), tails))
-    raman_visible = 0.0
-    for jump, share in zip((ad - au, au - ad, a1 - au, a1 - ad),
-                           raman_shares):
-        raman_visible = raman_visible + jump * share
-    recoil_visible = -eps * recoil_share
+    # share shows in this window's reading
+    counts = _sample_counts(new, m_s, tp, rng)
+    n_phot = rng.poisson(m_s)
+    *raman_shares, recoil_share = _visible_shares(
+        rng, np.array([*counts, n_phot]))
+    raman_visible = sum(jump * share for jump, share in zip(
+        (ad - au, au - ad, a1 - au, a1 - ad), raman_shares))
 
     read_noise = read_sig * z_read
-    tech_noise = 0.0 + class_sig * z_class + floor_sig * z_floor
     reading = (dressed_shift(n_up_true, cav) + new.freq_offset
-               + raman_visible + recoil_visible + read_noise + tech_noise)
+               + raman_visible - eps * recoil_share + read_noise
+               + class_sig * z_class + floor_sig * z_floor)
 
     # condition the state on the spin information in the reading
-    informative = read_sig > 0.0
-    sigma_m = np.where(informative, read_sig / au, 0.0)
-    sigma_m2 = ew.square(sigma_m)
+    sigma_m = read_sig / au
+    sigma_m2 = sigma_m * sigma_m
     eff_var = new.jz_var * sin2
-    z = jz_true + sigma_m * (read_noise
-                             / np.where(informative, read_sig, 1.0))
+    z = jz_true + sigma_m * z_read
     update = (sigma_m != 0.0) & (eff_var > 0.0)
     denominator = np.where(update, eff_var + sigma_m2, 1.0)
     gain = eff_var / denominator
@@ -558,7 +528,7 @@ def probe_measure(state: EnsembleState, params: SimParams,
     # persistent back-action
     _apply_counts(new, counts, (au, ad, a1), repump_to_up=False)
     new.freq_offset += -eps * n_phot
-    new.contrast *= ew.exp(-(1.0 + params.contrast_excess) * m_s / n)
+    new.contrast *= np.exp(-(1.0 + params.contrast_excess) * m_s / n)
     if params.light_shift_per_photon:
         new.echo_phase += params.light_shift_per_photon * m_t
 

@@ -40,7 +40,6 @@ from squeezesim.sequence import (
     TrialRecord,
     Wait,
     _validate_runnable,
-    trial_generators,
     trial_seed,
 )
 from squeezesim.state import (
@@ -431,7 +430,7 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
             raise ProtocolError(f"unhandled step {step!r}")
 
     return TrialRecord(outcomes=outcomes, true_jz_trace=tuple(trace),
-                       seed=int(seed), omega_p_offset_hz=delta_p / TWO_PI)
+                       omega_p_offset_hz=delta_p / TWO_PI)
 
 
 def _calibration_reading(state, params: SimParams, rng) -> float:
@@ -476,8 +475,9 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     means_down, means_up = [], []
     for i, m_t in enumerate(grid):
         acc_d, acc_u = 0.0, 0.0
-        seeds = trial_seed(_sub_seed(master_seed, i), np.arange(trials))
-        for rng in trial_generators(seeds.tolist()):
+        for j in range(trials):
+            rng = np.random.default_rng(trial_seed(_sub_seed(master_seed, i),
+                                                   j))
             s = polarized_state(n, p.ensemble, "down")
             if m_t > 0:
                 s = drive(s, m_t, rng)

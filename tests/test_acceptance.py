@@ -172,10 +172,10 @@ class TestCriterion8Properties:
                                   float(rng.uniform(0, 2 * math.pi)))
                 elif kind == 1:
                     params = PARAMS.with_mt(float(rng.uniform(1e3, 1e5)))
-                    _, s = sq.probe_measure(s, params, [rng])
+                    _, s = sq.probe_measure(s, params, rng)
                 else:
                     s = sq.apply_raman_diffusion(
-                        s, float(rng.uniform(0, 1e5)), PARAMS, [rng])
+                        s, float(rng.uniform(0, 1e5)), PARAMS, rng)
                 total = s.pop_up + s.pop_down + s.pop_one
                 assert total == pytest.approx(n, abs=1e-6 * n)
                 assert sq.heisenberg_check(s)

@@ -21,8 +21,7 @@ from squeezesim.noise import NoiseCoeffs
 from squeezesim.physics import TWO_PI, CavityParams, EnsembleParams
 from squeezesim.state import ProbeConfig, TransitionProbs
 from squeezesim.records import RecordIOError, read_records, write_records
-from squeezesim.sequence import (RecordSet, SimParams, parse_protocol,
-                                 run_trials)
+from squeezesim.sequence import RecordSet, SimParams, run_trials
 from squeezesim.experiments import standard_protocol
 
 
@@ -193,8 +192,8 @@ EDGE_FLOATS = [-0.0, 5e-324, -1e-310, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.797e308, math.inf, -math.inf]
 
 
-# a records file and its sidecar as written before ensemble.n_loaded left
-# the parameter snapshot: three trials of "prealign / pump down / pulse 90 0
+# a schema-1 records file and its sidecar, written when each trial drew
+# from a seed of its own: three trials of "prealign / pump down / pulse 90 0
 # / probe Np / probe Nf" at default parameters, master seed 5
 OLD_RECORDS_CSV = ("# schema=1\n" + "".join(line + "\r\n" for line in (
     "trial,seed,Np,Nf,omega_p_offset_hz,Np_freq_hz,Nf_freq_hz,true_jz_1,"
@@ -253,15 +252,14 @@ OLD_RECORDS_META = {
 }
 
 
-def column_set(seeds, offsets, per_label, traces) -> RecordSet:
+def column_set(offsets, per_label, traces) -> RecordSet:
     """A record set from its columns; ``per_label`` maps a label to its
     (n_up, freq_hz) columns and ``traces`` holds one column per window."""
     return RecordSet.from_columns(
-        SimParams().snapshot(), 2**64 + 3, seeds=seeds,
-        omega_p_offset_hz=offsets,
+        SimParams().snapshot(), 2**64 + 3, omega_p_offset_hz=offsets,
         n_up={lb: cols[0] for lb, cols in per_label.items()},
         freq_hz={lb: cols[1] for lb, cols in per_label.items()},
-        true_jz=np.reshape(traces, (len(traces), len(seeds))).T)
+        true_jz=np.reshape(traces, (len(traces), len(offsets))).T)
 
 
 def assert_same_bits(a: RecordSet, b: RecordSet) -> None:
@@ -270,7 +268,6 @@ def assert_same_bits(a: RecordSet, b: RecordSet) -> None:
 
     assert a.labels == b.labels
     assert (a.params, a.master_seed) == (b.params, b.master_seed)
-    assert a.seeds.tolist() == b.seeds.tolist()
     assert bits(a.omega_p_offset_hz) == bits(b.omega_p_offset_hz)
     assert bits(a.true_jz) == bits(b.true_jz)
     assert a.true_jz.shape == b.true_jz.shape
@@ -316,10 +313,9 @@ class TestRecordIO:
         path = tmp_path / "records.csv"
         write_records(rs, path)
         first, header = path.read_text().splitlines()[:2]
-        assert first == "# schema=1"
+        assert first == "# schema=2"
         cols = header.split(",")
-        assert cols[:6] == ["trial", "seed", "Nd", "Np", "Nf",
-                            "omega_p_offset_hz"]
+        assert cols[:5] == ["trial", "Nd", "Np", "Nf", "omega_p_offset_hz"]
 
     def test_row_count_must_match_sidecar(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -337,7 +333,7 @@ class TestRecordIO:
         lines[3] = lines[3].rsplit(",", 1)[0] + "\r\n"
         path.write_text("".join(lines))
         with pytest.raises(RecordIOError,
-                           match=r"records\.csv, line 4: 11 cells, .* 12"):
+                           match=r"records\.csv, line 4: 10 cells, .* 11"):
             read_records(path)
 
     def test_cell_not_a_number_named(self, tmp_path):
@@ -345,23 +341,11 @@ class TestRecordIO:
         write_records(self.make_records(5), path)
         lines = path.read_text().splitlines(keepends=True)
         cells = lines[5].split(",")
-        cells[3] = "abc"  # the Np column
+        cells[2] = "abc"  # the Np column
         lines[5] = ",".join(cells)
         path.write_text("".join(lines))
         with pytest.raises(RecordIOError, match=r"records\.csv, line 6, "
                            r"column 'Np': 'abc' is not a float64 value"):
-            read_records(path)
-
-    def test_bad_seed_named(self, tmp_path):
-        path = tmp_path / "records.csv"
-        write_records(self.make_records(3), path)
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[2].split(",")
-        cells[1] = "-1"  # the seed column
-        lines[2] = ",".join(cells)
-        path.write_text("".join(lines))
-        with pytest.raises(RecordIOError, match=r"line 3, column 'seed': "
-                           r"'-1' is not a uint64 value"):
             read_records(path)
 
     def test_sidecar_label_without_column_named(self, tmp_path):
@@ -375,41 +359,22 @@ class TestRecordIO:
                            match=r"records\.csv, line 2: missing column 'Nx'"):
             read_records(path)
 
-    def test_file_listing_loaded_count_reads_and_roundtrips(self, tmp_path):
-        # written before n_loaded became a derived property: its sidecar
-        # params list ensemble.n_loaded, which a snapshot no longer does
+    def test_schema_1_file_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_bytes(OLD_RECORDS_CSV)
         (tmp_path / "records.csv.meta.json").write_text(
             json.dumps(OLD_RECORDS_META))
-        rs = read_records(path)
-        assert rs.params == OLD_RECORDS_META["params"]
-
-        again = tmp_path / "again.csv"
-        write_records(rs, again)
-        assert again.read_bytes() == OLD_RECORDS_CSV
-        meta = json.loads((tmp_path / "again.csv.meta.json").read_text())
-        assert {**meta, "created": None} == {**OLD_RECORDS_META,
-                                             "created": None}
-        assert_same_bits(read_records(again), rs)
-
-        # the records themselves are the ones this engine writes today
-        now = run_trials(parse_protocol(
-            "prealign\npump down\npulse 90 0\nprobe Np\nprobe Nf\n"),
-            SimParams(), 3, 5)
-        old_params = dict(rs.params)
-        assert old_params.pop("ensemble.n_loaded") == 723981.9004524887
-        assert now.params == old_params
-        assert_same_bits(RecordSet.from_columns(
-            rs.params, rs.master_seed, seeds=now.seeds,
-            omega_p_offset_hz=now.omega_p_offset_hz, n_up=now.n_up,
-            freq_hz=now.freq_hz, true_jz=now.true_jz), rs)
+        with pytest.raises(RecordIOError) as err:
+            read_records(path)
+        assert str(err.value) == (
+            f"{path}: schema 1 records were written under the per-trial "
+            "seed contract, which no longer holds; rerun the command to "
+            "write schema 2")
 
     def test_edge_values_roundtrip_bit_exact(self, tmp_path):
         edges = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3,
                  1.797e308, -1.797e308, math.inf, -math.inf, 0.1]
-        seeds = [0, 2**63 - 1, 2**63, 2**64 - 1, 1, 2, 3, 4, 5]
-        rs = column_set(seeds, edges, {"Np": (edges, edges[::-1])},
+        rs = column_set(edges, {"Np": (edges, edges[::-1])},
                         [edges, edges[::-1]])
         path = tmp_path / "edges.csv"
         write_records(rs, path)
@@ -425,11 +390,8 @@ class TestRecordIO:
         floats = st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
                                     st.floats(allow_nan=False)),
                           min_size=n, max_size=n)
-        seeds = data.draw(st.lists(st.one_of(
-            st.sampled_from([0, 2**63, 2**64 - 1]),
-            st.integers(0, 2**64 - 1)), min_size=n, max_size=n))
         rs = column_set(
-            seeds, data.draw(floats),
+            data.draw(floats),
             {lb: (data.draw(floats), data.draw(floats)) for lb in labels},
             [data.draw(floats) for _ in range(windows)])
         with tempfile.TemporaryDirectory() as tmp:
@@ -447,8 +409,7 @@ class TestRecordIO:
             TrialRecord(
                 outcomes={"Np": LabeledOutcome(*rng.standard_normal(2)),
                           "Nf": LabeledOutcome(*rng.standard_normal(2))},
-                true_jz_trace=(float(rng.standard_normal()),),
-                seed=i)
+                true_jz_trace=(float(rng.standard_normal()),))
             for i in range(100_000))
         rs = RecordSet(trials, SimParams().snapshot(), 0)
         path = tmp_path / "big.csv"

@@ -1,10 +1,16 @@
 """The batched trial engine against the scalar engine it replaced.
 
 ``scalar_reference`` holds the single-trial code as it was before trials
-were batched.  Every record of ``run_trials`` must equal that code's
-``run_trial`` at the trial's seed, bit for bit (``n_up``, ``freq_hz``,
-the prealign offset and ``true_jz``), over a grid of knobs that switches
-each conditional draw and clamp on and off.
+were batched, each trial drawing from a generator of its own.  The batch
+draws from one generator per chunk, in bulk and in another order, so the
+two engines are compared two ways, over a grid of knobs that switches each
+draw, clamp and branch on and off:
+
+* fed the same variates (``FixedDraws``: every normal, uniform and Poisson
+  count fixed), every record is the scalar engine's to 1e-12;
+* fed their own generators, every output column, and the difference of
+  each pair of successive probe columns, has the scalar engine's mean and
+  variance within ``K_SE`` standard errors.
 """
 
 import re
@@ -27,6 +33,15 @@ from squeezesim.sequence import (
 )
 from squeezesim.state import (heisenberg_check, polarized_state,
                               probe_measure, rotate)
+
+# the fixed variates: each normal, each uniform arrival time; a Poisson
+# count is its mean rounded down.  Z < 0 takes the power_clamp case below
+# its clamp.
+Z, U = -0.3, 0.25
+# the tolerance of a moment comparison in standard errors, fixed in advance
+K_SE = 5.0
+# trials per case of a moment comparison
+ENGINE_TRIALS, SCALAR_TRIALS = 5000, 500
 
 BASE = SimParams()
 STANDARD = standard_protocol()
@@ -74,45 +89,120 @@ CASES = {
 }
 
 
+class FixedDraws:
+    """A generator whose every draw is fixed, whatever order and shape the
+    draws come in: so the batched and the scalar engine see the same
+    variates."""
+
+    def standard_normal(self, size=None):
+        return Z if size is None else np.full(size, Z)
+
+    def random(self, size=None):
+        return U if size is None else np.full(size, U)
+
+    def poisson(self, lam):
+        return np.floor(lam).astype(np.int64)
+
+
+@pytest.fixture
+def fixed_draws(monkeypatch):
+    """Every generator numpy makes is a ``FixedDraws``."""
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: FixedDraws())
+
+
 def assert_matches_reference(protocol, params, n_trials, master_seed):
+    """With fixed draws, every record of ``run_trials`` is the scalar
+    engine's to 1e-12."""
     rs = run_trials(protocol, params, n_trials, master_seed)
     assert len(rs.trials) == n_trials
-    for i, rec in enumerate(rs.trials):
-        ref = scalar_reference.run_trial(protocol, params,
-                                         trial_seed(master_seed, i))
-        assert rec.seed == ref.seed
-        assert rec.omega_p_offset_hz == ref.omega_p_offset_hz
+    ref = scalar_reference.run_trial(protocol, params, 0)
+    for rec in rs.trials:
         assert list(rec.outcomes) == list(ref.outcomes)
+        assert rec.omega_p_offset_hz == pytest.approx(
+            ref.omega_p_offset_hz, rel=1e-12, abs=0.0)
         for label, out in ref.outcomes.items():
-            assert rec.outcomes[label].n_up == out.n_up, (i, label)
-            assert rec.outcomes[label].freq_hz == out.freq_hz, (i, label)
+            assert rec.outcomes[label].n_up == pytest.approx(
+                out.n_up, rel=1e-12, abs=0.0), label
+            assert rec.outcomes[label].freq_hz == pytest.approx(
+                out.freq_hz, rel=1e-12, abs=0.0), label
         assert rec.true_jz_trace == pytest.approx(ref.true_jz_trace,
-                                                  rel=1e-12, abs=0.0), i
-        # the batch repeats the scalar arithmetic operation for operation,
-        # with exp, atan2, cos and sin from the C library like the scalar
-        # code, so the realized Jz agrees to the last bit as well
-        assert rec.true_jz_trace == ref.true_jz_trace, i
+                                                  rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_records_equal_scalar_engine(name):
+def test_records_equal_scalar_engine(name, fixed_draws):
     protocol, params, n_trials = CASES[name]
     assert_matches_reference(protocol, params, n_trials, master_seed=11)
 
 
 @pytest.mark.parametrize("n_trials", [1, CHUNK_TRIALS - 1, CHUNK_TRIALS,
                                       CHUNK_TRIALS + 1])
-def test_chunk_boundaries_equal_scalar_engine(n_trials):
+def test_chunk_boundaries_equal_scalar_engine(n_trials, fixed_draws):
     assert_matches_reference(STANDARD, BASE, n_trials, master_seed=5)
 
 
+def columns(rs: RecordSet) -> dict[str, np.ndarray]:
+    """Every output column of a record set, and the n_up difference of
+    each pair of successive probe labels."""
+    cols = {"omega_p_offset_hz": rs.omega_p_offset_hz}
+    for lb in rs.labels:
+        cols[f"{lb} n_up"] = rs.n_up[lb]
+        cols[f"{lb} freq_hz"] = rs.freq_hz[lb]
+    for a, b in zip(rs.labels, rs.labels[1:]):
+        cols[f"{b} - {a} n_up"] = rs.n_up[b] - rs.n_up[a]
+    for w, trace in enumerate(rs.true_jz.T):
+        cols[f"true_jz_{w + 1}"] = trace
+    return cols
+
+
+def moment_z_scores(protocol, params, master_seed: int) -> dict[str, float]:
+    """How far apart the engine's and the scalar engine's moments are.
+
+    The engine runs ``ENGINE_TRIALS`` trials at ``master_seed``; the scalar
+    engine ``SCALAR_TRIALS`` trials at the seeds ``trial_seed(master_seed
+    + 1, i)``.  For each column, its mean and its variance: the difference
+    over its standard error, or 0 where the difference is within 1e-12 of
+    the values (columns that do not vary).
+    """
+    ours = columns(run_trials(protocol, params, ENGINE_TRIALS, master_seed))
+    ref = columns(RecordSet([
+        scalar_reference.run_trial(protocol, params,
+                                   trial_seed(master_seed + 1, i))
+        for i in range(SCALAR_TRIALS)], {}, None))
+    out = {}
+    for name, a in ours.items():
+        b = ref[name]
+        dev_a, dev_b = (x - x.mean() for x in (a, b))
+        sq_a, sq_b = dev_a * dev_a, dev_b * dev_b
+        for stat, (va, vb), se2 in (
+                ("mean", (a.mean(), b.mean()),
+                 a.var() / a.size + b.var() / b.size),
+                ("variance", (a.var(ddof=1), b.var(ddof=1)),
+                 sq_a.var() / a.size + sq_b.var() / b.size)):
+            diff = abs(va - vb)
+            out[f"{name} {stat}"] = (
+                0.0 if diff <= 1e-12 * max(abs(va), abs(vb))
+                else diff / np.sqrt(se2))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_column_moments_equal_scalar_engine(name):
+    protocol, params, _ = CASES[name]
+    z = moment_z_scores(protocol, params, master_seed=11)
+    assert len(z) >= 4 * len(protocol.probe_labels)
+    worst = max(z, key=z.get)
+    assert z[worst] <= K_SE, f"{worst}: {z[worst]:.2f} standard errors"
+
+
 def test_grid_reaches_the_clamp_and_the_clipping():
-    # a trial's first draw is its power normal z; at a fractional spread
-    # of 30 the clamp at 0.05 fires when 1 + 30 z < 0.05
+    # a chunk's first draws are its trials' power normals z; at a
+    # fractional spread of 30 the clamp at 0.05 fires when 1 + 30 z < 0.05
     _, _, n_trials = CASES["power_clamp"]
-    z = [np.random.default_rng(trial_seed(11, i)).standard_normal()
-         for i in range(n_trials)]
-    assert sum(1.0 + 30.0 * v < 0.05 for v in z) > n_trials // 4
+    z = np.random.default_rng(np.random.SeedSequence(
+        11, spawn_key=(0,))).standard_normal(n_trials)
+    assert np.count_nonzero(1.0 + 30.0 * z < 0.05) > n_trials // 4
     # at N = 8 and M_t = 1e8 the expected up-sourced Raman count far
     # exceeds the N/2 atoms that can leave the up state
     n = TINY_N.ensemble.n_effective
@@ -121,15 +211,39 @@ def test_grid_reaches_the_clamp_and_the_clipping():
     assert (tp.p_ud + tp.p_u1) * m_s > n
 
 
+def chunk_generator(master_seed: int, k: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(master_seed,
+                                                        spawn_key=(k,)))
+
+
 def test_run_trial_is_a_batch_of_one():
-    rs = run_trials(VARIED, BASE, 3, master_seed=2)
-    seeds = [trial_seed(2, i) for i in range(3)]
-    for seed, rec in zip(seeds, rs.trials):
-        assert run_trial(VARIED, BASE, seed) == rec
-    batch = run_trial(VARIED, BASE, seeds)
-    assert batch.master_seed is None
-    assert batch.trials == rs.trials
+    rs = run_trials(VARIED, BASE, 1, master_seed=2)
+    batch = run_trial(VARIED, BASE, chunk_generator(2, 0), 1)
+    assert batch.master_seed is None and len(batch) == 1
     assert RecordSet.concat([batch], master_seed=2) == rs
+
+
+def test_full_chunk_is_run_trial_on_its_generator():
+    n = 2 * CHUNK_TRIALS + 5
+    rs = run_trials(STANDARD, BASE, n, master_seed=6)
+    chunks = [run_trial(STANDARD, BASE, chunk_generator(6, k),
+                        min(CHUNK_TRIALS, n - first), first)
+              for k, first in enumerate(range(0, n, CHUNK_TRIALS))]
+    assert [len(c) for c in chunks] == [CHUNK_TRIALS, CHUNK_TRIALS, 5]
+    assert RecordSet.concat(chunks, master_seed=6) == rs
+
+
+def test_full_chunks_do_not_depend_on_the_trial_count():
+    whole = run_trials(STANDARD, BASE, CHUNK_TRIALS + 1, master_seed=8)
+    part = run_trials(STANDARD, BASE, CHUNK_TRIALS, master_seed=8)
+    assert part.trials == whole.trials[:CHUNK_TRIALS]
+
+
+def test_records_do_not_depend_on_workers(monkeypatch):
+    one = run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=1)
+    assert run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=4) == one
+    monkeypatch.setenv("SQUEEZE_SIM_THREADS", "2")
+    assert run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4) == one
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +270,19 @@ def test_corrupted_state_trips_its_invariant(field, value, name):
     with pytest.raises(ValueError,
                        match=re.escape(f"invariant violated: {name}")):
         single.validate()
-    # in a batch the first trial that breaks it is named, with its seed
+    # in a batch the first trial that breaks it is named, with its chunk
     batch = healthy_state().tile(5)
-    batch.validate([10, 11, 12, 13, 14], first=100)
+    batch.validate(first=1022)
     column = getattr(batch, field).copy()
     column[[3, 4]] = value
     setattr(batch, field, column)
     with pytest.raises(ValueError) as err:
-        batch.validate([10, 11, 12, 13, 14], first=100)
+        batch.validate(first=1022)
     assert str(err.value) == (
-        f"state invariant violated: {name} in trial 103 (seed 13)")
+        f"state invariant violated: {name} in trial 1025 (chunk 2)")
 
 
-def test_engine_names_trial_and_seed_of_a_violation(monkeypatch):
+def test_engine_names_trial_and_chunk_of_a_violation(monkeypatch):
     import squeezesim.sequence as sequence
 
     real_rotate = sequence.rotate
@@ -184,10 +298,9 @@ def test_engine_names_trial_and_seed_of_a_violation(monkeypatch):
     n = CHUNK_TRIALS + 3
     with pytest.raises(ValueError) as err:
         run_trials(STANDARD, BASE, n, master_seed=4)
-    last = CHUNK_TRIALS - 1
     assert str(err.value) == (
-        f"state invariant violated: contrast in [0, 1] in trial {last} "
-        f"(seed {trial_seed(4, last)})")
+        f"state invariant violated: contrast in [0, 1] in trial "
+        f"{CHUNK_TRIALS - 1} (chunk 0)")
 
 
 def test_exact_read_passes_the_heisenberg_check():
@@ -195,7 +308,7 @@ def test_exact_read_passes_the_heisenberg_check():
     # against the floored Jz variance, which the check uses too
     params = replace(BASE, coeffs=replace(BASE.coeffs, r_psn=0.0))
     state = healthy_state()
-    _, after = probe_measure(state, params, [np.random.default_rng(1)])
+    _, after = probe_measure(state, params, np.random.default_rng(1))
     assert after.jz_var == 0.0
     after.validate()
     assert heisenberg_check(after)
@@ -209,47 +322,43 @@ def test_normal_runs_pass_the_invariant_checks():
         assert len(rs.trials) == 50
 
 
-def bits(values) -> list:
-    """The 64-bit patterns of some floats (so 0.0 differs from -0.0)."""
-    return np.array(values, dtype=float).view(np.uint64).tolist()
-
-
-def test_single_trial_calls_equal_scalar_engine():
-    # a single trial is a batch of one; it must match the scalar engine
-    # draw for draw and bit for bit, field by field
+def test_single_trial_calls_equal_scalar_engine(fixed_draws):
+    # a single trial is a batch of one; fed the same variates, each call
+    # must give the scalar engine's state and outcome, field by field
     from dataclasses import astuple
     from squeezesim.state import apply_raman_diffusion, prepare_css
-    from squeezesim.state import probe_measure as batched_probe
     params = replace(BASE, contrast_excess=1.9, light_shift_per_photon=1e-5,
                      lineshape_penalty=3.0)
     for seed in range(40):
-        ops = np.random.default_rng(seed)
-        rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+        ops = np.random.Generator(np.random.PCG64(seed))
+        rng = FixedDraws()
         new = prepare_css(4.8e5, params.ensemble)
         ref = scalar_reference.EnsembleState(
             *(v.item() for v in astuple(new)))
         for _ in range(6):
             kind = int(ops.integers(0, 3))
             if kind == 0:
-                angle = float(ops.choice([np.pi, np.pi / 2, ops.uniform(-4, 4)]))
+                angle = float(ops.choice([np.pi, np.pi / 2,
+                                          ops.uniform(-4, 4)]))
                 phase = float(ops.uniform(0.0, 2 * np.pi))
                 new = rotate(new, angle, phase)
                 ref = scalar_reference.rotate(ref, angle, phase)
             elif kind == 1:
                 m_t, offset = float(ops.uniform(1e3, 1e5)), float(
                     ops.normal(0.0, 1e6))
-                out, new = batched_probe(
-                    new, params, [rng_new], m_t=m_t, detuning_offset=offset)
+                out, new = probe_measure(
+                    new, params, rng, m_t=m_t, detuning_offset=offset)
                 out_ref, ref = scalar_reference.probe_measure(
                     ref, params.probe, params.cavity, params.transitions,
-                    params.coeffs, rng_ref, m_t=m_t, detuning_offset=offset,
+                    params.coeffs, rng, m_t=m_t, detuning_offset=offset,
                     knobs=params)
-                assert bits(np.concatenate(astuple(out))) == bits(
-                    astuple(out_ref))
+                assert np.concatenate(astuple(out)) == pytest.approx(
+                    astuple(out_ref), rel=1e-12, abs=1e-9)
             else:
                 m_s = float(ops.uniform(0.0, 1e5))
-                new = apply_raman_diffusion(new, m_s, params, [rng_new])
+                new = apply_raman_diffusion(new, m_s, params, rng)
                 ref = scalar_reference.apply_raman_diffusion(
-                    ref, m_s, params.transitions, rng_ref, params.cavity)
+                    ref, m_s, params.transitions, rng, params.cavity)
             assert all(v.shape == (1,) for v in astuple(new))
-            assert bits(np.concatenate(astuple(new))) == bits(astuple(ref))
+            assert np.concatenate(astuple(new)) == pytest.approx(
+                astuple(ref), rel=1e-12, abs=1e-9)

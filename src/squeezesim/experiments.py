@@ -18,6 +18,7 @@ from .sequence import (
     Protocol,
     SimParams,
     parse_protocol,
+    run_grid,
     run_trials,
     spin_noise_reduction,
     trial_seed,
@@ -217,15 +218,18 @@ class SweepResult:
 
 def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
                     master_seed: int = 0) -> SweepResult:
-    """Spin-noise reduction, contrast and enhancement versus probe strength."""
+    """Spin-noise reduction, contrast and enhancement versus probe strength.
+
+    Point i runs ``trials_per_point`` trials at the seed ``_sub_seed(
+    master_seed, i)``; every point's trials run together (``run_grid``).
+    """
     m_ts = sorted(float(m) for m in m_t_list)
     if not m_ts:
         raise ValueError("m_t_list must be non-empty")
-    proto = standard_protocol()
+    runs = run_grid(standard_protocol(), params, m_ts, trials_per_point,
+                    [_sub_seed(master_seed, i) for i in range(len(m_ts))])
     rows = []
-    for i, m_t in enumerate(m_ts):
-        rs = run_trials(proto, params.with_mt(m_t), trials_per_point,
-                        _sub_seed(master_seed, i))
+    for m_t, rs in zip(m_ts, runs):
         r = spin_noise_reduction(rs, "Nf", "Np")
         c = contrast_model(params, m_t)
         w_inv = _noise.spectroscopic_enhancement(
@@ -355,9 +359,10 @@ def optimize_w_inverse(params: SimParams, trials_per_point: int,
     """Monte Carlo optimum of the enhancement over probe strength.
 
     Brackets the model optimum, scans a log grid of probe strengths with
-    Monte Carlo R estimates, then refines the best point with
-    ``trials_per_point`` trials.  The refined record set also yields the
-    measured SQL angle std(Nd - Np)/N.
+    Monte Carlo R estimates (every point's trials run together, with
+    ``run_grid``), then refines the best point with ``trials_per_point``
+    trials.  The refined record set also yields the measured SQL angle
+    std(Nd - Np)/N.
     """
     proto = standard_protocol()
     n = params.ensemble.n_effective
@@ -371,9 +376,9 @@ def optimize_w_inverse(params: SimParams, trials_per_point: int,
                        math.log10(m_star * 3.0), n_pts)
 
     best_w, best_m = -math.inf, float(grid[0])
-    for i, m_t in enumerate(grid):
-        rs = run_trials(proto, params.with_mt(m_t), scan_trials,
-                        _sub_seed(master_seed, i))
+    scan = run_grid(proto, params, grid, scan_trials,
+                    [_sub_seed(master_seed, i) for i in range(len(grid))])
+    for m_t, rs in zip(grid, scan):
         r = spin_noise_reduction(rs, "Nf", "Np")
         w = _noise.spectroscopic_enhancement(
             r, contrast_model(params, m_t), ci)

@@ -20,23 +20,30 @@ Reproducibility contract: trial i of ``run_trials(protocol, params, n,
 master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
 constant), and chunk k draws from one generator,
 ``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``.
-``run_trial`` runs one chunk as one batch, its state held as arrays over
-the chunk's trials and every draw one bulk call over them (see
-``state``).  A run's records are a function of (protocol, params,
-n_trials, master_seed) alone, and every full chunk is also independent
-of n_trials.  A trial has no seed of its own: it is named by its index
-and the run's master seed.  ``workers`` and SQUEEZE_SIM_THREADS are
-validated but change nothing.
+``run_trials`` runs whole chunks together, as batches of at most
+``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state as
+arrays over its trials, and each draw is one bulk call per chunk over
+that chunk's trials, on the chunk's own generator (see
+``state.BatchStream``), so how chunks are batched changes no record.  A
+run's records are a function of (protocol, params, n_trials,
+master_seed) alone, and every full chunk is also independent of
+n_trials.  A trial has no seed of its own: it is named by its index and
+the run's master seed.  ``workers`` and SQUEEZE_SIM_THREADS are validated
+but change nothing.  ``run_grid`` runs a protocol at several probe
+strengths, each point a run of its own seed equal to its
+``run_trials``, with batches that may span points as well as chunks.
 
 A ``RecordSet`` holds a run's records as read-only columns:
 ``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
 label, and ``true_jz`` as trials x windows.  ``run_trial`` fills them
 straight from each window's outcome arrays and ``run_trials`` joins its
-chunks once; ``RecordSet.trials`` gives ``TrialRecord`` values on demand.
+batches once; ``RecordSet.trials`` gives ``TrialRecord`` values on
+demand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -47,6 +54,7 @@ import numpy as np
 from .physics import TWO_PI
 from .state import (
     CHUNK_TRIALS,
+    BatchStream,
     SimParams,
     polarized_state,
     probe_measure,
@@ -56,6 +64,8 @@ from .state import (
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
 # an index is one uint32 word of a seed sequence's spawn key
 INDEX_LIMIT = 2**32
+# the most trials of whole chunks run as one batch; no record depends on it
+BATCH_TRIALS = 4096
 
 
 class ProtocolError(ValueError):
@@ -204,7 +214,8 @@ class RecordSet:
     a sequence of ``TrialRecord`` values, every trial with the same labels
     and trace length; ``RecordSet.from_columns`` takes the columns as they
     are.  ``trials`` is a tuple view of ``TrialRecord`` values, built on
-    first use and kept; ``len`` and ``column`` build nothing.  Two sets are
+    first use and kept; ``len`` and ``column`` build nothing, and
+    ``rs[a:b]`` is the set of a slice of the trials.  Two sets are
     equal when their parameters, master seeds and every column are equal
     under float ``==``.
     """
@@ -239,15 +250,16 @@ class RecordSet:
         return rs
 
     @classmethod
-    def concat(cls, parts: list[RecordSet],
-               master_seed: int | None) -> RecordSet:
-        """The trials of ``parts`` in order, with the first part's params."""
+    def concat(cls, parts: list[RecordSet], master_seed: int | None,
+               params: dict | None = None) -> RecordSet:
+        """The trials of ``parts`` in order, with ``params`` (the first
+        part's when None)."""
         def cat(column):
             return np.concatenate([column(p) for p in parts])
 
         labels = parts[0].labels
         return cls.from_columns(
-            parts[0].params, master_seed,
+            parts[0].params if params is None else params, master_seed,
             omega_p_offset_hz=cat(lambda p: p.omega_p_offset_hz),
             n_up={lb: cat(lambda p: p.n_up[lb]) for lb in labels},
             freq_hz={lb: cat(lambda p: p.freq_hz[lb]) for lb in labels},
@@ -275,6 +287,18 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.omega_p_offset_hz)
+
+    def __getitem__(self, key: slice) -> RecordSet:
+        """The trials of a slice, with the same params and master seed."""
+        if not isinstance(key, slice):
+            raise TypeError(f"a RecordSet takes a slice of its trials, "
+                            f"not {key!r}")
+        return RecordSet.from_columns(
+            self.params, self.master_seed,
+            omega_p_offset_hz=self.omega_p_offset_hz[key],
+            n_up={lb: c[key] for lb, c in self.n_up.items()},
+            freq_hz={lb: c[key] for lb, c in self.freq_hz.items()},
+            true_jz=self.true_jz[key])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordSet):
@@ -330,24 +354,29 @@ def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
                     "m_t > 0 (drop the step for a no-probe sequence)")
 
 
-def run_trial(protocol: Protocol, params: SimParams,
-              rng: np.random.Generator, n_trials: int,
-              first: int = 0) -> RecordSet:
-    """Run one chunk: ``n_trials`` trials of a protocol as one batch.
+def run_trial(protocol: Protocol, params: SimParams, rng, n_trials: int,
+              first=0, m_t=None) -> RecordSet:
+    """Run one batch of ``n_trials`` trials of a protocol.
 
-    Every draw comes from ``rng``, one bulk call over the chunk's trials
-    each: first the common probe-power fluctuation shared by all of a
-    trial's windows, then each step's draws in protocol order.  ``first``
-    is the run index of the chunk's first trial, which error messages
-    name.  The state invariants are checked after every rotation and
-    probe window.  Returns the chunk's records, ``master_seed`` None.
+    ``rng`` is the batch's ``BatchStream``, or a lone generator that
+    draws for a batch of one chunk.  Every draw is one bulk call per chunk
+    over the chunk's trials: first the common probe-power fluctuation
+    shared by all of a trial's windows, then each step's draws in
+    protocol order.  ``m_t`` holds each trial's strength
+    for the probe steps that set none (``params.probe.m_t`` when None).
+    ``first`` is the run index of the batch's first trial, or an array of
+    each trial's; error messages name it, and ``m_t`` when given.  The
+    state invariants are checked after every rotation and probe window.
+    Returns the batch's records, ``master_seed`` None.
     """
     _validate_runnable(protocol, params)
     ens, probe = params.ensemble, params.probe
+    stream = BatchStream.of(rng, n_trials)
+    default_mt = probe.m_t if m_t is None else m_t
 
     # common probe-power fluctuation: the classical M_s noise channel
-    power = np.maximum(1.0 + probe.ms_classical_frac
-                       * rng.standard_normal(n_trials), 0.05)
+    power = np.maximum(1.0 + probe.ms_classical_frac * stream.normal(),
+                       0.05)
 
     state = polarized_state(ens.n_effective, ens, "down").tile(n_trials)
     delta_p = np.zeros(n_trials)
@@ -356,26 +385,25 @@ def run_trial(protocol: Protocol, params: SimParams,
     for step in protocol.steps:
         if isinstance(step, Prealign):
             # adding 0.0 turns the -0.0 of a zero spread into 0.0
-            delta_p = (probe.detuning_spread * rng.standard_normal(n_trials)
-                       + 0.0)
+            delta_p = probe.detuning_spread * stream.normal() + 0.0
         elif isinstance(step, OpticalPump):
             heating = state.freq_offset  # pumping does not cool the ensemble
             state = polarized_state(ens.n_effective, ens,
                                     step.target).tile(n_trials)
             state.freq_offset = heating
         elif isinstance(step, MicrowavePulse):
-            z_angle, z_phase = rng.standard_normal((2, n_trials))
+            z_angle, z_phase = stream.normal(2)
             state = rotate(
                 state,
                 step.angle * (1.0 + params.rotation_angle_noise * z_angle),
                 step.phase + params.rotation_phase_noise * z_phase)
-            state.validate(first)
+            state.validate(first, m_t)
         elif isinstance(step, ProbeStep):
-            base = step.m_t if step.m_t is not None else probe.m_t
-            outcome, state = probe_measure(state, params, rng,
+            base = step.m_t if step.m_t is not None else default_mt
+            outcome, state = probe_measure(state, params, stream,
                                            m_t=base * power,
                                            detuning_offset=delta_p)
-            state.validate(first)
+            state.validate(first, m_t)
             n_up.append(outcome.n_up)
             freq_hz.append(outcome.freq / TWO_PI)
             true_jz.append(outcome.true_jz)
@@ -427,20 +455,97 @@ def _check_workers(workers: int | None) -> None:
                              f"count >= 1, got {cap!r}")
 
 
+def _batches(chunks):
+    """Consecutive chunks grouped into batches of at most
+    ``BATCH_TRIALS`` trials; a chunk is (point, k, first, size)."""
+    batch, size = [], 0
+    for chunk in chunks:
+        if batch and size + chunk[3] > BATCH_TRIALS:
+            yield batch
+            batch, size = [], 0
+        batch.append(chunk)
+        size += chunk[3]
+    yield batch
+
+
+def _run_points(protocol: Protocol, params: SimParams, n_trials: int,
+                seeds: list, m_ts=None):
+    """Yield the run of ``n_trials`` trials at each master seed of
+    ``seeds``, at the probe strength ``m_ts[i]`` (``params.probe.m_t``
+    when None), as soon as its last chunk has run.
+
+    Chunk k of point i draws from ``default_rng(SeedSequence(seeds[i],
+    spawn_key=(k,)))``; the chunks of every point, in order, run as the
+    batches of ``_batches``.
+    """
+    chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
+              for i in range(len(seeds))
+              for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
+    pieces: list[list[RecordSet]] = [[] for _ in seeds]
+    done = 0
+    for batch in _batches(chunks):
+        point, k, first, size = zip(*batch)
+        stream = BatchStream([np.random.default_rng(_seed_sequence(
+            seeds[i], j)) for i, j in zip(point, k)], size)
+        rs = run_trial(
+            protocol, params, stream, stream.size,
+            first=np.concatenate([np.arange(a, a + n)
+                                  for a, n in zip(first, size)]),
+            m_t=None if m_ts is None else np.repeat(
+                np.take(m_ts, point), size))
+        start = 0
+        for i, group in itertools.groupby(batch, key=lambda c: c[0]):
+            stop = start + sum(c[3] for c in group)
+            pieces[i].append(rs[start:stop])
+            start = stop
+        # the points before the batch's last, and that one if it ends here
+        for i in range(done, point[-1] + (first[-1] + size[-1] == n_trials)):
+            yield RecordSet.concat(
+                pieces[i], int(seeds[i]),
+                params=(params if m_ts is None
+                        else params.with_mt(m_ts[i])).snapshot())
+            pieces[i] = []
+            done = i + 1
+
+
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
                master_seed: int, workers: int | None = None) -> RecordSet:
-    """Run ``n_trials`` seeded trials in chunks of ``CHUNK_TRIALS``: chunk k
-    is the ``run_trial`` of ``default_rng(SeedSequence(master_seed,
-    spawn_key=(k,)))``.  ``workers`` changes nothing."""
+    """Run ``n_trials`` seeded trials: chunk k of ``CHUNK_TRIALS`` trials
+    draws from ``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``,
+    and whole chunks run as batches of at most ``BATCH_TRIALS`` trials.
+    ``workers`` changes nothing."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _check_workers(workers)
-    return RecordSet.concat([run_trial(
-        protocol, params,
-        np.random.default_rng(_seed_sequence(master_seed, k)),
-        min(CHUNK_TRIALS, n_trials - first), first)
-        for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))],
-        int(master_seed))
+    return next(_run_points(protocol, params, n_trials, [master_seed]))
+
+
+def run_grid(protocol: Protocol, params: SimParams, m_ts, n_trials: int,
+             master_seeds):
+    """Run a protocol at each probe strength of ``m_ts``.
+
+    Point i is the run of ``n_trials`` trials at master seed
+    ``master_seeds[i]``, whose records equal ``run_trials(protocol,
+    params.with_mt(m_ts[i]), n_trials, master_seeds[i])``; the chunks of
+    all points run as batches of at most ``BATCH_TRIALS`` trials, a batch
+    spanning points as well as chunks.  Returns an iterator over the
+    points' record sets, in order, each built once its last chunk has
+    run, so that only unfinished points' records are held.  The
+    arguments are checked first.  A state invariant violation names the
+    point's M_t with its trial and chunk.
+    """
+    m_ts = [float(m) for m in m_ts]
+    seeds = list(master_seeds)
+    if not m_ts or len(seeds) != len(m_ts):
+        raise ValueError(f"run_grid needs one master seed per probe "
+                         f"strength, got {len(seeds)} seeds for "
+                         f"{len(m_ts)} strengths")
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    for m_t, seed in zip(m_ts, seeds):
+        _validate_runnable(protocol, params.with_mt(m_t))
+        _seed_sequence(seed, 0)  # a bad seed fails before any trial runs
+    return _run_points(protocol, params, n_trials, seeds, m_ts)
 
 
 def spin_noise_reduction(rs: RecordSet, final_label: str,

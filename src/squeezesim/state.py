@@ -23,18 +23,21 @@ A state is a batch of trials: each field is an array over its trials,
 and a single trial is a batch of one (``prepare_css`` and
 ``polarized_state`` return arrays of one element, and ``tile`` repeats
 them).  ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` are
-plain numpy code over the batch.  The two that draw take one generator
-for the whole batch, and each of their draws is one bulk call over the
-batch's trials: a normal is drawn for every trial and channel and scaled
-by a std. dev. that is zero where the channel is off, and a Poisson of
-mean zero draws 0.
+plain numpy code over the batch.  The two that draw take the batch's
+``BatchStream``: its trials lie in chunks of consecutive trials, each
+chunk with a generator of its own, and each draw is one bulk call per
+chunk over the chunk's trials, so a trial's variates do not depend on the
+other chunks of its batch.  A lone generator is a stream of one chunk.  A
+normal is drawn for every trial and channel and scaled by a std. dev.
+that is zero where the channel is off, and a Poisson of mean zero draws
+0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -50,8 +53,8 @@ from .physics import (
     scattered_ratio,
 )
 
-# trials per chunk of a run, each chunk one batch with one generator: a
-# fixed constant of the reproducibility contract (see ``sequence``)
+# trials per chunk of a run, each chunk drawing from a generator of its
+# own: a fixed constant of the reproducibility contract (see ``sequence``)
 CHUNK_TRIALS = 512
 HEISENBERG_SLACK = 1e-9
 # the least Jz variance the uncertainty relation is applied with
@@ -205,16 +208,29 @@ class EnsembleState:
                 "Heisenberg product":
                 product >= bound * (1.0 - HEISENBERG_SLACK)}
 
-    def validate(self, first: int | None = None) -> None:
-        """Raise ValueError naming the first invariant broken; given the
-        run index ``first`` of the batch's first trial, also the first
-        trial that breaks it and that trial's chunk."""
-        for name, ok in self.invariants().items():
+    def validate(self, first=None, m_t=None) -> None:
+        """Raise ValueError naming the first invariant broken.
+
+        Given ``first``, the run index of the batch's first trial or an
+        array of each trial's run index, also name the first trial that
+        breaks it and that trial's chunk; given ``m_t``, an array of each
+        trial's probe strength, also that trial's.  Only a failed check
+        looks for the trial.
+        """
+        checks = self.invariants()
+        if np.all(reduce(np.logical_and, checks.values())):
+            return
+        for name, ok in checks.items():
             bad = np.flatnonzero(np.logical_not(ok))
             if bad.size:
-                trial = None if first is None else first + int(bad[0])
-                where = "" if trial is None else (
-                    f" in trial {trial} (chunk {trial // CHUNK_TRIALS})")
+                i = int(bad[0])
+                where = ""
+                if first is not None:
+                    trial = int(first[i] if np.ndim(first) else first + i)
+                    where = (f" in trial {trial} "
+                             f"(chunk {trial // CHUNK_TRIALS})")
+                if m_t is not None:
+                    where += f" at M_t = {float(m_t[i])!r}"
                 raise ValueError(f"state invariant violated: {name}{where}")
 
 
@@ -334,8 +350,9 @@ _CHANNELS = (
 
 
 def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Poisson transition counts, channels x trials, from one call.
+                   stream: BatchStream) -> np.ndarray:
+    """Poisson transition counts, channels x trials, from one call per
+    chunk.
 
     Channel means are p * m_s weighted by the source population relative to
     the half-polarized operating point N/2, so the standard noise formulas
@@ -343,9 +360,9 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     actual source population.
     """
     half = state.n_total / 2.0
-    counts = rng.poisson([getattr(tp, p_attr) * m_s
-                          * np.maximum(0.0, getattr(state, src_attr)) / half
-                          for p_attr, src_attr, *_ in _CHANNELS])
+    counts = stream.poisson([getattr(tp, p_attr) * m_s
+                             * np.maximum(0.0, getattr(state, src_attr))
+                             / half for p_attr, src_attr, *_ in _CHANNELS])
     # cannot move more atoms than a state holds
     for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
         out = counts[a] + counts[b]
@@ -376,21 +393,77 @@ def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
     return sums.reshape(lengths.shape)
 
 
-def _visible_shares(rng: np.random.Generator,
-                    events: np.ndarray) -> np.ndarray:
+class BatchStream:
+    """The random stream of a batch whose trials lie in chunks.
+
+    Chunk j is ``sizes[j]`` consecutive trials of the batch and draws from
+    ``generators[j]``.  Each draw makes, for every chunk, the one bulk call
+    that a batch of that chunk alone would make, on the chunk's slice of
+    the trial axis (the last), and joins the results along it.
+    """
+
+    def __init__(self, generators, sizes) -> None:
+        self.generators = tuple(generators)
+        ends = np.cumsum(sizes, dtype=np.int64).tolist()
+        if not ends or len(ends) != len(self.generators):
+            raise ValueError("a stream needs one generator for each of its "
+                             "chunks, and at least one chunk")
+        self.spans = tuple(zip([0] + ends[:-1], ends))
+        self.size = ends[-1]
+
+    @classmethod
+    def of(cls, rng, size: int) -> BatchStream:
+        """``rng`` if it is a stream, else the stream of one chunk drawing
+        from the generator ``rng``; ValueError unless it holds ``size``
+        trials."""
+        stream = rng if isinstance(rng, cls) else cls((rng,), (size,))
+        if stream.size != size:
+            raise ValueError(f"a stream of {stream.size} trials cannot "
+                             f"draw for {size}")
+        return stream
+
+    def _join(self, draw) -> np.ndarray:
+        """``draw(generator, a, b)`` for each chunk's trials a:b, joined
+        along the last axis."""
+        if len(self.generators) == 1:
+            return draw(self.generators[0], 0, self.size)
+        return np.concatenate([draw(g, a, b) for g, (a, b) in
+                               zip(self.generators, self.spans)], axis=-1)
+
+    def normal(self, rows: int | None = None) -> np.ndarray:
+        """Standard normals: one per trial, or ``rows`` x trials."""
+        return self._join(lambda g, a, b: g.standard_normal(
+            b - a if rows is None else (rows, b - a)))
+
+    def poisson(self, lam) -> np.ndarray:
+        """Poisson counts of the means ``lam``, trials on its last axis."""
+        lam = np.asarray(lam)
+        return self._join(lambda g, a, b: g.poisson(lam[..., a:b]))
+
+    def uniform_sums(self, lengths) -> np.ndarray:
+        """The sum of 1 - u over a run of ``lengths`` uniforms u in [0, 1)
+        for each element of ``lengths`` (trials on its last axis): a
+        chunk draws all its runs' uniforms in one call, in the C order of
+        its slice of ``lengths``, and sums them with ``segment_sums``."""
+        lengths = np.asarray(lengths)
+        return self._join(lambda g, a, b: segment_sums(
+            1.0 - g.random(int(lengths[..., a:b].sum())), lengths[..., a:b]))
+
+
+def _visible_shares(stream: BatchStream, events: np.ndarray) -> np.ndarray:
     """The visible share of each count of ``events``, shaped alike.
 
     The visible share of c events is the sum of (1 - tau) over their
     uniform arrival times tau: the fraction of each event's effect seen by
     the window's time-averaged reading, whose mean-1/3 square statistics
     give the 2/3 time-average factor of the differenced-window noise.
-    Above ``EXACT_EVENTS`` it is 0.5 c + sqrt(c / 12) z.  One uniform call
-    serves every exact share and one normal call every count.
+    Above ``EXACT_EVENTS`` it is 0.5 c + sqrt(c / 12) z.  ``events`` is
+    counts x trials; per chunk, one uniform call serves every exact share
+    and one normal call every count.
     """
     exact = events <= EXACT_EVENTS
-    sums = segment_sums(1.0 - rng.random(int(events[exact].sum())),
-                        np.where(exact, events, 0))
-    z = rng.standard_normal(events.shape)
+    sums = stream.uniform_sums(np.where(exact, events, 0))
+    z = stream.normal(len(events))
     return np.where(exact, sums, 0.5 * events + np.sqrt(events / 12.0) * z)
 
 
@@ -421,12 +494,13 @@ def _apply_counts(state: EnsembleState, counts,
 
 
 def apply_raman_diffusion(state: EnsembleState, m_s: float,
-                          params: SimParams, rng: np.random.Generator,
+                          params: SimParams, rng,
                           repump_to_up: bool = False) -> EnsembleState:
     """Apply one window's worth of Raman population diffusion.
 
     ``m_s`` is the mean scattered photon number at the half-polarized
-    reference configuration, and ``rng`` draws for the whole batch.
+    reference configuration, and ``rng``, the batch's ``BatchStream`` or
+    a lone generator, draws for the whole batch.
     With ``repump_to_up`` the |1> state is treated as instantly recycled to
     up (the calibration-experiment regime).
     """
@@ -434,7 +508,8 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
         raise ValueError("m_s must be non-negative")
     cav = params.cavity
     new = state.copy()
-    counts = _sample_counts(new, m_s, params.transitions, rng)
+    counts = _sample_counts(new, m_s, params.transitions,
+                            BatchStream.of(rng, new.n_total.size))
     au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
     ad = alpha_per_atom("down", 0.0, cav)
     _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
@@ -451,15 +526,15 @@ def _injection_coeff(coeffs: _noise.NoiseCoeffs, frac: float,
     return _noise.classical_injection_coeff(coeffs, frac, cav, tp)
 
 
-def probe_measure(state: EnsembleState, params: SimParams,
-                  rng: np.random.Generator, m_t: float | None = None,
-                  detuning_offset: float = 0.0
+def probe_measure(state: EnsembleState, params: SimParams, rng,
+                  m_t: float | None = None, detuning_offset: float = 0.0
                   ) -> tuple[MeasurementOutcome, EnsembleState]:
     """One probe window: measurement, back-action, conditional update.
 
-    ``rng`` draws for the whole batch, in order: the normals of the
-    realized Jz and of the read, classical and floor noise, the Raman
-    counts, the recoil photon counts, then the visible shares of both.
+    ``rng``, the batch's ``BatchStream`` or a lone generator, draws for
+    the whole batch, in order: the normals of the realized Jz and of the
+    read, classical and floor noise, the Raman counts, the recoil photon
+    counts, then the visible shares of both.
     ``m_t`` is the window's realized probe strength (``params.probe.m_t``
     when omitted) and ``detuning_offset`` the trial's probe-cavity detuning
     left after pre-alignment, rad/s; either may hold one value per trial.
@@ -471,7 +546,8 @@ def probe_measure(state: EnsembleState, params: SimParams,
         raise ValueError("probe window needs m_t > 0; drop the step instead")
     new = state.copy()
     n = new.n_total
-    z_jz, z_read, z_class, z_floor = rng.standard_normal((4, n.size))
+    stream = BatchStream.of(rng, n.size)
+    z_jz, z_read, z_class, z_floor = stream.normal(4)
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = new.cos_polar()
@@ -499,10 +575,10 @@ def probe_measure(state: EnsembleState, params: SimParams,
 
     # Raman events and recoil photons: full effect persists, a (1 - tau)
     # share shows in this window's reading
-    counts = _sample_counts(new, m_s, tp, rng)
-    n_phot = rng.poisson(m_s)
+    counts = _sample_counts(new, m_s, tp, stream)
+    n_phot = stream.poisson(m_s)
     *raman_shares, recoil_share = _visible_shares(
-        rng, np.array([*counts, n_phot]))
+        stream, np.array([*counts, n_phot]))
     raman_visible = sum(jump * share for jump, share in zip(
         (ad - au, au - ad, a1 - au, a1 - ad), raman_shares))
 

@@ -2,8 +2,10 @@
 
 ``trial_seed`` must give what ``SeedSequence`` gives, and the per-run sums
 of the visible shares, taken for a whole batch at once, the exact sum of
-each run alone to rounding (1e-15).  Every draw path of a probe
-window is reached, and gives the scalar engine's records.
+each run alone to rounding (1e-15).  A batch's stream draws, for each of
+its chunks, exactly what that chunk's generator draws alone.  Every draw
+path of a probe window is reached, and gives the scalar engine's
+records.
 """
 
 import math
@@ -22,7 +24,7 @@ from squeezesim.sequence import (
     run_trials,
     trial_seed,
 )
-from squeezesim.state import segment_sums
+from squeezesim.state import BatchStream, segment_sums
 from test_engine import (
     FixedDraws,
     assert_matches_reference,
@@ -106,6 +108,48 @@ def test_runs_of_one_take_values_in_trial_then_column_order():
     runs = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
     assert segment_sums(values, runs).tolist() == [
         [1.0, 0.0, 2.0], [0.0, 3.0, 4.0], [5.0, 6.0, 7.0]]
+
+
+def test_stream_draws_equal_each_chunk_generators_own_calls():
+    sizes = [3, 5, 1, 4]
+    spans = np.cumsum([0] + sizes)
+    rng = np.random.default_rng(7)
+    lam = rng.uniform(0.0, 40.0, (4, sum(sizes)))
+    lengths = rng.integers(0, 9, (5, sum(sizes)))
+
+    def generators():
+        return [np.random.default_rng(np.random.SeedSequence(
+            3, spawn_key=(k,))) for k in range(len(sizes))]
+
+    stream = BatchStream(generators(), sizes)
+    drawn = [stream.normal(), stream.normal(4), stream.poisson(lam),
+             stream.poisson(lam[0]), stream.uniform_sums(lengths)]
+    own = [[], [], [], [], []]
+    for g, a, b in zip(generators(), spans, spans[1:]):
+        own[0].append(g.standard_normal(b - a))
+        own[1].append(g.standard_normal((4, b - a)))
+        own[2].append(g.poisson(lam[:, a:b]))
+        own[3].append(g.poisson(lam[0, a:b]))
+        block = lengths[:, a:b]
+        own[4].append(segment_sums(1.0 - g.random(int(block.sum())), block))
+    for got, parts in zip(drawn, own):
+        expected = np.concatenate(parts, axis=-1)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def test_lone_generator_is_a_stream_of_one_chunk():
+    one = BatchStream.of(np.random.default_rng(5), 6)
+    assert one.spans == ((0, 6),) and one.size == 6
+    assert BatchStream.of(one, 6) is one
+    assert np.array_equal(one.normal(2),
+                          np.random.default_rng(5).standard_normal((2, 6)))
+    # a stream of one trial would broadcast its variates over a batch
+    with pytest.raises(ValueError, match="stream of 1 trials cannot draw "
+                                         "for 6"):
+        BatchStream.of(BatchStream.of(np.random.default_rng(5), 1), 6)
+    with pytest.raises(ValueError, match="one generator for each"):
+        BatchStream([np.random.default_rng(5)], [2, 3])
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ import pytest
 import scalar_reference
 from squeezesim.experiments import standard_protocol
 from squeezesim.physics import scattered_ratio
+import squeezesim.sequence as sequence
 from squeezesim.sequence import (
     CHUNK_TRIALS,
     RecordSet,
     SimParams,
     parse_protocol,
+    run_grid,
     run_trial,
     run_trials,
     trial_seed,
@@ -62,6 +64,10 @@ pulse 90 30
 probe C mt=20000.5
 """)
 TINY_N = BASE.with_n(8.0).with_mt(1e8)
+# every knob that the default run leaves off, switched on
+KNOBS = replace(BASE, contrast_excess=1.9, light_shift_per_photon=2e-5,
+                rotation_angle_noise=0.01, rotation_phase_noise=0.02,
+                lineshape_penalty=3.0)
 
 CASES = {
     "default": (STANDARD, BASE, 120),
@@ -239,6 +245,59 @@ def test_full_chunks_do_not_depend_on_the_trial_count():
     assert part.trials == whole.trials[:CHUNK_TRIALS]
 
 
+@pytest.mark.parametrize("protocol,params", [(VARIED, BASE),
+                                             (STANDARD, KNOBS)],
+                         ids=["varied", "knobs"])
+def test_records_do_not_depend_on_the_batch_size(protocol, params,
+                                                 monkeypatch):
+    # a batch of one chunk, the default, and the whole run as one batch
+    n = 2 * CHUNK_TRIALS + 5
+    runs = [run_trials(protocol, params, n, master_seed=12)]
+    for batch in (CHUNK_TRIALS, 10**6):
+        monkeypatch.setattr(sequence, "BATCH_TRIALS", batch)
+        runs.append(run_trials(protocol, params, n, master_seed=12))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].master_seed == 12 and len(runs[0]) == n
+
+
+@pytest.mark.parametrize("n_trials,batch", [
+    (5, 4096),
+    (700, 4096),    # every point in one batch, a point split across chunks
+    (1500, 4096),   # the last point split across two batches
+    (700, 1300),    # the middle point split across two batches, each
+                    # of which spans two points
+])
+def test_grid_points_equal_their_own_runs(n_trials, batch, monkeypatch):
+    monkeypatch.setattr(sequence, "BATCH_TRIALS", batch)
+    m_ts = np.logspace(3.5, 5.0, 3)
+    seeds = [trial_seed(40, i) for i in range(len(m_ts))]
+    grid = list(run_grid(STANDARD, KNOBS, m_ts, n_trials, seeds))
+    assert len(grid) == len(m_ts)
+    for m_t, seed, rs in zip(m_ts, seeds, grid):
+        own = run_trials(STANDARD, KNOBS.with_mt(m_t), n_trials, seed)
+        assert rs == own
+        assert rs.params["probe.m_t"] == m_t and rs.master_seed == seed
+
+
+def test_grid_arguments_are_checked_before_any_trial_runs():
+    with pytest.raises(ValueError, match="one master seed per probe"):
+        run_grid(STANDARD, BASE, [1e4, 2e4], 10, [1])
+    with pytest.raises(ValueError, match="master_seed"):
+        run_grid(STANDARD, BASE, [1e4, 2e4], 10, [1, -1])
+    with pytest.raises(ValueError, match="n_trials"):
+        run_grid(STANDARD, BASE, [1e4], 0, [1])
+
+
+def test_a_slice_of_a_record_set_holds_its_trials():
+    rs = run_trials(VARIED, BASE, 9, master_seed=2)
+    part = rs[3:7]
+    assert part.trials == rs.trials[3:7]
+    assert (part.params, part.master_seed) == (rs.params, 2)
+    assert RecordSet.concat([rs[:3], rs[3:]], master_seed=2) == rs
+    with pytest.raises(TypeError, match="slice"):
+        rs[3]
+
+
 def test_records_do_not_depend_on_workers(monkeypatch):
     one = run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=1)
     assert run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=4) == one
@@ -282,25 +341,42 @@ def test_corrupted_state_trips_its_invariant(field, value, name):
         f"state invariant violated: {name} in trial 1025 (chunk 2)")
 
 
-def test_engine_names_trial_and_chunk_of_a_violation(monkeypatch):
-    import squeezesim.sequence as sequence
-
+def corrupt_contrast_at(monkeypatch, position: int) -> None:
+    """Every rotation leaves the trial at ``position`` of its batch with
+    a contrast of 2."""
     real_rotate = sequence.rotate
 
     def corrupting_rotate(state, angle, phase):
         new = real_rotate(state, angle, phase)
+        assert new.contrast.size > position  # the batch spans chunks
         contrast = new.contrast.copy()
-        contrast[-1] = 2.0
+        contrast[position] = 2.0
         new.contrast = contrast
         return new
 
     monkeypatch.setattr(sequence, "rotate", corrupting_rotate)
-    n = CHUNK_TRIALS + 3
+
+
+def test_engine_names_trial_and_chunk_of_a_violation(monkeypatch):
+    # a run of three chunks is one batch; its trial 712 is in chunk 1
+    corrupt_contrast_at(monkeypatch, CHUNK_TRIALS + 200)
+    n = 2 * CHUNK_TRIALS + 5
     with pytest.raises(ValueError) as err:
         run_trials(STANDARD, BASE, n, master_seed=4)
     assert str(err.value) == (
         f"state invariant violated: contrast in [0, 1] in trial "
-        f"{CHUNK_TRIALS - 1} (chunk 0)")
+        f"{CHUNK_TRIALS + 200} (chunk 1)")
+
+
+def test_grid_names_trial_chunk_and_strength_of_a_violation(monkeypatch):
+    # two points of 700 trials are one batch; its trial 900 is trial 200
+    # of the second point, in that point's chunk 0
+    corrupt_contrast_at(monkeypatch, 900)
+    with pytest.raises(ValueError) as err:
+        list(run_grid(STANDARD, BASE, [2e4, 4e4], 700, [3, 4]))
+    assert str(err.value) == (
+        "state invariant violated: contrast in [0, 1] in trial 200 "
+        "(chunk 0) at M_t = 40000.0")
 
 
 def test_exact_read_passes_the_heisenberg_check():

@@ -11,13 +11,13 @@ binomial projection noise of a CSS at polar angle theta, and zero for a
 spin-polarized state.
 
 A probe window does, in order: draw the trial's current Jz realization,
-scatter photons (Raman population diffusion + recoil heating, each event
-tagged with a uniform arrival time so that a mid-window event is only
-partially visible in that window's time-averaged reading), assemble the
-noisy dressed-frequency reading, condition the state on the reading
-(Kalman update), inflate the anti-squeezed quadrature to respect the
-uncertainty relation, and decay the contrast by the free-space-scattering
-collapse law.
+scatter photons (Raman population diffusion + recoil heating; an event at
+a uniform arrival time is only partially visible in that window's
+time-averaged reading, and the visible share of a count is drawn from its
+Gaussian moments), assemble the noisy dressed-frequency reading, condition
+the state on the reading (Kalman update), inflate the anti-squeezed
+quadrature to respect the uncertainty relation, and decay the contrast by
+the free-space-scattering collapse law.
 
 A state is a batch of trials: each field is an array over its trials,
 and a single trial is a batch of one (``prepare_css`` and
@@ -375,31 +375,14 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     return counts
 
 
-# the visible share of at most this many events sums their arrival times;
-# a larger share is drawn from its normal approximation
-EXACT_EVENTS = 64
-
-
-def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
-    """The sum of each run of ``values``, an array shaped like ``lengths``:
-    runs of the given lengths lie end to end in the C order of
-    ``lengths``, and an empty run sums to 0."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    flat = lengths.ravel()
-    sums = np.zeros(flat.shape)
-    on = flat > 0
-    if np.any(on):
-        sums[on] = np.add.reduceat(values, (np.cumsum(flat) - flat)[on])
-    return sums.reshape(lengths.shape)
-
-
 class BatchStream:
     """The random stream of a batch whose trials lie in chunks.
 
     Chunk j is ``sizes[j]`` consecutive trials of the batch and draws from
-    ``generators[j]``.  Each draw makes, for every chunk, the one bulk call
-    that a batch of that chunk alone would make, on the chunk's slice of
-    the trial axis (the last), and joins the results along it.
+    ``generators[j]``.  Each draw, of normals or of Poisson counts, makes
+    for every chunk the one bulk call that a batch of that chunk alone
+    would make, on the chunk's slice of the trial axis (the last), and
+    joins the results along it.
     """
 
     def __init__(self, generators, sizes) -> None:
@@ -440,31 +423,22 @@ class BatchStream:
         lam = np.asarray(lam)
         return self._join(lambda g, a, b: g.poisson(lam[..., a:b]))
 
-    def uniform_sums(self, lengths) -> np.ndarray:
-        """The sum of 1 - u over a run of ``lengths`` uniforms u in [0, 1)
-        for each element of ``lengths`` (trials on its last axis): a
-        chunk draws all its runs' uniforms in one call, in the C order of
-        its slice of ``lengths``, and sums them with ``segment_sums``."""
-        lengths = np.asarray(lengths)
-        return self._join(lambda g, a, b: segment_sums(
-            1.0 - g.random(int(lengths[..., a:b].sum())), lengths[..., a:b]))
 
+def _visible_shares(events: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The visible share of each count of ``events``, drawn from the
+    standard normals ``z`` shaped alike.
 
-def _visible_shares(stream: BatchStream, events: np.ndarray) -> np.ndarray:
-    """The visible share of each count of ``events``, shaped alike.
-
-    The visible share of c events is the sum of (1 - tau) over their
-    uniform arrival times tau: the fraction of each event's effect seen by
-    the window's time-averaged reading, whose mean-1/3 square statistics
-    give the 2/3 time-average factor of the differenced-window noise.
-    Above ``EXACT_EVENTS`` it is 0.5 c + sqrt(c / 12) z.  ``events`` is
-    counts x trials; per chunk, one uniform call serves every exact share
-    and one normal call every count.
+    The visible share of c events sums (1 - tau) over their uniform
+    arrival times tau: the fraction of each event's effect seen by the
+    window's time-averaged reading.  Its mean is c/2 and its variance
+    c/12, and the 1/3 mean square of (1 - tau) gives the 2/3
+    ``BETA_TIME_AVERAGE`` of the differenced-window noise.  At the
+    Gaussian-moment level of the engine the share is 0.5 c + sqrt(c/12) z
+    for every c.  It is not clipped to [0, c]: a share enters only the
+    reading, never a population, and clipping would shrink the variance of
+    a small count below c/12.
     """
-    exact = events <= EXACT_EVENTS
-    sums = stream.uniform_sums(np.where(exact, events, 0))
-    z = stream.normal(len(events))
-    return np.where(exact, sums, 0.5 * events + np.sqrt(events / 12.0) * z)
+    return 0.5 * events + np.sqrt(events / 12.0) * z
 
 
 def _apply_counts(state: EnsembleState, counts,
@@ -532,9 +506,10 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     """One probe window: measurement, back-action, conditional update.
 
     ``rng``, the batch's ``BatchStream`` or a lone generator, draws for
-    the whole batch, in order: the normals of the realized Jz and of the
-    read, classical and floor noise, the Raman counts, the recoil photon
-    counts, then the visible shares of both.
+    the whole batch in three calls per chunk: 9 x trials normals (the
+    realized Jz; the read, classical and floor noise; the visible shares
+    of the four Raman channels and of the recoil photons), the 4 x trials
+    Raman counts, then the recoil photon counts.
     ``m_t`` is the window's realized probe strength (``params.probe.m_t``
     when omitted) and ``detuning_offset`` the trial's probe-cavity detuning
     left after pre-alignment, rad/s; either may hold one value per trial.
@@ -547,7 +522,7 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     new = state.copy()
     n = new.n_total
     stream = BatchStream.of(rng, n.size)
-    z_jz, z_read, z_class, z_floor = stream.normal(4)
+    z_jz, z_read, z_class, z_floor, *z_share = stream.normal(9)
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = new.cos_polar()
@@ -578,7 +553,7 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     counts = _sample_counts(new, m_s, tp, stream)
     n_phot = stream.poisson(m_s)
     *raman_shares, recoil_share = _visible_shares(
-        stream, np.array([*counts, n_phot]))
+        np.array([*counts, n_phot]), z_share)
     raman_visible = sum(jump * share for jump, share in zip(
         (ad - au, au - ad, a1 - au, a1 - ad), raman_shares))
 

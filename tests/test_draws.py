@@ -1,11 +1,10 @@
 """The seeds and bulk draws of the trial engine against numpy's own.
 
-``trial_seed`` must give what ``SeedSequence`` gives, and the per-run sums
-of the visible shares, taken for a whole batch at once, the exact sum of
-each run alone to rounding (1e-15).  A batch's stream draws, for each of
-its chunks, exactly what that chunk's generator draws alone.  Every draw
-path of a probe window is reached, and gives the scalar engine's
-records.
+``trial_seed`` must give what ``SeedSequence`` gives.  A visible share is
+0.5 c + sqrt(c/12) z, exactly and unclipped.  A batch's stream draws, for
+each of its chunks, exactly what that chunk's generator draws alone, and
+a probe window makes three bulk calls per chunk in a fixed order.  Probe
+windows over every count regime give the scalar engine's records.
 """
 
 import math
@@ -24,10 +23,10 @@ from squeezesim.sequence import (
     run_trials,
     trial_seed,
 )
-from squeezesim.state import BatchStream, segment_sums
+from squeezesim.state import BatchStream, prepare_css, probe_measure
 from test_engine import (
-    FixedDraws,
     assert_matches_reference,
+    feed_fixed_draws,
     moment_z_scores,
     K_SE,
 )
@@ -68,7 +67,7 @@ def test_seed_out_of_range_is_named(master, index, named):
 
 
 # ---------------------------------------------------------------------------
-# merged draws and batch-wide sums
+# merged draws
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (3, 64), (64, 5), (17, 40)])
@@ -84,30 +83,40 @@ def test_merged_draws_equal_separate_calls(a, b):
     assert one.random() == two.random()
 
 
-def test_segment_sums_equal_one_dimensional_sums():
+# ---------------------------------------------------------------------------
+# the visible-share rule
+
+
+def test_visible_share_is_its_gaussian_moments():
     rng = np.random.default_rng(20261018)
-    # every length from 1 to 64, each several times in several columns,
-    # with empty runs between them
-    lengths = np.array([rng.permutation(65) for _ in range(6)])
-    values = 1.0 - rng.random(int(lengths.sum()))
-    starts = np.cumsum(lengths.ravel()) - lengths.ravel()
-    expected = [math.fsum(values[a:a + n])
-                for a, n in zip(starts, lengths.ravel())]
-    batch = segment_sums(values, lengths)
-    assert batch.shape == lengths.shape
-    assert batch.ravel() == pytest.approx(expected, rel=1e-15, abs=0.0)
-    for n in range(1, 65):
-        u = rng.random(n)
-        assert segment_sums(1.0 - u, [n])[0] == pytest.approx(
-            math.fsum(1.0 - u), rel=1e-15, abs=0.0)
+    events = rng.integers(0, 300, (5, 40))
+    z = rng.standard_normal((5, 40))
+    shares = state._visible_shares(events, z)
+    assert shares.shape == events.shape
+    assert shares.tolist() == [
+        [0.5 * c + math.sqrt(c / 12.0) * x for c, x in zip(row, zs)]
+        for row, zs in zip(events.tolist(), z.tolist())]
 
 
-def test_runs_of_one_take_values_in_trial_then_column_order():
-    # runs lie in the C order of the lengths: along a row, then row by row
-    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-    runs = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 1]])
-    assert segment_sums(values, runs).tolist() == [
-        [1.0, 0.0, 2.0], [0.0, 3.0, 4.0], [5.0, 6.0, 7.0]]
+def test_no_event_has_no_visible_share():
+    z = np.array([-1e300, -5.0, -0.0, 0.0, 3.0, 1e300])
+    shares = state._visible_shares(np.zeros(z.shape, dtype=np.int64), z)
+    assert shares.tolist() == [0.0] * z.size
+    assert not np.any(np.signbit(shares))
+
+
+def test_share_of_one_event_is_not_clipped():
+    # a share enters only the reading, never a population, so a c = 1
+    # share outside [0, 1] is kept: clipping would shrink its variance
+    # below 1/12
+    z = np.array([-3.0, 3.0])
+    low, high = state._visible_shares(np.ones(2, dtype=np.int64), z)
+    assert low == 0.5 - 3.0 * math.sqrt(1.0 / 12.0) and low < 0.0
+    assert high == 0.5 + 3.0 * math.sqrt(1.0 / 12.0) and high > 1.0
+
+
+# ---------------------------------------------------------------------------
+# the streams of a batch
 
 
 def test_stream_draws_equal_each_chunk_generators_own_calls():
@@ -115,7 +124,6 @@ def test_stream_draws_equal_each_chunk_generators_own_calls():
     spans = np.cumsum([0] + sizes)
     rng = np.random.default_rng(7)
     lam = rng.uniform(0.0, 40.0, (4, sum(sizes)))
-    lengths = rng.integers(0, 9, (5, sum(sizes)))
 
     def generators():
         return [np.random.default_rng(np.random.SeedSequence(
@@ -123,15 +131,13 @@ def test_stream_draws_equal_each_chunk_generators_own_calls():
 
     stream = BatchStream(generators(), sizes)
     drawn = [stream.normal(), stream.normal(4), stream.poisson(lam),
-             stream.poisson(lam[0]), stream.uniform_sums(lengths)]
-    own = [[], [], [], [], []]
+             stream.poisson(lam[0])]
+    own = [[], [], [], []]
     for g, a, b in zip(generators(), spans, spans[1:]):
         own[0].append(g.standard_normal(b - a))
         own[1].append(g.standard_normal((4, b - a)))
         own[2].append(g.poisson(lam[:, a:b]))
         own[3].append(g.poisson(lam[0, a:b]))
-        block = lengths[:, a:b]
-        own[4].append(segment_sums(1.0 - g.random(int(block.sum())), block))
     for got, parts in zip(drawn, own):
         expected = np.concatenate(parts, axis=-1)
         assert got.shape == expected.shape
@@ -152,13 +158,60 @@ def test_lone_generator_is_a_stream_of_one_chunk():
         BatchStream([np.random.default_rng(5)], [2, 3])
 
 
-# ---------------------------------------------------------------------------
-# every draw path of a probe window, against the scalar engine
+class RecordingGenerator:
+    """A generator that records each draw made of it and fails on any
+    draw but normals and Poisson counts."""
 
-# probe strengths that give: a recoil count of at most 64 with few Raman
-# events (mt=40); the up-to-one channel near 64 while the others are below
-# (mt=3e4); three channels above 64 in a row (mt=1.2e5); all four above 64
-# (mt=3e5)
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+        self.normals = []
+
+    def standard_normal(self, size=None):
+        self.calls.append(("standard_normal", size))
+        self.normals.append(self.rng.standard_normal(size))
+        return self.normals[-1]
+
+    def poisson(self, lam):
+        self.calls.append(("poisson", np.shape(lam)))
+        return self.rng.poisson(lam)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a probe window drew {name}")
+
+
+@pytest.mark.parametrize("sizes", [[7], [3, 5]])
+def test_probe_window_makes_three_calls_per_chunk(sizes, monkeypatch):
+    params = SimParams()
+    css = prepare_css(4.8e5, params.ensemble).tile(sum(sizes))
+    recorders = [RecordingGenerator(k) for k in range(len(sizes))]
+    rng = (recorders[0] if len(sizes) == 1
+           else BatchStream(recorders, sizes))
+    share_normals = []
+    real = state._visible_shares
+
+    def spy(events, z):
+        share_normals.append(np.array(z))
+        return real(events, z)
+
+    monkeypatch.setattr(state, "_visible_shares", spy)
+    probe_measure(css, params, rng)
+    for rec, n in zip(recorders, sizes):
+        assert rec.calls == [("standard_normal", (9, n)),
+                             ("poisson", (4, n)), ("poisson", (n,))]
+    # the shares take the last five rows of the normals, one per count
+    assert np.array_equal(share_normals[0], np.concatenate(
+        [rec.normals[0][4:] for rec in recorders], axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# every count regime of a probe window, against the scalar engine
+
+# probe strengths whose counts span the share rule's regimes: a recoil
+# count of at most 64 with few Raman events (mt=40), where a Gaussian share
+# departs most from a sum of uniforms; the up-to-one channel near 64 while
+# the others are below (mt=3e4); three channels above 64 in a row
+# (mt=1.2e5); all four above 64 (mt=3e5)
 DRAW_PATHS = parse_protocol("""\
 prealign
 pump down
@@ -177,9 +230,9 @@ def window_draws(monkeypatch, protocol, params, n_trials, master_seed):
     seen = []
     real = state._visible_shares
 
-    def spy(rng, events):
+    def spy(events, z):
         seen.append((events[:4].T, events[4]))
-        return real(rng, events)
+        return real(events, z)
 
     with monkeypatch.context() as patch:
         patch.setattr(state, "_visible_shares", spy)
@@ -193,31 +246,20 @@ def test_every_draw_path_equals_scalar_engine(monkeypatch):
                         master_seed=21)
     counts = np.vstack([c for c, _ in seen])
     photons = np.concatenate([p for _, p in seen])
+    # the scalar engine sums the share of at most 64 events from their
+    # arrival times and draws a larger one from its normal; the windows
+    # reach both, within one trial's window too, so the moment comparison
+    # sets Gaussian shares against exact sums of every size
     small, big = (counts > 0) & (counts <= 64), counts > 64
-    # one trial's window mixes exact and approximated Raman shares
     assert np.any(small.any(axis=1) & big.any(axis=1))
-    # consecutive channels above 64 share one normal call, and all four too
     assert np.any(big[:, 0] & big[:, 1] & big[:, 2])
     assert np.any(big.all(axis=1))
-    # a recoil share from its uniform arrival times, and from its normal
+    assert np.any(counts == 1)
     assert np.any((photons > 0) & (photons <= 64))
     assert np.any(photons > 64)
     z = moment_z_scores(DRAW_PATHS, params, master_seed=21)
     worst = max(z, key=z.get)
     assert z[worst] <= K_SE, f"{worst}: {z[worst]:.2f} standard errors"
     with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", lambda seed=None: FixedDraws())
+        feed_fixed_draws(patch)
         assert_matches_reference(DRAW_PATHS, params, 200, master_seed=21)
-
-
-def test_default_engine_case_mixes_exact_and_normal_shares(monkeypatch):
-    # the default case of test_engine reaches the mixed windows: at
-    # M_t = 4.1e4 the up-to-one channel is above 64 and the others below
-    from test_engine import CASES
-    protocol, params, n_trials = CASES["default"]
-    seen = window_draws(monkeypatch, protocol, params, n_trials,
-                        master_seed=11)
-    mixed = sum(int(np.count_nonzero(((c > 0) & (c <= 64)).any(axis=1)
-                                     & (c > 64).any(axis=1)))
-                for c, _ in seen)
-    assert mixed > n_trials

@@ -6,13 +6,18 @@ draws from one generator per chunk, in bulk and in another order, so the
 two engines are compared two ways, over a grid of knobs that switches each
 draw, clamp and branch on and off:
 
-* fed the same variates (``FixedDraws``: every normal, uniform and Poisson
-  count fixed), every record is the scalar engine's to 1e-12;
+* fed the same variates (``FixedDraws``: every normal and Poisson count
+  fixed) and the same visible-share rule, every record is the scalar
+  engine's to 1e-12;
 * fed their own generators, every output column, and the difference of
   each pair of successive probe columns, has the scalar engine's mean and
-  variance within ``K_SE`` standard errors.
+  variance within ``K_SE`` standard errors.  The scalar engine sums the
+  visible share of up to 64 events from their uniform arrival times, and
+  the engine draws every share from its Gaussian moments, so these
+  comparisons also check that the shape of a share does not matter.
 """
 
+import math
 import re
 from dataclasses import replace
 
@@ -36,10 +41,9 @@ from squeezesim.sequence import (
 from squeezesim.state import (heisenberg_check, polarized_state,
                               probe_measure, rotate)
 
-# the fixed variates: each normal, each uniform arrival time; a Poisson
-# count is its mean rounded down.  Z < 0 takes the power_clamp case below
-# its clamp.
-Z, U = -0.3, 0.25
+# the fixed variate of each normal; a Poisson count is its mean rounded
+# down.  Z < 0 takes the power_clamp case below its clamp.
+Z = -0.3
 # the tolerance of a moment comparison in standard errors, fixed in advance
 K_SE = 5.0
 # trials per case of a moment comparison
@@ -48,8 +52,8 @@ ENGINE_TRIALS, SCALAR_TRIALS = 5000, 500
 BASE = SimParams()
 STANDARD = standard_protocol()
 # a pump to up, a probe on a pole (no projection noise to draw), probes at
-# a fixed strength (few Raman events, so the exact visible sums), a wait
-# and pulses at odd phases
+# a fixed strength (few Raman events, whose scalar shares are exact sums),
+# a wait and pulses at odd phases
 VARIED = parse_protocol("""\
 prealign
 pump up
@@ -103,18 +107,28 @@ class FixedDraws:
     def standard_normal(self, size=None):
         return Z if size is None else np.full(size, Z)
 
-    def random(self, size=None):
-        return U if size is None else np.full(size, U)
-
     def poisson(self, lam):
         return np.floor(lam).astype(np.int64)
 
 
+def gaussian_visible_sum(count: int, rng) -> float:
+    """The engine's visible share of ``count`` events, for the scalar
+    engine."""
+    return 0.5 * count + math.sqrt(count / 12.0) * rng.standard_normal()
+
+
+def feed_fixed_draws(patch) -> None:
+    """Make every generator numpy makes a ``FixedDraws``, and have the
+    scalar engine draw its visible shares by the engine's rule."""
+    patch.setattr(np.random, "default_rng", lambda seed=None: FixedDraws())
+    patch.setattr(scalar_reference, "_visible_sum", gaussian_visible_sum)
+
+
 @pytest.fixture
 def fixed_draws(monkeypatch):
-    """Every generator numpy makes is a ``FixedDraws``."""
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed=None: FixedDraws())
+    """Every generator numpy makes is a ``FixedDraws``, and both engines
+    share one visible-share rule."""
+    feed_fixed_draws(monkeypatch)
 
 
 def assert_matches_reference(protocol, params, n_trials, master_seed):

@@ -12,7 +12,7 @@ lines, so a change meant to keep the outputs is checked with
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
 
-Takes about 3 s on one core.
+Takes about 2 s on one core.
 """
 
 import contextlib
@@ -46,6 +46,22 @@ rotation_phase_noise = 0.02
 lineshape_penalty = 3
 """
 
+# a config away from the default atom number and power fluctuation, so the
+# budget terms are checked where n and frac differ from the fit's anchor
+PARAMS = """\
+[cavity]
+recoil_hz_per_photon = 2.0
+
+[ensemble]
+n_effective = 2.4e5
+
+[probe]
+ms_classical_frac = 0.06
+
+[transition]
+p_u1 = 5e-3
+"""
+
 
 def commands(work: Path) -> dict[str, list]:
     """Each digest section's name and its ``squeezesim`` arguments."""
@@ -77,6 +93,13 @@ def commands(work: Path) -> dict[str, list]:
         "run-knobs-batches": ["run", "--seed", 15, "--trials", 4700,
                               "--protocol", work / "protocol.txt",
                               "--config", work / "knobs.ini"],
+        "sweep-params": ["sweep", "--seed", 16, "--trials", 300,
+                         "--points", 5, "--config", work / "params.ini"],
+        "budget-params": ["budget", "--seed", 17, "--mt", 3e4,
+                          "--config", work / "params.ini"],
+        "phase-detect-params": ["phase-detect", "--seed", 18, "--trials",
+                                1000, "--target-winv", 5,
+                                "--config", work / "params.ini"],
     }
 
 
@@ -85,6 +108,7 @@ def main() -> int:
         work = Path(tmp)
         (work / "protocol.txt").write_text(PROTOCOL)
         (work / "knobs.ini").write_text(KNOBS)
+        (work / "params.ini").write_text(PARAMS)
         for name, argv in commands(work).items():
             out = work / name
             with contextlib.redirect_stdout(io.StringIO()):

@@ -30,11 +30,8 @@ def main() -> None:
                          contrast_excess=sq.CALIBRATED_CONTRAST_EXCESS)
 
     print("== noise budget at the reference operating point ==")
-    report = sq.budget_report(params.ensemble.n_effective, 4.1e4,
-                              params.coeffs, params.cavity,
-                              params.transitions,
-                              params.probe.ms_classical_frac)
-    for label, value in report.rows():
+    report = sq.budget_report(params, 4.1e4)
+    for label, value in report.terms:
         print(f"  {label:34s} {value:12.4g}")
 
     print("\n== probe-strength sweep (calibrated contrast decay) ==")

@@ -22,10 +22,12 @@ and how many seeds land inside the band.  For criteria 4 to 6 seed k is
 phase-detection CSS arm uses seed + 1, as the tests do.  The r_q fit's
 sweep uses seed 77 + k (k = 0 is the test) with the test's bootstrap
 seed 5, each oracle its test's seed + k, and each moment comparison its
-test's engine seed + 2k.  Per seed, on one core: c4 about 6 s, c5 about
-3 s, c6 about 25 s, rq about 2 s, oracles about 30 s, moments about 7 s;
-``--only`` picks some of them, and ``--rq-trials`` sets the r_q fit's
-trials per point (800, the test's size, by default):
+test's engine seed + 2k.  Per seed, on one core of a 2-core Xeon
+(Python 3.11, numpy 2.4): c4 and c5 about 0.1 s each, c6 about 1 s, rq
+under 0.1 s (its first seed about 0.5 s more, for the scipy import),
+oracles about 1 s, moments about 5 s; ``--only`` picks some of them,
+and ``--rq-trials`` sets the r_q fit's trials per point (800, the test's
+size, by default):
 
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8
     PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only rq

@@ -163,15 +163,12 @@ def cmd_fringe(args) -> int:
 
 def cmd_budget(args) -> int:
     cfg, seed, _, out = _context(args)
-    params = cfg.sim_params()
     m_t = args.mt if args.mt is not None else cfg.get("probe", "m_t")
-    report = _noise.budget_report(
-        params.ensemble.n_effective, m_t, params.coeffs, params.cavity,
-        params.transitions, params.probe.ms_classical_frac)
+    report = _noise.budget_report(cfg.sim_params(), m_t)
     path = _write_output(out, "budget", report.to_table(), cfg, seed,
                          "budget", {"m_t": m_t})
     print(f"wrote {path}")
-    for label, value in report.rows():
+    for label, value in report.terms:
         print(f"{label:34s} {value:12.4g}")
     return 0
 
@@ -194,15 +191,23 @@ def cmd_calibrate_raman(args) -> int:
 def cmd_fit(args) -> int:
     cfg, seed, _, out = _context(args)
     with open(args.infile, newline="") as fh:
-        rows = [r for r in csv.DictReader(
-            line for line in fh if not line.startswith("#"))]
-    if not rows or "mt" not in rows[0] or "R" not in rows[0]:
+        lines = [(k, s) for k, s in enumerate(fh, 1) if s[:1] != "#"]
+    reader = csv.DictReader(s for _, s in lines)
+    if not {"mt", "R"} <= set(reader.fieldnames or ()):
         raise ConfigError(f"{args.infile} needs 'mt' and 'R' columns")
     points = []
-    for r in rows:
-        pt = [float(r["mt"]), float(r["R"])]
-        if r.get("weight"):
-            pt.append(float(r["weight"]))
+    for row in reader:  # a short row's missing cells are None
+        names = ("mt", "R", "weight") if row.get("weight") else ("mt", "R")
+        pt = []
+        for name in names:
+            try:
+                pt.append(float(row[name]))
+            except (TypeError, ValueError):
+                problem = ("no cell" if row[name] is None
+                           else f"{row[name]!r} is not a number")
+                raise ConfigError(
+                    f"{args.infile}, line {lines[reader.line_num - 1][0]}, "
+                    f"column {name!r}: {problem}") from None
         points.append(tuple(pt))
     result = _noise.fit_r(points, n_boot=args.boot, rng=seed)
     payload = {

@@ -67,16 +67,9 @@ def contrast_model(params: SimParams, m_t: float, windows: int = 1) -> float:
         -windows * (1.0 + params.contrast_excess) * m_s / n)
 
 
-def budget_terms(params: SimParams, m_t: float) -> _noise.BudgetTerms:
-    """The R terms of the simulated noise at probe strength ``m_t``."""
-    return _noise.budget_terms(
-        params.ensemble.n_effective, m_t, params.coeffs, params.cavity,
-        params.transitions, params.probe.ms_classical_frac)
-
-
 def expected_r(params: SimParams, m_t: float) -> float:
     """Analytic expectation of the simulated spin-noise reduction."""
-    return budget_terms(params, m_t).total
+    return _noise.budget_terms(params, m_t).total
 
 
 def expected_w_inverse(params: SimParams, m_t: float,
@@ -235,7 +228,7 @@ def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
         w_inv = _noise.spectroscopic_enhancement(
             r, c, params.ensemble.initial_contrast)
         rows.append(SweepRow(m_t=m_t, r=r, contrast=c, w_inv=w_inv,
-                             terms=budget_terms(params, m_t)))
+                             terms=_noise.budget_terms(params, m_t)))
     return SweepResult(rows=tuple(rows),
                        n_effective=params.ensemble.n_effective,
                        trials_per_point=trials_per_point,

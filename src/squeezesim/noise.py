@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import DEFAULTS, check_fields
 from .physics import TWO_PI, CavityParams, alpha_per_atom, scattered_ratio
+
+if TYPE_CHECKING:  # annotations only: state imports this module
+    from .state import SimParams
 
 # Fraction of a transition's variance that survives the unweighted time
 # averaging of the two measurement windows forming the differenced record.
@@ -106,10 +111,13 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     pts = [tuple(p) for p in points]
     if len(pts) < 4:
         raise ValueError("fit_r needs at least 4 points")
+    for k, pt in enumerate(pts):
+        for name, value in zip(("m_t", "R", "weight"), pt):
+            if not (value > 0 and math.isfinite(value)):  # NaN fails too
+                raise ValueError(f"fit_r point {k} {pt!r}: {name} must be "
+                                 f"finite and > 0 (got {value!r})")
     m = np.array([p[0] for p in pts], dtype=float)
     r = np.array([p[1] for p in pts], dtype=float)
-    if np.any(m <= 0) or np.any(r <= 0):
-        raise ValueError("fit_r points must have positive m_t and R")
     if m.max() / m.min() < 10.0:
         raise ValueError("fit_r points must span at least a decade in m_t")
     w = np.array([p[2] if len(p) > 2 else 1.0 / (p[1] ** 2) for p in pts])
@@ -325,6 +333,7 @@ def _back_action(n: float, m_t: float, cav: CavityParams, tp,
             "ext_c": ext_c}
 
 
+@lru_cache(maxsize=16)
 def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
                               cav: CavityParams, tp) -> float:
     """Residual classical back-action to inject, per M_t^2, at the anchor.
@@ -333,7 +342,8 @@ def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
     produces mechanistically (recoil and population response to common
     probe-power fluctuations); those are subtracted here so the simulated
     total matches the fit.  The remainder (variable damping plus the
-    unexplained residual) is injected as window frequency noise.
+    unexplained residual) is injected as window frequency noise.  Cached
+    for the engine and the budget, which both ask at every evaluation.
     """
     m_ref = coeffs.m_reference
     mech = _back_action(coeffs.n_reference, m_ref, cav, tp, frac)
@@ -387,16 +397,18 @@ class BudgetTerms:
                 + self.pop_c + self.ext_c)
 
 
-def budget_terms(n: float, m_t: float, coeffs: NoiseCoeffs,
-                 cav: CavityParams, tp, frac: float) -> BudgetTerms:
-    """Every R term the simulator generates at ``n`` atoms and strength m_t.
+def budget_terms(params: SimParams, m_t: float) -> BudgetTerms:
+    """Every R term the simulator generates at probe strength ``m_t`` with
+    the engine's ``params``.
 
     The fitted terms follow the atom-number scaling conventions above; the
-    back-action terms are evaluated from first principles with common
-    probe-power fluctuation ``frac``.
+    back-action terms are evaluated from first principles with the common
+    probe-power fluctuation ``params.probe.ms_classical_frac``.
     """
     if m_t <= 0:
         raise ValueError("m_t must be positive")
+    n, frac = params.ensemble.n_effective, params.probe.ms_classical_frac
+    coeffs, cav, tp = params.coeffs, params.cavity, params.transitions
     n_ref = coeffs.n_reference
     return BudgetTerms(
         psn=coeffs.r_psn * readout_scale(n, n_ref, cav) / m_t,
@@ -413,9 +425,6 @@ class BudgetReport:
     m_t: float
     terms: tuple[tuple[str, float], ...]
 
-    def rows(self) -> list[tuple[str, float]]:
-        return list(self.terms)
-
     def to_table(self) -> str:
         lines = ["term,R_inv"]
         for label, value in self.terms:
@@ -423,14 +432,14 @@ class BudgetReport:
         return "\n".join(lines) + "\n"
 
 
-def budget_report(n: float, m_t: float, coeffs: NoiseCoeffs,
-                  cav: CavityParams, tp, frac: float) -> BudgetReport:
-    """Evaluate every budget term at one operating point.
+def budget_report(params: SimParams, m_t: float) -> BudgetReport:
+    """Evaluate every budget term at probe strength ``m_t`` with ``params``.
 
     The unindented rows are the fitted R(M_t) model at face value; the
     back-action rows come from :func:`budget_terms`.
     """
-    terms = budget_terms(n, m_t, coeffs, cav, tp, frac)
+    terms = budget_terms(params, m_t)
+    n, coeffs, cav = params.ensemble.n_effective, params.coeffs, params.cavity
 
     def inv(x: float) -> float:
         return 1.0 / x if x > 0 else math.inf

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -340,13 +340,10 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
 # Raman diffusion
 
 
-# channels: (probability attr, source attr, d_pop_up, d_pop_down, d_pop_one)
-_CHANNELS = (
-    ("p_ud", "pop_up", -1, +1, 0),
-    ("p_du", "pop_down", +1, -1, 0),
-    ("p_u1", "pop_up", -1, 0, +1),
-    ("p_d1", "pop_down", 0, -1, +1),
-)
+# channels: (probability attr, source attr), in the order of the Poisson
+# draws; _apply_counts moves the populations
+_CHANNELS = (("p_ud", "pop_up"), ("p_du", "pop_down"), ("p_u1", "pop_up"),
+             ("p_d1", "pop_down"))
 
 
 def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
@@ -362,7 +359,7 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     half = state.n_total / 2.0
     counts = stream.poisson([getattr(tp, p_attr) * m_s
                              * np.maximum(0.0, getattr(state, src_attr))
-                             / half for p_attr, src_attr, *_ in _CHANNELS])
+                             / half for p_attr, src_attr in _CHANNELS])
     # cannot move more atoms than a state holds
     for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
         out = counts[a] + counts[b]
@@ -494,12 +491,6 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
 # the conditional probe measurement
 
 
-@lru_cache(maxsize=16)
-def _injection_coeff(coeffs: _noise.NoiseCoeffs, frac: float,
-                     cav: CavityParams, tp: TransitionProbs) -> float:
-    return _noise.classical_injection_coeff(coeffs, frac, cav, tp)
-
-
 def probe_measure(state: EnsembleState, params: SimParams, rng,
                   m_t: float | None = None, detuning_offset: float = 0.0
                   ) -> tuple[MeasurementOutcome, EnsembleState]:
@@ -542,8 +533,8 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
         offset = detuning_offset / (cav.kappa / 2.0)
         read_sig = read_sig * np.sqrt(
             1.0 + params.lineshape_penalty * offset * offset)
-    r_c_inj = _injection_coeff(coeffs, params.probe.ms_classical_frac,
-                              cav, tp)
+    r_c_inj = _noise.classical_injection_coeff(
+        coeffs, params.probe.ms_classical_frac, cav, tp)
     class_sig = _noise.injected_classical_freq(
         m_t, n, r_c_inj, coeffs, cav)
     floor_sig = _noise.floor_noise_atoms(coeffs) * au

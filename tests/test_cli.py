@@ -184,3 +184,31 @@ def test_degenerate_calibration_grid_names_the_flag(tmp_path, capfd, flag,
     assert "DLASCL" not in captured.out + captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_row,named", [
+    ("2e4", "{path}, line 4, column 'R': no cell"),
+    ("2e4,abc", "{path}, line 4, column 'R': 'abc' is not a number"),
+    ("2e4,0.05,xyz", "{path}, line 4, column 'weight': 'xyz' is not a "
+                     "number"),
+    ("nan,0.05,", "fit_r point 1 (nan, 0.05): m_t must be finite and > 0"),
+    ("2e4,inf,", "fit_r point 1 (20000.0, inf): R must be finite and > 0"),
+    ("2e4,0.05,0", "fit_r point 1 (20000.0, 0.05, 0.0): weight must be "
+                   "finite and > 0")],
+    ids=["short-row", "text-cell", "text-weight", "nan-mt", "inf-R",
+         "zero-weight"])
+def test_fit_names_a_bad_row(tmp_path, capsys, bad_row, named):
+    # the comment line counts: the bad row is line 4 of the file, point 1
+    rows = ["# a sweep", "mt,R,weight", "1e3,0.1,", bad_row] + [
+        f"{m!r},0.05," for m in (5e3, 1e4, 5e4, 1e5)]
+    csvfile = tmp_path / "sweep.csv"
+    csvfile.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's sqrt warning included
+        rc = cli_dispatch(["fit", "--in", str(csvfile), "--boot", "0",
+                           "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {named.format(path=csvfile)}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "fit.json").exists()

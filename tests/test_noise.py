@@ -11,9 +11,11 @@ import squeezesim
 
 from squeezesim.noise import (
     BETA_TIME_AVERAGE,
+    BudgetTerms,
     NoiseCoeffs,
     alphas_for_ensemble,
     budget_report,
+    budget_terms,
     classical_injection_coeff,
     classical_scale,
     fit_r,
@@ -27,8 +29,13 @@ from squeezesim.noise import (
     recoil_noise,
     spectroscopic_enhancement,
 )
-from squeezesim.physics import TWO_PI, CavityParams
-from squeezesim.state import TransitionProbs
+from squeezesim.physics import (
+    TWO_PI,
+    CavityParams,
+    EnsembleParams,
+    scattered_ratio,
+)
+from squeezesim.state import ProbeConfig, SimParams, TransitionProbs
 
 CAV = CavityParams()
 TP = TransitionProbs()
@@ -92,6 +99,23 @@ class TestFitR:
         pts = [(m, 0.1) for m in (1e4, 2e4, 3e4, 4e4)]
         with pytest.raises(ValueError):
             fit_r(pts, n_boot=0)
+
+    @pytest.mark.parametrize("bad,named", [
+        ((math.nan, 0.05), "m_t must be finite and > 0 (got nan)"),
+        ((-2e4, 0.05), "m_t must be finite and > 0 (got -20000.0)"),
+        ((2e4, math.inf), "R must be finite and > 0 (got inf)"),
+        ((2e4, 0.0), "R must be finite and > 0 (got 0.0)"),
+        ((2e4, 0.05, math.nan), "weight must be finite and > 0 (got nan)"),
+        ((2e4, 0.05, 0.0), "weight must be finite and > 0 (got 0.0)"),
+        ((2e4, 0.05, -1.0), "weight must be finite and > 0 (got -1.0)")],
+        ids=["nan-m", "negative-m", "inf-R", "zero-R", "nan-weight",
+             "zero-weight", "negative-weight"])
+    def test_bad_point_is_named(self, bad, named):
+        pts = [(1e3, 0.1, 100.0), (5e3, 0.05, 400.0), bad,
+               (1e4, 0.05, 400.0), (1e5, 0.2, 25.0)]
+        with pytest.raises(ValueError, match=r"fit_r point 2 \(") as err:
+            fit_r(pts, n_boot=0)
+        assert named in str(err.value)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
@@ -237,8 +261,8 @@ class TestScalesAndBudget:
         assert 0.0 < r_inj < NoiseCoeffs().r_c
 
     def test_budget_report_rows(self):
-        rep = budget_report(N_REF, M_REF, NoiseCoeffs(), CAV, TP, 0.04)
-        rows = dict(rep.rows())
+        rep = budget_report(SimParams(), M_REF)
+        rows = dict(rep.terms)
         assert rows["Photon Shot Noise r_PSN"] == pytest.approx(32.0)
         assert rows["Technical Noise Floor R_t"] == pytest.approx(73.0)
         assert rows["Classical Noise r_c"] == pytest.approx(67.0, rel=1e-3)
@@ -249,6 +273,34 @@ class TestScalesAndBudget:
         table = rep.to_table()
         assert table.startswith("term,R_inv")
         assert "Population Change R_pop,c" in table
+
+    def test_budget_reads_every_part_of_the_params(self):
+        # away from the default n, frac and p_u1: each must reach the terms
+        n, frac, m_t = 2.4e5, 0.06, 3e4
+        tp = TransitionProbs(p_u1=5e-3)
+        params = SimParams(ensemble=EnsembleParams(n_effective=n),
+                           probe=ProbeConfig(ms_classical_frac=frac),
+                           transitions=tp)
+        coeffs, n_ref = params.coeffs, params.coeffs.n_reference
+        alphas = alphas_for_ensemble(n, CAV)
+        m_s = m_t * scattered_ratio(n / 2.0, CAV)
+        ext_q, ext_c = recoil_noise(m_s, frac, n, EPS, alphas.up)
+        by_hand = BudgetTerms(
+            psn=coeffs.r_psn * readout_scale(n, n_ref, CAV) / m_t,
+            tf=coeffs.r_tf * n_ref / n,
+            injected=classical_injection_coeff(coeffs, frac, CAV, tp)
+            * m_t * m_t * classical_scale(n, n_ref, CAV),
+            pop_q=pop_noise_quantum(m_s, n, tp, alphas), ext_q=ext_q,
+            pop_c=pop_noise_classical(m_s, frac, n, tp, alphas), ext_c=ext_c)
+        assert budget_terms(params, m_t) == by_hand
+        rows = dict(budget_report(params, m_t).terms)
+        assert rows["  Variable Damping R_o"] == 1.0 / opto_noise_term(
+            m_t, n, CAV)
+        assert rows["  Photon Recoil R_ext,c"] == 1.0 / ext_c
+        assert rows["  Population Change R_pop,c"] == 1.0 / by_hand.pop_c
+        assert rows["Quantum Noise r_q"] == 1.0 / by_hand.quantum
+        assert rows["  Photon Recoil R_ext,q"] == 1.0 / ext_q
+        assert rows["  Population Diffusion R_pop,q"] == 1.0 / by_hand.pop_q
 
 
 def test_beta_constant():

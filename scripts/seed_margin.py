@@ -14,18 +14,22 @@ at successive M_t over the one before), and the moment comparisons of
 ``tests/test_engine.py`` and ``tests/test_draws.py`` (the largest
 difference, in standard errors, between the engine's and the scalar
 engine's column means and variances over every case; a seed outside the
-band is a false alarm of those tests).  It prints each measured value's
+band is a false alarm of those tests), and the bootstrap coverage of
+``tests/test_noise.py::TestFitR::test_bootstrap_coverage`` (how many of
+100 noisy fits cover each true coefficient with their 95 % interval,
+against the test's 90).  It prints each measured value's
 minimum, median and maximum next to its tolerance band, the least
 distance of any seed's value to an edge of the band (negative outside),
 and how many seeds land inside the band.  For criteria 4 to 6 seed k is
 20260810 + 2k, so k = 0 repeats the acceptance tests exactly; the
 phase-detection CSS arm uses seed + 1, as the tests do.  The r_q fit's
 sweep uses seed 77 + k (k = 0 is the test) with the test's bootstrap
-seed 5, each oracle its test's seed + k, and each moment comparison its
-test's engine seed + 2k.  Per seed, on one core of a 2-core Xeon
-(Python 3.11, numpy 2.4): c4 and c5 about 0.1 s each, c6 about 1 s, rq
-under 0.1 s (its first seed about 0.5 s more, for the scipy import),
-oracles about 1 s, moments about 5 s; ``--only`` picks some of them,
+seed 5, each oracle its test's seed + k, each moment comparison its
+test's engine seed + 2k, and the bootstrap coverage seed 1234 + k.  Per
+seed, on one core of a 2-core Xeon (Python 3.11, numpy 2.4): c4 and c5
+about 0.1 s each, c6 about 1 s, rq under 0.1 s (its first seed about
+0.5 s more, for the scipy import), oracles about 1 s, moments about 5 s,
+boot about 0.5 s; ``--only`` picks some of them,
 and ``--rq-trials`` sets the r_q fit's trials per point (800, the test's
 size, by default):
 
@@ -34,6 +38,7 @@ size, by default):
     PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only rq \\
         --rq-trials 3200
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8 --only oracles
+    PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only boot
 """
 
 import argparse
@@ -79,6 +84,9 @@ BANDS = {
         "ideal R(1e5) / R(1e4)": (-math.inf, 1.0)},
     # the upper edge is test_engine.K_SE
     "moments": {"moments largest z, every case": (0.0, 5.0)},
+    # hits of 100 fits; the lower edge is the test's 90 % of its reps
+    "boot": {f"boot {name} hits of 100": (90.0, 100.0)
+             for name in ("r_psn", "r_tf", "r_c")},
 }
 ORACLE_TRIALS = 100_000
 
@@ -172,6 +180,16 @@ def moments(k: int) -> dict[str, float]:
         max(moment_z_scores(*run).values()) for run in runs)}
 
 
+def boot(k: int) -> dict[str, float]:
+    """The coverage of tests/test_noise.py::TestFitR::test_bootstrap_coverage
+    at seed 1234 + k."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from test_noise import bootstrap_hits
+
+    return {f"boot {name} hits of 100": float(hits)
+            for name, hits in bootstrap_hits(1234 + k).items()}
+
+
 def measure(group: str, k: int, rq_trials: int) -> dict[str, float]:
     params = sq.SimParams()
     calibrated = replace(params,
@@ -181,6 +199,8 @@ def measure(group: str, k: int, rq_trials: int) -> dict[str, float]:
         return oracles(k)
     if group == "moments":
         return moments(k)
+    if group == "boot":
+        return boot(k)
     if group == "c4":
         sweep = exp.squeezing_sweep(calibrated, np.logspace(3.0, 5.0, 15),
                                     trials_per_point=2000, master_seed=seed)

@@ -60,21 +60,29 @@ def _csv(header: str, rows) -> str:
 
 
 def contrast_model(params: SimParams, m_t: float, windows: int = 1) -> float:
-    """Expected contrast after ``windows`` probe windows of strength m_t."""
+    """Expected contrast after ``windows`` probe windows of strength m_t.
+
+    A float ``m_t`` gives a float through the C library's ``exp``; an array
+    gives an array through numpy's, which can differ from it in the last
+    bit.
+    """
     n = params.ensemble.n_effective
     m_s = m_t * scattered_ratio(n / 2.0, params.cavity)
-    return params.ensemble.initial_contrast * math.exp(
-        -windows * (1.0 + params.contrast_excess) * m_s / n)
+    x = -windows * (1.0 + params.contrast_excess) * m_s / n
+    return params.ensemble.initial_contrast * (
+        np.exp(x) if isinstance(x, np.ndarray) else math.exp(x))
 
 
 def expected_r(params: SimParams, m_t: float) -> float:
-    """Analytic expectation of the simulated spin-noise reduction."""
+    """Analytic expectation of the simulated spin-noise reduction, a float
+    or an array like ``m_t``."""
     return _noise.budget_terms(params, m_t).total
 
 
 def expected_w_inverse(params: SimParams, m_t: float,
                        contrast_windows: int = 1) -> float:
-    """Model spectroscopic enhancement at probe strength ``m_t``.
+    """Model spectroscopic enhancement at probe strength ``m_t``, a float
+    or an array like it.
 
     ``contrast_windows = 1`` is the sweep/fringe observable; use 2 for the
     enhancement a phase applied between the pre- and final measurements
@@ -92,12 +100,12 @@ def tune_mt_for_w_inverse(params: SimParams, target: float,
 
     Searches the rising (photon-shot-noise limited) branch below the model
     optimum, between 1e3 and 3e5 photons; raises if the target exceeds the
-    reachable maximum.
+    reachable maximum.  The grid is evaluated as one array; the bisection
+    runs on floats.
     """
     m_lo, m_hi = 1e3, 3e5
     grid = np.logspace(math.log10(m_lo), math.log10(m_hi), 200)
-    w = np.array([expected_w_inverse(params, m, contrast_windows)
-                  for m in grid])
+    w = expected_w_inverse(params, grid, contrast_windows)
     peak = int(np.argmax(w))
     if w[peak] < target:
         raise ValueError(
@@ -361,8 +369,7 @@ def optimize_w_inverse(params: SimParams, trials_per_point: int,
     n = params.ensemble.n_effective
     ci = params.ensemble.initial_contrast
     coarse = np.logspace(3.0, 5.5, 60)
-    m_star = coarse[int(np.argmax(
-        [expected_w_inverse(params, m) for m in coarse]))]
+    m_star = coarse[int(np.argmax(expected_w_inverse(params, coarse)))]
     span = math.log10(9.0)
     n_pts = max(int(math.ceil(points_per_decade * span)), 8)
     grid = np.logspace(math.log10(m_star / 3.0),

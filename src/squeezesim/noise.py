@@ -15,6 +15,7 @@ up-state shift per atom before normalizing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,7 +24,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .defaults import DEFAULTS, check_fields
-from .physics import TWO_PI, CavityParams, alpha_per_atom, scattered_ratio
+from .physics import (
+    TWO_PI,
+    CavityParams,
+    alpha_per_atom,
+    check_arg,
+    scattered_ratio,
+)
 
 if TYPE_CHECKING:  # annotations only: state imports this module
     from .state import SimParams
@@ -33,6 +40,23 @@ if TYPE_CHECKING:  # annotations only: state imports this module
 BETA_TIME_AVERAGE = 2.0 / 3.0
 
 _NOISE = DEFAULTS["noise"]
+
+
+def _out(x):
+    """A model result: an array as it is, a number as a Python float (the
+    repr of a numpy float reads ``np.float64(...)``)."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def _square(x):
+    """x ** 2, by the C library's pow for an array too.
+
+    A number's ``** 2`` calls pow, and numpy's ``** 2`` on an array
+    multiplies; the two differ in the last bit on about 1 input in 1000,
+    so an M_t-dependent square goes through here and an array of M_t gives
+    what each of its numbers gives, to the bit.
+    """
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x ** 2
 
 
 @dataclass(frozen=True)
@@ -78,8 +102,7 @@ def alphas_for_ensemble(n: float, cav: CavityParams) -> Alphas:
 
 def model_r(m_t: float, c: NoiseCoeffs) -> float:
     """Evaluate the four-term spin-noise model at probe strength ``m_t``."""
-    if not m_t > 0:  # NaN too
-        raise ValueError(f"m_t must be positive (got {m_t!r})")
+    check_arg(m_t > 0, "m_t", m_t, "positive")
     return c.r_psn / m_t + c.r_tf + c.r_q * m_t + c.r_c * m_t * m_t
 
 
@@ -97,16 +120,12 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     weights default to 1/R^2 (constant fractional error).  Bootstrap pair
     resampling yields 95% confidence intervals, with expanded percentile
     levels (the usual small-sample correction) so nominal coverage holds at
-    realistic point counts.
+    realistic point counts.  The point estimate is scipy's ``nnls``; the
+    resamples are solved exactly in blocks (:func:`_bootstrap`).
     """
     # loaded here, not on import: they cost most of the package's start
     from scipy.optimize import nnls
     from scipy.special import ndtr, stdtrit
-
-    def nnls_coeffs(m, r, w) -> np.ndarray:
-        design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
-        sw = np.sqrt(w)
-        return nnls(design * sw[:, None], r * sw)[0]
 
     pts = [tuple(p) for p in points]
     if len(pts) < 4:
@@ -122,22 +141,19 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
         raise ValueError("fit_r points must span at least a decade in m_t")
     w = np.array([p[2] if len(p) > 2 else 1.0 / (p[1] ** 2) for p in pts])
 
-    sol = nnls_coeffs(m, r, w)
+    # the weighted problem; a resample's is its rows, bit for bit
+    sw = np.sqrt(w)
+    design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
+    design = design * sw[:, None]
+    rhs = r * sw
+    sol = nnls(design, rhs)[0]
     if not np.any(sol > 0):
         raise ValueError("degenerate design: fit collapsed to zero")
     names = ("r_psn", "r_tf", "r_q", "r_c")
 
     intervals: dict = {}
     if n_boot > 0:
-        rng = np.random.default_rng(rng)
-        samples = np.empty((n_boot, 4))
-        idx = np.arange(len(m))
-        for b in range(n_boot):
-            take = rng.choice(idx, size=len(idx), replace=True)
-            if np.ptp(m[take]) == 0.0:
-                samples[b] = sol
-                continue
-            samples[b] = nnls_coeffs(m[take], r[take], w[take])
+        samples = _bootstrap(m, design, rhs, sol, n_boot, rng)
         n_pts = len(m)
         alpha = float(ndtr(
             stdtrit(n_pts - 1, 0.025) * math.sqrt(n_pts / (n_pts - 1))))
@@ -151,6 +167,129 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     return FitResult(coeffs=coeffs, intervals=intervals, n_boot=n_boot)
 
 
+def _bootstrap(m: np.ndarray, design: np.ndarray, rhs: np.ndarray,
+               sol: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """The ``n_boot`` pair-resampled NNLS solutions of :func:`fit_r`.
+
+    A resample takes rows of the weighted problem (``design``, ``rhs``) at
+    the probe strengths ``m``; the indices of a block of ``_BOOT_BLOCK``
+    resamples come from one ``integers`` call, and are the indices, and
+    leave the generator in the state, that one ``choice`` call per
+    resample gives.  A resample of four or more distinct M_t, a full-rank
+    problem, is solved by :func:`_nnls_batch` with the others of its
+    block; one of fewer, or one the batch leaves unsettled, by scipy's
+    ``nnls``; and one whose M_t are all equal keeps the full fit ``sol``.
+    Each row is what scipy's ``nnls`` gives for that resample, to
+    roundoff, with the same zero coefficients (unless the points fit the
+    model exactly with a zero coefficient, which is then roundoff in both).
+    """
+    from scipy.optimize import nnls
+
+    gen, n = np.random.default_rng(rng), len(m)
+    # a resample's distinct M_t, counted by the first point of each M_t
+    # (np.unique would sort, and numpy's sort code, which nothing else in
+    # a fit touches, grows the process by about 0.3 MB on first use)
+    first = np.argmax(m[:, None] == m, axis=1)
+    samples = np.full((n_boot, 4), np.nan)
+    for lo in range(0, n_boot, _BOOT_BLOCK):
+        out = samples[lo:lo + _BOOT_BLOCK]
+        take = gen.integers(0, n, size=(len(out), n))
+        seen = np.zeros(take.shape, dtype=bool)
+        seen[np.arange(len(take))[:, None], first[take]] = True
+        distinct = np.count_nonzero(seen, axis=1)
+        full = distinct >= 4
+        out[full] = _nnls_batch(design[take[full]], rhs[take[full]])
+        out[distinct == 1] = sol
+        for b in np.flatnonzero(np.isnan(out[:, 0])):
+            out[b] = nnls(design[take[b]], rhs[take[b]])[0]
+    return samples
+
+
+# Bootstrap resamples drawn and solved together; bounds the working set
+# (a block of 128 resamples of 24 points holds about 0.1 MB per array).
+_BOOT_BLOCK = 128
+
+# A problem whose unit-norm columns leave a diagonal entry of R below
+# _RANK_TOL is too close to rank-deficient to solve here and is left to
+# scipy; _GRADIENT_TOL, times |Q^T b| over that least entry, is the
+# roundoff the KKT test forgives.
+_RANK_TOL = 1e-8
+_GRADIENT_TOL = 1e-13
+
+# every support of the four coefficients, largest first
+_SUPPORTS = tuple(list(s) for k in (4, 3, 2, 1)
+                  for s in itertools.combinations(range(4), k))
+
+
+def _nnls_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact solutions of a stack of full-rank, four-column NNLS problems.
+
+    Row i of the result minimizes |a[i] x - b[i]| over x >= 0.  Each problem
+    is reduced by a QR factorization to a 4 x 4 triangular one, its
+    columns scaled to unit norm; the 15 supports are then tried, largest
+    first, and the first whose least-squares coefficients are all > 0 and
+    whose gradient is >= 0 on every dropped column (the KKT conditions,
+    which a full-rank problem's one optimum alone meets) is kept.  Rows
+    that are near rank-deficient, or that no support settles, are NaN.
+    """
+    t, c = _qr(a, b)
+    # R of a's unit-norm columns: R's columns over their norms, a's norms
+    scale = np.sqrt((t * t).sum(axis=1))
+    t = t / scale[:, None, :]
+    least = np.abs(np.diagonal(t, axis1=1, axis2=2)).min(axis=1)
+    todo = np.flatnonzero(least > _RANK_TOL)
+    tol = _GRADIENT_TOL * np.sqrt((c * c).sum(axis=1)) / np.maximum(
+        least, _RANK_TOL)
+    out = np.full((len(b), 4), np.nan)
+    for support in _SUPPORTS:
+        if todo.size == 0:
+            break
+        tk, ck = t[todo], c[todo]
+        x = np.zeros((todo.size, 4))
+        x[:, support] = _back_substitute(*_qr(tk[:, :, support], ck))
+        res = (tk * x[:, None, :]).sum(axis=2) - ck
+        grad = (tk * res[:, :, None]).sum(axis=1)
+        dropped = [j for j in range(4) if j not in support]
+        ok = np.all(x[:, support] > 0, axis=1) & np.all(
+            grad[:, dropped] >= -tol[todo, None], axis=1)
+        out[todo[ok]] = x[ok] / scale[todo[ok]]
+        todo = todo[~ok]
+    return out
+
+
+def _qr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R and Q^T b of the QR factorization of each problem of a stack.
+
+    Modified Gram-Schmidt on the columns of [a | b], which is backward
+    stable for least squares, in numpy's own loops: numpy's LAPACK, which
+    nothing else in the package calls, grows the process by about 0.7 MB
+    of resident memory on its first call.
+    """
+    k = a.shape[2]
+    cols = [a[:, :, j] for j in range(k)]
+    rest = b
+    r = np.zeros((len(b), k, k))
+    z = np.empty((len(b), k))
+    for j in range(k):
+        r[:, j, j] = np.sqrt((cols[j] * cols[j]).sum(axis=1))
+        q = cols[j] / r[:, j, j, None]
+        for i in range(j + 1, k):
+            r[:, j, i] = (q * cols[i]).sum(axis=1)
+            cols[i] = cols[i] - r[:, j, i, None] * q
+        z[:, j] = (q * rest).sum(axis=1)
+        rest = rest - z[:, j, None] * q
+    return r, z
+
+
+def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """y with r[i] y[i] = z[i], for a stack of upper-triangular r."""
+    y = np.zeros_like(z)
+    for j in reversed(range(z.shape[1])):
+        y[:, j] = (z[:, j] - (r[:, j, j + 1:] * y[:, j + 1:]).sum(axis=1)
+                   ) / r[:, j, j]
+    return y
+
+
 # ---------------------------------------------------------------------------
 # population (Raman) back-action
 
@@ -162,12 +301,11 @@ def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:
     ``BETA_TIME_AVERAGE``) weighted by the squared frequency jump of one
     transition, converted to atom units through alpha_up.
     """
-    if m_s < 0:
-        raise ValueError("m_s must be non-negative")
+    check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     au, ad, a1 = alphas.up, alphas.down, alphas.one
     bracket = (tp.p_ud * (ad - au) ** 2 + tp.p_u1 * (a1 - au) ** 2
                + tp.p_du * (au - ad) ** 2 + tp.p_d1 * (a1 - ad) ** 2)
-    return BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket / (au * au)
+    return _out(BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket / (au * au))
 
 
 def pop_noise_classical(m_s: float, frac: float, n: float, tp,
@@ -179,14 +317,12 @@ def pop_noise_classical(m_s: float, frac: float, n: float, tp,
     add with their signs inside the square; opposite-sign shift differences
     partially cancel.
     """
-    if m_s < 0:
-        raise ValueError("m_s must be non-negative")
-    if frac < 0:
-        raise ValueError("frac must be non-negative")
+    check_arg(m_s >= 0, "m_s", m_s, "non-negative")
+    check_arg(frac >= 0, "frac", frac, "non-negative")
     au, ad, a1 = alphas.up, alphas.down, alphas.one
     signed = (tp.p_ud * (ad - au) + tp.p_u1 * (a1 - au)
               + tp.p_du * (au - ad) + tp.p_d1 * (a1 - ad))
-    return (frac * m_s) ** 2 / (n / 4.0) * (signed / au) ** 2
+    return _out(_square(frac * m_s) / (n / 4.0) * (signed / au) ** 2)
 
 
 def recoil_noise(m_s: float, frac: float, n: float, eps: float,
@@ -199,12 +335,11 @@ def recoil_noise(m_s: float, frac: float, n: float, eps: float,
     power fluctuation ``frac`` the classical one.
     ``eps`` and ``alpha_up`` must share units (only their ratio enters).
     """
-    if m_s < 0:
-        raise ValueError("m_s must be non-negative")
+    check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     per_photon_atoms = eps / alpha_up
     quantum = BETA_TIME_AVERAGE * m_s * per_photon_atoms ** 2 / (n / 4.0)
-    classical = (frac * m_s * per_photon_atoms) ** 2 / (n / 4.0)
-    return quantum, classical
+    classical = _square(frac * m_s * per_photon_atoms) / (n / 4.0)
+    return _out(quantum), _out(classical)
 
 
 def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
@@ -219,11 +354,10 @@ def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
 
     with beta = ``BETA_TIME_AVERAGE``.
     """
-    if m_s < 0:
-        raise ValueError("m_s must be non-negative")
+    check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     au, ad = alphas.up, alphas.down
     bracket = p_clock * 2.0 * (au - ad) ** 2 / (au * au)
-    return 2.0 * BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket
+    return _out(2.0 * BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +390,22 @@ def opto_noise_term(m_t: float, n: float, cav: CavityParams) -> float:
     frequency-noise amplitude scales as M_t * N (see
     :func:`classical_scale`).
     """
-    if m_t < 0:
-        raise ValueError("m_t must be non-negative")
-    return ((1.0 / 620.0) * (m_t / _NOISE["m_reference"]) ** 2
-            * classical_scale(n, _NOISE["n_reference"], cav))
+    check_arg(m_t >= 0, "m_t", m_t, "non-negative")
+    return _out((1.0 / 620.0) * _square(m_t / _NOISE["m_reference"])
+                * classical_scale(n, _NOISE["n_reference"], cav))
 
 
 def spectroscopic_enhancement(r: float, contrast: float,
                               initial_contrast: float) -> float:
-    """Phase-variance improvement over the SQL, 1/W = (1/R) C^2 / C_i."""
-    if r <= 0:
-        raise ValueError("R must be positive")
-    if not 0.0 < contrast <= initial_contrast <= 1.0:
-        raise ValueError("need 0 < contrast <= initial_contrast <= 1")
-    return (1.0 / r) * contrast * contrast / initial_contrast
+    """Phase-variance improvement over the SQL, 1/W = (1/R) C^2 / C_i.
+
+    ``r`` and ``contrast`` may be arrays of one shape."""
+    check_arg(r > 0, "R", r, "positive")
+    check_arg(0.0 < initial_contrast <= 1.0, "initial_contrast",
+              initial_contrast, "in (0, 1]")
+    check_arg((contrast > 0.0) & (contrast <= initial_contrast), "contrast",
+              contrast, f"in (0, initial_contrast = {initial_contrast!r}]")
+    return _out((1.0 / r) * contrast * contrast / initial_contrast)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +442,7 @@ def read_noise_freq(m_t: float, coeffs: NoiseCoeffs,
     Calibrated so two independent windows reproduce the fitted photon-shot
     noise r_psn/M_t at the reference ensemble.
     """
-    if np.any(m_t <= 0):
-        raise ValueError("m_t must be positive")
+    check_arg(m_t > 0, "m_t", m_t, "positive")
     if coeffs.r_psn == 0.0:
         return 0.0
     au_ref = alpha_per_atom("up", coeffs.n_reference / 2.0, cav)
@@ -403,19 +538,24 @@ def budget_terms(params: SimParams, m_t: float) -> BudgetTerms:
 
     The fitted terms follow the atom-number scaling conventions above; the
     back-action terms are evaluated from first principles with the common
-    probe-power fluctuation ``params.probe.ms_classical_frac``.
+    probe-power fluctuation ``params.probe.ms_classical_frac``.  A float
+    ``m_t`` gives float terms; an array gives terms of its shape, each
+    element the float its own ``m_t`` gives.
     """
-    if m_t <= 0:
-        raise ValueError("m_t must be positive")
+    check_arg(m_t > 0, "m_t", m_t, "positive")
     n, frac = params.ensemble.n_effective, params.probe.ms_classical_frac
     coeffs, cav, tp = params.coeffs, params.cavity, params.transitions
     n_ref = coeffs.n_reference
-    return BudgetTerms(
+    terms = dict(
         psn=coeffs.r_psn * readout_scale(n, n_ref, cav) / m_t,
         tf=coeffs.r_tf * n_ref / n,
         injected=classical_injection_coeff(coeffs, frac, cav, tp)
         * m_t * m_t * classical_scale(n, n_ref, cav),
         **_back_action(n, m_t, cav, tp, frac))
+    if isinstance(m_t, np.ndarray):
+        return BudgetTerms(**{k: np.broadcast_to(v, m_t.shape)
+                              for k, v in terms.items()})
+    return BudgetTerms(**{k: float(v) for k, v in terms.items()})
 
 
 @dataclass(frozen=True)

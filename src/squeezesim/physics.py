@@ -20,6 +20,20 @@ TWO_PI = 2.0 * math.pi
 _CAV, _ENS = DEFAULTS["cavity"], DEFAULTS["ensemble"]
 
 
+def check_arg(ok, name: str, x, rule: str) -> None:
+    """Raise ``ValueError("<name> must be <rule> (got <value>)")`` unless
+    ``ok``, a test of ``x`` (a number or an array; NaN fails every test),
+    holds; for an array the value named is its first failing element."""
+    if ok is True or ok is np.True_ or (
+            isinstance(ok, np.ndarray) and ok.all()):
+        return
+    if not isinstance(ok, np.ndarray):
+        raise ValueError(f"{name} must be {rule} (got {float(x)!r})")
+    i = int(np.argmin(ok.ravel()))
+    raise ValueError(f"{name} must be {rule} "
+                     f"(got {float(np.ravel(x)[i])!r} at index {i})")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Fixed physical constants of the cavity-atom system.
@@ -92,8 +106,7 @@ def dressed_shift(n_up: float, cav: CavityParams) -> float:
     small-N_up values keep full double precision.  Monotone increasing and
     concave in ``n_up``; the slope at the origin is g^2/delta.
     """
-    if np.any(n_up < 0):
-        raise ValueError("n_up must be non-negative")
+    check_arg(n_up >= 0, "n_up", n_up, "non-negative")
     x = 4.0 * cav.g * cav.g * n_up
     return x / (2.0 * (np.sqrt(cav.delta * cav.delta + x) + cav.delta))
 
@@ -115,8 +128,7 @@ def alpha_per_atom(state_label: str, n_up: float, cav: CavityParams) -> float:
     ``down`` -> far-detuned dispersive pull at detuning delta + omega_hf
     ``one``  -> c1_coupling times the up-state value
     """
-    if np.any(n_up < 0):
-        raise ValueError("n_up must be non-negative")
+    check_arg(n_up >= 0, "n_up", n_up, "non-negative")
     if state_label == "up":
         return cav.g * cav.g / np.sqrt(
             cav.delta * cav.delta + 4.0 * cav.g * cav.g * n_up)
@@ -133,8 +145,7 @@ def qpn_frequency_fluctuation(n: float, cav: CavityParams) -> float:
     For an N-atom CSS the up population fluctuates by sqrt(N)/2, producing
     frequency fluctuations alpha_up(N/2) * sqrt(N)/2.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check_arg(n > 0, "n", n, "positive")
     return alpha_per_atom("up", n / 2.0, cav) * math.sqrt(n) / 2.0
 
 
@@ -144,8 +155,7 @@ def scattered_ratio(n_up: float, cav: CavityParams) -> float:
     (2 Gamma / kappa0) * 4 g^2 N_up / (4 (delta + dressed_shift)^2).
     Monotone increasing in ``n_up`` and bounded above by 2 Gamma / kappa0.
     """
-    if np.any(n_up < 0):
-        raise ValueError("n_up must be non-negative")
+    check_arg(n_up >= 0, "n_up", n_up, "non-negative")
     probe_det = cav.delta + dressed_shift(n_up, cav)
     return (2.0 * cav.gamma / cav.kappa0) * (4.0 * cav.g * cav.g * n_up) / (
         4.0 * probe_det * probe_det)
@@ -153,6 +163,5 @@ def scattered_ratio(n_up: float, cav: CavityParams) -> float:
 
 def effective_atom_number(n_loaded: float, ens: EnsembleParams) -> float:
     """Uniform-coupling equivalent atom number for ``n_loaded`` trapped atoms."""
-    if n_loaded < 0:
-        raise ValueError("n_loaded must be non-negative")
+    check_arg(n_loaded >= 0, "n_loaded", n_loaded, "non-negative")
     return ens.coupling_fraction * n_loaded

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -271,12 +270,6 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     return new
 
 
-@lru_cache(maxsize=16)
-def _injection_coeff(coeffs: _noise.NoiseCoeffs, frac: float,
-                     cav: CavityParams, tp: TransitionProbs) -> float:
-    return _noise.classical_injection_coeff(coeffs, frac, cav, tp)
-
-
 def probe_measure(state: EnsembleState, probe: ProbeConfig,
                   cav: CavityParams, tp: TransitionProbs,
                   coeffs: _noise.NoiseCoeffs,
@@ -332,7 +325,8 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
         read_sig *= math.sqrt(
             1.0 + knobs.lineshape_penalty
             * (detuning_offset / (cav.kappa / 2.0)) ** 2)
-    r_c_inj = _injection_coeff(coeffs, probe.ms_classical_frac, cav, tp)
+    r_c_inj = _noise.classical_injection_coeff(
+        coeffs, probe.ms_classical_frac, cav, tp)
     class_sig = _noise.injected_classical_freq(
         m_t, n, r_c_inj, coeffs, cav)
     floor_sig = _noise.floor_noise_atoms(coeffs) * au

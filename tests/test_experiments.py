@@ -222,6 +222,75 @@ class TestModelHelpers:
         assert c2 == pytest.approx(c1 ** 2 / 0.97, rel=1e-9)
 
 
+def scalar_tune(params, target, contrast_windows=1):
+    """tune_mt_for_w_inverse as it was before its grid became one array
+    call: 200 float evaluations, then the bisection."""
+    m_lo, m_hi = 1e3, 3e5
+    grid = np.logspace(math.log10(m_lo), math.log10(m_hi), 200)
+    w = np.array([exp.expected_w_inverse(params, m, contrast_windows)
+                  for m in grid])
+    peak = int(np.argmax(w))
+    if w[peak] < target:
+        raise ValueError("unreachable")
+    lo, hi = m_lo, float(grid[peak])
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if exp.expected_w_inverse(params, mid, contrast_windows) < target:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi), float(w[peak])
+
+
+class TestModelOnArrays:
+    @pytest.mark.parametrize("n", [6e4, 4.3e5, 4.8e5])
+    @pytest.mark.parametrize("windows", [1, 2])
+    def test_tuned_mt_keeps_its_bits(self, n, windows):
+        params = PARAMS.with_n(n)
+        for share in (0.5, 0.9):
+            target = share * scalar_tune(params, 1.0, windows)[1]
+            want, _ = scalar_tune(params, target, windows)
+            assert exp.tune_mt_for_w_inverse(params, target, windows) == want
+
+    @pytest.mark.parametrize("n", [6e4, 4.3e5, 4.8e5])
+    def test_optimizer_brackets_the_same_model_optimum(self, n, monkeypatch):
+        params = CAL.with_n(n)
+        coarse = np.logspace(3.0, 5.5, 60)
+        m_star = coarse[int(np.argmax(
+            [exp.expected_w_inverse(params, m) for m in coarse]))]
+
+        class Scan(Exception):
+            pass
+
+        def stop(proto, params, grid, *args):
+            raise Scan(grid)
+
+        monkeypatch.setattr(exp, "run_grid", stop)
+        with pytest.raises(Scan) as scan:
+            exp.optimize_w_inverse(params, trials_per_point=10)
+        grid = scan.value.args[0]
+        assert np.array_equal(grid, np.logspace(
+            math.log10(m_star / 3.0), math.log10(m_star * 3.0), len(grid)))
+
+    def test_float_in_float_out(self):
+        for f in (exp.contrast_model, exp.expected_r, exp.expected_w_inverse):
+            assert type(f(PARAMS, 4.1e4)) is float
+            assert isinstance(f(PARAMS, np.array([4.1e4])), np.ndarray)
+
+    def test_contrast_array_matches_floats_to_roundoff(self):
+        grid = np.logspace(3.0, 5.5, 60)
+        want = [exp.contrast_model(PARAMS, m, windows=2) for m in grid]
+        assert np.allclose(exp.contrast_model(PARAMS, grid, windows=2), want,
+                           rtol=4e-16, atol=0.0)
+
+    def test_nan_mt_is_named(self):
+        with pytest.raises(ValueError, match=r"m_t must be positive "
+                                             r"\(got nan at index 1\)"):
+            exp.expected_w_inverse(PARAMS, np.array([1e4, math.nan]))
+        with pytest.raises(ValueError, match=r"\(got nan\)"):
+            exp.expected_r(PARAMS, math.nan)
+
+
 def test_simulated_sweep_fit_rq_consistent_with_zero():
     # fitting the model to a simulated sweep finds no quantum back-action
     # term above the data's resolution

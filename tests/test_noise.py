@@ -9,6 +9,7 @@ import pytest
 
 import squeezesim
 
+from squeezesim import noise
 from squeezesim.noise import (
     BETA_TIME_AVERAGE,
     BudgetTerms,
@@ -25,6 +26,7 @@ from squeezesim.noise import (
     opto_ringing_trace,
     pop_noise_classical,
     pop_noise_quantum,
+    read_noise_freq,
     readout_scale,
     recoil_noise,
     spectroscopic_enhancement,
@@ -44,6 +46,26 @@ M_REF = 4.1e4
 ALPHAS = alphas_for_ensemble(N_REF, CAV)
 EPS = TWO_PI * 1.3
 M_S_REF = 4.1e4  # M_s = 1.0 x M_t at the reference ensemble
+
+
+def bootstrap_hits(seed: int, reps: int = 100) -> dict[str, int]:
+    """How many of ``reps`` noisy 12-point fits (10 % errors, r_q = 0, one
+    generator seeded ``seed`` for the data and the bootstrap) cover each
+    nonzero true coefficient with their 95 % interval."""
+    truth = NoiseCoeffs(r_psn=1281.25, r_tf=1.0 / 73.0, r_q=0.0,
+                        r_c=8.9e-12)
+    rng = np.random.default_rng(seed)
+    m = np.logspace(3, 5, 12)
+    hits = {"r_psn": 0, "r_tf": 0, "r_c": 0}
+    for _ in range(reps):
+        pts = [(mi, model_r(mi, truth) * (1 + 0.1 * rng.standard_normal()))
+               for mi in m]
+        fit = fit_r(pts, n_boot=300, rng=rng)
+        for name in hits:
+            lo, hi = fit.intervals[name]
+            if lo <= getattr(truth, name) <= hi:
+                hits[name] += 1
+    return hits
 
 
 class TestModelR:
@@ -78,21 +100,8 @@ class TestFitR:
                 getattr(truth, name), rel=1e-8)
 
     def test_bootstrap_coverage(self):
-        truth = NoiseCoeffs(r_psn=1281.25, r_tf=1.0 / 73.0, r_q=0.0,
-                            r_c=8.9e-12)
-        rng = np.random.default_rng(1234)
-        m = np.logspace(3, 5, 12)
-        hits = {"r_psn": 0, "r_tf": 0, "r_c": 0}
         reps = 100
-        for _ in range(reps):
-            pts = [(mi, model_r(mi, truth) * (1 + 0.1 * rng.standard_normal()))
-                   for mi in m]
-            fit = fit_r(pts, n_boot=300, rng=rng)
-            for name in hits:
-                lo, hi = fit.intervals[name]
-                if lo <= getattr(truth, name) <= hi:
-                    hits[name] += 1
-        for name, k in hits.items():
+        for name, k in bootstrap_hits(1234, reps).items():
             assert k >= 0.90 * reps, f"{name} covered only {k}/{reps}"
 
     def test_needs_a_decade(self):
@@ -132,6 +141,196 @@ class TestFitR:
                              capture_output=True, text=True, check=True,
                              timeout=120)
         assert out.stdout.strip() == "[False, False, False]"
+
+
+def scipy_bootstrap(m, r, w, sol, n_boot, rng):
+    """The bootstrap loop of fit_r before its resamples were batched: one
+    rng.choice and one scipy nnls call per resample."""
+    from scipy.optimize import nnls
+
+    def nnls_coeffs(m, r, w):
+        design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
+        sw = np.sqrt(w)
+        return nnls(design * sw[:, None], r * sw)[0]
+
+    samples = np.empty((n_boot, 4))
+    idx = np.arange(len(m))
+    for b in range(n_boot):
+        take = rng.choice(idx, size=len(idx), replace=True)
+        if np.ptp(m[take]) == 0.0:
+            samples[b] = sol
+            continue
+        samples[b] = nnls_coeffs(m[take], r[take], w[take])
+    return samples
+
+
+def mirrored_points():
+    """24 points: 12 probe strengths, each with mirrored errors +e, -e."""
+    rng = np.random.default_rng(31)
+    truth = NoiseCoeffs(r_psn=4.1e4 / 32.0, r_tf=1.0 / 73.0, r_q=1e-7,
+                        r_c=(1.0 / 67.0) / 4.1e4 ** 2)
+    m = 10.0 ** (3.0 + 2.0 * (np.arange(12) + rng.random(12)) / 12)
+    pts = []
+    for mi, e in zip(m.tolist(), rng.normal(0.0, 0.05, 12).tolist()):
+        r = model_r(mi, truth)
+        pts += [(mi, r * (1.0 + e), 1.0 / r ** 2),
+                (mi, r * (1.0 - e), 1.0 / r ** 2)]
+    return pts
+
+
+def noisy_points(m, seed):
+    truth = NoiseCoeffs(r_psn=1281.25, r_tf=1.0 / 73.0, r_q=2e-8,
+                        r_c=8.9e-12)
+    rng = np.random.default_rng(seed)
+    return [(mi, model_r(mi, truth) * (1.0 + 0.1 * rng.standard_normal()))
+            for mi in m]
+
+
+BOOT_SETS = {
+    "mirrored-24": mirrored_points(),
+    "four-points": noisy_points(np.logspace(3, 5, 4), 41),
+    "five-points": noisy_points(np.logspace(3, 5, 5), 42),
+    # four of six points share one M_t: about 9 % of resamples are flat
+    "flat": noisy_points([1e3, 1e4, 1e4, 1e4, 1e4, 1e5], 43),
+    "near-coincident": noisy_points(
+        [1e3, 1e4, 1e4 * (1.0 + 1e-9), 3e4, 1e5, 2e5], 44),
+}
+
+
+class TestBootstrap:
+    """The batched bootstrap against the per-resample scipy loop."""
+
+    @pytest.mark.filterwarnings("error")  # no 0/0 from a rank-deficient one
+    @pytest.mark.parametrize("name,n_boot", [
+        ("mirrored-24", 1000), ("four-points", 1000), ("five-points", 1000),
+        ("flat", 1000), ("near-coincident", 1000), ("five-points", 1),
+        ("five-points", 127),
+        ("mirrored-24", 129), ("mirrored-24", 2 * noise._BOOT_BLOCK + 5)])
+    def test_every_resample_matches_scipy(self, name, n_boot):
+        pts = BOOT_SETS[name]
+        m = np.array([p[0] for p in pts])
+        r = np.array([p[1] for p in pts])
+        w = np.array([p[2] if len(p) > 2 else 1.0 / p[1] ** 2 for p in pts])
+        sw = np.sqrt(w)
+        design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
+        design = design * sw[:, None]
+        sol = fit_r(pts, n_boot=0).coeffs
+        sol = np.array([sol.r_psn, sol.r_tf, sol.r_q, sol.r_c])
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = noise._bootstrap(m, design, r * sw, sol, n_boot, rng)
+        ref = scipy_bootstrap(m, r, w, sol, n_boot, ref_rng)
+        # the same indices: the generators end in one state
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-10 * scale)
+        if name == "flat" and n_boot == 1000:
+            flat = np.all(ref == sol, axis=1)
+            assert flat.sum() > 20 and np.all(got[flat] == sol)
+
+    def test_near_rank_deficient_problems_are_left_to_scipy(self):
+        # two of four distinct M_t 1e-9 apart: too close to three for the
+        # batch, which marks the problem NaN
+        m = np.array([1e3, 1e4, 1e4 * (1.0 + 1e-9), 1e5, 1e5])
+        a = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
+        out = noise._nnls_batch(a[None], np.ones((1, 5)))
+        assert np.all(np.isnan(out))
+
+    def test_same_seed_same_intervals(self):
+        pts = BOOT_SETS["mirrored-24"]
+        assert fit_r(pts, n_boot=300, rng=5) == fit_r(pts, n_boot=300, rng=5)
+
+
+class TestModelArguments:
+    """NaN and out-of-range inputs are named, for floats and for arrays."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda x: budget_terms(SimParams(), x), "m_t must be positive"),
+        (lambda x: model_r(x, NoiseCoeffs()), "m_t must be positive"),
+        (lambda x: opto_noise_term(x, N_REF, CAV),
+         "m_t must be non-negative"),
+        (lambda x: read_noise_freq(x, NoiseCoeffs(), CAV),
+         "m_t must be positive"),
+        (lambda x: pop_noise_quantum(x, N_REF, TP, ALPHAS),
+         "m_s must be non-negative"),
+        (lambda x: pop_noise_classical(x, 0.04, N_REF, TP, ALPHAS),
+         "m_s must be non-negative"),
+        (lambda x: pop_noise_classical(1e4, x, N_REF, TP, ALPHAS),
+         "frac must be non-negative"),
+        (lambda x: recoil_noise(x, 0.04, N_REF, EPS, ALPHAS.up),
+         "m_s must be non-negative"),
+        (lambda x: legacy_diffusion_limit(x, N_REF, ALPHAS),
+         "m_s must be non-negative"),
+        (lambda x: spectroscopic_enhancement(x, 0.9, 0.97),
+         "R must be positive"),
+        (lambda x: spectroscopic_enhancement(0.1, x, 0.97),
+         "contrast must be in (0, initial_contrast = 0.97]")],
+        ids=["budget_terms", "model_r", "opto_noise_term", "read_noise_freq",
+             "pop_noise_quantum", "pop_noise_classical-m_s",
+             "pop_noise_classical-frac", "recoil_noise",
+             "legacy_diffusion_limit", "enhancement-R",
+             "enhancement-contrast"])
+    def test_nan_and_bad_values_are_named(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call(math.nan)
+        assert str(err.value) == f"{message} (got nan)"
+        with pytest.raises(ValueError) as err:
+            call(-2.0)
+        assert str(err.value) == f"{message} (got -2.0)"
+        with pytest.raises(ValueError) as err:
+            call(np.array([0.5, 0.6, math.nan, -2.0]))
+        assert str(err.value) == f"{message} (got nan at index 2)"
+
+    def test_initial_contrast_is_named(self):
+        with pytest.raises(ValueError, match=r"initial_contrast must be in "
+                                             r"\(0, 1\] \(got 1.5\)"):
+            spectroscopic_enhancement(0.1, 0.9, 1.5)
+
+
+class TestModelOnArrays:
+    GRID = np.logspace(3.0, 5.5, 200)
+
+    @pytest.mark.parametrize("params", [
+        SimParams(),
+        SimParams(ensemble=EnsembleParams(n_effective=2.4e5),
+                  probe=ProbeConfig(ms_classical_frac=0.06),
+                  transitions=TransitionProbs(p_u1=5e-3))],
+        ids=["default", "away-from-anchor"])
+    def test_budget_terms_equal_the_scalar_calls(self, params):
+        terms = budget_terms(params, self.GRID)
+        for i, m_t in enumerate(self.GRID.tolist()):
+            one = budget_terms(params, m_t)
+            for name, value in vars(one).items():
+                assert type(value) is float
+                assert getattr(terms, name)[i] == value, (name, m_t)
+            assert terms.total[i] == one.total
+
+    def test_terms_equal_the_scalar_calls(self):
+        # enough values that a square taken by multiplying, not by pow as
+        # a float's ** 2 takes it, differs somewhere (about 1 in 1000)
+        m_s = 10.0 ** np.random.default_rng(3).uniform(2.0, 6.0, 5000)
+        frac = 0.04
+        arrays = {
+            "pop_q": pop_noise_quantum(m_s, N_REF, TP, ALPHAS),
+            "pop_c": pop_noise_classical(m_s, frac, N_REF, TP, ALPHAS),
+            "ext": np.array(recoil_noise(m_s, frac, N_REF, EPS, ALPHAS.up)),
+            "legacy": legacy_diffusion_limit(m_s, N_REF, ALPHAS),
+            "opto": opto_noise_term(m_s / 1.1, N_REF, CAV),
+            "enh": spectroscopic_enhancement(1.0 / m_s, 0.5 + 0.0 * m_s, 0.97)}
+        for i, x in enumerate(m_s.tolist()):
+            floats = {
+                "pop_q": pop_noise_quantum(x, N_REF, TP, ALPHAS),
+                "pop_c": pop_noise_classical(x, frac, N_REF, TP, ALPHAS),
+                "ext": recoil_noise(x, frac, N_REF, EPS, ALPHAS.up),
+                "legacy": legacy_diffusion_limit(x, N_REF, ALPHAS),
+                "opto": opto_noise_term(x / 1.1, N_REF, CAV),
+                "enh": spectroscopic_enhancement(1.0 / x, 0.5, 0.97)}
+            q, c = floats.pop("ext")
+            assert type(q) is float and type(c) is float
+            assert arrays["ext"][:, i].tolist() == [q, c]
+            for name, value in floats.items():
+                assert type(value) is float
+                assert arrays[name][i] == value, name
 
 
 class TestPopNoise:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -151,6 +152,26 @@ class TestParamValidation:
     def test_contrast_range(self):
         with pytest.raises(ValueError):
             EnsembleParams(n_effective=1e5, initial_contrast=1.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda x: dressed_shift(x, CAV), "n_up must be non-negative"),
+    (lambda x: alpha_per_atom("up", x, CAV), "n_up must be non-negative"),
+    (lambda x: scattered_ratio(x, CAV), "n_up must be non-negative"),
+    (lambda x: qpn_frequency_fluctuation(x, CAV), "n must be positive"),
+    (lambda x: effective_atom_number(x, ENS),
+     "n_loaded must be non-negative")],
+    ids=["dressed_shift", "alpha_per_atom", "scattered_ratio",
+         "qpn_frequency_fluctuation", "effective_atom_number"])
+def test_nan_and_bad_values_are_named(call, message):
+    for bad, got in ((math.nan, "nan"), (-2.0, "-2.0")):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == f"{message} (got {got})"
+    if "n_up" in message:  # the formulas the engine calls on arrays
+        with pytest.raises(ValueError) as err:
+            call(np.array([1e4, 2e4, -1.0, math.nan]))
+        assert str(err.value) == f"{message} (got -1.0 at index 2)"
 
 
 def test_purity_bit_identical():

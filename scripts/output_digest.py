@@ -100,6 +100,13 @@ def commands(work: Path) -> dict[str, list]:
         "phase-detect-params": ["phase-detect", "--seed", 18, "--trials",
                                 1000, "--target-winv", 5,
                                 "--config", work / "params.ini"],
+        # fringe points of 700 trials span chunks and batches, and rotation
+        # noise gives each trial its own pulse angle and phase
+        "fringe-spanning": ["fringe", "--seed", 19, "--trials", 700,
+                            "--points", 8, "--config", work / "knobs.ini"],
+        # the no-probe reference: no pre-measurement window
+        "fringe-noprobe": ["fringe", "--seed", 20, "--trials", 100,
+                           "--points", 6, "--mt", 0],
     }
 
 

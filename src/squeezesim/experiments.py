@@ -142,7 +142,8 @@ def fit_fringe(theta: np.ndarray,
     """Least-squares fit of offset + amplitude * cos(theta - phase).
 
     Returns (offset, amplitude, amplitude standard error); linear in the
-    {1, cos, sin} basis so it cannot fail to converge.
+    {1, cos, sin} basis so it cannot fail to converge.  Its error projects
+    the covariance sigma^2 (X^T X)^-1 on the amplitude's direction (cos at 0).
     """
     design = np.column_stack([np.ones_like(theta), np.cos(theta),
                               np.sin(theta)])
@@ -150,10 +151,11 @@ def fit_fringe(theta: np.ndarray,
     if rank < 3:
         raise ValueError("degenerate fringe fit: need >= 3 distinct phases")
     amp = math.hypot(coef[1], coef[2])
-    dof = max(len(theta) - 3, 1)
     resid = n_up - design @ coef
-    amp_err = math.sqrt(float(resid @ resid) / dof / max(len(theta), 1))
-    return float(coef[0]), amp, amp_err
+    cov = (np.linalg.inv(design.T @ design)[1:, 1:]
+           * float(resid @ resid) / max(len(theta) - 3, 1))
+    unit = coef[1:] / amp if amp else np.array([1.0, 0.0])
+    return float(coef[0]), amp, math.sqrt(float(unit @ cov @ unit))
 
 
 def contrast_fringe(params: SimParams, m_t: float, theta_grid,
@@ -167,17 +169,14 @@ def contrast_fringe(params: SimParams, m_t: float, theta_grid,
     theta = np.asarray(list(theta_grid), dtype=float)
     if len(theta) < 6 or np.ptp(theta) < math.pi:
         raise ValueError("need >= 6 phase points spanning at least pi")
-    means = []
-    for i, th in enumerate(theta):
-        lines = ["prealign", "pump down", "pulse 90 0"]
-        if m_t > 0:
-            lines.append(f"probe Np mt={float(m_t)!r}")
-        lines.append(f"pulse 90 {math.degrees(th)!r}")
-        lines.append("probe Nf")
-        proto = parse_protocol("\n".join(lines))
-        rs = run_trials(proto, params, trials, _sub_seed(master_seed, i))
-        means.append(float(np.mean(rs.column("Nf"))))
-    mean_n = np.array(means)
+    head = ["prealign", "pump down", "pulse 90 0"]
+    if m_t > 0:
+        head.append(f"probe Np mt={float(m_t)!r}")
+    points = [(parse_protocol("\n".join(
+        head + [f"pulse 90 {math.degrees(th)!r}", "probe Nf"])), params,
+        _sub_seed(master_seed, i)) for i, th in enumerate(theta)]
+    mean_n = np.array([float(np.mean(rs.column("Nf")))
+                       for rs in run_grid(points, trials)])
     _, amp, amp_err = fit_fringe(theta, mean_n)
     half_n = params.ensemble.n_effective / 2.0
     return FringeResult(contrast=amp / half_n, contrast_err=amp_err / half_n,
@@ -227,8 +226,9 @@ def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
     m_ts = sorted(float(m) for m in m_t_list)
     if not m_ts:
         raise ValueError("m_t_list must be non-empty")
-    runs = run_grid(standard_protocol(), params, m_ts, trials_per_point,
-                    [_sub_seed(master_seed, i) for i in range(len(m_ts))])
+    proto = standard_protocol()
+    runs = run_grid([(proto, params.with_mt(m), _sub_seed(master_seed, i))
+                     for i, m in enumerate(m_ts)], trials_per_point)
     rows = []
     for m_t, rs in zip(m_ts, runs):
         r = spin_noise_reduction(rs, "Nf", "Np")
@@ -301,15 +301,16 @@ def phase_detection(params: SimParams, psi: float, premeasure: bool,
     p = params.with_mt(m_t)
     n = p.ensemble.n_effective
 
-    def quantity(with_psi: bool, seed: int) -> np.ndarray:
-        proto = _detection_protocol(psi if with_psi else 0.0, premeasure)
-        rs = run_trials(proto, p, trials, seed)
+    def quantity(rs) -> np.ndarray:
         if premeasure:
             return rs.column("Nf") - rs.column("Np")
         return 2.0 * rs.column("Nf") - n
 
-    q_applied = quantity(True, _sub_seed(master_seed, 1))
-    q_null = quantity(False, _sub_seed(master_seed, 2))
+    # each arm's records are reduced before the next arm runs
+    q_applied, q_null = map(quantity, run_grid(
+        [(_detection_protocol(phase, premeasure), p,
+          _sub_seed(master_seed, i)) for i, phase in ((1, psi), (2, 0.0))],
+        trials))
 
     threshold = 0.5 * (float(np.mean(q_applied)) + float(np.mean(q_null)))
     sign = 1.0 if np.mean(q_applied) >= np.mean(q_null) else -1.0
@@ -376,8 +377,8 @@ def optimize_w_inverse(params: SimParams, trials_per_point: int,
                        math.log10(m_star * 3.0), n_pts)
 
     best_w, best_m = -math.inf, float(grid[0])
-    scan = run_grid(proto, params, grid, scan_trials,
-                    [_sub_seed(master_seed, i) for i in range(len(grid))])
+    scan = run_grid([(proto, params.with_mt(m), _sub_seed(master_seed, i))
+                     for i, m in enumerate(grid)], scan_trials)
     for m_t, rs in zip(grid, scan):
         r = spin_noise_reduction(rs, "Nf", "Np")
         w = _noise.spectroscopic_enhancement(

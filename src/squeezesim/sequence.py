@@ -19,25 +19,28 @@ number finite and a wait non-negative.
 Reproducibility contract: trial i of ``run_trials(protocol, params, n,
 master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
 constant), and chunk k draws from one generator,
-``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``.
-``run_trials`` runs whole chunks together, as batches of at most
-``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state as
-arrays over its trials, and each draw is one bulk call per chunk over
-that chunk's trials, on the chunk's own generator (see
-``state.BatchStream``), so how chunks are batched changes no record.  A
-run's records are a function of (protocol, params, n_trials,
-master_seed) alone, and every full chunk is also independent of
-n_trials.  A trial has no seed of its own: it is named by its index and
-the run's master seed.  ``workers`` and SQUEEZE_SIM_THREADS are validated
-but change nothing.  ``run_grid`` runs a protocol at several probe
-strengths, each point a run of its own seed equal to its
-``run_trials``, with batches that may span points as well as chunks.
+``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``.  A run's
+records are a function of (protocol, params, n_trials, master_seed)
+alone, and every full chunk is also independent of n_trials.  A trial has
+no seed of its own: it is named by its index and the run's master seed.
+``workers`` and SQUEEZE_SIM_THREADS are validated but change nothing.
+
+``run_grid`` runs a sequence of (protocol, params, master_seed) points,
+each equal to its own ``run_trials``, which is a grid of one point.  The
+whole chunks of a point, and of consecutive points of one shape (their
+protocols equal but for the numbers of pulses and probes, their params
+but for ``probe.m_t``), run together as batches of at most
+``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state, and
+in a batch of several points each of those numbers, as arrays over its
+trials, and each draw is one bulk call per chunk over that chunk's trials,
+on the chunk's own generator (see ``state.BatchStream``), so how chunks
+are batched changes no record.
 
 A ``RecordSet`` holds a run's records as read-only columns:
 ``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
 label, and ``true_jz`` as trials x windows.  ``run_trial`` fills them
-straight from each window's outcome arrays and ``run_trials`` joins its
-batches once; ``RecordSet.trials`` gives ``TrialRecord`` values on
+straight from each window's outcome arrays and ``run_grid`` joins each
+point's chunks once; ``RecordSet.trials`` gives ``TrialRecord`` values on
 demand.
 """
 
@@ -251,15 +254,14 @@ class RecordSet:
 
     @classmethod
     def concat(cls, parts: list[RecordSet], master_seed: int | None,
-               params: dict | None = None) -> RecordSet:
-        """The trials of ``parts`` in order, with ``params`` (the first
-        part's when None)."""
+               params: dict) -> RecordSet:
+        """The trials of ``parts`` in order, with ``params``."""
         def cat(column):
             return np.concatenate([column(p) for p in parts])
 
         labels = parts[0].labels
         return cls.from_columns(
-            parts[0].params if params is None else params, master_seed,
+            params, master_seed,
             omega_p_offset_hz=cat(lambda p: p.omega_p_offset_hz),
             n_up={lb: cat(lambda p: p.n_up[lb]) for lb in labels},
             freq_hz={lb: cat(lambda p: p.freq_hz[lb]) for lb in labels},
@@ -348,31 +350,30 @@ def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
     for step in protocol.steps:
         if isinstance(step, ProbeStep):
             m_t = step.m_t if step.m_t is not None else params.probe.m_t
-            if m_t <= 0:
+            if np.any(m_t <= 0):
                 raise ProtocolError(
                     f"probe step {step.label!r} has m_t = {m_t}; probes need "
                     "m_t > 0 (drop the step for a no-probe sequence)")
 
 
 def run_trial(protocol: Protocol, params: SimParams, rng, n_trials: int,
-              first=0, m_t=None) -> RecordSet:
+              first=0, point=None) -> RecordSet:
     """Run one batch of ``n_trials`` trials of a protocol.
 
     ``rng`` is the batch's ``BatchStream``, or a lone generator that
     draws for a batch of one chunk.  Every draw is one bulk call per chunk
     over the chunk's trials: first the common probe-power fluctuation
     shared by all of a trial's windows, then each step's draws in
-    protocol order.  ``m_t`` holds each trial's strength
-    for the probe steps that set none (``params.probe.m_t`` when None).
-    ``first`` is the run index of the batch's first trial, or an array of
-    each trial's; error messages name it, and ``m_t`` when given.  The
-    state invariants are checked after every rotation and probe window.
-    Returns the batch's records, ``master_seed`` None.
+    protocol order.  A pulse's angle and phase and a probe's strength may
+    be arrays with one value per trial.  ``first`` is the run index of the
+    batch's first trial, or an array of each trial's; error messages name
+    it, and ``point``, an array of each trial's grid point, when given.
+    The state invariants are checked after every rotation and probe
+    window.  Returns the batch's records, ``master_seed`` None.
     """
     _validate_runnable(protocol, params)
     ens, probe = params.ensemble, params.probe
     stream = BatchStream.of(rng, n_trials)
-    default_mt = probe.m_t if m_t is None else m_t
 
     # common probe-power fluctuation: the classical M_s noise channel
     power = np.maximum(1.0 + probe.ms_classical_frac * stream.normal(),
@@ -397,13 +398,13 @@ def run_trial(protocol: Protocol, params: SimParams, rng, n_trials: int,
                 state,
                 step.angle * (1.0 + params.rotation_angle_noise * z_angle),
                 step.phase + params.rotation_phase_noise * z_phase)
-            state.validate(first, m_t)
+            state.validate(first, point)
         elif isinstance(step, ProbeStep):
-            base = step.m_t if step.m_t is not None else default_mt
+            base = step.m_t if step.m_t is not None else probe.m_t
             outcome, state = probe_measure(state, params, stream,
                                            m_t=base * power,
                                            detuning_offset=delta_p)
-            state.validate(first, m_t)
+            state.validate(first, point)
             n_up.append(outcome.n_up)
             freq_hz.append(outcome.freq / TWO_PI)
             true_jz.append(outcome.true_jz)
@@ -455,97 +456,95 @@ def _check_workers(workers: int | None) -> None:
                              f"count >= 1, got {cap!r}")
 
 
-def _batches(chunks):
-    """Consecutive chunks grouped into batches of at most
-    ``BATCH_TRIALS`` trials; a chunk is (point, k, first, size)."""
+def _with_numbers(protocol: Protocol, numbers) -> Protocol:
+    """``protocol`` with each pulse's angle and phase and each probe's
+    strength, in step order, taken from the iterable ``numbers``."""
+    numbers = iter(numbers)
+    return Protocol(tuple(
+        MicrowavePulse(next(numbers), next(numbers))
+        if isinstance(s, MicrowavePulse) else ProbeStep(s.label, next(numbers))
+        if isinstance(s, ProbeStep) else s for s in protocol.steps))
+
+
+def _numbers(protocol: Protocol, params: SimParams) -> list[float]:
+    """The numbers ``_with_numbers`` replaces, a probe's None resolved."""
+    return [x for s in protocol.steps for x in (
+        (s.angle, s.phase) if isinstance(s, MicrowavePulse)
+        else (params.probe.m_t if s.m_t is None else s.m_t,)
+        if isinstance(s, ProbeStep) else ())]
+
+
+def _batches(chunks, shapes):
+    """Consecutive chunks (point, k, first, size) grouped into batches of
+    at most ``BATCH_TRIALS`` trials of points of one shape."""
     batch, size = [], 0
     for chunk in chunks:
-        if batch and size + chunk[3] > BATCH_TRIALS:
+        if batch and (size + chunk[3] > BATCH_TRIALS
+                      or shapes[chunk[0]] != shapes[batch[0][0]]):
             yield batch
             batch, size = [], 0
         batch.append(chunk)
         size += chunk[3]
-    yield batch
+    if batch:
+        yield batch
 
 
-def _run_points(protocol: Protocol, params: SimParams, n_trials: int,
-                seeds: list, m_ts=None):
-    """Yield the run of ``n_trials`` trials at each master seed of
-    ``seeds``, at the probe strength ``m_ts[i]`` (``params.probe.m_t``
-    when None), as soon as its last chunk has run.
-
-    Chunk k of point i draws from ``default_rng(SeedSequence(seeds[i],
-    spawn_key=(k,)))``; the chunks of every point, in order, run as the
-    batches of ``_batches``.
-    """
+def _run_points(points: list, n_trials: int):
+    """``run_grid`` once its arguments are checked."""
+    shapes = [(_with_numbers(protocol, itertools.repeat(None)),
+               params.with_mt(0.0)) for protocol, params, _ in points]
+    numbers = [_numbers(protocol, params) for protocol, params, _ in points]
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
-              for i in range(len(seeds))
+              for i in range(len(points))
               for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
-    pieces: list[list[RecordSet]] = [[] for _ in seeds]
-    done = 0
-    for batch in _batches(chunks):
+    pieces: dict[int, list[RecordSet]] = {}
+    for batch in _batches(chunks, shapes):
         point, k, first, size = zip(*batch)
         stream = BatchStream([np.random.default_rng(_seed_sequence(
-            seeds[i], j)) for i, j in zip(point, k)], size)
+            points[i][2], j)) for i, j in zip(point, k)], size)
+        protocol, params, _ = points[point[0]]
         rs = run_trial(
-            protocol, params, stream, stream.size,
+            protocol if len(set(point)) == 1 else _with_numbers(
+                protocol, np.repeat(np.transpose([numbers[i] for i in point]),
+                                    size, axis=-1)),
+            params, stream, stream.size,
             first=np.concatenate([np.arange(a, a + n)
                                   for a, n in zip(first, size)]),
-            m_t=None if m_ts is None else np.repeat(
-                np.take(m_ts, point), size))
-        start = 0
-        for i, group in itertools.groupby(batch, key=lambda c: c[0]):
-            stop = start + sum(c[3] for c in group)
-            pieces[i].append(rs[start:stop])
-            start = stop
-        # the points before the batch's last, and that one if it ends here
-        for i in range(done, point[-1] + (first[-1] + size[-1] == n_trials)):
-            yield RecordSet.concat(
-                pieces[i], int(seeds[i]),
-                params=(params if m_ts is None
-                        else params.with_mt(m_ts[i])).snapshot())
-            pieces[i] = []
-            done = i + 1
+            point=np.repeat(point, size) if len(points) > 1 else None)
+        for i, a, n, (lo, hi) in zip(point, first, size, stream.spans):
+            pieces.setdefault(i, []).append(rs[lo:hi])
+            if a + n == n_trials:  # the point's last chunk
+                yield RecordSet.concat(pieces.pop(i), int(points[i][2]),
+                                       points[i][1].snapshot())
+        del rs, stream  # not held while the next batch runs
 
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
                master_seed: int, workers: int | None = None) -> RecordSet:
-    """Run ``n_trials`` seeded trials: chunk k of ``CHUNK_TRIALS`` trials
-    draws from ``default_rng(SeedSequence(master_seed, spawn_key=(k,)))``,
-    and whole chunks run as batches of at most ``BATCH_TRIALS`` trials.
-    ``workers`` changes nothing."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    """Run ``n_trials`` trials seeded by ``master_seed``, as the module
+    docstring's contract sets out.  ``workers`` changes nothing."""
     _check_workers(workers)
-    return next(_run_points(protocol, params, n_trials, [master_seed]))
+    return next(run_grid([(protocol, params, master_seed)], n_trials))
 
 
-def run_grid(protocol: Protocol, params: SimParams, m_ts, n_trials: int,
-             master_seeds):
-    """Run a protocol at each probe strength of ``m_ts``.
+def run_grid(points, n_trials: int):
+    """Run ``n_trials`` trials of each (protocol, params, master_seed)
+    point, batching consecutive points of one shape together.
 
-    Point i is the run of ``n_trials`` trials at master seed
-    ``master_seeds[i]``, whose records equal ``run_trials(protocol,
-    params.with_mt(m_ts[i]), n_trials, master_seeds[i])``; the chunks of
-    all points run as batches of at most ``BATCH_TRIALS`` trials, a batch
-    spanning points as well as chunks.  Returns an iterator over the
-    points' record sets, in order, each built once its last chunk has
-    run, so that only unfinished points' records are held.  The
-    arguments are checked first.  A state invariant violation names the
-    point's M_t with its trial and chunk.
+    Returns an iterator over the points' record sets, in order, each
+    equal to its point's ``run_trials`` and built once its last chunk has
+    run, so that only unfinished points' records are held.  The arguments
+    are checked first.  In a grid of more than one point a state
+    invariant violation names the point's index in ``points`` as well as
+    the trial and its chunk.
     """
-    m_ts = [float(m) for m in m_ts]
-    seeds = list(master_seeds)
-    if not m_ts or len(seeds) != len(m_ts):
-        raise ValueError(f"run_grid needs one master seed per probe "
-                         f"strength, got {len(seeds)} seeds for "
-                         f"{len(m_ts)} strengths")
+    points = list(points)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    for m_t, seed in zip(m_ts, seeds):
-        _validate_runnable(protocol, params.with_mt(m_t))
+    for protocol, params, seed in points:
+        _validate_runnable(protocol, params)
         _seed_sequence(seed, 0)  # a bad seed fails before any trial runs
-    return _run_points(protocol, params, n_trials, seeds, m_ts)
+    return _run_points(points, n_trials)
 
 
 def spin_noise_reduction(rs: RecordSet, final_label: str,

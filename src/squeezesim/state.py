@@ -208,14 +208,14 @@ class EnsembleState:
                 "Heisenberg product":
                 product >= bound * (1.0 - HEISENBERG_SLACK)}
 
-    def validate(self, first=None, m_t=None) -> None:
+    def validate(self, first=None, point=None) -> None:
         """Raise ValueError naming the first invariant broken.
 
         Given ``first``, the run index of the batch's first trial or an
         array of each trial's run index, also name the first trial that
-        breaks it and that trial's chunk; given ``m_t``, an array of each
-        trial's probe strength, also that trial's.  Only a failed check
-        looks for the trial.
+        breaks it and that trial's chunk; given ``point``, an array of each
+        trial's grid point, also that trial's.  Only a failed check looks
+        for the trial.
         """
         checks = self.invariants()
         if np.all(reduce(np.logical_and, checks.values())):
@@ -229,8 +229,8 @@ class EnsembleState:
                     trial = int(first[i] if np.ndim(first) else first + i)
                     where = (f" in trial {trial} "
                              f"(chunk {trial // CHUNK_TRIALS})")
-                if m_t is not None:
-                    where += f" at M_t = {float(m_t[i])!r}"
+                if point is not None:
+                    where += f" of point {point[i]}"
                 raise ValueError(f"state invariant violated: {name}{where}")
 
 

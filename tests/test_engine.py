@@ -30,6 +30,7 @@ from squeezesim.physics import scattered_ratio
 import squeezesim.sequence as sequence
 from squeezesim.sequence import (
     CHUNK_TRIALS,
+    ProtocolError,
     RecordSet,
     SimParams,
     parse_protocol,
@@ -38,6 +39,7 @@ from squeezesim.sequence import (
     run_trials,
     trial_seed,
 )
+import squeezesim.experiments as exp
 from squeezesim.state import (heisenberg_check, polarized_state,
                               probe_measure, rotate)
 
@@ -240,7 +242,7 @@ def test_run_trial_is_a_batch_of_one():
     rs = run_trials(VARIED, BASE, 1, master_seed=2)
     batch = run_trial(VARIED, BASE, chunk_generator(2, 0), 1)
     assert batch.master_seed is None and len(batch) == 1
-    assert RecordSet.concat([batch], master_seed=2) == rs
+    assert RecordSet.concat([batch], 2, BASE.snapshot()) == rs
 
 
 def test_full_chunk_is_run_trial_on_its_generator():
@@ -250,7 +252,7 @@ def test_full_chunk_is_run_trial_on_its_generator():
                         min(CHUNK_TRIALS, n - first), first)
               for k, first in enumerate(range(0, n, CHUNK_TRIALS))]
     assert [len(c) for c in chunks] == [CHUNK_TRIALS, CHUNK_TRIALS, 5]
-    assert RecordSet.concat(chunks, master_seed=6) == rs
+    assert RecordSet.concat(chunks, 6, BASE.snapshot()) == rs
 
 
 def test_full_chunks_do_not_depend_on_the_trial_count():
@@ -274,32 +276,109 @@ def test_records_do_not_depend_on_the_batch_size(protocol, params,
     assert runs[0].master_seed == 12 and len(runs[0]) == n
 
 
+def fringe_protocol(final_phase: float, pre_mt: float):
+    return parse_protocol(f"prealign\npump down\npulse 90 0\n"
+                          f"probe Np mt={pre_mt}\npulse 90 {final_phase}\n"
+                          "probe Nf")
+
+
+# points that differ in a pulse phase, a probe's mt= and params.probe.m_t
+# (the strength of Nf), with two points of other shapes after the third:
+# another protocol, and other params than probe.m_t
+MIXED = [(fringe_protocol(0, 2e4), KNOBS),
+         (fringe_protocol(45, 2e4), KNOBS.with_mt(3e4)),
+         (fringe_protocol(45, 5e3), KNOBS),
+         (STANDARD, KNOBS),
+         (fringe_protocol(90, 2e4), BASE),
+         (fringe_protocol(135, 1e4), KNOBS.with_mt(1e4)),
+         (fringe_protocol(0, 2e4), KNOBS)]
+# the sizes of the batches MIXED runs as, at each (n_trials, BATCH_TRIALS)
+MIXED_BATCHES = {(5, 4096): [15, 5, 5, 10],
+                 (700, 4096): [2100, 700, 700, 1400],
+                 (1500, 4096): [4024, 476, 1500, 1500, 3000],
+                 (700, 1300): [1212, 888, 700, 700, 1212, 188]}
+
+
 @pytest.mark.parametrize("n_trials,batch", [
     (5, 4096),
-    (700, 4096),    # every point in one batch, a point split across chunks
-    (1500, 4096),   # the last point split across two batches
-    (700, 1300),    # the middle point split across two batches, each
+    # of the strengths grid: every point in one batch, a point split across
+    # chunks
+    (700, 4096),
+    (1500, 4096),   # its last point split across two batches
+    (700, 1300),    # its middle point split across two batches, each
                     # of which spans two points
 ])
 def test_grid_points_equal_their_own_runs(n_trials, batch, monkeypatch):
     monkeypatch.setattr(sequence, "BATCH_TRIALS", batch)
-    m_ts = np.logspace(3.5, 5.0, 3)
-    seeds = [trial_seed(40, i) for i in range(len(m_ts))]
-    grid = list(run_grid(STANDARD, KNOBS, m_ts, n_trials, seeds))
-    assert len(grid) == len(m_ts)
-    for m_t, seed, rs in zip(m_ts, seeds, grid):
-        own = run_trials(STANDARD, KNOBS.with_mt(m_t), n_trials, seed)
-        assert rs == own
-        assert rs.params["probe.m_t"] == m_t and rs.master_seed == seed
+    sizes = []
+    real_run_trial = sequence.run_trial
+
+    def spy(protocol, params, rng, size, **kwargs):
+        sizes.append(size)
+        return real_run_trial(protocol, params, rng, size, **kwargs)
+
+    monkeypatch.setattr(sequence, "run_trial", spy)
+    strengths = [(STANDARD, KNOBS.with_mt(m)) for m in np.logspace(3.5, 5, 3)]
+    for points in (strengths, MIXED):
+        seeds = [trial_seed(40, i) for i in range(len(points))]
+        sizes.clear()
+        grid = list(run_grid([(proto, params, seed) for (proto, params), seed
+                              in zip(points, seeds)], n_trials))
+        assert len(grid) == len(points)
+        if points is MIXED:
+            assert sizes == MIXED_BATCHES[n_trials, batch]
+        for (proto, params), seed, rs in zip(points, seeds, grid):
+            assert rs == run_trials(proto, params, n_trials, seed)
+            assert (rs.params, rs.master_seed) == (params.snapshot(), seed)
 
 
 def test_grid_arguments_are_checked_before_any_trial_runs():
-    with pytest.raises(ValueError, match="one master seed per probe"):
-        run_grid(STANDARD, BASE, [1e4, 2e4], 10, [1])
+    good = (STANDARD, BASE, 1)
     with pytest.raises(ValueError, match="master_seed"):
-        run_grid(STANDARD, BASE, [1e4, 2e4], 10, [1, -1])
+        run_grid([good, (STANDARD, BASE, -1)], 10)
     with pytest.raises(ValueError, match="n_trials"):
-        run_grid(STANDARD, BASE, [1e4], 0, [1])
+        run_grid([good], 0)
+    with pytest.raises(ProtocolError, match="'Nd' has m_t = 0.0"):
+        run_grid([good, (STANDARD, BASE.with_mt(0.0), 2)], 10)
+    assert list(run_grid([], 10)) == []
+
+
+@pytest.mark.parametrize("m_t,trials", [(2e4, 700), (0.0, 100)])
+def test_fringe_points_equal_their_own_runs(m_t, trials):
+    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    res = exp.contrast_fringe(KNOBS, m_t, theta, trials, master_seed=19)
+    head = "prealign\npump down\npulse 90 0\n" + (
+        f"probe Np mt={m_t!r}\n" if m_t else "")
+    assert res.mean_n_up == tuple(
+        float(np.mean(run_trials(
+            parse_protocol(f"{head}pulse 90 {math.degrees(th)!r}\nprobe Nf"),
+            KNOBS, trials, trial_seed(19, 100_000 + i)).column("Nf")))
+        for i, th in enumerate(theta))
+
+
+@pytest.mark.parametrize("psi,premeasure", [(2.3e-3, True), (2.3e-3, False),
+                                            (0.0, True)])
+def test_phase_detection_arms_equal_their_own_runs(psi, premeasure):
+    params = BASE.with_n(4.3e5)
+    res = exp.phase_detection(params, psi, premeasure, trials=1000,
+                              master_seed=7)
+    arms = []
+    for seed_index, applied in ((1, psi), (2, 0.0)):
+        lines = ["prealign", "pump down", "pulse 90 0"]
+        if premeasure:
+            lines += ["probe Nd", "pulse 180 0", "probe Np"]
+        if applied:
+            lines.append(f"pulse {math.degrees(applied)!r} "
+                         f"{180 if premeasure else 0}")
+        rs = run_trials(parse_protocol("\n".join(lines + ["probe Nf"])),
+                        params, 1000, trial_seed(7, 100_000 + seed_index))
+        arms.append(rs.column("Nf") - rs.column("Np") if premeasure
+                    else 2.0 * rs.column("Nf") - params.ensemble.n_effective)
+    edges = np.linspace(min(a.min() for a in arms),
+                        max(a.max() for a in arms), 41)
+    assert res.hist_edges == tuple(edges)
+    assert (res.hist_applied, res.hist_null) == tuple(
+        tuple(np.histogram(a, bins=edges)[0].tolist()) for a in arms)
 
 
 def test_a_slice_of_a_record_set_holds_its_trials():
@@ -307,7 +386,7 @@ def test_a_slice_of_a_record_set_holds_its_trials():
     part = rs[3:7]
     assert part.trials == rs.trials[3:7]
     assert (part.params, part.master_seed) == (rs.params, 2)
-    assert RecordSet.concat([rs[:3], rs[3:]], master_seed=2) == rs
+    assert RecordSet.concat([rs[:3], rs[3:]], 2, BASE.snapshot()) == rs
     with pytest.raises(TypeError, match="slice"):
         rs[3]
 
@@ -382,15 +461,16 @@ def test_engine_names_trial_and_chunk_of_a_violation(monkeypatch):
         f"{CHUNK_TRIALS + 200} (chunk 1)")
 
 
-def test_grid_names_trial_chunk_and_strength_of_a_violation(monkeypatch):
+def test_grid_names_trial_chunk_and_point_of_a_violation(monkeypatch):
     # two points of 700 trials are one batch; its trial 900 is trial 200
     # of the second point, in that point's chunk 0
     corrupt_contrast_at(monkeypatch, 900)
     with pytest.raises(ValueError) as err:
-        list(run_grid(STANDARD, BASE, [2e4, 4e4], 700, [3, 4]))
+        list(run_grid([(STANDARD, BASE.with_mt(2e4), 3),
+                       (STANDARD, BASE.with_mt(4e4), 4)], 700))
     assert str(err.value) == (
         "state invariant violated: contrast in [0, 1] in trial 200 "
-        "(chunk 0) at M_t = 40000.0")
+        "(chunk 0) of point 1")
 
 
 def test_exact_read_passes_the_heisenberg_check():

@@ -33,6 +33,27 @@ class TestContrastFringe:
         _, amp, _ = exp.fit_fringe(theta, data)
         assert amp / (n / 2.0) == pytest.approx(0.5, abs=0.01)
 
+    def test_amplitude_error_on_a_uniform_grid(self):
+        # there X^T X is diag(n, n/2, n/2): the error is sqrt(2 rss/dof/n)
+        theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+        data = (10 + 5 * np.cos(theta - 0.3)
+                + np.random.default_rng(5).standard_normal(16))
+        _, _, err = exp.fit_fringe(theta, data)
+        design = np.column_stack([np.ones(16), np.cos(theta), np.sin(theta)])
+        resid = data - design @ np.linalg.lstsq(design, data, rcond=None)[0]
+        assert err == pytest.approx(
+            math.sqrt(2 * float(resid @ resid) / 13 / 16), rel=1e-12, abs=0)
+        # a zero amplitude has no direction; its error is still defined
+        assert exp.fit_fringe(theta, np.zeros(16)) == (0.0, 0.0, 0.0)
+
+    def test_amplitude_error_matches_the_spread_of_fits(self):
+        theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        noise = np.random.default_rng(11).standard_normal((2000, 64))
+        fits = [exp.fit_fringe(theta, 10 + 5 * np.cos(theta - 0.3) + z)
+                for z in noise]
+        amps, errs = np.array([f[1:] for f in fits]).T
+        assert 0.9 <= np.std(amps, ddof=1) / np.mean(errs) <= 1.15
+
     def test_needs_enough_phase_coverage(self):
         with pytest.raises(ValueError):
             exp.contrast_fringe(PARAMS, 0.0, np.linspace(0, 1.0, 8), 10)
@@ -262,8 +283,8 @@ class TestModelOnArrays:
         class Scan(Exception):
             pass
 
-        def stop(proto, params, grid, *args):
-            raise Scan(grid)
+        def stop(points, n_trials):
+            raise Scan([params.probe.m_t for _, params, _ in points])
 
         monkeypatch.setattr(exp, "run_grid", stop)
         with pytest.raises(Scan) as scan:

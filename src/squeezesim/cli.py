@@ -4,10 +4,14 @@ Subcommands: ``sweep`` (noise-reduction sweep), ``phase-detect``
 (single-shot phase discrimination), ``scaling`` (atom-number scaling),
 ``fringe`` (contrast fringe), ``budget`` (noise-budget table),
 ``calibrate-raman`` (transition-probability calibration), ``fit``
-(R(M_t)-model fit on a CSV), ``run`` (arbitrary protocol file).  Every
-command writes a CSV plus a JSON metadata sidecar under the output
-directory; reruns with the same config and seed are byte-identical apart
-from the sidecar timestamp.
+(R(M_t)-model fit on a CSV), ``run`` (arbitrary protocol file).  Each
+command writes under the output directory.  ``fit`` writes only
+``fit.json``; ``run`` writes ``records.csv``, its JSON sidecar
+``records.csv.meta.json`` and the config echo ``records.config.ini``;
+every other command writes ``<name>.csv``, the config echo
+``<name>.config.ini`` and a JSON sidecar ``<name>.meta.json``.  Reruns
+with the same config and seed are byte-identical apart from the
+sidecars' timestamps.
 """
 
 from __future__ import annotations

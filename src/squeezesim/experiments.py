@@ -361,8 +361,8 @@ def optimize_w_inverse(params: SimParams, trials_per_point: int,
     """Monte Carlo optimum of the enhancement over probe strength.
 
     Brackets the model optimum, scans a log grid of probe strengths with
-    Monte Carlo R estimates (every point's trials run together, with
-    ``run_grid``), then refines the best point with ``trials_per_point``
+    ``squeezing_sweep`` at ``scan_trials`` trials a point, then refines
+    the first point of the greatest enhancement with ``trials_per_point``
     trials.  The refined record set also yields the measured SQL angle
     std(Nd - Np)/N.
     """
@@ -376,16 +376,7 @@ def optimize_w_inverse(params: SimParams, trials_per_point: int,
     grid = np.logspace(math.log10(m_star / 3.0),
                        math.log10(m_star * 3.0), n_pts)
 
-    best_w, best_m = -math.inf, float(grid[0])
-    scan = run_grid([(proto, params.with_mt(m), _sub_seed(master_seed, i))
-                     for i, m in enumerate(grid)], scan_trials)
-    for m_t, rs in zip(grid, scan):
-        r = spin_noise_reduction(rs, "Nf", "Np")
-        w = _noise.spectroscopic_enhancement(
-            r, contrast_model(params, m_t), ci)
-        if w > best_w:
-            best_w, best_m = w, float(m_t)
-
+    best_m = squeezing_sweep(params, grid, scan_trials, master_seed).best().m_t
     rs = run_trials(proto, params.with_mt(best_m), trials_per_point,
                     _sub_seed(master_seed, 999))
     r = spin_noise_reduction(rs, "Nf", "Np")

@@ -7,21 +7,26 @@ for a record set with probe labels L1..Lk::
     L1_freq_hz, ..., Lk_freq_hz, true_jz_1, ..., true_jz_m
 
 ``trial`` is the trial's index in the run; with the sidecar's master seed
-it names the trial, whose chunk is ``trial // CHUNK_TRIALS``.  Every other
-file column is one column of the ``RecordSet``: the ``n_up`` and
-``freq_hz`` column of each label, ``omega_p_offset_hz`` and the m columns
-of ``true_jz``.  Both functions work a column at a time and
+it names the trial, whose chunk is ``trial // sequence.CHUNK_TRIALS``.
+Every other file column is one column of the ``RecordSet``: the ``n_up``
+and ``freq_hz`` column of each label, ``omega_p_offset_hz`` and the m
+columns of ``true_jz``.  Both functions work a column at a time and
 build no ``TrialRecord``.  Floats are serialized with ``repr`` (shortest
 round-trip form), so ``read_records(write_records(rs)) == rs`` bit-exactly.
 The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
 master seed, the trial count, a content hash of the canonical parameter
 text, and a timestamp (the only non-reproducible output field).
 ``read_records`` raises ``RecordIOError``, naming the file and where it
-can the line and column, for a row count that differs from the sidecar's,
-a row whose length differs from the header's, a cell that is not a
-number, or a sidecar label with no column.  It rejects a schema-1 file,
-written when every trial drew from a seed of its own, the file's
-``seed`` column.
+can the line and column, for a sidecar that is not a JSON object or
+lacks an entry it reads, a schema line other than ``# schema=2``, a
+header that names a column twice, a row count that differs from the
+sidecar's, a row whose length differs from the header's, a cell that is
+not a number, or a sidecar label with no column.  ``write_records``
+raises it, writing nothing, for a probe label that is also the name of
+another column (``trial``, ``omega_p_offset_hz``, another label's
+``_freq_hz`` column or a ``true_jz_`` column).  ``read_records`` rejects
+a schema-1 file, written when every trial drew from a seed of its own,
+the file's ``seed`` column.
 """
 
 from __future__ import annotations
@@ -58,12 +63,21 @@ def _reprs(column: np.ndarray):
     return map(repr, column.tolist())
 
 
+def _repeated(header: list[str]) -> str | None:
+    """The first name that ``header`` holds twice, or None."""
+    return next((name for i, name in enumerate(header)
+                 if name in header[:i]), None)
+
+
 def write_records(rs: RecordSet, path) -> None:
     path = Path(path)
     labels = list(rs.labels)
     header = (["trial"] + labels + ["omega_p_offset_hz"]
               + [f"{lb}_freq_hz" for lb in labels]
               + [f"true_jz_{i + 1}" for i in range(rs.true_jz.shape[1])])
+    if (name := _repeated(header)) is not None:
+        raise RecordIOError(f"{path}: probe label {name!r} is also the name "
+                            "of another column of the record file")
     columns = ([map(str, range(len(rs)))]
                + [_reprs(rs.n_up[lb]) for lb in labels]
                + [_reprs(rs.omega_p_offset_hz)]
@@ -115,28 +129,42 @@ def read_records(path) -> RecordSet:
     meta_path = _sidecar(path)
     if not meta_path.exists():
         raise RecordIOError(f"missing metadata sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise RecordIOError(f"{meta_path}: not JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise RecordIOError(f"{meta_path}: not a JSON object")
     if meta.get("schema") == 1:
         raise RecordIOError(
             f"{path}: schema 1 records were written under the per-trial "
             f"seed contract, which no longer holds; rerun the command to "
             f"write schema {SCHEMA_VERSION}")
     if meta.get("schema") != SCHEMA_VERSION:
-        raise RecordIOError(f"unsupported schema {meta.get('schema')!r}")
+        raise RecordIOError(f"{meta_path}: unsupported schema "
+                            f"{meta.get('schema')!r}")
+    for key in ("labels", "master_seed", "n_trials", "params"):
+        if key not in meta:
+            raise RecordIOError(f"{meta_path}: no {key!r} entry")
     labels = meta["labels"]
 
     with open(path, newline="") as fh:
-        first = fh.readline()
+        first = fh.readline().strip()
         if not first.startswith("# schema="):
-            raise RecordIOError("missing '# schema=' comment line")
-        if int(first.strip().split("=", 1)[1]) != SCHEMA_VERSION:
-            raise RecordIOError(f"unsupported schema in {path}")
+            raise RecordIOError(f"{path}, line 1: missing '# schema=' "
+                                "comment line")
+        if first != f"# schema={SCHEMA_VERSION}":
+            raise RecordIOError(f"{path}, line 1: unsupported schema "
+                                f"{first[len('# schema='):]!r}")
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise RecordIOError("missing CSV header row")
+            raise RecordIOError(f"{path}: missing CSV header row")
         rows = list(reader)
+    if (name := _repeated(header)) is not None:
+        raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
+                            f"{name!r} appears more than once")
 
     required = (["trial"] + labels + ["omega_p_offset_hz"]
                 + [f"{lb}_freq_hz" for lb in labels])
@@ -159,7 +187,8 @@ def read_records(path) -> RecordSet:
     def floats(name: str) -> np.ndarray:
         return _parse(path, name, cells[col[name]])
 
-    traces = [name for name in header if name.startswith("true_jz_")]
+    traces = [name for name in header
+              if name.startswith("true_jz_") and name not in required]
     master_seed = meta["master_seed"]
     return RecordSet.from_columns(
         meta["params"], None if master_seed is None else int(master_seed),

@@ -30,17 +30,18 @@ each equal to its own ``run_trials``, which is a grid of one point.  The
 whole chunks of a point, and of consecutive points of one shape (their
 protocols equal but for the numbers of pulses and probes, their params
 but for ``probe.m_t``), run together as batches of at most
-``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state, and
-in a batch of several points each of those numbers, as arrays over its
-trials, and each draw is one bulk call per chunk over that chunk's trials,
-on the chunk's own generator (see ``state.BatchStream``), so how chunks
-are batched changes no record.
+``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state and
+each of those numbers as arrays over its trials, and each draw is one
+bulk call per chunk over that chunk's trials, on the chunk's own
+generator (see ``state.BatchStream``), so how chunks are batched changes
+no record.  ``run_trial`` knows a batch's trials only as rows: ``run_grid``
+alone maps them to points, trials and chunks.
 
 A ``RecordSet`` holds a run's records as read-only columns:
 ``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
 label, and ``true_jz`` as trials x windows.  ``run_trial`` fills them
 straight from each window's outcome arrays and ``run_grid`` joins each
-point's chunks once; ``RecordSet.trials`` gives ``TrialRecord`` values on
+point's rows once; ``RecordSet.trials`` gives ``TrialRecord`` values on
 demand.
 """
 
@@ -56,8 +57,8 @@ import numpy as np
 
 from .physics import TWO_PI
 from .state import (
-    CHUNK_TRIALS,
     BatchStream,
+    InvariantError,
     SimParams,
     polarized_state,
     probe_measure,
@@ -65,6 +66,9 @@ from .state import (
 )
 
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
+# trials per chunk of a run, each chunk drawing from a generator of its
+# own: a fixed constant of the reproducibility contract
+CHUNK_TRIALS = 512
 # an index is one uint32 word of a seed sequence's spawn key
 INDEX_LIMIT = 2**32
 # the most trials of whole chunks run as one batch; no record depends on it
@@ -217,10 +221,9 @@ class RecordSet:
     a sequence of ``TrialRecord`` values, every trial with the same labels
     and trace length; ``RecordSet.from_columns`` takes the columns as they
     are.  ``trials`` is a tuple view of ``TrialRecord`` values, built on
-    first use and kept; ``len`` and ``column`` build nothing, and
-    ``rs[a:b]`` is the set of a slice of the trials.  Two sets are
-    equal when their parameters, master seeds and every column are equal
-    under float ``==``.
+    first use and kept; ``len`` and ``column`` build nothing.  Two sets
+    are equal when their parameters, master seeds and every column are
+    equal under float ``==``.
     """
 
     def __init__(self, trials, params: dict, master_seed: int | None) -> None:
@@ -252,21 +255,6 @@ class RecordSet:
                  true_jz)
         return rs
 
-    @classmethod
-    def concat(cls, parts: list[RecordSet], master_seed: int | None,
-               params: dict) -> RecordSet:
-        """The trials of ``parts`` in order, with ``params``."""
-        def cat(column):
-            return np.concatenate([column(p) for p in parts])
-
-        labels = parts[0].labels
-        return cls.from_columns(
-            params, master_seed,
-            omega_p_offset_hz=cat(lambda p: p.omega_p_offset_hz),
-            n_up={lb: cat(lambda p: p.n_up[lb]) for lb in labels},
-            freq_hz={lb: cat(lambda p: p.freq_hz[lb]) for lb in labels},
-            true_jz=cat(lambda p: p.true_jz))
-
     def _fill(self, params, master_seed, omega_p_offset_hz, n_up, freq_hz,
               true_jz) -> None:
         cols = {"omega_p_offset_hz": _frozen(omega_p_offset_hz),
@@ -289,18 +277,6 @@ class RecordSet:
 
     def __len__(self) -> int:
         return len(self.omega_p_offset_hz)
-
-    def __getitem__(self, key: slice) -> RecordSet:
-        """The trials of a slice, with the same params and master seed."""
-        if not isinstance(key, slice):
-            raise TypeError(f"a RecordSet takes a slice of its trials, "
-                            f"not {key!r}")
-        return RecordSet.from_columns(
-            self.params, self.master_seed,
-            omega_p_offset_hz=self.omega_p_offset_hz[key],
-            n_up={lb: c[key] for lb, c in self.n_up.items()},
-            freq_hz={lb: c[key] for lb, c in self.freq_hz.items()},
-            true_jz=self.true_jz[key])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordSet):
@@ -356,8 +332,8 @@ def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
                     "m_t > 0 (drop the step for a no-probe sequence)")
 
 
-def run_trial(protocol: Protocol, params: SimParams, rng, n_trials: int,
-              first=0, point=None) -> RecordSet:
+def run_trial(protocol: Protocol, params: SimParams, rng,
+              n_trials: int) -> RecordSet:
     """Run one batch of ``n_trials`` trials of a protocol.
 
     ``rng`` is the batch's ``BatchStream``, or a lone generator that
@@ -365,11 +341,10 @@ def run_trial(protocol: Protocol, params: SimParams, rng, n_trials: int,
     over the chunk's trials: first the common probe-power fluctuation
     shared by all of a trial's windows, then each step's draws in
     protocol order.  A pulse's angle and phase and a probe's strength may
-    be arrays with one value per trial.  ``first`` is the run index of the
-    batch's first trial, or an array of each trial's; error messages name
-    it, and ``point``, an array of each trial's grid point, when given.
-    The state invariants are checked after every rotation and probe
-    window.  Returns the batch's records, ``master_seed`` None.
+    be arrays with one value per trial.  The state invariants are checked
+    after every rotation and probe window; a broken one raises
+    ``state.InvariantError``, naming the trial by its row of the batch.
+    Returns the batch's records, ``master_seed`` None.
     """
     _validate_runnable(protocol, params)
     ens, probe = params.ensemble, params.probe
@@ -398,13 +373,13 @@ def run_trial(protocol: Protocol, params: SimParams, rng, n_trials: int,
                 state,
                 step.angle * (1.0 + params.rotation_angle_noise * z_angle),
                 step.phase + params.rotation_phase_noise * z_phase)
-            state.validate(first, point)
+            state.validate()
         elif isinstance(step, ProbeStep):
             base = step.m_t if step.m_t is not None else probe.m_t
             outcome, state = probe_measure(state, params, stream,
                                            m_t=base * power,
                                            detuning_offset=delta_p)
-            state.validate(first, point)
+            state.validate()
             n_up.append(outcome.n_up)
             freq_hz.append(outcome.freq / TWO_PI)
             true_jz.append(outcome.true_jz)
@@ -489,6 +464,21 @@ def _batches(chunks, shapes):
         yield batch
 
 
+def _joined(parts: list, params: dict, master_seed: int | None) -> RecordSet:
+    """The record set of the rows lo:hi of each (rs, lo, hi) of ``parts``,
+    in order, each column joined once."""
+    def cat(column):
+        return np.concatenate([column(rs)[lo:hi] for rs, lo, hi in parts])
+
+    labels = parts[0][0].labels
+    return RecordSet.from_columns(
+        params, master_seed,
+        omega_p_offset_hz=cat(lambda rs: rs.omega_p_offset_hz),
+        n_up={lb: cat(lambda rs: rs.n_up[lb]) for lb in labels},
+        freq_hz={lb: cat(lambda rs: rs.freq_hz[lb]) for lb in labels},
+        true_jz=cat(lambda rs: rs.true_jz))
+
+
 def _run_points(points: list, n_trials: int):
     """``run_grid`` once its arguments are checked."""
     shapes = [(_with_numbers(protocol, itertools.repeat(None)),
@@ -497,26 +487,32 @@ def _run_points(points: list, n_trials: int):
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
               for i in range(len(points))
               for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
-    pieces: dict[int, list[RecordSet]] = {}
+    parts: dict[int, list] = {}
     for batch in _batches(chunks, shapes):
         point, k, first, size = zip(*batch)
         stream = BatchStream([np.random.default_rng(_seed_sequence(
             points[i][2], j)) for i, j in zip(point, k)], size)
         protocol, params, _ = points[point[0]]
-        rs = run_trial(
-            protocol if len(set(point)) == 1 else _with_numbers(
-                protocol, np.repeat(np.transpose([numbers[i] for i in point]),
-                                    size, axis=-1)),
-            params, stream, stream.size,
-            first=np.concatenate([np.arange(a, a + n)
-                                  for a, n in zip(first, size)]),
-            point=np.repeat(point, size) if len(points) > 1 else None)
+        try:
+            rs = run_trial(_with_numbers(protocol, np.repeat(
+                np.transpose([numbers[i] for i in point]), size, axis=-1)),
+                params, stream, stream.size)
+        except InvariantError as exc:
+            j = next(j for j, (_, hi) in enumerate(stream.spans)
+                     if exc.row < hi)
+            trial = first[j] + exc.row - stream.spans[j][0]
+            where = f" of point {point[j]}" if len(points) > 1 else ""
+            raise ValueError(
+                f"state invariant violated: {exc.name} in trial {trial} "
+                f"(chunk {k[j]}){where}") from None
         for i, a, n, (lo, hi) in zip(point, first, size, stream.spans):
-            pieces.setdefault(i, []).append(rs[lo:hi])
+            parts.setdefault(i, []).append((rs, lo, hi))
             if a + n == n_trials:  # the point's last chunk
-                yield RecordSet.concat(pieces.pop(i), int(points[i][2]),
-                                       points[i][1].snapshot())
-        del rs, stream  # not held while the next batch runs
+                yield _joined(parts.pop(i), points[i][1].snapshot(),
+                              int(points[i][2]))
+        for i, held in parts.items():  # no batch's columns outlive it
+            parts[i] = [(_joined(held, {}, None), 0, None)]
+        del rs, stream
 
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,

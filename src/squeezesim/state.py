@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -53,9 +52,6 @@ from .physics import (
     scattered_ratio,
 )
 
-# trials per chunk of a run, each chunk drawing from a generator of its
-# own: a fixed constant of the reproducibility contract (see ``sequence``)
-CHUNK_TRIALS = 512
 HEISENBERG_SLACK = 1e-9
 # the least Jz variance the uncertainty relation is applied with
 JZ_VAR_FLOOR = 1e-30
@@ -145,6 +141,16 @@ class SimParams:
         return out
 
 
+class InvariantError(ValueError):
+    """A broken state invariant: ``name`` is the invariant and ``row`` the
+    first trial of the batch that breaks it."""
+
+    def __init__(self, name: str, row: int) -> None:
+        super().__init__(f"state invariant violated: {name} in row {row} "
+                         "of the batch")
+        self.name, self.row = name, row
+
+
 @dataclass(slots=True)
 class EnsembleState:
     """Gaussian-moment collective spin state of a batch of trials.
@@ -208,30 +214,12 @@ class EnsembleState:
                 "Heisenberg product":
                 product >= bound * (1.0 - HEISENBERG_SLACK)}
 
-    def validate(self, first=None, point=None) -> None:
-        """Raise ValueError naming the first invariant broken.
-
-        Given ``first``, the run index of the batch's first trial or an
-        array of each trial's run index, also name the first trial that
-        breaks it and that trial's chunk; given ``point``, an array of each
-        trial's grid point, also that trial's.  Only a failed check looks
-        for the trial.
-        """
-        checks = self.invariants()
-        if np.all(reduce(np.logical_and, checks.values())):
-            return
-        for name, ok in checks.items():
-            bad = np.flatnonzero(np.logical_not(ok))
-            if bad.size:
-                i = int(bad[0])
-                where = ""
-                if first is not None:
-                    trial = int(first[i] if np.ndim(first) else first + i)
-                    where = (f" in trial {trial} "
-                             f"(chunk {trial // CHUNK_TRIALS})")
-                if point is not None:
-                    where += f" of point {point[i]}"
-                raise ValueError(f"state invariant violated: {name}{where}")
+    def validate(self) -> None:
+        """Raise ``InvariantError`` naming the first invariant broken and
+        the first trial of the batch that breaks it."""
+        for name, ok in self.invariants().items():
+            if not np.all(ok):
+                raise InvariantError(name, int(np.argmin(ok)))
 
 
 _FIELDS = tuple(f.name for f in fields(EnsembleState))

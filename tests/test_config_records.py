@@ -371,6 +371,82 @@ class TestRecordIO:
             "seed contract, which no longer holds; rerun the command to "
             "write schema 2")
 
+    # each label is also the name of another column: of the trial index,
+    # the offsets, the ninth window's trace, or the freq_hz column of Np
+    CLASHING_LABELS = ["trial", "omega_p_offset_hz", "true_jz_9",
+                       "Np_freq_hz"]
+
+    @staticmethod
+    def nine_window_set(label: str) -> RecordSet:
+        column = [1.0, 2.0]
+        return column_set(column, {"Np": (column, column),
+                                   label: (column, column)}, [column] * 9)
+
+    @pytest.mark.parametrize("label", CLASHING_LABELS)
+    def test_label_naming_another_column_is_not_written(self, tmp_path,
+                                                        label):
+        path = tmp_path / "records.csv"
+        with pytest.raises(RecordIOError, match=re.escape(
+                f"probe label {label!r} is also the name of another "
+                "column")):
+            write_records(self.nine_window_set(label), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", CLASHING_LABELS)
+    def test_header_naming_a_column_twice_is_rejected(self, tmp_path,
+                                                      label):
+        path = tmp_path / "records.csv"
+        write_records(self.nine_window_set("Nx"), path)
+        path.write_text(path.read_text().replace("Nx", label))
+        meta_path = tmp_path / "records.csv.meta.json"
+        meta_path.write_text(meta_path.read_text().replace("Nx", label))
+        with pytest.raises(RecordIOError, match=re.escape(
+                f"records.csv, line 2: column {label!r} appears more "
+                "than once")):
+            read_records(path)
+
+    def test_label_starting_like_a_trace_roundtrips(self, tmp_path):
+        column = [1.0, 2.0]
+        rs = column_set(column, {"true_jz_x": (column, [3.0, 4.0])},
+                        [[5.0, 6.0]])
+        path = tmp_path / "records.csv"
+        write_records(rs, path)
+        assert_same_bits(read_records(path), rs)
+
+    @pytest.mark.parametrize("text,problem", [("{not json", "not JSON"),
+                                              ("[2]", "not a JSON object")])
+    def test_sidecar_that_is_not_a_json_object_is_named(self, tmp_path,
+                                                         text, problem):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(3), path)
+        meta_path = tmp_path / "records.csv.meta.json"
+        meta_path.write_text(text)
+        with pytest.raises(RecordIOError,
+                           match=re.escape(f"{meta_path}: {problem}")):
+            read_records(path)
+
+    @pytest.mark.parametrize("key", ["labels", "n_trials", "params",
+                                     "master_seed"])
+    def test_sidecar_without_an_entry_is_named(self, tmp_path, key):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(3), path)
+        meta_path = tmp_path / "records.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(RecordIOError) as err:
+            read_records(path)
+        assert str(err.value) == f"{meta_path}: no {key!r} entry"
+
+    def test_schema_line_that_is_not_a_number_is_named(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(3), path)
+        path.write_text(path.read_text().replace("# schema=2",
+                                                 "# schema=two"))
+        with pytest.raises(RecordIOError) as err:
+            read_records(path)
+        assert str(err.value) == f"{path}, line 1: unsupported schema 'two'"
+
     def test_edge_values_roundtrip_bit_exact(self, tmp_path):
         edges = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3,
                  1.797e308, -1.797e308, math.inf, -math.inf, 0.1]

@@ -17,6 +17,7 @@ draw, clamp and branch on and off:
   comparisons also check that the shape of a share does not matter.
 """
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -40,7 +41,8 @@ from squeezesim.sequence import (
     trial_seed,
 )
 import squeezesim.experiments as exp
-from squeezesim.state import (heisenberg_check, polarized_state,
+from squeezesim.state import (BatchStream, InvariantError,
+                              heisenberg_check, polarized_state,
                               probe_measure, rotate)
 
 # the fixed variate of each normal; a Poisson count is its mean rounded
@@ -238,21 +240,43 @@ def chunk_generator(master_seed: int, k: int) -> np.random.Generator:
                                                         spawn_key=(k,)))
 
 
+def joined(parts, params: SimParams, master_seed: int) -> RecordSet:
+    """The trials of the record sets ``parts``, in order, as one set."""
+    def cat(column):
+        return np.concatenate([column(rs) for rs in parts])
+
+    labels = parts[0].labels
+    return RecordSet.from_columns(
+        params.snapshot(), master_seed,
+        omega_p_offset_hz=cat(lambda rs: rs.omega_p_offset_hz),
+        n_up={lb: cat(lambda rs: rs.n_up[lb]) for lb in labels},
+        freq_hz={lb: cat(lambda rs: rs.freq_hz[lb]) for lb in labels},
+        true_jz=cat(lambda rs: rs.true_jz))
+
+
 def test_run_trial_is_a_batch_of_one():
-    rs = run_trials(VARIED, BASE, 1, master_seed=2)
-    batch = run_trial(VARIED, BASE, chunk_generator(2, 0), 1)
-    assert batch.master_seed is None and len(batch) == 1
-    assert RecordSet.concat([batch], 2, BASE.snapshot()) == rs
+    # run_trials gives each pulse and probe its numbers as arrays over the
+    # batch's trials; run_trial here takes the protocol's own scalars
+    for params, n in itertools.product((BASE, KNOBS),
+                                       (1, 2 * CHUNK_TRIALS + 5)):
+        rs = run_trials(VARIED, params, n, master_seed=2)
+        firsts = range(0, n, CHUNK_TRIALS)
+        stream = BatchStream(
+            [chunk_generator(2, k) for k in range(len(firsts))],
+            [min(CHUNK_TRIALS, n - first) for first in firsts])
+        batch = run_trial(VARIED, params, stream, n)
+        assert batch.master_seed is None and len(batch) == n
+        assert joined([batch], params, 2) == rs
 
 
 def test_full_chunk_is_run_trial_on_its_generator():
     n = 2 * CHUNK_TRIALS + 5
     rs = run_trials(STANDARD, BASE, n, master_seed=6)
     chunks = [run_trial(STANDARD, BASE, chunk_generator(6, k),
-                        min(CHUNK_TRIALS, n - first), first)
+                        min(CHUNK_TRIALS, n - first))
               for k, first in enumerate(range(0, n, CHUNK_TRIALS))]
     assert [len(c) for c in chunks] == [CHUNK_TRIALS, CHUNK_TRIALS, 5]
-    assert RecordSet.concat(chunks, 6, BASE.snapshot()) == rs
+    assert joined(chunks, BASE, 6) == rs
 
 
 def test_full_chunks_do_not_depend_on_the_trial_count():
@@ -313,9 +337,9 @@ def test_grid_points_equal_their_own_runs(n_trials, batch, monkeypatch):
     sizes = []
     real_run_trial = sequence.run_trial
 
-    def spy(protocol, params, rng, size, **kwargs):
+    def spy(protocol, params, rng, size):
         sizes.append(size)
-        return real_run_trial(protocol, params, rng, size, **kwargs)
+        return real_run_trial(protocol, params, rng, size)
 
     monkeypatch.setattr(sequence, "run_trial", spy)
     strengths = [(STANDARD, KNOBS.with_mt(m)) for m in np.logspace(3.5, 5, 3)]
@@ -381,16 +405,6 @@ def test_phase_detection_arms_equal_their_own_runs(psi, premeasure):
         tuple(np.histogram(a, bins=edges)[0].tolist()) for a in arms)
 
 
-def test_a_slice_of_a_record_set_holds_its_trials():
-    rs = run_trials(VARIED, BASE, 9, master_seed=2)
-    part = rs[3:7]
-    assert part.trials == rs.trials[3:7]
-    assert (part.params, part.master_seed) == (rs.params, 2)
-    assert RecordSet.concat([rs[:3], rs[3:]], 2, BASE.snapshot()) == rs
-    with pytest.raises(TypeError, match="slice"):
-        rs[3]
-
-
 def test_records_do_not_depend_on_workers(monkeypatch):
     one = run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=1)
     assert run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=4) == one
@@ -422,16 +436,17 @@ def test_corrupted_state_trips_its_invariant(field, value, name):
     with pytest.raises(ValueError,
                        match=re.escape(f"invariant violated: {name}")):
         single.validate()
-    # in a batch the first trial that breaks it is named, with its chunk
+    # in a batch the first trial that breaks it is named by its row
     batch = healthy_state().tile(5)
-    batch.validate(first=1022)
+    batch.validate()
     column = getattr(batch, field).copy()
     column[[3, 4]] = value
     setattr(batch, field, column)
-    with pytest.raises(ValueError) as err:
-        batch.validate(first=1022)
+    with pytest.raises(InvariantError) as err:
+        batch.validate()
+    assert (err.value.name, err.value.row) == (name, 3)
     assert str(err.value) == (
-        f"state invariant violated: {name} in trial 1025 (chunk 2)")
+        f"state invariant violated: {name} in row 3 of the batch")
 
 
 def corrupt_contrast_at(monkeypatch, position: int) -> None:

@@ -27,9 +27,8 @@ sweep uses seed 77 + k (k = 0 is the test) with the test's bootstrap
 seed 5, each oracle its test's seed + k, each moment comparison its
 test's engine seed + 2k, and the bootstrap coverage seed 1234 + k.  Per
 seed, on one core of a 2-core Xeon (Python 3.11, numpy 2.4): c4 and c5
-about 0.1 s each, c6 about 1 s, rq under 0.1 s (its first seed about
-0.5 s more, for the scipy import), oracles about 1 s, moments about 5 s,
-boot about 0.5 s; ``--only`` picks some of them,
+about 0.1 s each, c6 about 1 s, rq under 0.1 s, oracles about 1 s,
+moments about 5 s, boot about 0.5 s; ``--only`` picks some of them,
 and ``--rq-trials`` sets the r_q fit's trials per point (800, the test's
 size, by default):
 

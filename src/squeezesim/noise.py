@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,16 +118,15 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     """Nonnegativity-constrained least squares fit of the R(M_t) model.
 
     ``points`` is a sequence of (m_t, R) or (m_t, R, weight) tuples; omitted
-    weights default to 1/R^2 (constant fractional error).  Bootstrap pair
-    resampling yields 95% confidence intervals, with expanded percentile
-    levels (the usual small-sample correction) so nominal coverage holds at
-    realistic point counts.  The point estimate is scipy's ``nnls``; the
-    resamples are solved exactly in blocks (:func:`_bootstrap`).
+    weights default to 1/R^2 (constant fractional error).  ``n_boot`` (an
+    integer >= 0) pair resamples give 95 % intervals at expanded percentile
+    levels, a small-sample correction; for 12 points with 10 % errors they
+    cover about 92 %, not 95 % (ROADMAP item 4).  :func:`_nnls_batch`
+    solves the point estimate and every resample (:func:`_bootstrap`).
     """
-    # loaded here, not on import: they cost most of the package's start
-    from scipy.optimize import nnls
-    from scipy.special import ndtr, stdtrit
-
+    if (isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer))
+            or n_boot < 0):
+        raise ValueError(f"n_boot must be an integer >= 0 (got {n_boot!r})")
     pts = [tuple(p) for p in points]
     if len(pts) < 4:
         raise ValueError("fit_r needs at least 4 points")
@@ -146,7 +146,7 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
     design = design * sw[:, None]
     rhs = r * sw
-    sol = nnls(design, rhs)[0]
+    sol = _nnls_batch(design[None], rhs[None])[0]
     if not np.any(sol > 0):
         raise ValueError("degenerate design: fit collapsed to zero")
     names = ("r_psn", "r_tf", "r_q", "r_c")
@@ -155,16 +155,31 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     if n_boot > 0:
         samples = _bootstrap(m, design, rhs, sol, n_boot, rng)
         n_pts = len(m)
-        alpha = float(ndtr(
-            stdtrit(n_pts - 1, 0.025) * math.sqrt(n_pts / (n_pts - 1))))
+        alpha = NormalDist().cdf(
+            _t_quantile(0.025, n_pts - 1) * math.sqrt(n_pts / (n_pts - 1)))
         lo = np.percentile(samples, 100.0 * alpha, axis=0)
         hi = np.percentile(samples, 100.0 * (1.0 - alpha), axis=0)
-        intervals = {nm: (float(lo[i]), float(hi[i]))
-                     for i, nm in enumerate(names)}
+        intervals = dict(zip(names, zip(lo.tolist(), hi.tolist())))
 
-    coeffs = NoiseCoeffs(r_psn=float(sol[0]), r_tf=float(sol[1]),
-                         r_q=float(sol[2]), r_c=float(sol[3]))
+    coeffs = NoiseCoeffs(**dict(zip(names, sol.tolist())))
     return FitResult(coeffs=coeffs, intervals=intervals, n_boot=n_boot)
+
+
+def _t_quantile(p: float, dof: int) -> float:
+    """The p-quantile of Student's t with an integer ``dof``: bisects
+    theta = atan(t / sqrt(dof)) in (0, pi/2) to the last bit on the closed
+    form of P(|T| <= t), Abramowitz and Stegun 26.7.3 (odd dof) and 26.7.4.
+    """
+    lo, mid, hi = 0.0, math.pi / 4.0, math.pi / 2.0
+    while lo < mid < hi:
+        cos, sin, odd = math.cos(mid), math.sin(mid), dof % 2
+        s = float(dof > 1)  # 1 + a_1 cos**2 + a_2 cos**4 + ..., by Horner
+        for k in range((dof - 2 - odd) // 2, 0, -1):
+            s = 1.0 + cos * cos * s * (2 * k - 1 + odd) / (2 * k + odd)
+        central = (mid + sin * cos * s) * 2 / math.pi if odd else sin * s
+        lo, hi = (mid, hi) if central < abs(1.0 - 2.0 * p) else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return math.copysign(math.sqrt(dof) * math.tan(mid), p - 0.5)
 
 
 def _bootstrap(m: np.ndarray, design: np.ndarray, rhs: np.ndarray,
@@ -175,33 +190,16 @@ def _bootstrap(m: np.ndarray, design: np.ndarray, rhs: np.ndarray,
     the probe strengths ``m``; the indices of a block of ``_BOOT_BLOCK``
     resamples come from one ``integers`` call, and are the indices, and
     leave the generator in the state, that one ``choice`` call per
-    resample gives.  A resample of four or more distinct M_t, a full-rank
-    problem, is solved by :func:`_nnls_batch` with the others of its
-    block; one of fewer, or one the batch leaves unsettled, by scipy's
-    ``nnls``; and one whose M_t are all equal keeps the full fit ``sol``.
-    Each row is what scipy's ``nnls`` gives for that resample, to
-    roundoff, with the same zero coefficients (unless the points fit the
-    model exactly with a zero coefficient, which is then roundoff in both).
+    resample gives.  :func:`_nnls_batch` solves a block at once; a
+    resample whose M_t are all equal keeps the full fit ``sol``.
     """
-    from scipy.optimize import nnls
-
     gen, n = np.random.default_rng(rng), len(m)
-    # a resample's distinct M_t, counted by the first point of each M_t
-    # (np.unique would sort, and numpy's sort code, which nothing else in
-    # a fit touches, grows the process by about 0.3 MB on first use)
-    first = np.argmax(m[:, None] == m, axis=1)
-    samples = np.full((n_boot, 4), np.nan)
+    samples = np.empty((n_boot, 4))
     for lo in range(0, n_boot, _BOOT_BLOCK):
         out = samples[lo:lo + _BOOT_BLOCK]
         take = gen.integers(0, n, size=(len(out), n))
-        seen = np.zeros(take.shape, dtype=bool)
-        seen[np.arange(len(take))[:, None], first[take]] = True
-        distinct = np.count_nonzero(seen, axis=1)
-        full = distinct >= 4
-        out[full] = _nnls_batch(design[take[full]], rhs[take[full]])
-        out[distinct == 1] = sol
-        for b in np.flatnonzero(np.isnan(out[:, 0])):
-            out[b] = nnls(design[take[b]], rhs[take[b]])[0]
+        out[:] = _nnls_batch(design[take], rhs[take])
+        out[np.ptp(m[take], axis=1) == 0] = sol
     return samples
 
 
@@ -209,10 +207,9 @@ def _bootstrap(m: np.ndarray, design: np.ndarray, rhs: np.ndarray,
 # (a block of 128 resamples of 24 points holds about 0.1 MB per array).
 _BOOT_BLOCK = 128
 
-# A problem whose unit-norm columns leave a diagonal entry of R below
-# _RANK_TOL is too close to rank-deficient to solve here and is left to
-# scipy; _GRADIENT_TOL, times |Q^T b| over that least entry, is the
-# roundoff the KKT test forgives.
+# A support whose unit-norm columns leave a diagonal entry of their R
+# <= _RANK_TOL is skipped as rank-deficient; _GRADIENT_TOL, times |Q^T b|
+# over the support's least entry, is the roundoff the KKT test forgives.
 _RANK_TOL = 1e-8
 _GRADIENT_TOL = 1e-13
 
@@ -222,38 +219,42 @@ _SUPPORTS = tuple(list(s) for k in (4, 3, 2, 1)
 
 
 def _nnls_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact solutions of a stack of full-rank, four-column NNLS problems.
+    """Exact solutions of a stack of four-column NNLS problems.
 
     Row i of the result minimizes |a[i] x - b[i]| over x >= 0.  Each problem
     is reduced by a QR factorization to a 4 x 4 triangular one, its
     columns scaled to unit norm; the 15 supports are then tried, largest
-    first, and the first whose least-squares coefficients are all > 0 and
-    whose gradient is >= 0 on every dropped column (the KKT conditions,
-    which a full-rank problem's one optimum alone meets) is kept.  Rows
-    that are near rank-deficient, or that no support settles, are NaN.
+    first.  A support settles a problem when its columns are independent
+    (see ``_RANK_TOL``), its least-squares coefficients are all > 0 and the
+    gradient is >= 0 on every dropped column: the KKT conditions, which
+    only an optimum meets.  A full-rank problem has one optimum; a
+    rank-deficient one has many, and gets the first in support order.
     """
     t, c = _qr(a, b)
     # R of a's unit-norm columns: R's columns over their norms, a's norms
     scale = np.sqrt((t * t).sum(axis=1))
     t = t / scale[:, None, :]
-    least = np.abs(np.diagonal(t, axis1=1, axis2=2)).min(axis=1)
-    todo = np.flatnonzero(least > _RANK_TOL)
-    tol = _GRADIENT_TOL * np.sqrt((c * c).sum(axis=1)) / np.maximum(
-        least, _RANK_TOL)
+    norm_c = np.sqrt((c * c).sum(axis=1))
     out = np.full((len(b), 4), np.nan)
-    for support in _SUPPORTS:
-        if todo.size == 0:
-            break
-        tk, ck = t[todo], c[todo]
-        x = np.zeros((todo.size, 4))
-        x[:, support] = _back_substitute(*_qr(tk[:, :, support], ck))
-        res = (tk * x[:, None, :]).sum(axis=2) - ck
-        grad = (tk * res[:, :, None]).sum(axis=1)
-        dropped = [j for j in range(4) if j not in support]
-        ok = np.all(x[:, support] > 0, axis=1) & np.all(
-            grad[:, dropped] >= -tol[todo, None], axis=1)
-        out[todo[ok]] = x[ok] / scale[todo[ok]]
-        todo = todo[~ok]
+    todo = np.arange(len(b))
+    # the rank test masks what a rank-deficient support's 0/0 gives
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for support in _SUPPORTS:
+            if todo.size == 0:
+                break
+            tk, ck = t[todo], c[todo]
+            rk, zk = _qr(tk[:, :, support], ck)
+            least = np.diagonal(rk, axis1=1, axis2=2).min(axis=1)
+            x = np.zeros((todo.size, 4))
+            x[:, support] = _back_substitute(rk, zk)
+            res = (tk * x[:, None, :]).sum(axis=2) - ck
+            grad = (tk * res[:, :, None]).sum(axis=1)
+            dropped = [j for j in range(4) if j not in support]
+            tol = _GRADIENT_TOL * norm_c[todo] / least
+            ok = ((least > _RANK_TOL) & np.all(x[:, support] > 0, axis=1)
+                  & np.all(grad[:, dropped] >= -tol[:, None], axis=1))
+            out[todo[ok]] = x[ok] / scale[todo[ok]]
+            todo = todo[~ok]
     return out
 
 
@@ -263,22 +264,19 @@ def _qr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Modified Gram-Schmidt on the columns of [a | b], which is backward
     stable for least squares, in numpy's own loops: numpy's LAPACK, which
     nothing else in the package calls, grows the process by about 0.7 MB
-    of resident memory on its first call.
+    of resident memory on its first call.  A column that depends exactly
+    on the ones before it gets q = 0.
     """
     k = a.shape[2]
-    cols = [a[:, :, j] for j in range(k)]
-    rest = b
-    r = np.zeros((len(b), k, k))
-    z = np.empty((len(b), k))
+    cols = [a[:, :, j] for j in range(k)] + [b]
+    r = np.zeros((len(b), k + 1, k + 1))
     for j in range(k):
         r[:, j, j] = np.sqrt((cols[j] * cols[j]).sum(axis=1))
-        q = cols[j] / r[:, j, j, None]
-        for i in range(j + 1, k):
+        q = cols[j] / np.where(r[:, j, j] > 0, r[:, j, j], 1.0)[:, None]
+        for i in range(j + 1, k + 1):
             r[:, j, i] = (q * cols[i]).sum(axis=1)
             cols[i] = cols[i] - r[:, j, i, None] * q
-        z[:, j] = (q * rest).sum(axis=1)
-        rest = rest - z[:, j, None] * q
-    return r, z
+    return r[:, :k, :k], r[:, :k, k]
 
 
 def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:

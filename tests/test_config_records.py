@@ -479,15 +479,12 @@ class TestRecordIO:
     def test_large_set_roundtrip_under_budget(self, tmp_path):
         # informational local benchmark: 1e5 trials must round trip in < 5 s
         import time
-        rng = np.random.default_rng(0)
-        from squeezesim.sequence import LabeledOutcome, RecordSet, TrialRecord
-        trials = tuple(
-            TrialRecord(
-                outcomes={"Np": LabeledOutcome(*rng.standard_normal(2)),
-                          "Nf": LabeledOutcome(*rng.standard_normal(2))},
-                true_jz_trace=(float(rng.standard_normal()),))
-            for i in range(100_000))
-        rs = RecordSet(trials, SimParams().snapshot(), 0)
+        # per trial: Np n_up, Np freq, Nf n_up, Nf freq, the trace
+        v = np.random.default_rng(0).standard_normal((100_000, 5))
+        rs = RecordSet.from_columns(
+            SimParams().snapshot(), 0, omega_p_offset_hz=np.zeros(100_000),
+            n_up={"Np": v[:, 0], "Nf": v[:, 2]},
+            freq_hz={"Np": v[:, 1], "Nf": v[:, 3]}, true_jz=v[:, 4:])
         path = tmp_path / "big.csv"
         t0 = time.perf_counter()
         write_records(rs, path)

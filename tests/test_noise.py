@@ -130,22 +130,71 @@ class TestFitR:
         with pytest.raises(ValueError):
             fit_r([(1e3, 0.1), (1e4, 0.05), (1e5, 0.2)], n_boot=0)
 
-    def test_package_import_skips_scipy_stats(self):
-        # scipy costs most of the import time, and only fit_r needs it:
-        # nnls and two special functions, loaded when it runs
+    @pytest.mark.parametrize("n_boot", [-3, 2.5, True])
+    def test_bad_bootstrap_count_is_named(self, n_boot):
+        pts = [(m, 0.1) for m in (1e3, 3e3, 1e4, 3e4)]
+        with pytest.raises(ValueError, match=rf"n_boot must be an "
+                                             rf"integer >= 0 \(got {n_boot}\)"):
+            fit_r(pts, n_boot=n_boot)
+
+    @pytest.mark.parametrize("m", [(1e3, 1e3, 1e4, 1e4, 1e4),
+                                   (1e3, 3e3, 3e3, 1e4, 1e4)],
+                             ids=["two-distinct", "three-distinct"])
+    def test_rank_deficient_point_estimate_reaches_scipys_residual(self, m):
+        # the optimum is not unique: any one reaches the least residual
+        from scipy.optimize import nnls
+
+        pts = noisy_points(m, 45)
+        a, b = weighted_problem(pts)
+        coeffs = fit_r(pts, n_boot=0).coeffs
+        x = np.array([coeffs.r_psn, coeffs.r_tf, coeffs.r_q, coeffs.r_c])
+        assert np.all(x >= 0)
+        floor = np.linalg.norm(a @ nnls(a, b)[0] - b)
+        assert (np.linalg.norm(a @ x - b)
+                <= floor + 1e-12 * np.linalg.norm(b))
+
+    def test_fit_loads_no_scipy(self, tmp_path):
+        # scipy is a test dependency: the package and a fit run without it
         src = str(Path(squeezesim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, squeezesim; print([m in sys.modules for m in "
-                "('scipy.stats', 'scipy.optimize', 'scipy.special')])")
+        csvfile = tmp_path / "points.csv"
+        csvfile.write_text("mt,R\n" + "".join(
+            f"{m!r},{r!r}\n" for m, r in noisy_points([1e3, 3e3, 1e4, 3e4,
+                                                        1e5], 46)))
+        code = ("import sys; from squeezesim.cli import cli_dispatch; "
+                f"rc = cli_dispatch(['fit', '--in', {str(csvfile)!r}, "
+                f"'--out', {str(tmp_path)!r}, '--boot', '100']); "
+                "print(rc, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120)
-        assert out.stdout.strip() == "[False, False, False]"
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
+        assert (tmp_path / "fit.json").exists()
+
+
+def test_t_quantile_matches_scipy():
+    from scipy.special import stdtrit
+
+    for dof in [*range(3, 201), 999, 4999]:
+        ref = stdtrit(dof, 0.025)
+        assert abs(noise._t_quantile(0.025, dof) - ref) <= 1e-12 * abs(ref)
+
+
+def weighted_problem(pts):
+    """The weighted design and right-hand side that fit_r solves."""
+    m = np.array([p[0] for p in pts])
+    r = np.array([p[1] for p in pts])
+    w = np.array([p[2] if len(p) > 2 else 1.0 / p[1] ** 2 for p in pts])
+    sw = np.sqrt(w)
+    design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
+    return design * sw[:, None], r * sw
 
 
 def scipy_bootstrap(m, r, w, sol, n_boot, rng):
     """The bootstrap loop of fit_r before its resamples were batched: one
-    rng.choice and one scipy nnls call per resample."""
+    rng.choice and one scipy nnls call per resample.  Returns the
+    solutions and each resample's indices."""
     from scipy.optimize import nnls
 
     def nnls_coeffs(m, r, w):
@@ -154,14 +203,15 @@ def scipy_bootstrap(m, r, w, sol, n_boot, rng):
         return nnls(design * sw[:, None], r * sw)[0]
 
     samples = np.empty((n_boot, 4))
+    takes = np.empty((n_boot, len(m)), dtype=int)
     idx = np.arange(len(m))
     for b in range(n_boot):
-        take = rng.choice(idx, size=len(idx), replace=True)
+        take = takes[b] = rng.choice(idx, size=len(idx), replace=True)
         if np.ptp(m[take]) == 0.0:
             samples[b] = sol
             continue
         samples[b] = nnls_coeffs(m[take], r[take], w[take])
-    return samples
+    return samples, takes
 
 
 def mirrored_points():
@@ -208,33 +258,46 @@ class TestBootstrap:
         ("mirrored-24", 129), ("mirrored-24", 2 * noise._BOOT_BLOCK + 5)])
     def test_every_resample_matches_scipy(self, name, n_boot):
         pts = BOOT_SETS[name]
+        design, rhs = weighted_problem(pts)
         m = np.array([p[0] for p in pts])
         r = np.array([p[1] for p in pts])
         w = np.array([p[2] if len(p) > 2 else 1.0 / p[1] ** 2 for p in pts])
-        sw = np.sqrt(w)
-        design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
-        design = design * sw[:, None]
         sol = fit_r(pts, n_boot=0).coeffs
         sol = np.array([sol.r_psn, sol.r_tf, sol.r_q, sol.r_c])
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = noise._bootstrap(m, design, r * sw, sol, n_boot, rng)
-        ref = scipy_bootstrap(m, r, w, sol, n_boot, ref_rng)
+        got = noise._bootstrap(m, design, rhs, sol, n_boot, rng)
+        ref, takes = scipy_bootstrap(m, r, w, sol, n_boot, ref_rng)
         # the same indices: the generators end in one state
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.array_equal(got == 0.0, ref == 0.0)
+        distinct = np.array([len(set(m[t].tolist())) for t in takes])
+        # four or more distinct M_t: a full-rank problem, one optimum
+        full = distinct >= 4
+        assert np.array_equal(got[full] == 0.0, ref[full] == 0.0)
         scale = np.abs(ref).max(axis=0)
-        assert np.all(np.abs(got - ref) <= 1e-10 * scale)
+        assert np.all(np.abs(got[full] - ref[full]) <= 1e-10 * scale)
+        # two or three: many optima, each with the least residual
+        for b in np.flatnonzero((distinct > 1) & ~full):
+            a, y = design[takes[b]], rhs[takes[b]]
+            assert np.all(got[b] >= 0)  # NaN fails
+            assert (np.linalg.norm(a @ got[b] - y)
+                    <= np.linalg.norm(a @ ref[b] - y)
+                    + 1e-12 * np.linalg.norm(y))
         if name == "flat" and n_boot == 1000:
-            flat = np.all(ref == sol, axis=1)
+            flat = distinct == 1
             assert flat.sum() > 20 and np.all(got[flat] == sol)
 
-    def test_near_rank_deficient_problems_are_left_to_scipy(self):
-        # two of four distinct M_t 1e-9 apart: too close to three for the
-        # batch, which marks the problem NaN
+    def test_near_rank_deficient_problem_reaches_scipys_residual(self):
+        # two of four distinct M_t 1e-9 apart: the four-column support is
+        # too close to rank-deficient, and a three-column one settles it
+        from scipy.optimize import nnls
+
         m = np.array([1e3, 1e4, 1e4 * (1.0 + 1e-9), 1e5, 1e5])
         a = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
-        out = noise._nnls_batch(a[None], np.ones((1, 5)))
-        assert np.all(np.isnan(out))
+        b = np.ones(5)
+        x = noise._nnls_batch(a[None], b[None])[0]
+        assert np.all(x >= 0)
+        assert (np.linalg.norm(a @ x - b)
+                <= np.linalg.norm(a @ nnls(a, b)[0] - b) + 1e-12 * 5 ** 0.5)
 
     def test_same_seed_same_intervals(self):
         pts = BOOT_SETS["mirrored-24"]

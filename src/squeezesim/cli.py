@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -248,6 +249,7 @@ def cmd_run(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezesim",

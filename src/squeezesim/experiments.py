@@ -23,7 +23,8 @@ from .sequence import (
     spin_noise_reduction,
     trial_seed,
 )
-from .state import apply_raman_diffusion, polarized_state, rotate
+from .state import (apply_raman_diffusion, gaussian_counts, polarized_state,
+                    rotate)
 
 SQUEEZING_PROTOCOL_TEXT = """\
 prealign
@@ -473,8 +474,9 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
         m_s_ref = m_t * flux_ref
         new = apply_raman_diffusion(state, m_s_ref, p, rng,
                                     repump_to_up=True)
-        new.freq_offset -= eps * rng.poisson(
-            m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0))
+        new.freq_offset -= eps * gaussian_counts(
+            m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0),
+            rng.standard_normal(trials))
         return new
 
     def mean_hz(state, rng) -> float:

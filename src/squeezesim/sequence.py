@@ -34,8 +34,10 @@ but for ``probe.m_t``), run together as batches of at most
 each of those numbers as arrays over its trials, and each draw is one
 bulk call per chunk over that chunk's trials, on the chunk's own
 generator (see ``state.BatchStream``), so how chunks are batched changes
-no record.  ``run_trial`` knows a batch's trials only as rows: ``run_grid``
-alone maps them to points, trials and chunks.
+no record.  Every draw is of normals, event counts included (from their
+Gaussian moments, ``state.gaussian_counts``).  ``run_trial`` knows a
+batch's trials only as rows: ``run_grid`` alone maps them to points,
+trials and chunks.
 
 A ``RecordSet`` holds a run's records as read-only columns:
 ``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
@@ -481,8 +483,10 @@ def _joined(parts: list, params: dict, master_seed: int | None) -> RecordSet:
 
 def _run_points(points: list, n_trials: int):
     """``run_grid`` once its arguments are checked."""
+    # params but for probe.m_t, without building (and checking) a SimParams
     shapes = [(_with_numbers(protocol, itertools.repeat(None)),
-               params.with_mt(0.0)) for protocol, params, _ in points]
+               {**vars(params), "probe": {**vars(params.probe), "m_t": 0.0}})
+              for protocol, params, _ in points]
     numbers = [_numbers(protocol, params) for protocol, params, _ in points]
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
               for i in range(len(points))

@@ -13,11 +13,12 @@ spin-polarized state.
 A probe window does, in order: draw the trial's current Jz realization,
 scatter photons (Raman population diffusion + recoil heating; an event at
 a uniform arrival time is only partially visible in that window's
-time-averaged reading, and the visible share of a count is drawn from its
-Gaussian moments), assemble the noisy dressed-frequency reading, condition
-the state on the reading (Kalman update), inflate the anti-squeezed
-quadrature to respect the uncertainty relation, and decay the contrast by
-the free-space-scattering collapse law.
+time-averaged reading; every count is drawn from its Gaussian moments,
+and the visible shares and technical noise are one normal), assemble the
+noisy dressed-frequency reading, condition the state on the reading
+(Kalman update), inflate the anti-squeezed quadrature to respect the
+uncertainty relation, and decay the contrast by the free-space-scattering
+collapse law.
 
 A state is a batch of trials: each field is an array over its trials,
 and a single trial is a batch of one (``prepare_css`` and
@@ -25,12 +26,11 @@ and a single trial is a batch of one (``prepare_css`` and
 them).  ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` are
 plain numpy code over the batch.  The two that draw take the batch's
 ``BatchStream``: its trials lie in chunks of consecutive trials, each
-chunk with a generator of its own, and each draw is one bulk call per
-chunk over the chunk's trials, so a trial's variates do not depend on the
-other chunks of its batch.  A lone generator is a stream of one chunk.  A
-normal is drawn for every trial and channel and scaled by a std. dev.
-that is zero where the channel is off, and a Poisson of mean zero draws
-0.
+chunk with a generator of its own, and each draw is one bulk call of
+normals per chunk over the chunk's trials, so a trial's variates do not
+depend on the other chunks of its batch.  A lone generator is a stream of
+one chunk.  A normal is drawn for every trial, channel and count, and
+scaled by a std. dev. (or a count's mean) that is zero where it is off.
 """
 
 from __future__ import annotations
@@ -297,20 +297,17 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     # a zero phase stays +0.0 under a pi pulse
     new.echo_phase = np.where(is_pi & (echo != 0.0), -echo, 0.0)
 
-    # unit Bloch vectors and rotation axes, shape (trials, 3); the cross
-    # product is spelled out, as np.cross costs more than it on a batch
+    # Rodrigues' rotation of the unit Bloch vector u about the equatorial
+    # axis a = (ax, ay, 0) in components: u ca + (a x u) sa + a (a.u)(1 - ca)
     cz = state.cos_polar()
     sz = np.sqrt(np.maximum(0.0, 1.0 - cz * cz))
-    u = np.array([sz * np.cos(state.azimuth), sz * np.sin(state.azimuth),
-                  cz]).T
-    axis = np.array([np.sin(pulse_phase), -np.cos(pulse_phase),
-                     np.zeros(np.shape(pulse_phase))]).T
-    ca, sa = (np.asarray(f(angle))[..., None] for f in (np.cos, np.sin))
-    cross = (axis[..., [1, 2, 0]] * u[..., [2, 0, 1]]
-             - axis[..., [2, 0, 1]] * u[..., [1, 2, 0]])
-    u2 = (u * ca + cross * sa
-          + axis * np.vecdot(axis, u)[..., None] * (1 - ca))
-    ux, uy, uz = u2.T
+    ux, uy = sz * np.cos(state.azimuth), sz * np.sin(state.azimuth)
+    ax, ay = np.sin(pulse_phase), -np.cos(pulse_phase)
+    ca, sa = np.cos(angle), np.sin(angle)
+    along = (ax * ux + ay * uy) * (1 - ca)
+    ux, uy, uz = (ux * ca + ay * cz * sa + ax * along,
+                  uy * ca - ax * cz * sa + ay * along,
+                  cz * ca + (ax * uy - ay * ux) * sa)
 
     new.jz_mean = new.bloch_length() * uz
     new.azimuth = np.where(ux * ux + uy * uy > 1e-24, np.arctan2(uy, ux),
@@ -328,16 +325,27 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
 # Raman diffusion
 
 
-# channels: (probability attr, source attr), in the order of the Poisson
-# draws; _apply_counts moves the populations
+def gaussian_counts(lam, z) -> np.ndarray:
+    """Event counts of the Poisson means ``lam``, drawn from the standard
+    normals ``z`` shaped alike: max(0, rint(lam + sqrt(lam) z)).
+
+    A mean of zero gives 0.  The count keeps its Poisson mean and variance
+    from a mean of about 3 on; below it the clip and the rounding bias the
+    mean upwards: mean count / lam is 1.22 at 0.35, 1.07 at 1 and 1.009 at
+    3 (within 1e-3 of 1 from 10 on).
+    """
+    return np.maximum(0.0, np.rint(lam + np.sqrt(lam) * z))
+
+
+# channels (probability attr, source attr); _apply_counts moves populations
 _CHANNELS = (("p_ud", "pop_up"), ("p_du", "pop_down"), ("p_u1", "pop_up"),
              ("p_d1", "pop_down"))
 
 
 def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
-                   stream: BatchStream) -> np.ndarray:
-    """Poisson transition counts, channels x trials, from one call per
-    chunk.
+                   z) -> np.ndarray:
+    """Raman transition counts, channels x trials, drawn from the
+    standard normals ``z`` shaped alike.
 
     Channel means are p * m_s weighted by the source population relative to
     the half-polarized operating point N/2, so the standard noise formulas
@@ -345,18 +353,17 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     actual source population.
     """
     half = state.n_total / 2.0
-    counts = stream.poisson([getattr(tp, p_attr) * m_s
-                             * np.maximum(0.0, getattr(state, src_attr))
-                             / half for p_attr, src_attr in _CHANNELS])
+    counts = gaussian_counts(np.array([
+        getattr(tp, p_attr) * m_s * np.maximum(0.0, getattr(state, src_attr))
+        / half for p_attr, src_attr in _CHANNELS]), z)
     # cannot move more atoms than a state holds
     for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
         out = counts[a] + counts[b]
         clip = (out > pop) & (pop > 0)
         if np.any(clip):
             scale = pop / np.where(clip, out, 1)
-            for c in (a, b):
-                counts[c] = np.where(clip, np.trunc(counts[c] * scale),
-                                     counts[c])
+            pair = counts[[a, b]]
+            counts[[a, b]] = np.where(clip, np.trunc(pair * scale), pair)
     return counts
 
 
@@ -364,10 +371,9 @@ class BatchStream:
     """The random stream of a batch whose trials lie in chunks.
 
     Chunk j is ``sizes[j]`` consecutive trials of the batch and draws from
-    ``generators[j]``.  Each draw, of normals or of Poisson counts, makes
-    for every chunk the one bulk call that a batch of that chunk alone
-    would make, on the chunk's slice of the trial axis (the last), and
-    joins the results along it.
+    ``generators[j]``.  Each draw of normals makes for every chunk the one
+    bulk call that a batch of that chunk alone would make, on the chunk's
+    slice of the trial axis (the last), and joins the results along it.
     """
 
     def __init__(self, generators, sizes) -> None:
@@ -390,40 +396,28 @@ class BatchStream:
                              f"draw for {size}")
         return stream
 
-    def _join(self, draw) -> np.ndarray:
-        """``draw(generator, a, b)`` for each chunk's trials a:b, joined
-        along the last axis."""
-        if len(self.generators) == 1:
-            return draw(self.generators[0], 0, self.size)
-        return np.concatenate([draw(g, a, b) for g, (a, b) in
-                               zip(self.generators, self.spans)], axis=-1)
-
     def normal(self, rows: int | None = None) -> np.ndarray:
         """Standard normals: one per trial, or ``rows`` x trials."""
-        return self._join(lambda g, a, b: g.standard_normal(
-            b - a if rows is None else (rows, b - a)))
-
-    def poisson(self, lam) -> np.ndarray:
-        """Poisson counts of the means ``lam``, trials on its last axis."""
-        lam = np.asarray(lam)
-        return self._join(lambda g, a, b: g.poisson(lam[..., a:b]))
+        lead = () if rows is None else (rows,)
+        return np.concatenate([g.standard_normal((*lead, b - a)) for g, (
+            a, b) in zip(self.generators, self.spans)], axis=-1)
 
 
-def _visible_shares(events: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The visible share of each count of ``events``, drawn from the
-    standard normals ``z`` shaped alike.
+def _visible_share(jumps, events, tech_var, z) -> np.ndarray:
+    """The share of ``events`` (counts with frequency jumps ``jumps``)
+    visible in a reading, plus its technical noise of variance
+    ``tech_var``, drawn from the standard normals ``z``.
 
     The visible share of c events sums (1 - tau) over their uniform
-    arrival times tau: the fraction of each event's effect seen by the
-    window's time-averaged reading.  Its mean is c/2 and its variance
-    c/12, and the 1/3 mean square of (1 - tau) gives the 2/3
-    ``BETA_TIME_AVERAGE`` of the differenced-window noise.  At the
-    Gaussian-moment level of the engine the share is 0.5 c + sqrt(c/12) z
-    for every c.  It is not clipped to [0, c]: a share enters only the
-    reading, never a population, and clipping would shrink the variance of
-    a small count below c/12.
+    arrival times tau.  Its mean is c/2 and its variance c/12 (the 1/3
+    mean square of 1 - tau gives the 2/3 ``BETA_TIME_AVERAGE``).  Shares
+    and technical noise enter only the reading, so they are one normal:
+    0.5 sum(jump c) + sqrt(tech_var + sum(jump^2 c)/12) z, unclipped, as
+    clipping would shrink a small count's variance.
     """
-    return 0.5 * events + np.sqrt(events / 12.0) * z
+    shifts = [j * c for j, c in zip(jumps, events)]
+    var = tech_var + sum(j * s for j, s in zip(jumps, shifts)) / 12.0
+    return 0.5 * sum(shifts) + np.sqrt(var) * z
 
 
 def _apply_counts(state: EnsembleState, counts,
@@ -459,16 +453,16 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
 
     ``m_s`` is the mean scattered photon number at the half-polarized
     reference configuration, and ``rng``, the batch's ``BatchStream`` or
-    a lone generator, draws for the whole batch.
-    With ``repump_to_up`` the |1> state is treated as instantly recycled to
-    up (the calibration-experiment regime).
+    a lone generator, draws the 4 x trials normals of the counts.  With
+    ``repump_to_up`` the |1> state is treated as instantly recycled to up
+    (the calibration-experiment regime).
     """
     if m_s < 0:
         raise ValueError("m_s must be non-negative")
     cav = params.cavity
     new = state.copy()
-    counts = _sample_counts(new, m_s, params.transitions,
-                            BatchStream.of(rng, new.n_total.size))
+    counts = _sample_counts(new, m_s, params.transitions, BatchStream.of(
+        rng, new.n_total.size).normal(4))
     au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
     ad = alpha_per_atom("down", 0.0, cav)
     _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
@@ -485,10 +479,11 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     """One probe window: measurement, back-action, conditional update.
 
     ``rng``, the batch's ``BatchStream`` or a lone generator, draws for
-    the whole batch in three calls per chunk: 9 x trials normals (the
-    realized Jz; the read, classical and floor noise; the visible shares
-    of the four Raman channels and of the recoil photons), the 4 x trials
-    Raman counts, then the recoil photon counts.
+    the whole batch in one call per chunk, 8 x trials normals: the
+    realized Jz, the read noise (which the Kalman update sees), the
+    reading's other noise (the visible shares of the counts and the
+    classical and floor noise, merged by ``_visible_share``), and the four
+    Raman counts and the recoil photon count, each by ``gaussian_counts``.
     ``m_t`` is the window's realized probe strength (``params.probe.m_t``
     when omitted) and ``detuning_offset`` the trial's probe-cavity detuning
     left after pre-alignment, rad/s; either may hold one value per trial.
@@ -501,7 +496,7 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     new = state.copy()
     n = new.n_total
     stream = BatchStream.of(rng, n.size)
-    z_jz, z_read, z_class, z_floor, *z_share = stream.normal(9)
+    z_jz, z_read, z_noise, *z_counts = stream.normal(8)
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = new.cos_polar()
@@ -529,17 +524,13 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
 
     # Raman events and recoil photons: full effect persists, a (1 - tau)
     # share shows in this window's reading
-    counts = _sample_counts(new, m_s, tp, stream)
-    n_phot = stream.poisson(m_s)
-    *raman_shares, recoil_share = _visible_shares(
-        np.array([*counts, n_phot]), z_share)
-    raman_visible = sum(jump * share for jump, share in zip(
-        (ad - au, au - ad, a1 - au, a1 - ad), raman_shares))
-
-    read_noise = read_sig * z_read
+    counts = _sample_counts(new, m_s, tp, z_counts[:4])
+    n_phot = gaussian_counts(m_s, z_counts[4])
     reading = (dressed_shift(n_up_true, cav) + new.freq_offset
-               + raman_visible - eps * recoil_share + read_noise
-               + class_sig * z_class + floor_sig * z_floor)
+               + read_sig * z_read + _visible_share(
+                   (ad - au, au - ad, a1 - au, a1 - ad, -eps),
+                   (*counts, n_phot),
+                   class_sig * class_sig + floor_sig * floor_sig, z_noise))
 
     # condition the state on the spin information in the reading
     sigma_m = read_sig / au

@@ -6,7 +6,9 @@ before trials were batched: one ``EnsembleState`` of floats per trial,
 ``run_trial`` stepping through a protocol, and ``raman_calibration``
 running its trials one at a time on that state.  It calls the package's
 physics and noise formulas, which give numpy floats of the values the
-scalar code computed.  Tests compare ``run_trials`` and
+scalar code computed.  It draws exact Poisson counts and the noises of a
+reading one by one; ``_reading_noise`` draws the latter, so that a test
+can swap in the batched engine's merged rule.  Tests compare ``run_trials`` and
 ``experiments.raman_calibration`` with it; it is not part of the package.
 """
 
@@ -222,6 +224,33 @@ def _visible_sum(count: int, rng: np.random.Generator) -> float:
     return 0.5 * count + math.sqrt(count / 12.0) * rng.standard_normal()
 
 
+def _reading_noise(counts: list[int], jumps: tuple, m_s: float,
+                   eps: float, read_sig: float, class_sig: float,
+                   floor_sig: float, rng: np.random.Generator
+                   ) -> tuple[float, int, float]:
+    """The reading's visible shares and technical noise, the recoil photon
+    count and the read noise, drawn in that order.
+
+    Each Raman count's visible share, times its frequency jump, and the
+    recoil photons' share, times -eps, are summed from their events'
+    arrival times; the recoil count is a Poisson draw; the read, classical
+    and floor noises are normals of their own.
+    """
+    noise = 0.0
+    for cnt, jump in zip(counts, jumps):
+        if cnt:
+            noise += jump * _visible_sum(cnt, rng)
+    # recoil heating from the realized scattered photon count
+    n_phot = int(rng.poisson(m_s)) if (m_s > 0.0 and eps > 0.0) else 0
+    noise -= eps * _visible_sum(n_phot, rng)
+    read_noise = read_sig * rng.standard_normal() if read_sig > 0 else 0.0
+    if class_sig > 0.0:
+        noise += class_sig * rng.standard_normal()
+    if floor_sig > 0.0:
+        noise += floor_sig * rng.standard_normal()
+    return noise, n_phot, read_noise
+
+
 def _apply_counts(state: EnsembleState, counts: list[int],
                   alphas: tuple[float, float, float],
                   repump_to_up: bool) -> None:
@@ -306,19 +335,6 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
     a1 = cav.c1_coupling * au
     eps = TWO_PI * cav.recoil_shift_per_photon
 
-    # Raman events: full effect persists, a (1 - tau) share shows in this
-    # window's reading
-    counts = _sample_counts(new, m_s, tp, rng)
-    jumps = (ad - au, au - ad, a1 - au, a1 - ad)
-    raman_visible = 0.0
-    for cnt, jump in zip(counts, jumps):
-        if cnt:
-            raman_visible += jump * _visible_sum(cnt, rng)
-
-    # recoil heating from the realized scattered photon count
-    n_phot = int(rng.poisson(m_s)) if (m_s > 0.0 and eps > 0.0) else 0
-    recoil_visible = -eps * _visible_sum(n_phot, rng)
-
     # technical noises of the reading
     read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
     if knobs.lineshape_penalty and detuning_offset:
@@ -331,15 +347,14 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
         m_t, n, r_c_inj, coeffs, cav)
     floor_sig = _noise.floor_noise_atoms(coeffs) * au
 
-    read_noise = read_sig * rng.standard_normal() if read_sig > 0 else 0.0
-    tech_noise = 0.0
-    if class_sig > 0.0:
-        tech_noise += class_sig * rng.standard_normal()
-    if floor_sig > 0.0:
-        tech_noise += floor_sig * rng.standard_normal()
-
-    reading = (dressed_shift(n_up_true, cav) + new.freq_offset
-               + raman_visible + recoil_visible + read_noise + tech_noise)
+    # Raman events and recoil photons: full effect persists, a (1 - tau)
+    # share shows in this window's reading
+    counts = _sample_counts(new, m_s, tp, rng)
+    noise, n_phot, read_noise = _reading_noise(
+        counts, (ad - au, au - ad, a1 - au, a1 - ad), m_s, eps, read_sig,
+        class_sig, floor_sig, rng)
+    reading = (dressed_shift(n_up_true, cav) + new.freq_offset + noise
+               + read_noise)
 
     # condition the state on the spin information in the reading
     sigma_m = read_sig / au if read_sig > 0.0 else 0.0

@@ -1,10 +1,13 @@
 """The seeds and bulk draws of the trial engine against numpy's own.
 
-``trial_seed`` must give what ``SeedSequence`` gives.  A visible share is
-0.5 c + sqrt(c/12) z, exactly and unclipped.  A batch's stream draws, for
-each of its chunks, exactly what that chunk's generator draws alone, and
-a probe window makes three bulk calls per chunk in a fixed order.  Probe
-windows over every count regime give the scalar engine's records.
+``trial_seed`` must give what ``SeedSequence`` gives.  A count is
+max(0, rint(lam + sqrt(lam) z)), with its Poisson mean and variance from a
+mean of 3 on.  The visible shares of a reading and its technical noise
+are one normal, 0.5 sum(jump c) + sqrt(tech_var + sum(jump^2 c)/12) z,
+exactly and unclipped.  A batch's stream draws, for each of its chunks,
+exactly what that chunk's generator draws alone, and a probe window makes
+one bulk call of normals per chunk.  Probe windows over every count
+regime give the scalar engine's records.
 """
 
 import math
@@ -78,29 +81,63 @@ def test_merged_draws_equal_separate_calls(a, b):
                                           + two.random(b).tolist())
     assert one.standard_normal(a + b).tolist() == (
         two.standard_normal(a).tolist() + two.standard_normal(b).tolist())
-    # a Poisson of mean 0 draws nothing
-    assert two.poisson(0.0) == 0
     assert one.random() == two.random()
+
+
+# ---------------------------------------------------------------------------
+# the count rule
+
+
+def test_counts_are_non_negative_integers_and_mean_zero_gives_zero():
+    rng = np.random.default_rng(20261019)
+    lam = rng.uniform(0.0, 30.0, (4, 500))
+    lam[:, :50] = 0.0
+    z = rng.standard_normal(lam.shape) * 4.0
+    counts = state.gaussian_counts(lam, z)
+    assert counts.shape == lam.shape
+    assert np.all(counts >= 0) and np.all(counts == np.round(counts))
+    assert np.any(counts[:, 50:] == 0)  # the clip at zero fires
+    assert not np.any(counts[:, :50])
+    assert counts.tolist() == [
+        [max(0.0, float(np.rint(m + math.sqrt(m) * x))) for m, x in
+         zip(row, zs)] for row, zs in zip(lam.tolist(), z.tolist())]
+
+
+@pytest.mark.parametrize("lam", [3.0, 10.0, 1e2, 1e4])
+def test_counts_have_their_poisson_moments(lam):
+    # the normals are 2**20 equal-probability quantiles, so the moments
+    # are the rule's own to about 1e-5, with no sampling error
+    from scipy.special import ndtri
+    z = ndtri((np.arange(2**20) + 0.5) / 2**20)
+    counts = state.gaussian_counts(np.full(z.size, lam), z)
+    assert counts.mean() == pytest.approx(lam, rel=0.01)
+    assert counts.var() == pytest.approx(lam, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
 # the visible-share rule
 
+JUMPS = (-2.0, 2.0, 0.5, 1.5, -0.25)
+
 
 def test_visible_share_is_its_gaussian_moments():
     rng = np.random.default_rng(20261018)
     events = rng.integers(0, 300, (5, 40))
-    z = rng.standard_normal((5, 40))
-    shares = state._visible_shares(events, z)
-    assert shares.shape == events.shape
-    assert shares.tolist() == [
-        [0.5 * c + math.sqrt(c / 12.0) * x for c, x in zip(row, zs)]
-        for row, zs in zip(events.tolist(), z.tolist())]
+    tech_var = rng.uniform(0.0, 50.0, 40)
+    z = rng.standard_normal(40)
+    shares = state._visible_share(JUMPS, events, tech_var, z)
+    assert shares.shape == z.shape
+    assert shares == pytest.approx([
+        0.5 * sum(j * c for j, c in zip(JUMPS, cs))
+        + math.sqrt(v + sum(j * j * c for j, c in zip(JUMPS, cs)) / 12.0)
+        * x for cs, v, x in zip(events.T.tolist(), tech_var, z)],
+        rel=1e-14, abs=0.0)
 
 
 def test_no_event_has_no_visible_share():
     z = np.array([-1e300, -5.0, -0.0, 0.0, 3.0, 1e300])
-    shares = state._visible_shares(np.zeros(z.shape, dtype=np.int64), z)
+    shares = state._visible_share(
+        JUMPS, np.zeros((5, z.size), dtype=np.int64), 0.0, z)
     assert shares.tolist() == [0.0] * z.size
     assert not np.any(np.signbit(shares))
 
@@ -110,7 +147,8 @@ def test_share_of_one_event_is_not_clipped():
     # share outside [0, 1] is kept: clipping would shrink its variance
     # below 1/12
     z = np.array([-3.0, 3.0])
-    low, high = state._visible_shares(np.ones(2, dtype=np.int64), z)
+    low, high = state._visible_share((1.0,), (np.ones(2, dtype=np.int64),),
+                                     0.0, z)
     assert low == 0.5 - 3.0 * math.sqrt(1.0 / 12.0) and low < 0.0
     assert high == 0.5 + 3.0 * math.sqrt(1.0 / 12.0) and high > 1.0
 
@@ -122,22 +160,17 @@ def test_share_of_one_event_is_not_clipped():
 def test_stream_draws_equal_each_chunk_generators_own_calls():
     sizes = [3, 5, 1, 4]
     spans = np.cumsum([0] + sizes)
-    rng = np.random.default_rng(7)
-    lam = rng.uniform(0.0, 40.0, (4, sum(sizes)))
 
     def generators():
         return [np.random.default_rng(np.random.SeedSequence(
             3, spawn_key=(k,))) for k in range(len(sizes))]
 
     stream = BatchStream(generators(), sizes)
-    drawn = [stream.normal(), stream.normal(4), stream.poisson(lam),
-             stream.poisson(lam[0])]
-    own = [[], [], [], []]
+    drawn = [stream.normal(), stream.normal(4)]
+    own = [[], []]
     for g, a, b in zip(generators(), spans, spans[1:]):
         own[0].append(g.standard_normal(b - a))
         own[1].append(g.standard_normal((4, b - a)))
-        own[2].append(g.poisson(lam[:, a:b]))
-        own[3].append(g.poisson(lam[0, a:b]))
     for got, parts in zip(drawn, own):
         expected = np.concatenate(parts, axis=-1)
         assert got.shape == expected.shape
@@ -160,7 +193,7 @@ def test_lone_generator_is_a_stream_of_one_chunk():
 
 class RecordingGenerator:
     """A generator that records each draw made of it and fails on any
-    draw but normals and Poisson counts."""
+    draw but normals."""
 
     def __init__(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
@@ -172,46 +205,50 @@ class RecordingGenerator:
         self.normals.append(self.rng.standard_normal(size))
         return self.normals[-1]
 
-    def poisson(self, lam):
-        self.calls.append(("poisson", np.shape(lam)))
-        return self.rng.poisson(lam)
-
     def __getattr__(self, name):
         raise AssertionError(f"a probe window drew {name}")
 
 
+def spy_on(patch, name: str, seen: list) -> None:
+    """Record the arguments of each call of ``state.<name>`` in ``seen``."""
+    real = getattr(state, name)
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    patch.setattr(state, name, spy)
+
+
 @pytest.mark.parametrize("sizes", [[7], [3, 5]])
-def test_probe_window_makes_three_calls_per_chunk(sizes, monkeypatch):
+def test_probe_window_makes_one_call_per_chunk(sizes, monkeypatch):
     params = SimParams()
     css = prepare_css(4.8e5, params.ensemble).tile(sum(sizes))
     recorders = [RecordingGenerator(k) for k in range(len(sizes))]
     rng = (recorders[0] if len(sizes) == 1
            else BatchStream(recorders, sizes))
-    share_normals = []
-    real = state._visible_shares
-
-    def spy(events, z):
-        share_normals.append(np.array(z))
-        return real(events, z)
-
-    monkeypatch.setattr(state, "_visible_shares", spy)
+    counted, shared = [], []
+    spy_on(monkeypatch, "gaussian_counts", counted)
+    spy_on(monkeypatch, "_visible_share", shared)
     probe_measure(css, params, rng)
     for rec, n in zip(recorders, sizes):
-        assert rec.calls == [("standard_normal", (9, n)),
-                             ("poisson", (4, n)), ("poisson", (n,))]
-    # the shares take the last five rows of the normals, one per count
-    assert np.array_equal(share_normals[0], np.concatenate(
-        [rec.normals[0][4:] for rec in recorders], axis=-1))
+        assert rec.calls == [("standard_normal", (8, n))]
+    rows = np.concatenate([rec.normals[0] for rec in recorders], axis=-1)
+    # the merged reading noise takes row 2, the four Raman counts rows 3
+    # to 6 and the recoil photon count row 7
+    assert np.array_equal(shared[0][3], rows[2])
+    assert np.array_equal(counted[0][1], rows[3:7])
+    assert np.array_equal(counted[1][1], rows[7])
 
 
 # ---------------------------------------------------------------------------
 # every count regime of a probe window, against the scalar engine
 
 # probe strengths whose counts span the share rule's regimes: a recoil
-# count of at most 64 with few Raman events (mt=40), where a Gaussian share
-# departs most from a sum of uniforms; the up-to-one channel near 64 while
-# the others are below (mt=3e4); three channels above 64 in a row
-# (mt=1.2e5); all four above 64 (mt=3e5)
+# count of at most 64 with few Raman events (mt=40), where a Gaussian count
+# and share depart most from a Poisson count and a sum of uniforms; the
+# up-to-one channel near 64 while the others are below (mt=3e4); three
+# channels above 64 in a row (mt=1.2e5); all four above 64 (mt=3e5)
 DRAW_PATHS = parse_protocol("""\
 prealign
 pump down
@@ -227,17 +264,12 @@ probe A mt=300000
 def window_draws(monkeypatch, protocol, params, n_trials, master_seed):
     """The Raman counts (trials x channels) and recoil photon counts of
     every probe window."""
-    seen = []
-    real = state._visible_shares
-
-    def spy(events, z):
-        seen.append((events[:4].T, events[4]))
-        return real(events, z)
-
+    shared = []
     with monkeypatch.context() as patch:
-        patch.setattr(state, "_visible_shares", spy)
+        spy_on(patch, "_visible_share", shared)
         run_trials(protocol, params, n_trials, master_seed)
-    return seen
+    return [(np.transpose(events[:4]), events[4])
+            for _, events, _, _ in shared]
 
 
 def test_every_draw_path_equals_scalar_engine(monkeypatch):

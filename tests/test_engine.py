@@ -6,15 +6,18 @@ draws from one generator per chunk, in bulk and in another order, so the
 two engines are compared two ways, over a grid of knobs that switches each
 draw, clamp and branch on and off:
 
-* fed the same variates (``FixedDraws``: every normal and Poisson count
-  fixed) and the same visible-share rule, every record is the scalar
-  engine's to 1e-12;
+* fed the same variates (``FixedDraws``: every normal fixed, and every
+  Poisson count the engine's count rule at that normal) and the same
+  merged reading noise, every record is the scalar engine's to 1e-12;
 * fed their own generators, every output column, and the difference of
   each pair of successive probe columns, has the scalar engine's mean and
-  variance within ``K_SE`` standard errors.  The scalar engine sums the
-  visible share of up to 64 events from their uniform arrival times, and
-  the engine draws every share from its Gaussian moments, so these
-  comparisons also check that the shape of a share does not matter.
+  variance within ``K_SE`` standard errors.  The scalar engine draws
+  exact Poisson counts, sums the visible share of up to 64 events from
+  their uniform arrival times and draws each noise of a reading on its
+  own, while the engine draws every count from its Gaussian moments and
+  merges the shares and noises into one normal, so these comparisons
+  also check that neither the shape of a count or a share nor the merge
+  matters.
 """
 
 import itertools
@@ -45,8 +48,8 @@ from squeezesim.state import (BatchStream, InvariantError,
                               heisenberg_check, polarized_state,
                               probe_measure, rotate)
 
-# the fixed variate of each normal; a Poisson count is its mean rounded
-# down.  Z < 0 takes the power_clamp case below its clamp.
+# the fixed variate of each normal; a Poisson count is the engine's count
+# rule at it.  Z < 0 takes the power_clamp case below its clamp.
 Z = -0.3
 # the tolerance of a moment comparison in standard errors, fixed in advance
 K_SE = 5.0
@@ -112,26 +115,35 @@ class FixedDraws:
         return Z if size is None else np.full(size, Z)
 
     def poisson(self, lam):
-        return np.floor(lam).astype(np.int64)
+        # the engine's count rule: max(0, rint(lam + sqrt(lam) z))
+        return np.maximum(0.0, np.rint(lam + np.sqrt(lam) * Z))
 
 
-def gaussian_visible_sum(count: int, rng) -> float:
-    """The engine's visible share of ``count`` events, for the scalar
-    engine."""
-    return 0.5 * count + math.sqrt(count / 12.0) * rng.standard_normal()
+def merged_reading_noise(counts, jumps, m_s, eps, read_sig, class_sig,
+                         floor_sig, rng):
+    """The engine's reading noise, for the scalar engine: the visible
+    shares of the counts and the classical and floor noises as one normal
+    of their summed variance, then the read noise."""
+    n_phot = int(rng.poisson(m_s))
+    mean = 0.5 * (sum(j * c for j, c in zip(jumps, counts)) - eps * n_phot)
+    var = (class_sig ** 2 + floor_sig ** 2
+           + (sum(j * j * c for j, c in zip(jumps, counts))
+              + eps * eps * n_phot) / 12.0)
+    noise = mean + math.sqrt(var) * rng.standard_normal()
+    return noise, n_phot, read_sig * rng.standard_normal()
 
 
 def feed_fixed_draws(patch) -> None:
     """Make every generator numpy makes a ``FixedDraws``, and have the
-    scalar engine draw its visible shares by the engine's rule."""
+    scalar engine draw the noise of its readings by the engine's rule."""
     patch.setattr(np.random, "default_rng", lambda seed=None: FixedDraws())
-    patch.setattr(scalar_reference, "_visible_sum", gaussian_visible_sum)
+    patch.setattr(scalar_reference, "_reading_noise", merged_reading_noise)
 
 
 @pytest.fixture
 def fixed_draws(monkeypatch):
     """Every generator numpy makes is a ``FixedDraws``, and both engines
-    share one visible-share rule."""
+    share one count rule and one reading noise."""
     feed_fixed_draws(monkeypatch)
 
 

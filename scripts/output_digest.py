@@ -93,6 +93,9 @@ def commands(work: Path) -> dict[str, list]:
         "run-knobs-batches": ["run", "--seed", 15, "--trials", 4700,
                               "--protocol", work / "protocol.txt",
                               "--config", work / "knobs.ini"],
+        # a point of three full batches and part of a fourth
+        "run-many-batches": ["run", "--seed", 21, "--trials", 3 * 4096 + 5,
+                             "--protocol", work / "protocol.txt"],
         "sweep-params": ["sweep", "--seed", 16, "--trials", 300,
                          "--points", 5, "--config", work / "params.ini"],
         "budget-params": ["budget", "--seed", 17, "--mt", 3e4,

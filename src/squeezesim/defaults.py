@@ -8,6 +8,7 @@ numbers.
 """
 
 import math
+import numbers
 
 # the reference operating point the noise coefficients were fitted at
 _N_REFERENCE = 4.8e5
@@ -87,16 +88,18 @@ RULES: dict[str, dict] = {
     "noise": {"n_reference": _POSITIVE, "m_reference": _POSITIVE,
               "laser_linewidth_rinv": _POSITIVE},
     "run": {"trials": _POSITIVE},
-    # quantities only a command-line flag sets, in no config file; the
-    # calibration slope is a line fit in Hz per photon, so its M_t grid needs
-    # two distinct points at least one photon apart
+    # quantities only a command-line flag or a function argument sets, in no
+    # config file; the calibration slope is a line fit in Hz per photon, so
+    # its M_t grid needs two distinct points at least one photon apart
     "cli": {"m_t": _POSITIVE, "target_winv": _POSITIVE,
             "psi": (lambda v: True, "must be finite"),
             "boot": _NON_NEGATIVE,
             "calibration_points": (lambda v: v >= 2,
                                    "must be >= 2 for the line fit"),
             "calibration_span": (lambda v: v >= 1.0, "must be >= 1 photon "
-                                 "for the line fit")},
+                                 "for the line fit"),
+            "n_trials": (lambda v: isinstance(v, numbers.Integral) and v >= 1,
+                         "must be an integer >= 1")},
 }
 
 

@@ -104,6 +104,7 @@ def tune_mt_for_w_inverse(params: SimParams, target: float,
     reachable maximum.  The grid is evaluated as one array; the bisection
     runs on floats.
     """
+    check_value("cli", "target_winv", target, "target")
     m_lo, m_hi = 1e3, 3e5
     grid = np.logspace(math.log10(m_lo), math.log10(m_hi), 200)
     w = expected_w_inverse(params, grid, contrast_windows)
@@ -167,6 +168,7 @@ def contrast_fringe(params: SimParams, m_t: float, theta_grid,
     reference that measures the initial contrast); the readout window keeps
     the configured default strength.
     """
+    check_value("probe", "m_t", m_t, "m_t")
     theta = np.asarray(list(theta_grid), dtype=float)
     if len(theta) < 6 or np.ptp(theta) < math.pi:
         raise ValueError("need >= 6 phase points spanning at least pi")
@@ -459,6 +461,7 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     batch, drawing from one generator,
     ``default_rng(_sub_seed(master_seed, point))``.
     """
+    check_value("cli", "n_trials", trials, "trials")
     grid = sorted(float(m) for m in m_t_grid)
     check_value("cli", "calibration_points", len(set(grid)),
                 "the number of distinct M_t values in m_t_grid")

@@ -41,10 +41,10 @@ trials and chunks.
 
 A ``RecordSet`` holds a run's records as read-only columns:
 ``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
-label, and ``true_jz`` as trials x windows.  ``run_trial`` fills them
-straight from each window's outcome arrays and ``run_grid`` joins each
-point's rows once; ``RecordSet.trials`` gives ``TrialRecord`` values on
-demand.
+label, and ``true_jz`` as trials x windows.  ``run_trial`` fills a
+batch's columns from its windows' outcomes; ``run_grid`` copies each row
+once into its point's columns, allocated when the point's first chunk
+runs.  ``RecordSet.trials`` gives ``TrialRecord`` values on demand.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .defaults import check_value
 from .physics import TWO_PI
 from .state import (
     BatchStream,
@@ -466,23 +467,8 @@ def _batches(chunks, shapes):
         yield batch
 
 
-def _joined(parts: list, params: dict, master_seed: int | None) -> RecordSet:
-    """The record set of the rows lo:hi of each (rs, lo, hi) of ``parts``,
-    in order, each column joined once."""
-    def cat(column):
-        return np.concatenate([column(rs)[lo:hi] for rs, lo, hi in parts])
-
-    labels = parts[0][0].labels
-    return RecordSet.from_columns(
-        params, master_seed,
-        omega_p_offset_hz=cat(lambda rs: rs.omega_p_offset_hz),
-        n_up={lb: cat(lambda rs: rs.n_up[lb]) for lb in labels},
-        freq_hz={lb: cat(lambda rs: rs.freq_hz[lb]) for lb in labels},
-        true_jz=cat(lambda rs: rs.true_jz))
-
-
 def _run_points(points: list, n_trials: int):
-    """``run_grid`` once its arguments are checked."""
+    """``run_grid`` once its arguments are checked, each row written once."""
     # params but for probe.m_t, without building (and checking) a SimParams
     shapes = [(_with_numbers(protocol, itertools.repeat(None)),
                {**vars(params), "probe": {**vars(params.probe), "m_t": 0.0}})
@@ -491,7 +477,7 @@ def _run_points(points: list, n_trials: int):
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
               for i in range(len(points))
               for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
-    parts: dict[int, list] = {}
+    filling: dict[int, dict] = {}
     for batch in _batches(chunks, shapes):
         point, k, first, size = zip(*batch)
         stream = BatchStream([np.random.default_rng(_seed_sequence(
@@ -510,13 +496,21 @@ def _run_points(points: list, n_trials: int):
                 f"state invariant violated: {exc.name} in trial {trial} "
                 f"(chunk {k[j]}){where}") from None
         for i, a, n, (lo, hi) in zip(point, first, size, stream.spans):
-            parts.setdefault(i, []).append((rs, lo, hi))
+            if a == 0:  # the point's first chunk
+                filling[i] = {
+                    "omega_p_offset_hz": np.empty(n_trials),
+                    "true_jz": np.empty((n_trials, len(rs.labels))),
+                    **{name: {lb: np.empty(n_trials) for lb in rs.labels}
+                       for name in ("n_up", "freq_hz")}}
+            for name in ("omega_p_offset_hz", "true_jz"):
+                filling[i][name][a:a + n] = getattr(rs, name)[lo:hi]
+            for name in ("n_up", "freq_hz"):
+                for lb, col in filling[i][name].items():
+                    col[a:a + n] = getattr(rs, name)[lb][lo:hi]
             if a + n == n_trials:  # the point's last chunk
-                yield _joined(parts.pop(i), points[i][1].snapshot(),
-                              int(points[i][2]))
-        for i, held in parts.items():  # no batch's columns outlive it
-            parts[i] = [(_joined(held, {}, None), 0, None)]
-        del rs, stream
+                yield RecordSet.from_columns(
+                    points[i][1].snapshot(), int(points[i][2]),
+                    **filling.pop(i))
 
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
@@ -539,8 +533,7 @@ def run_grid(points, n_trials: int):
     the trial and its chunk.
     """
     points = list(points)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    check_value("cli", "n_trials", n_trials, "n_trials")
     for protocol, params, seed in points:
         _validate_runnable(protocol, params)
         _seed_sequence(seed, 0)  # a bad seed fails before any trial runs

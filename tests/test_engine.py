@@ -312,6 +312,25 @@ def test_records_do_not_depend_on_the_batch_size(protocol, params,
     assert runs[0].master_seed == 12 and len(runs[0]) == n
 
 
+def test_each_point_is_built_once(monkeypatch):
+    # a run of 12 one-chunk batches builds 12 batch record sets and one
+    # for the point, however many batches it spans
+    n = 12 * CHUNK_TRIALS
+    default = run_trials(STANDARD, BASE, n, master_seed=21)
+    monkeypatch.setattr(sequence, "BATCH_TRIALS", CHUNK_TRIALS)
+    built = []
+    real_from_columns = RecordSet.from_columns
+
+    def spy(cls, *args, **kwargs):
+        built.append(real_from_columns(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(RecordSet, "from_columns", classmethod(spy))
+    rs = run_trials(STANDARD, BASE, n, master_seed=21)
+    assert len(built) == 13 and built[-1] is rs
+    assert rs == default
+
+
 def fringe_protocol(final_phase: float, pre_mt: float):
     return parse_protocol(f"prealign\npump down\npulse 90 0\n"
                           f"probe Np mt={pre_mt}\npulse 90 {final_phase}\n"

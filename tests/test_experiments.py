@@ -58,6 +58,12 @@ class TestContrastFringe:
         with pytest.raises(ValueError):
             exp.contrast_fringe(PARAMS, 0.0, np.linspace(0, 1.0, 8), 10)
 
+    @pytest.mark.parametrize("m_t,rule", [(-5.0, "must be >= 0"),
+                                          (math.nan, "must be finite")])
+    def test_bad_strength_is_named(self, m_t, rule):
+        with pytest.raises(ValueError, match=f"m_t {rule}"):
+            exp.contrast_fringe(PARAMS, m_t, THETA, trials=50)
+
     def test_numpy_float_strength_equals_python_float(self):
         # a value of an np.logspace grid is an np.float64
         args = (THETA, 20, 3)
@@ -146,6 +152,16 @@ class TestPhaseDetection:
                                    contrast_windows=2)
         assert w == pytest.approx(7.5, rel=1e-3)
 
+    @pytest.mark.parametrize("target,rule", [(math.nan, "must be finite"),
+                                             (0.0, "must be > 0"),
+                                             (-3.0, "must be > 0")])
+    def test_bad_tuner_target_is_named(self, target, rule):
+        with pytest.raises(ValueError, match=f"target {rule}"):
+            exp.tune_mt_for_w_inverse(PARAMS, target)
+        with pytest.raises(ValueError, match=f"target {rule}"):
+            exp.phase_detection(PARAMS, 1e-3, True, trials=1000,
+                                target_w_inv=target)
+
     def test_tuner_unreachable_target(self):
         with pytest.raises(ValueError):
             exp.tune_mt_for_w_inverse(PARAMS.with_n(6e4), 50.0)
@@ -202,6 +218,12 @@ class TestRamanCalibration:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             exp.raman_calibration(PARAMS, [], 10)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5])
+    def test_bad_trial_count_is_named(self, trials):
+        with pytest.raises(ValueError, match=r"trials must be an integer "
+                           rf">= 1 \(got {trials!r}\)"):
+            exp.raman_calibration(PARAMS, self.GRID, trials)
 
     @pytest.mark.parametrize("grid,message", [
         ([5e4], "number of distinct M_t values"),

@@ -18,6 +18,7 @@ from squeezesim.sequence import (
     SimParams,
     TrialRecord,
     parse_protocol,
+    run_grid,
     run_trial,
     run_trials,
     spin_noise_reduction,
@@ -174,6 +175,14 @@ class TestRunTrials:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_trials(standard_protocol(), PARAMS, 0, master_seed=1)
+
+    @pytest.mark.parametrize("n", [2.5, 1.0, -1])
+    def test_trial_count_must_be_an_integer_of_at_least_one(self, n):
+        message = rf"n_trials must be an integer >= 1 \(got {n!r}\)"
+        with pytest.raises(ValueError, match=message):
+            run_trials(standard_protocol(), PARAMS, n, master_seed=1)
+        with pytest.raises(ValueError, match=message):
+            run_grid([(standard_protocol(), PARAMS, 1)], n)
 
 
 def synthetic_records(n_trials: int, sigma: float, n_atoms: float,

@@ -146,6 +146,10 @@ def cmd_scaling(args) -> int:
                          "scaling", {"slope_squeezed": result.slope_squeezed,
                                      "slope_sql": result.slope_sql})
     print(f"wrote {path}")
+    for row in result.rows:
+        print(f"N = {row.n:9.3g}: M_opt = {row.m_opt:9.3g}  "
+              f"1/W = {row.w_inv:6.2f}  dtheta^2 = {row.dtheta2:.3e}  "
+              f"SQL dtheta = {row.sql_dtheta:.3e}")
     print(f"phase-variance slope: {result.slope_squeezed:.3f}")
     print(f"SQL angle slope:      {result.slope_sql:.3f}")
     return 0

@@ -105,10 +105,13 @@ RULES: dict[str, dict] = {
 
 def check_value(section: str, key: str, value, name: str = "") -> None:
     """Raise ``ValueError("<name> <rule> (got <value>)")`` unless ``value``
-    is finite and obeys the rule of ``section.key`` (the default name)."""
+    is a finite real number, not a bool, and obeys the rule of
+    ``section.key`` (the default name)."""
     accept, rule = RULES.get(section, {}).get(key, _NON_NEGATIVE)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        rule = "must be a number"
     # an int is finite, and math.isfinite overflows on one beyond 1e308
-    if not (isinstance(value, int) or math.isfinite(value)):
+    elif not (isinstance(value, int) or math.isfinite(value)):
         rule = "must be finite"
     elif accept(value):
         return

@@ -8,11 +8,12 @@ for a record set with probe labels L1..Lk::
 
 ``trial`` is the trial's index in the run; with the sidecar's master seed
 it names the trial, whose chunk is ``trial // sequence.CHUNK_TRIALS``.
-Every other file column is one column of the ``RecordSet``: the ``n_up``
-and ``freq_hz`` column of each label, ``omega_p_offset_hz`` and the m
-columns of ``true_jz``.  Both functions work a column at a time and
-build no ``TrialRecord``.  Floats are serialized with ``repr`` (shortest
-round-trip form), so ``read_records(write_records(rs)) == rs`` bit-exactly.
+Every other file column is a column of one of the ``RecordSet``'s
+arrays: the k-th label's columns are the k-th column of ``n_up`` and of
+``freq_hz``, and ``true_jz_j`` is the j-th column of ``true_jz``.  Both
+functions work on those arrays and build no ``TrialRecord``.  Floats are
+serialized with ``repr`` (shortest round-trip form), so
+``read_records(write_records(rs)) == rs`` bit-exactly.
 The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
 master seed, the trial count, a content hash of the canonical parameter
 text, and a timestamp (the only non-reproducible output field).
@@ -69,20 +70,22 @@ def _repeated(header: list[str]) -> str | None:
                  if name in header[:i]), None)
 
 
+def _leading(labels: list[str]) -> list[str]:
+    """The columns of a record file before its ``true_jz`` traces."""
+    return (["trial", *labels, "omega_p_offset_hz"]
+            + [f"{lb}_freq_hz" for lb in labels])
+
+
 def write_records(rs: RecordSet, path) -> None:
     path = Path(path)
     labels = list(rs.labels)
-    header = (["trial"] + labels + ["omega_p_offset_hz"]
-              + [f"{lb}_freq_hz" for lb in labels]
-              + [f"true_jz_{i + 1}" for i in range(rs.true_jz.shape[1])])
+    header = _leading(labels) + [f"true_jz_{i + 1}"
+                                 for i in range(rs.true_jz.shape[1])]
     if (name := _repeated(header)) is not None:
         raise RecordIOError(f"{path}: probe label {name!r} is also the name "
                             "of another column of the record file")
-    columns = ([map(str, range(len(rs)))]
-               + [_reprs(rs.n_up[lb]) for lb in labels]
-               + [_reprs(rs.omega_p_offset_hz)]
-               + [_reprs(rs.freq_hz[lb]) for lb in labels]
-               + [_reprs(c) for c in rs.true_jz.T])
+    columns = [map(str, range(len(rs))), *map(_reprs, (
+        *rs.n_up.T, rs.omega_p_offset_hz, *rs.freq_hz.T, *rs.true_jz.T))]
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -106,19 +109,20 @@ def write_records(rs: RecordSet, path) -> None:
         fh.write("\n")
 
 
-def _parse(path: Path, name: str, cells: tuple) -> np.ndarray:
-    """One column's cells as a float64 array, or an error naming the first
-    cell that is not a number."""
+def _parse(path: Path, names: list[str], cells: list[tuple]) -> np.ndarray:
+    """The named columns' cells as one float64 array, a row per column, or
+    an error naming the first cell that is not a number."""
     try:
         return np.array(cells, dtype=np.float64)
     except (ValueError, OverflowError):
-        for k, cell in enumerate(cells):
-            try:
-                np.array(cell, dtype=np.float64)
-            except (ValueError, OverflowError):
-                raise RecordIOError(
-                    f"{path}, line {_FIRST_ROW_LINE + k}, column {name!r}: "
-                    f"{cell!r} is not a float64 value") from None
+        for name, column in zip(names, cells):
+            for k, cell in enumerate(column):
+                try:
+                    np.array(cell, dtype=np.float64)
+                except (ValueError, OverflowError):
+                    raise RecordIOError(
+                        f"{path}, line {_FIRST_ROW_LINE + k}, column "
+                        f"{name!r}: {cell!r} is not a float64 value") from None
         raise
 
 
@@ -166,8 +170,7 @@ def read_records(path) -> RecordSet:
         raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
                             f"{name!r} appears more than once")
 
-    required = (["trial"] + labels + ["omega_p_offset_hz"]
-                + [f"{lb}_freq_hz" for lb in labels])
+    required = _leading(labels)
     col: dict[str, int] = {name: i for i, name in enumerate(header)}
     for name in required:
         if name not in col:
@@ -184,16 +187,16 @@ def read_records(path) -> RecordSet:
                 f"the header has {len(header)} columns")
     cells = list(zip(*rows)) or [()] * len(header)
 
-    def floats(name: str) -> np.ndarray:
-        return _parse(path, name, cells[col[name]])
+    def floats(names: list[str]) -> np.ndarray:  # trials x names
+        return _parse(path, names, [cells[col[name]] for name in names]
+                      ).reshape(len(names), len(rows)).T
 
     traces = [name for name in header
               if name.startswith("true_jz_") and name not in required]
     master_seed = meta["master_seed"]
     return RecordSet.from_columns(
         meta["params"], None if master_seed is None else int(master_seed),
-        omega_p_offset_hz=floats("omega_p_offset_hz"),
-        n_up={lb: floats(lb) for lb in labels},
-        freq_hz={lb: floats(f"{lb}_freq_hz") for lb in labels},
-        true_jz=np.reshape([floats(name) for name in traces],
-                           (len(traces), len(rows))).T)
+        labels=labels, omega_p_offset_hz=floats(["omega_p_offset_hz"])[:, 0],
+        n_up=floats(labels),
+        freq_hz=floats([f"{lb}_freq_hz" for lb in labels]),
+        true_jz=floats(traces))

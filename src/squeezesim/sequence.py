@@ -39,12 +39,14 @@ Gaussian moments, ``state.gaussian_counts``).  ``run_trial`` knows a
 batch's trials only as rows: ``run_grid`` alone maps them to points,
 trials and chunks.
 
-A ``RecordSet`` holds a run's records as read-only columns:
-``omega_p_offset_hz``, one ``n_up`` and one ``freq_hz`` column per probe
-label, and ``true_jz`` as trials x windows.  ``run_trial`` fills a
-batch's columns from its windows' outcomes; ``run_grid`` copies each row
-once into its point's columns, allocated when the point's first chunk
-runs.  ``RecordSet.trials`` gives ``TrialRecord`` values on demand.
+A ``RecordSet`` holds a run's records as four read-only float64 arrays
+with one row per trial: ``omega_p_offset_hz``, ``n_up`` and ``freq_hz``
+(trials x probe labels) and ``true_jz`` (trials x windows).  ``run_trial``
+stacks its windows' outcomes into a batch's arrays; ``run_grid``
+allocates a point's four arrays when its first chunk runs, copies each
+row into them once and hands them to ``RecordSet.from_columns``, which
+keeps them uncopied.  ``RecordSet.trials`` gives ``TrialRecord`` values
+on demand.
 """
 
 from __future__ import annotations
@@ -204,29 +206,34 @@ class TrialRecord:
     omega_p_offset_hz: float = 0.0
 
 
+# a RecordSet's arrays, each with one row per trial
+_ARRAYS = ("omega_p_offset_hz", "n_up", "freq_hz", "true_jz")
+
+
 def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``."""
-    arr = np.array(values, dtype=np.float64)
+    """``values`` as a read-only float64 array, not copied if it is one."""
+    arr = np.asarray(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
 
 class RecordSet:
-    """The records of a run, held as read-only columns over its trials.
+    """The records of a run: its probe ``labels`` and four read-only
+    float64 arrays, each with one row per trial.
 
-    ``omega_p_offset_hz`` holds one value per trial; ``n_up`` and
-    ``freq_hz`` map each probe label, in protocol order, to one float64
-    column; ``true_jz`` is trials x probe windows.  ``params`` is the
-    parameter snapshot and ``master_seed`` the seed of the run's chunk
-    generators (None for a chunk run on a generator given directly).
+    ``omega_p_offset_hz`` is a column; ``n_up`` and ``freq_hz`` are trials
+    x labels, column k for ``labels[k]`` (protocol order); ``true_jz`` is
+    trials x probe windows.  ``params`` is the parameter snapshot and
+    ``master_seed`` the seed of the run's chunk generators (None for a
+    chunk run on a generator given directly).
 
-    ``RecordSet(trials, params, master_seed)`` builds the columns once from
+    ``RecordSet(trials, params, master_seed)`` builds the arrays once from
     a sequence of ``TrialRecord`` values, every trial with the same labels
-    and trace length; ``RecordSet.from_columns`` takes the columns as they
+    and trace length; ``RecordSet.from_columns`` takes the arrays as they
     are.  ``trials`` is a tuple view of ``TrialRecord`` values, built on
     first use and kept; ``len`` and ``column`` build nothing.  Two sets
-    are equal when their parameters, master seeds and every column are
-    equal under float ``==``.
+    are equal when their parameters, master seeds, labels and every array
+    are equal under float ``==``.
     """
 
     def __init__(self, trials, params: dict, master_seed: int | None) -> None:
@@ -239,39 +246,40 @@ class RecordSet:
         if len(widths) > 1:
             raise ValueError(f"ragged true_jz traces: trials have {widths} "
                              "windows; every trial needs the same number")
-        self._fill(
-            params, master_seed,
-            omega_p_offset_hz=[t.omega_p_offset_hz for t in trials],
-            n_up={lb: [t.outcomes[lb].n_up for t in trials] for lb in labels},
-            freq_hz={lb: [t.outcomes[lb].freq_hz for t in trials]
-                     for lb in labels},
-            true_jz=np.array([t.true_jz_trace for t in trials],
-                             dtype=np.float64).reshape(
-                                 len(trials), widths[0] if widths else 0))
+        n, k = len(trials), len(labels)
+        self._fill(params, master_seed, labels,
+                   [t.omega_p_offset_hz for t in trials],
+                   *(np.reshape([[getattr(t.outcomes[lb], name)
+                                  for lb in labels] for t in trials], (n, k))
+                     for name in ("n_up", "freq_hz")),
+                   np.reshape([t.true_jz_trace for t in trials],
+                              (n, widths[0] if widths else 0)))
 
     @classmethod
     def from_columns(cls, params: dict, master_seed: int | None, *,
-                     omega_p_offset_hz, n_up: dict, freq_hz: dict,
+                     labels, omega_p_offset_hz, n_up, freq_hz,
                      true_jz) -> RecordSet:
+        """A set of the given arrays, shaped as the class docstring says.
+        It takes ownership: a float64 array is made read-only and kept,
+        not copied, and the caller must not write to it afterwards."""
         rs = cls.__new__(cls)
-        rs._fill(params, master_seed, omega_p_offset_hz, n_up, freq_hz,
-                 true_jz)
+        rs._fill(params, master_seed, labels, omega_p_offset_hz, n_up,
+                 freq_hz, true_jz)
         return rs
 
-    def _fill(self, params, master_seed, omega_p_offset_hz, n_up, freq_hz,
-              true_jz) -> None:
-        cols = {"omega_p_offset_hz": _frozen(omega_p_offset_hz),
-                "true_jz": _frozen(true_jz),
-                "n_up": {lb: _frozen(v) for lb, v in n_up.items()},
-                "freq_hz": {lb: _frozen(freq_hz[lb]) for lb in n_up}}
-        n = len(cols["omega_p_offset_hz"])
-        if cols["true_jz"].ndim != 2 or any(len(c) != n for c in (
-                cols["true_jz"], *cols["n_up"].values(),
-                *cols["freq_hz"].values())):
-            raise ValueError(f"every column needs one entry per trial of "
-                             f"{n}, and true_jz two dimensions")
+    def _fill(self, params, master_seed, labels, *arrays) -> None:
+        labels = tuple(labels)
+        arrays = dict(zip(_ARRAYS, map(_frozen, arrays)))
+        n = len(arrays["omega_p_offset_hz"])
+        shapes = [a.shape for a in arrays.values()]
+        if (shapes[:3] != [(n,), (n, len(labels)), (n, len(labels))]
+                or len(shapes[3]) != 2 or shapes[3][0] != n):
+            raise ValueError(f"records need one row per trial of {n}, and "
+                             f"n_up and freq_hz a column per label of "
+                             f"{len(labels)}; got shapes {shapes}")
         # the instance dict is written directly: attributes are read-only
-        self.__dict__.update(cols, params=params, master_seed=master_seed)
+        self.__dict__.update(arrays, labels=labels, params=params,
+                             master_seed=master_seed)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a RecordSet is read-only; cannot set {name!r}")
@@ -284,45 +292,32 @@ class RecordSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordSet):
             return NotImplemented
-        return (self.params == other.params
-                and self.master_seed == other.master_seed
-                and self.n_up.keys() == other.n_up.keys()
-                and np.array_equal(self.omega_p_offset_hz,
-                                   other.omega_p_offset_hz)
-                and np.array_equal(self.true_jz, other.true_jz)
-                and all(np.array_equal(self.n_up[lb], other.n_up[lb])
-                        and np.array_equal(self.freq_hz[lb],
-                                           other.freq_hz[lb])
-                        for lb in self.n_up))
+        return ((self.params, self.master_seed, self.labels)
+                == (other.params, other.master_seed, other.labels)
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name in _ARRAYS))
 
     def __repr__(self) -> str:
         return (f"RecordSet({len(self)} trials, labels {self.labels}, "
                 f"master_seed={self.master_seed!r})")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.n_up)
-
     def column(self, label: str) -> np.ndarray:
         """The read-only ``n_up`` column of probe ``label``."""
-        try:
-            return self.n_up[label]
-        except KeyError:
-            raise KeyError(f"no probe label {label!r} in records") from None
+        if label not in self.labels:
+            raise KeyError(f"no probe label {label!r} in records")
+        return self.n_up[:, self.labels.index(label)]
 
     @cached_property
     def trials(self) -> tuple[TrialRecord, ...]:
         """The records as ``TrialRecord`` values, built on first use."""
-        labels = self.labels
-        n_up = [self.n_up[lb].tolist() for lb in labels]
-        freq_hz = [self.freq_hz[lb].tolist() for lb in labels]
         return tuple(
             TrialRecord(
-                outcomes={lb: LabeledOutcome(n_up[k][i], freq_hz[k][i])
-                          for k, lb in enumerate(labels)},
+                outcomes={lb: LabeledOutcome(u, f)
+                          for lb, u, f in zip(self.labels, n_up, freq_hz)},
                 true_jz_trace=tuple(trace), omega_p_offset_hz=offset)
-            for i, (offset, trace) in enumerate(zip(
-                self.omega_p_offset_hz.tolist(), self.true_jz.tolist())))
+            for offset, n_up, freq_hz, trace in zip(
+                *(getattr(self, name).tolist() for name in _ARRAYS)))
 
 
 def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
@@ -359,7 +354,7 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
 
     state = polarized_state(ens.n_effective, ens, "down").tile(n_trials)
     delta_p = np.zeros(n_trials)
-    n_up, freq_hz, true_jz = [], [], []
+    windows = []  # per probe window: (n_up, freq_hz, true_jz)
 
     for step in protocol.steps:
         if isinstance(step, Prealign):
@@ -383,19 +378,19 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
                                            m_t=base * power,
                                            detuning_offset=delta_p)
             state.validate()
-            n_up.append(outcome.n_up)
-            freq_hz.append(outcome.freq / TWO_PI)
-            true_jz.append(outcome.true_jz)
+            windows.append((outcome.n_up, outcome.freq / TWO_PI,
+                            outcome.true_jz))
         elif isinstance(step, Wait):
             pass  # no decoherence clock in scope
         else:  # pragma: no cover - exhaustive by construction
             raise ProtocolError(f"unhandled step {step!r}")
 
-    labels = protocol.probe_labels
+    n_up, freq_hz, true_jz = np.reshape(
+        windows, (len(windows), 3, n_trials)).transpose(1, 2, 0)
     return RecordSet.from_columns(
-        params.snapshot(), None, omega_p_offset_hz=delta_p / TWO_PI,
-        n_up=dict(zip(labels, n_up)), freq_hz=dict(zip(labels, freq_hz)),
-        true_jz=np.reshape(true_jz, (len(labels), n_trials)).T)
+        params.snapshot(), None, labels=protocol.probe_labels,
+        omega_p_offset_hz=delta_p / TWO_PI, n_up=n_up, freq_hz=freq_hz,
+        true_jz=true_jz)
 
 
 def _seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -477,7 +472,7 @@ def _run_points(points: list, n_trials: int):
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
               for i in range(len(points))
               for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
-    filling: dict[int, dict] = {}
+    filling: dict[int, list] = {}
     for batch in _batches(chunks, shapes):
         point, k, first, size = zip(*batch)
         stream = BatchStream([np.random.default_rng(_seed_sequence(
@@ -497,20 +492,15 @@ def _run_points(points: list, n_trials: int):
                 f"(chunk {k[j]}){where}") from None
         for i, a, n, (lo, hi) in zip(point, first, size, stream.spans):
             if a == 0:  # the point's first chunk
-                filling[i] = {
-                    "omega_p_offset_hz": np.empty(n_trials),
-                    "true_jz": np.empty((n_trials, len(rs.labels))),
-                    **{name: {lb: np.empty(n_trials) for lb in rs.labels}
-                       for name in ("n_up", "freq_hz")}}
-            for name in ("omega_p_offset_hz", "true_jz"):
-                filling[i][name][a:a + n] = getattr(rs, name)[lo:hi]
-            for name in ("n_up", "freq_hz"):
-                for lb, col in filling[i][name].items():
-                    col[a:a + n] = getattr(rs, name)[lb][lo:hi]
-            if a + n == n_trials:  # the point's last chunk
+                filling[i] = [
+                    np.empty((n_trials, *getattr(rs, name).shape[1:]))
+                    for name in _ARRAYS]
+            for array, name in zip(filling[i], _ARRAYS):
+                array[a:a + n] = getattr(rs, name)[lo:hi]
+            if a + n == n_trials:  # the point's last chunk: handed over
                 yield RecordSet.from_columns(
                     points[i][1].snapshot(), int(points[i][2]),
-                    **filling.pop(i))
+                    labels=rs.labels, **dict(zip(_ARRAYS, filling.pop(i))))
 
 
 def run_trials(protocol: Protocol, params: SimParams, n_trials: int,

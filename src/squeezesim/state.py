@@ -237,7 +237,6 @@ class MeasurementOutcome:
 
     freq: np.ndarray     # dressed-frequency reading, rad/s above bare cavity
     n_up: np.ndarray     # apparent up population from inverting the shift
-    m_s: np.ndarray      # mean free-space scattered photons this window
     true_jz: np.ndarray  # realized Jz at the window start (diagnostic)
 
 
@@ -560,5 +559,5 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
 
     outcome = MeasurementOutcome(
         freq=reading, n_up=invert_dressed_shift(reading, cav),
-        m_s=m_s, true_jz=jz_true)
+        true_jz=jz_true)
     return outcome, new

@@ -383,7 +383,7 @@ def probe_measure(state: EnsembleState, probe: ProbeConfig,
 
     outcome = MeasurementOutcome(
         freq=reading, n_up=invert_dressed_shift(reading, cav),
-        m_s=m_s, true_jz=jz_true)
+        true_jz=jz_true)
     return outcome, new
 
 

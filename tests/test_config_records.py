@@ -164,6 +164,11 @@ class TestRangeRules:
         with pytest.raises(ValueError, match=re.escape(name + " ")):
             build()
 
+    def test_dataclass_names_a_value_that_is_not_a_number(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "probe.m_t must be a number (got '4e4')")):
+            ProbeConfig(m_t="4e4")
+
 
 class TestConfigEcho:
     def test_fixed_point(self):
@@ -255,11 +260,15 @@ OLD_RECORDS_META = {
 def column_set(offsets, per_label, traces) -> RecordSet:
     """A record set from its columns; ``per_label`` maps a label to its
     (n_up, freq_hz) columns and ``traces`` holds one column per window."""
+    def matrix(columns):  # trials x columns
+        return np.reshape(columns, (len(columns), len(offsets))).T
+
     return RecordSet.from_columns(
-        SimParams().snapshot(), 2**64 + 3, omega_p_offset_hz=offsets,
-        n_up={lb: cols[0] for lb, cols in per_label.items()},
-        freq_hz={lb: cols[1] for lb, cols in per_label.items()},
-        true_jz=np.reshape(traces, (len(traces), len(offsets))).T)
+        SimParams().snapshot(), 2**64 + 3, labels=tuple(per_label),
+        omega_p_offset_hz=offsets,
+        n_up=matrix([cols[0] for cols in per_label.values()]),
+        freq_hz=matrix([cols[1] for cols in per_label.values()]),
+        true_jz=matrix(traces))
 
 
 def assert_same_bits(a: RecordSet, b: RecordSet) -> None:
@@ -268,12 +277,9 @@ def assert_same_bits(a: RecordSet, b: RecordSet) -> None:
 
     assert a.labels == b.labels
     assert (a.params, a.master_seed) == (b.params, b.master_seed)
-    assert bits(a.omega_p_offset_hz) == bits(b.omega_p_offset_hz)
-    assert bits(a.true_jz) == bits(b.true_jz)
-    assert a.true_jz.shape == b.true_jz.shape
-    for lb in a.labels:
-        assert bits(a.n_up[lb]) == bits(b.n_up[lb])
-        assert bits(a.freq_hz[lb]) == bits(b.freq_hz[lb])
+    for name in ("omega_p_offset_hz", "n_up", "freq_hz", "true_jz"):
+        assert getattr(a, name).shape == getattr(b, name).shape, name
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
 
 
 class TestRecordIO:
@@ -482,9 +488,9 @@ class TestRecordIO:
         # per trial: Np n_up, Np freq, Nf n_up, Nf freq, the trace
         v = np.random.default_rng(0).standard_normal((100_000, 5))
         rs = RecordSet.from_columns(
-            SimParams().snapshot(), 0, omega_p_offset_hz=np.zeros(100_000),
-            n_up={"Np": v[:, 0], "Nf": v[:, 2]},
-            freq_hz={"Np": v[:, 1], "Nf": v[:, 3]}, true_jz=v[:, 4:])
+            SimParams().snapshot(), 0, labels=("Np", "Nf"),
+            omega_p_offset_hz=np.zeros(100_000), n_up=v[:, 0:4:2],
+            freq_hz=v[:, 1:4:2], true_jz=v[:, 4:])
         path = tmp_path / "big.csv"
         t0 = time.perf_counter()
         write_records(rs, path)

@@ -182,11 +182,11 @@ def columns(rs: RecordSet) -> dict[str, np.ndarray]:
     """Every output column of a record set, and the n_up difference of
     each pair of successive probe labels."""
     cols = {"omega_p_offset_hz": rs.omega_p_offset_hz}
-    for lb in rs.labels:
-        cols[f"{lb} n_up"] = rs.n_up[lb]
-        cols[f"{lb} freq_hz"] = rs.freq_hz[lb]
-    for a, b in zip(rs.labels, rs.labels[1:]):
-        cols[f"{b} - {a} n_up"] = rs.n_up[b] - rs.n_up[a]
+    for k, lb in enumerate(rs.labels):
+        cols[f"{lb} n_up"] = rs.n_up[:, k]
+        cols[f"{lb} freq_hz"] = rs.freq_hz[:, k]
+    for k, (a, b) in enumerate(zip(rs.labels, rs.labels[1:])):
+        cols[f"{b} - {a} n_up"] = rs.n_up[:, k + 1] - rs.n_up[:, k]
     for w, trace in enumerate(rs.true_jz.T):
         cols[f"true_jz_{w + 1}"] = trace
     return cols
@@ -254,16 +254,10 @@ def chunk_generator(master_seed: int, k: int) -> np.random.Generator:
 
 def joined(parts, params: SimParams, master_seed: int) -> RecordSet:
     """The trials of the record sets ``parts``, in order, as one set."""
-    def cat(column):
-        return np.concatenate([column(rs) for rs in parts])
-
-    labels = parts[0].labels
     return RecordSet.from_columns(
-        params.snapshot(), master_seed,
-        omega_p_offset_hz=cat(lambda rs: rs.omega_p_offset_hz),
-        n_up={lb: cat(lambda rs: rs.n_up[lb]) for lb in labels},
-        freq_hz={lb: cat(lambda rs: rs.freq_hz[lb]) for lb in labels},
-        true_jz=cat(lambda rs: rs.true_jz))
+        params.snapshot(), master_seed, labels=parts[0].labels,
+        **{name: np.concatenate([getattr(rs, name) for rs in parts])
+           for name in ("omega_p_offset_hz", "n_up", "freq_hz", "true_jz")})
 
 
 def test_run_trial_is_a_batch_of_one():

@@ -299,6 +299,25 @@ class TestBootstrap:
         assert (np.linalg.norm(a @ x - b)
                 <= np.linalg.norm(a @ nnls(a, b)[0] - b) + 1e-12 * 5 ** 0.5)
 
+    def test_rank_deficient_problem_takes_the_first_full_rank_support(self):
+        # three distinct M_t, R from the default coefficients with 10 %
+        # noise: the four-column support is rank-deficient, and its
+        # roundoff solve has four positive coefficients at the least
+        # residual; the rank test skips it for the first full-rank support
+        from scipy.optimize import nnls
+
+        pts = [(2261.567839781936, 0.5322771943893938),
+               (7495.63120510779, 0.1704771677649355),
+               (70451.4267088549, 0.06640262033277206),
+               (7495.63120510779, 0.18714309419861175)]
+        c = fit_r(pts, n_boot=0).coeffs
+        x = np.array([c.r_psn, c.r_tf, c.r_q, c.r_c])
+        assert np.all(x[:3] > 0) and x[3] == 0.0
+        a, b = weighted_problem(pts)
+        assert (np.linalg.norm(a @ x - b)
+                <= np.linalg.norm(a @ nnls(a, b)[0] - b)
+                + 1e-12 * np.linalg.norm(b))
+
     def test_same_seed_same_intervals(self):
         pts = BOOT_SETS["mirrored-24"]
         assert fit_r(pts, n_boot=300, rng=5) == fit_r(pts, n_boot=300, rng=5)

@@ -184,6 +184,12 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=message):
             run_grid([(standard_protocol(), PARAMS, 1)], n)
 
+    @pytest.mark.parametrize("n", ["3", None, True])
+    def test_trial_count_that_is_not_a_number_is_named(self, n):
+        message = rf"n_trials must be a number \(got {n!r}\)"
+        with pytest.raises(ValueError, match=message):
+            run_trials(standard_protocol(), PARAMS, n, master_seed=1)
+
 
 def synthetic_records(n_trials: int, sigma: float, n_atoms: float,
                       seed: int) -> RecordSet:
@@ -286,18 +292,52 @@ class TestColumnStorage:
         assert rs.labels == ("Nd", "Np", "Nf")
         assert rs.omega_p_offset_hz.dtype == np.float64
         assert rs.true_jz.shape == (7, 3)
-        assert rs.column("Np") is rs.n_up["Np"]
+        assert rs.n_up.shape == rs.freq_hz.shape == (7, 3)
+        assert rs.column("Np").tolist() == rs.n_up[:, 1].tolist()
+        assert np.shares_memory(rs.column("Np"), rs.n_up)
         assert rs.trials is rs.trials  # built once
 
     def test_read_only(self):
         rs = run_trials(standard_protocol(), PARAMS, 3, master_seed=8)
-        for column in (rs.omega_p_offset_hz, rs.true_jz, rs.n_up["Np"],
-                       rs.freq_hz["Nf"]):
+        for column in (rs.omega_p_offset_hz, rs.true_jz, rs.n_up,
+                       rs.freq_hz, rs.column("Np")):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
         with pytest.raises(AttributeError, match="read-only"):
             rs.true_jz = rs.true_jz
         assert pickle.loads(pickle.dumps(rs)) == rs
+
+    def test_records_are_not_copied(self, monkeypatch):
+        # from_columns takes ownership: it keeps and freezes its arrays
+        arrays = {"omega_p_offset_hz": np.zeros(4), "n_up": np.ones((4, 2)),
+                  "freq_hz": np.ones((4, 2)), "true_jz": np.ones((4, 3))}
+        rs = RecordSet.from_columns({}, None, labels=("A", "B"), **arrays)
+        for name, array in arrays.items():
+            assert np.shares_memory(getattr(rs, name), array), name
+            assert not array.flags.writeable, name
+        # a point's arrays are the ones run_grid filled, handed over
+        handed = []
+        real_from_columns = RecordSet.from_columns
+
+        def spy(cls, *args, **kwargs):
+            handed.append(kwargs)
+            return real_from_columns(*args, **kwargs)
+
+        monkeypatch.setattr(RecordSet, "from_columns", classmethod(spy))
+        rs = run_trials(standard_protocol(), PARAMS, 1100, master_seed=8)
+        for name in arrays:
+            assert np.shares_memory(getattr(rs, name), handed[-1][name])
+            assert getattr(rs, name).shape[0] == 1100
+
+    @pytest.mark.parametrize("name,shape", [
+        ("omega_p_offset_hz", (3,)), ("n_up", (4, 1)), ("freq_hz", (4, 3)),
+        ("true_jz", (4,)), ("true_jz", (3, 2))])
+    def test_misshapen_arrays_rejected(self, name, shape):
+        arrays = {"omega_p_offset_hz": np.zeros(4), "n_up": np.ones((4, 2)),
+                  "freq_hz": np.ones((4, 2)), "true_jz": np.ones((4, 2)),
+                  name: np.zeros(shape)}
+        with pytest.raises(ValueError, match="one row per trial of"):
+            RecordSet.from_columns({}, None, labels=("A", "B"), **arrays)
 
     def test_ragged_traces_rejected(self):
         outcomes = {"Np": LabeledOutcome(0.0, 0.0)}

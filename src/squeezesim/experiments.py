@@ -102,7 +102,8 @@ def tune_mt_for_w_inverse(params: SimParams, target: float,
     Searches the rising (photon-shot-noise limited) branch below the model
     optimum, between 1e3 and 3e5 photons; raises if the target exceeds the
     reachable maximum.  The grid is evaluated as one array; the bisection
-    runs on floats.
+    runs on floats, and stops once the midpoint is one of the bounds: their
+    geometric mean, the result, cannot change after that.
     """
     check_value("cli", "target_winv", target, "target")
     m_lo, m_hi = 1e3, 3e5
@@ -115,6 +116,8 @@ def tune_mt_for_w_inverse(params: SimParams, target: float,
     lo, hi = m_lo, float(grid[peak])
     for _ in range(80):
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
         if expected_w_inverse(params, mid, contrast_windows) < target:
             lo = mid
         else:

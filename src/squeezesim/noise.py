@@ -190,21 +190,26 @@ def _bootstrap(m: np.ndarray, design: np.ndarray, rhs: np.ndarray,
     the probe strengths ``m``; the indices of a block of ``_BOOT_BLOCK``
     resamples come from one ``integers`` call, and are the indices, and
     leave the generator in the state, that one ``choice`` call per
-    resample gives.  :func:`_nnls_batch` solves a block at once; a
-    resample whose M_t are all equal keeps the full fit ``sol``.
+    resample gives.  :func:`_qr` reduces a block at once to 4 x 4
+    problems, and :func:`_solve` runs the support search once over all
+    of them; a resample whose M_t are all equal keeps the full fit ``sol``.
     """
     gen, n = np.random.default_rng(rng), len(m)
-    samples = np.empty((n_boot, 4))
+    t, c = np.empty((n_boot, 4, 4)), np.empty((n_boot, 4))
+    flat = np.empty(n_boot, dtype=bool)
     for lo in range(0, n_boot, _BOOT_BLOCK):
-        out = samples[lo:lo + _BOOT_BLOCK]
-        take = gen.integers(0, n, size=(len(out), n))
-        out[:] = _nnls_batch(design[take], rhs[take])
-        out[np.ptp(m[take], axis=1) == 0] = sol
+        hi = min(lo + _BOOT_BLOCK, n_boot)
+        take = gen.integers(0, n, size=(hi - lo, n))
+        t[lo:hi], c[lo:hi] = _qr(design[take], rhs[take])
+        flat[lo:hi] = np.ptp(m[take], axis=1) == 0
+    samples = _solve(t, c)
+    samples[flat] = sol
     return samples
 
 
-# Bootstrap resamples drawn and solved together; bounds the working set
-# (a block of 128 resamples of 24 points holds about 0.1 MB per array).
+# Bootstrap resamples drawn and QR-reduced together; bounds the working set
+# (a block of 128 resamples of 24 points holds about 0.1 MB per array,
+# its reduced problems 20 floats per resample).
 _BOOT_BLOCK = 128
 
 # A support whose unit-norm columns leave a diagonal entry of their R
@@ -219,24 +224,30 @@ _SUPPORTS = tuple(list(s) for k in (4, 3, 2, 1)
 
 
 def _nnls_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact solutions of a stack of four-column NNLS problems.
+    """Exact solutions of a stack of four-column NNLS problems: row i of
+    the result minimizes |a[i] x - b[i]| over x >= 0."""
+    return _solve(*_qr(a, b))
 
-    Row i of the result minimizes |a[i] x - b[i]| over x >= 0.  Each problem
-    is reduced by a QR factorization to a 4 x 4 triangular one, its
-    columns scaled to unit norm; the 15 supports are then tried, largest
-    first.  A support settles a problem when its columns are independent
-    (see ``_RANK_TOL``), its least-squares coefficients are all > 0 and the
-    gradient is >= 0 on every dropped column: the KKT conditions, which
-    only an optimum meets.  A full-rank problem has one optimum; a
+
+def _solve(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The NNLS solutions of a stack of problems reduced by :func:`_qr`.
+
+    Row i of the result minimizes |t[i] x - c[i]| over x >= 0, which has
+    the optimum of the problem that the triangular ``t[i]`` reduces.  Its
+    columns are scaled to unit norm; the 15 supports are then tried,
+    largest first.  A support settles a problem when its columns are
+    independent (see ``_RANK_TOL``), its least-squares coefficients are
+    all > 0 and the gradient is >= 0 on every dropped column: the KKT
+    conditions, which only an optimum meets.  A full-rank problem has one optimum; a
     rank-deficient one has many, and gets the first in support order.
     """
-    t, c = _qr(a, b)
-    # R of a's unit-norm columns: R's columns over their norms, a's norms
+    # R of the unit-norm columns: R's columns over their norms, which are
+    # the norms of the columns R reduces
     scale = np.sqrt((t * t).sum(axis=1))
     t = t / scale[:, None, :]
     norm_c = np.sqrt((c * c).sum(axis=1))
-    out = np.full((len(b), 4), np.nan)
-    todo = np.arange(len(b))
+    out = np.full((len(c), 4), np.nan)
+    todo = np.arange(len(c))
     # the rank test masks what a rank-deficient support's 0/0 gives
     with np.errstate(divide="ignore", invalid="ignore"):
         for support in _SUPPORTS:
@@ -265,10 +276,11 @@ def _qr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stable for least squares, in numpy's own loops: numpy's LAPACK, which
     nothing else in the package calls, grows the process by about 0.7 MB
     of resident memory on its first call.  A column that depends exactly
-    on the ones before it gets q = 0.
+    on the ones before it gets q = 0.  The columns are read from one
+    contiguous copy, not as strided views of ``a``.
     """
     k = a.shape[2]
-    cols = [a[:, :, j] for j in range(k)] + [b]
+    cols = [*np.moveaxis(a, 2, 0).copy(), b]
     r = np.zeros((len(b), k + 1, k + 1))
     for j in range(k):
         r[:, j, j] = np.sqrt((cols[j] * cols[j]).sum(axis=1))

@@ -11,9 +11,12 @@ it names the trial, whose chunk is ``trial // sequence.CHUNK_TRIALS``.
 Every other file column is a column of one of the ``RecordSet``'s
 arrays: the k-th label's columns are the k-th column of ``n_up`` and of
 ``freq_hz``, and ``true_jz_j`` is the j-th column of ``true_jz``.  Both
-functions work on those arrays and build no ``TrialRecord``.  Floats are
-serialized with ``repr`` (shortest round-trip form), so
-``read_records(write_records(rs)) == rs`` bit-exactly.
+functions work on those arrays and build no ``TrialRecord``.  Every
+float cell is spelled as ``repr`` spells it (shortest round-trip form), so
+``read_records(write_records(rs)) == rs`` bit-exactly; the writer gets
+most cells from one ``orjson`` call (see :func:`_rows`).  Numbers are
+never quoted, so the reader splits a data row at its commas; only the
+header, whose labels may be quoted, goes through ``csv``.
 The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
 master seed, the trial count, a content hash of the canonical parameter
 text, and a timestamp (the only non-reproducible output field).
@@ -39,6 +42,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .sequence import RecordSet
 
@@ -60,10 +64,6 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _reprs(column: np.ndarray):
-    return map(repr, column.tolist())
-
-
 def _repeated(header: list[str]) -> str | None:
     """The first name that ``header`` holds twice, or None."""
     return next((name for i, name in enumerate(header)
@@ -76,6 +76,28 @@ def _leading(labels: list[str]) -> list[str]:
             + [f"{lb}_freq_hz" for lb in labels])
 
 
+def _rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a float64 matrix as its cells' ``repr`` joined by commas.
+
+    One ``orjson`` call writes every cell; its shortest round-trip digits
+    are ``repr``'s on every cell that is +-0.0 or has a magnitude in
+    [1e-4, 1e16).  A row holding any other cell is spelled by ``repr``:
+    orjson writes ``1e16``, ``0.00002`` and ``null`` where ``repr`` writes
+    ``1e+16``, ``2e-05`` and ``nan``.
+    """
+    if len(matrix) == 0:
+        return []
+    rows = orjson.dumps(np.ascontiguousarray(matrix),
+                        option=orjson.OPT_SERIALIZE_NUMPY
+                        )[2:-2].decode().split("],[")
+    magnitude = np.abs(matrix)
+    plain = (((magnitude >= 1e-4) & (magnitude < 1e16))
+             | (magnitude == 0.0))
+    for k in np.flatnonzero(~plain.all(axis=1)).tolist():
+        rows[k] = ",".join(map(repr, matrix[k].tolist()))
+    return rows
+
+
 def write_records(rs: RecordSet, path) -> None:
     path = Path(path)
     labels = list(rs.labels)
@@ -84,8 +106,8 @@ def write_records(rs: RecordSet, path) -> None:
     if (name := _repeated(header)) is not None:
         raise RecordIOError(f"{path}: probe label {name!r} is also the name "
                             "of another column of the record file")
-    columns = [map(str, range(len(rs))), *map(_reprs, (
-        *rs.n_up.T, rs.omega_p_offset_hz, *rs.freq_hz.T, *rs.true_jz.T))]
+    rows = _rows(np.column_stack(
+        (rs.n_up, rs.omega_p_offset_hz, rs.freq_hz, rs.true_jz)))
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -93,7 +115,7 @@ def write_records(rs: RecordSet, path) -> None:
         csv.writer(fh).writerow(header)
         # a number needs no quoting, so a row is its cells joined the way
         # csv.writer joins them
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        fh.writelines(f"{k},{row}\r\n" for k, row in enumerate(rows))
 
     meta = {
         "schema": SCHEMA_VERSION,
@@ -161,11 +183,13 @@ def read_records(path) -> RecordSet:
         if first != f"# schema={SCHEMA_VERSION}":
             raise RecordIOError(f"{path}, line 1: unsupported schema "
                                 f"{first[len('# schema='):]!r}")
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise RecordIOError(f"{path}: missing CSV header row")
-        rows = list(reader)
+        # a number is never quoted: a data row is its line split at commas,
+        # and an empty line has no cells, as csv.reader reads them
+        rows = [line.split(",") if line else []
+                for line in (text.rstrip("\r\n") for text in fh)]
     if (name := _repeated(header)) is not None:
         raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
                             f"{name!r} appears more than once")

@@ -233,7 +233,8 @@ class RecordSet:
     are.  ``trials`` is a tuple view of ``TrialRecord`` values, built on
     first use and kept; ``len`` and ``column`` build nothing.  Two sets
     are equal when their parameters, master seeds, labels and every array
-    are equal under float ``==``.
+    are equal under float ``==``.  A set unpickles through ``from_columns``,
+    read-only as well.
     """
 
     def __init__(self, trials, params: dict, master_seed: int | None) -> None:
@@ -286,6 +287,11 @@ class RecordSet:
 
     __hash__ = None
 
+    def __reduce__(self):
+        # rebuilt through from_columns, so its arrays come back read-only
+        return (_unpickled, (self.params, self.master_seed, self.labels,
+                             *(getattr(self, name) for name in _ARRAYS)))
+
     def __len__(self) -> int:
         return len(self.omega_p_offset_hz)
 
@@ -318,6 +324,12 @@ class RecordSet:
                 true_jz_trace=tuple(trace), omega_p_offset_hz=offset)
             for offset, n_up, freq_hz, trace in zip(
                 *(getattr(self, name).tolist() for name in _ARRAYS)))
+
+
+def _unpickled(params, master_seed, labels, *arrays) -> RecordSet:
+    """A pickled ``RecordSet``, rebuilt from its arrays."""
+    return RecordSet.from_columns(params, master_seed, labels=labels,
+                                  **dict(zip(_ARRAYS, arrays)))
 
 
 def _validate_runnable(protocol: Protocol, params: SimParams) -> None:

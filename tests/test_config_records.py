@@ -462,6 +462,21 @@ class TestRecordIO:
         write_records(rs, path)
         assert_same_bits(read_records(path), rs)
 
+    def test_every_cell_is_spelled_as_repr_spells_it(self, tmp_path):
+        # bits alone would pass a writer that spells 1e16 or 0.00002; every
+        # cell of row k holds values[k]
+        values = [1e-4, 9.999999999999999e-05, 2.3e-05, 1e16,
+                  9999999999999998.0, 5e-324, 1.797e308, 0.0, -0.0,
+                  math.inf, -math.inf, math.nan, 0.1, -3.5e10, 1e15]
+        rs = column_set(values, {"Np": (values, values), "Nf": (values,
+                                                             values)},
+                        [values, values])
+        path = tmp_path / "records.csv"
+        write_records(rs, path)
+        rows = path.read_text().splitlines()[2:]
+        assert [row.split(",") for row in rows] == [
+            [str(k)] + [repr(v)] * 7 for k, v in enumerate(values)]
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_column_sets_roundtrip_bit_exact(self, data):

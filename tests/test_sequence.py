@@ -305,7 +305,10 @@ class TestColumnStorage:
                 column[0] = 0
         with pytest.raises(AttributeError, match="read-only"):
             rs.true_jz = rs.true_jz
-        assert pickle.loads(pickle.dumps(rs)) == rs
+        back = pickle.loads(pickle.dumps(rs))
+        assert back == rs
+        for name in ("omega_p_offset_hz", "n_up", "freq_hz", "true_jz"):
+            assert getattr(back, name).flags.writeable is False, name
 
     def test_records_are_not_copied(self, monkeypatch):
         # from_columns takes ownership: it keeps and freezes its arrays

@@ -303,6 +303,32 @@ def _back_substitute(r: np.ndarray, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # population (Raman) back-action
 
+# The Raman channels, one row each: the ``TransitionProbs`` field of its
+# probability per free-space scattered photon, its source population, and
+# the moves of (up, down, one) one event makes.
+RAMAN_CHANNELS = (("p_ud", "pop_up", (-1, 1, 0)),
+                  ("p_du", "pop_down", (1, -1, 0)),
+                  ("p_u1", "pop_up", (-1, 0, 1)),
+                  ("p_d1", "pop_down", (0, -1, 1)))
+_MOVES = np.array([row[2] for row in RAMAN_CHANNELS], dtype=float)
+# the calibration's: an atom reaching |1> goes straight back to up
+_REPUMPED_MOVES = _MOVES @ [[1, 0, 0], [0, 1, 0], [1, 0, 0]]
+
+
+def _channel_shifts(moves: np.ndarray, au, ad, a1):
+    """Per channel (row of ``moves``): offset ad dDown + a1 dOne and jump
+    au dUp + ad dDown + a1 dOne, exact (no row moves 3 populations)."""
+    alphas = np.empty((3, np.size(au)))
+    alphas[0], alphas[1], alphas[2] = au, ad, a1
+    return moves[:, 1:] @ alphas[1:], moves @ alphas
+
+
+def _bracket(probs: dict, alphas: Alphas, power: int) -> float:
+    """sum p jump**power over the channels of ``probs``, in table order."""
+    jumps = _channel_shifts(_MOVES, alphas.up, alphas.down, alphas.one)[1]
+    return sum(probs[row[0]] * j ** power for row, (j,) in zip(
+        RAMAN_CHANNELS, jumps) if row[0] in probs)
+
 
 def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:
     """Spin-noise term from quantum fluctuations of the transition counts.
@@ -312,10 +338,8 @@ def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:
     transition, converted to atom units through alpha_up.
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
-    au, ad, a1 = alphas.up, alphas.down, alphas.one
-    bracket = (tp.p_ud * (ad - au) ** 2 + tp.p_u1 * (a1 - au) ** 2
-               + tp.p_du * (au - ad) ** 2 + tp.p_d1 * (a1 - ad) ** 2)
-    return _out(BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket / (au * au))
+    return _out(BETA_TIME_AVERAGE * m_s / (n / 4.0) * _bracket(
+        vars(tp), alphas, 2) / (alphas.up * alphas.up))
 
 
 def pop_noise_classical(m_s: float, frac: float, n: float, tp,
@@ -329,10 +353,8 @@ def pop_noise_classical(m_s: float, frac: float, n: float, tp,
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     check_arg(frac >= 0, "frac", frac, "non-negative")
-    au, ad, a1 = alphas.up, alphas.down, alphas.one
-    signed = (tp.p_ud * (ad - au) + tp.p_u1 * (a1 - au)
-              + tp.p_du * (au - ad) + tp.p_d1 * (a1 - ad))
-    return _out(_square(frac * m_s) / (n / 4.0) * (signed / au) ** 2)
+    signed = _bracket(vars(tp), alphas, 1)
+    return _out(_square(frac * m_s) / (n / 4.0) * (signed / alphas.up) ** 2)
 
 
 def recoil_noise(m_s: float, frac: float, n: float, eps: float,
@@ -365,8 +387,8 @@ def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
     with beta = ``BETA_TIME_AVERAGE``.
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
-    au, ad = alphas.up, alphas.down
-    bracket = p_clock * 2.0 * (au - ad) ** 2 / (au * au)
+    bracket = (_bracket({"p_ud": p_clock, "p_du": p_clock}, alphas, 2)
+               / (alphas.up * alphas.up))
     return _out(2.0 * BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket)
 
 

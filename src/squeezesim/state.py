@@ -336,9 +336,9 @@ def gaussian_counts(lam, z) -> np.ndarray:
     return np.maximum(0.0, np.rint(lam + np.sqrt(lam) * z))
 
 
-# channels (probability attr, source attr); _apply_counts moves populations
-_CHANNELS = (("p_ud", "pop_up"), ("p_du", "pop_down"), ("p_u1", "pop_up"),
-             ("p_d1", "pop_down"))
+# each source population's two Raman channels: its clip group
+_SOURCES = {src: [i for i, row in enumerate(_noise.RAMAN_CHANNELS)
+                  if row[1] == src] for _, src, _ in _noise.RAMAN_CHANNELS}
 
 
 def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
@@ -354,10 +354,10 @@ def _sample_counts(state: EnsembleState, m_s, tp: TransitionProbs,
     half = state.n_total / 2.0
     counts = gaussian_counts(np.array([
         getattr(tp, p_attr) * m_s * np.maximum(0.0, getattr(state, src_attr))
-        / half for p_attr, src_attr in _CHANNELS]), z)
+        / half for p_attr, src_attr, _ in _noise.RAMAN_CHANNELS]), z)
     # cannot move more atoms than a state holds
-    for a, b, pop in ((0, 2, state.pop_up), (1, 3, state.pop_down)):
-        out = counts[a] + counts[b]
+    for src_attr, (a, b) in _SOURCES.items():
+        pop, out = getattr(state, src_attr), counts[a] + counts[b]
         clip = (out > pop) & (pop > 0)
         if np.any(clip):
             scale = pop / np.where(clip, out, 1)
@@ -419,30 +419,16 @@ def _visible_share(jumps, events, tech_var, z) -> np.ndarray:
     return 0.5 * sum(shifts) + np.sqrt(var) * z
 
 
-def _apply_counts(state: EnsembleState, counts,
-                  alphas: tuple, repump_to_up: bool) -> None:
-    """Move populations for realized transition counts (in place).
-
-    Updates the persistent frequency offset with the non-up-state
-    dispersive pulls each event leaves behind (the up-state part is carried
-    by the dressed shift itself).
-    """
-    au, ad, a1 = alphas
-    n_ud, n_du, n_u1, n_d1 = counts
-    if repump_to_up:
-        # atoms reaching |1> immediately scatter back to up
-        state.pop_up += n_du + n_d1 - n_ud
-        state.pop_down += n_ud - n_du - n_d1
-        state.freq_offset += -ad * (n_du + n_d1) + ad * n_ud
-        net_up = n_du + n_d1 - n_ud
-    else:
-        state.pop_up += n_du - n_ud - n_u1
-        state.pop_down += n_ud - n_du - n_d1
-        state.pop_one += n_u1 + n_d1
-        state.freq_offset += (ad * n_ud - ad * n_du + a1 * n_u1
-                              + (a1 - ad) * n_d1)
-        net_up = n_du - n_ud - n_u1
-    state.jz_mean += net_up
+def _apply_counts(state: EnsembleState, counts, offsets, moves) -> None:
+    """Move populations for realized transition counts (in place), and add
+    each event's persistent offset to the frequency offset, in table order."""
+    pulls = [o * c for o, c in zip(offsets, counts)]
+    state.freq_offset += sum(pulls[1:], pulls[0])
+    up, down, one = moves.T @ counts  # sums of integers: exact
+    state.pop_up += up
+    state.pop_down += down
+    state.pop_one += one
+    state.jz_mean += up
 
 
 def apply_raman_diffusion(state: EnsembleState, m_s: float,
@@ -463,8 +449,10 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     counts = _sample_counts(new, m_s, params.transitions, BatchStream.of(
         rng, new.n_total.size).normal(4))
     au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
-    ad = alpha_per_atom("down", 0.0, cav)
-    _apply_counts(new, counts, (au, ad, cav.c1_coupling * au), repump_to_up)
+    moves = _noise._REPUMPED_MOVES if repump_to_up else _noise._MOVES
+    offsets = _noise._channel_shifts(moves, au, alpha_per_atom(
+        "down", 0.0, cav), cav.c1_coupling * au)[0]
+    _apply_counts(new, counts, offsets, moves)
     return new
 
 
@@ -525,10 +513,10 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     # share shows in this window's reading
     counts = _sample_counts(new, m_s, tp, z_counts[:4])
     n_phot = gaussian_counts(m_s, z_counts[4])
+    offsets, jumps = _noise._channel_shifts(_noise._MOVES, au, ad, a1)
     reading = (dressed_shift(n_up_true, cav) + new.freq_offset
                + read_sig * z_read + _visible_share(
-                   (ad - au, au - ad, a1 - au, a1 - ad, -eps),
-                   (*counts, n_phot),
+                   (*jumps, -eps), (*counts, n_phot),
                    class_sig * class_sig + floor_sig * floor_sig, z_noise))
 
     # condition the state on the spin information in the reading
@@ -546,7 +534,7 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
                           np.where(exact, 0.0, new.jz_var))
 
     # persistent back-action
-    _apply_counts(new, counts, (au, ad, a1), repump_to_up=False)
+    _apply_counts(new, counts, offsets, _noise._MOVES)
     new.freq_offset += -eps * n_phot
     new.contrast *= np.exp(-(1.0 + params.contrast_excess) * m_s / n)
     if params.light_shift_per_photon:

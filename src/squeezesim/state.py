@@ -47,6 +47,7 @@ from .physics import (
     CavityParams,
     EnsembleParams,
     alpha_per_atom,
+    check_arg,
     dressed_shift,
     invert_dressed_shift,
     scattered_ratio,
@@ -442,8 +443,7 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     ``repump_to_up`` the |1> state is treated as instantly recycled to up
     (the calibration-experiment regime).
     """
-    if m_s < 0:
-        raise ValueError("m_s must be non-negative")
+    check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     cav = params.cavity
     new = state.copy()
     counts = _sample_counts(new, m_s, params.transitions, BatchStream.of(

@@ -37,7 +37,13 @@ from squeezesim.physics import (
     EnsembleParams,
     scattered_ratio,
 )
-from squeezesim.state import ProbeConfig, SimParams, TransitionProbs
+from squeezesim.state import (
+    ProbeConfig,
+    SimParams,
+    TransitionProbs,
+    apply_raman_diffusion,
+    prepare_css,
+)
 
 CAV = CavityParams()
 TP = TransitionProbs()
@@ -346,12 +352,15 @@ class TestModelArguments:
         (lambda x: spectroscopic_enhancement(x, 0.9, 0.97),
          "R must be positive"),
         (lambda x: spectroscopic_enhancement(0.1, x, 0.97),
-         "contrast must be in (0, initial_contrast = 0.97]")],
+         "contrast must be in (0, initial_contrast = 0.97]"),
+        (lambda x: apply_raman_diffusion(
+            prepare_css(N_REF, EnsembleParams()).tile(4), x, SimParams(),
+            np.random.default_rng(0)), "m_s must be non-negative")],
         ids=["budget_terms", "model_r", "opto_noise_term", "read_noise_freq",
              "pop_noise_quantum", "pop_noise_classical-m_s",
              "pop_noise_classical-frac", "recoil_noise",
              "legacy_diffusion_limit", "enhancement-R",
-             "enhancement-contrast"])
+             "enhancement-contrast", "apply_raman_diffusion"])
     def test_nan_and_bad_values_are_named(self, call, message):
         with pytest.raises(ValueError) as err:
             call(math.nan)

@@ -73,8 +73,9 @@ BANDS = {
            "rq r_c / calibration": (0.75, 1.25)},
     "oracles": {
         **{f"budget {name}": (0.95, 1.05) for name in (
-            "all_channels", "read_only", "read_plus_diffusion",
-            "read_plus_floor_and_injection", "read_plus_recoil")},
+            "all_channels", "read_only", "read_plus_classical_back_action",
+            "read_plus_diffusion", "read_plus_floor_and_injection",
+            "read_plus_recoil")},
         "two-window variance": (0.95, 1.05),
         "Raman net change variance": (0.95, 1.05),
         "Raman net mean offset / tolerance": (-1.0, 1.0),
@@ -106,7 +107,10 @@ def oracles(k: int) -> dict[str, float]:
         "read_plus_recoil": replace(ideal, cavity=base.cavity),
         "read_plus_floor_and_injection": replace(ideal, coeffs=base.coeffs),
         "all_channels": replace(base, probe=replace(base.probe,
-                                                    detuning_spread=0.0))}
+                                                    detuning_spread=0.0)),
+        "read_plus_classical_back_action": replace(
+            ideal, transitions=base.transitions, cavity=base.cavity,
+            probe=replace(ideal.probe, ms_classical_frac=0.15))}
     pair = sq.parse_protocol("pump down\npulse 90 0\nprobe Np\nprobe Nf\n")
     out = {}
     for name, params in cases.items():

@@ -495,9 +495,13 @@ def _back_action(n: float, m_t: float, cav: CavityParams, tp,
     m_s = m_t * scattered_ratio(n / 2.0, cav)
     eps = TWO_PI * cav.recoil_shift_per_photon
     ext_q, ext_c = recoil_noise(m_s, frac, n, eps, alphas.up)
+    # one power draw scales the Raman counts and the recoil photons, so
+    # their classical responses add in amplitude: the cross term of the two
+    cross_c = (2.0 * _square(frac * m_s) / (n / 4.0) * _bracket(
+        vars(tp), alphas, 1) * -eps / (alphas.up * alphas.up))
     return {"pop_q": pop_noise_quantum(m_s, n, tp, alphas), "ext_q": ext_q,
             "pop_c": pop_noise_classical(m_s, frac, n, tp, alphas),
-            "ext_c": ext_c}
+            "ext_c": ext_c, "cross_c": _out(cross_c)}
 
 
 @lru_cache(maxsize=16)
@@ -514,7 +518,8 @@ def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
     """
     m_ref = coeffs.m_reference
     mech = _back_action(coeffs.n_reference, m_ref, cav, tp, frac)
-    return max(0.0, coeffs.r_c - (mech["ext_c"] + mech["pop_c"]) / m_ref ** 2)
+    return max(0.0, coeffs.r_c - (mech["ext_c"] + mech["pop_c"]
+                                  + mech["cross_c"]) / m_ref ** 2)
 
 
 def injected_classical_freq(m_t: float, n: float, r_c_inj: float,
@@ -537,8 +542,9 @@ class BudgetTerms:
     """The simulated spin noise at one operating point, split into R terms.
 
     Read noise ``psn``, technical floor ``tf``, injected classical noise,
-    and the quantum (q) and classical (c) back-action of population
-    diffusion (pop) and recoil heating (ext).
+    the quantum (q) and classical (c) back-action of population diffusion
+    (pop) and recoil heating (ext), and ``cross_c``, the cross term of the
+    two classical responses to the one common probe-power draw.
     """
 
     psn: float
@@ -548,6 +554,7 @@ class BudgetTerms:
     ext_q: float
     pop_c: float
     ext_c: float
+    cross_c: float
 
     @property
     def quantum(self) -> float:
@@ -555,13 +562,13 @@ class BudgetTerms:
 
     @property
     def classical(self) -> float:
-        return self.injected + self.pop_c + self.ext_c
+        return self.injected + self.pop_c + self.ext_c + self.cross_c
 
     @property
     def total(self) -> float:
         # one fixed summation order, so R is reproducible to the last bit
         return (self.psn + self.tf + self.injected + self.pop_q + self.ext_q
-                + self.pop_c + self.ext_c)
+                + self.pop_c + self.ext_c + self.cross_c)
 
 
 def budget_terms(params: SimParams, m_t: float) -> BudgetTerms:

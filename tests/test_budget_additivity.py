@@ -33,6 +33,11 @@ CASES = {
         IDEAL, coeffs=replace(BASE.coeffs)),
     "all_channels": replace(BASE,
                             probe=replace(BASE.probe, detuning_spread=0.0)),
+    # Raman counts and recoil photons under one strong power draw: their
+    # classical responses add in amplitude, with a cross term
+    "read_plus_classical_back_action": replace(
+        IDEAL, transitions=BASE.transitions, cavity=BASE.cavity,
+        probe=replace(IDEAL.probe, ms_classical_frac=0.15)),
 }
 
 

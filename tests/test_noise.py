@@ -575,13 +575,18 @@ class TestScalesAndBudget:
         alphas = alphas_for_ensemble(n, CAV)
         m_s = m_t * scattered_ratio(n / 2.0, CAV)
         ext_q, ext_c = recoil_noise(m_s, frac, n, EPS, alphas.up)
+        au, ad, a1 = alphas.up, alphas.down, alphas.one
+        signed = (tp.p_ud * (ad - au) + tp.p_du * (au - ad)
+                  + tp.p_u1 * (a1 - au) + tp.p_d1 * (a1 - ad))
         by_hand = BudgetTerms(
             psn=coeffs.r_psn * readout_scale(n, n_ref, CAV) / m_t,
             tf=coeffs.r_tf * n_ref / n,
             injected=classical_injection_coeff(coeffs, frac, CAV, tp)
             * m_t * m_t * classical_scale(n, n_ref, CAV),
             pop_q=pop_noise_quantum(m_s, n, tp, alphas), ext_q=ext_q,
-            pop_c=pop_noise_classical(m_s, frac, n, tp, alphas), ext_c=ext_c)
+            pop_c=pop_noise_classical(m_s, frac, n, tp, alphas), ext_c=ext_c,
+            cross_c=2.0 * (frac * m_s) ** 2 / (n / 4.0) * signed * -EPS
+            / (au * au))
         assert budget_terms(params, m_t) == by_hand
         rows = dict(budget_report(params, m_t).terms)
         assert rows["  Variable Damping R_o"] == 1.0 / opto_noise_term(

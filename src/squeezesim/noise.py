@@ -10,7 +10,11 @@ measurement normalized to the CSS projection noise N/4.  Budget terms that
 the model attributes to specific physics (population diffusion, recoil
 heating, optomechanical ringing) are evaluated from first principles below;
 frequency-unit quantities are converted to atom units by dividing by the
-up-state shift per atom before normalizing.
+up-state shift per atom before normalizing.  The Raman channels are one
+table, ``RAMAN_CHANNELS``, which the engine reads as well.  The classical
+back-action has three terms, because one common probe-power draw scales
+both the Raman counts and the recoil photons: population change, recoil,
+and their cross term.
 """
 
 from __future__ import annotations

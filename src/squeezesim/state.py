@@ -18,7 +18,9 @@ and the visible shares and technical noise are one normal), assemble the
 noisy dressed-frequency reading, condition the state on the reading
 (Kalman update), inflate the anti-squeezed quadrature to respect the
 uncertainty relation, and decay the contrast by the free-space-scattering
-collapse law.
+collapse law.  Every fact of a Raman channel (its probability, source
+population, population moves, reading jump and persistent offset) is read
+from the one table ``noise.RAMAN_CHANNELS``.
 
 A state is a batch of trials: each field is an array over its trials,
 and a single trial is a batch of one (``prepare_css`` and

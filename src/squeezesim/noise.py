@@ -327,11 +327,20 @@ def _channel_shifts(moves: np.ndarray, au, ad, a1):
     return moves[:, 1:] @ alphas[1:], moves @ alphas
 
 
+@lru_cache(maxsize=16)
+def _brackets(probs: tuple, au, ad, a1) -> tuple[float, float]:
+    """sum p jump**2 and sum p jump over the channels of ``probs``, (field,
+    p) pairs, in table order; cached, as the budget asks at every call."""
+    p, jumps = dict(probs), _channel_shifts(_MOVES, au, ad, a1)[1].ravel()
+    pj = [(p[row[0]], j) for row, j in zip(RAMAN_CHANNELS, jumps.tolist())
+          if row[0] in p]
+    return sum(q * j ** 2 for q, j in pj), sum(q * j for q, j in pj)
+
+
 def _bracket(probs: dict, alphas: Alphas, power: int) -> float:
-    """sum p jump**power over the channels of ``probs``, in table order."""
-    jumps = _channel_shifts(_MOVES, alphas.up, alphas.down, alphas.one)[1]
-    return sum(probs[row[0]] * j ** power for row, (j,) in zip(
-        RAMAN_CHANNELS, jumps) if row[0] in probs)
+    """sum p jump**power, power 1 or 2, over the channels of ``probs``."""
+    return _brackets(tuple(probs.items()), alphas.up, alphas.down,
+                     alphas.one)[2 - power]
 
 
 def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from squeezesim import noise, state
 from squeezesim.noise import NoiseCoeffs
-from squeezesim.physics import CavityParams, EnsembleParams, scattered_ratio
+from squeezesim.physics import (
+    CavityParams,
+    EnsembleParams,
+    alpha_per_atom,
+    scattered_ratio,
+)
 from squeezesim.state import (
     EnsembleState,
     ProbeConfig,
@@ -176,6 +182,33 @@ class TestRamanDiffusion:
                                       repump_to_up=True).pop_up
         lam = (TP.p_du + TP.p_d1) * 1e4 * 2.0
         assert np.mean(moved) == pytest.approx(lam, rel=0.05)
+
+    @pytest.mark.parametrize("repump", [False, True])
+    def test_channel_table_gives_the_written_out_channels(self, repump):
+        # u->d, d->u, u->1, d->1 by hand: moves, persistent offsets, jumps
+        s, trials = polarized_state(2e5, ENS, "down"), 64
+        s = rotate(s, 0.6 * math.pi, 0.0).tile(trials)
+        new = apply_raman_diffusion(s, 4e4, sim(), np.random.default_rng(6),
+                                    repump_to_up=repump)
+        n_ud, n_du, n_u1, n_d1 = state._sample_counts(
+            s, 4e4, TP, np.random.default_rng(6).standard_normal((4, trials)))
+        au = alpha_per_atom("up", s.pop_up, CAV)
+        ad, a1 = alpha_per_atom("down", 0.0, CAV), CAV.c1_coupling * au
+        if repump:  # |1> goes straight back to up
+            up, down, one = n_du + n_d1 - n_ud, n_ud - n_du - n_d1, 0.0
+            offset = ad * n_ud - ad * n_du - ad * n_d1
+        else:
+            up, down, one = n_du - n_ud - n_u1, n_ud - n_du - n_d1, n_u1 + n_d1
+            offset = ad * n_ud - ad * n_du + a1 * n_u1 + (a1 - ad) * n_d1
+        assert all(np.any(c > 0) for c in (n_ud, n_du, n_u1, n_d1))
+        np.testing.assert_array_equal(new.pop_up, s.pop_up + up)
+        np.testing.assert_array_equal(new.jz_mean, s.jz_mean + up)
+        np.testing.assert_array_equal(new.pop_down, s.pop_down + down)
+        np.testing.assert_array_equal(new.pop_one, s.pop_one + one)
+        np.testing.assert_array_equal(new.freq_offset, offset)
+        jumps = noise._channel_shifts(noise._MOVES, au, ad, a1)[1]
+        np.testing.assert_array_equal(jumps, [ad - au, au - ad, a1 - au,
+                                              a1 - ad])
 
     def test_conservation(self):
         s = prepare_css(1e5, ENS)

@@ -27,11 +27,23 @@ from squeezesim.noise import (
     recoil_noise,
 )
 from squeezesim.physics import TWO_PI, CavityParams, scattered_ratio
+from gates import assert_inside
+from test_state import kalman_and_grid
 
 PARAMS = sq.SimParams()
 CAL = replace(PARAMS, contrast_excess=CALIBRATED_CONTRAST_EXCESS)
 N_REF = 4.8e5
 M_REF = 4.1e4
+
+# criteria 4 to 6 are gates (see gates.py) at master seed SEED + 2k
+SEED = 20260810
+C4_BANDS = {"c4 best 1/R": (16.0 - 3.0, 16.0 + 3.0),
+            "c4 M_t at best 1/R": (2e4, 8e4),  # near M_t = 4e4
+            "c4 best 1/W": (9.0, 13.5)}
+C5_BANDS = {"c5 CSS error rate": (0.20, 0.30),
+            "c5 squeezed error rate": (0.012, 0.032)}
+C6_BANDS = {"c6 phase-variance slope": (-2.2, -1.7),
+            "c6 SQL slope": (-0.5 - 0.05, -0.5 + 0.05)}
 
 
 def report(num: int, name: str, detail: str) -> None:
@@ -92,56 +104,67 @@ def test_criterion_3_budget_synthesis():
            f"{pop_q_inv:.0f}; {elapsed * 1e3:.0f} ms")
 
 
+def criterion_4(k: int = 0) -> dict[str, float]:
+    """The probe-strength sweep's optimum at master seed SEED + 2k."""
+    result = exp.squeezing_sweep(CAL, np.logspace(3.0, 5.0, 15),
+                                 trials_per_point=2000,
+                                 master_seed=SEED + 2 * k)
+    return {"c4 best 1/R": 1.0 / result.best_r().r,
+            "c4 M_t at best 1/R": result.best_r().m_t,
+            "c4 best 1/W": result.best().w_inv}
+
+
 def test_criterion_4_monte_carlo_optimum():
     t0 = time.perf_counter()
-    grid = np.logspace(3.0, 5.0, 15)
-    result = exp.squeezing_sweep(CAL, grid, trials_per_point=2000,
-                                 master_seed=20260810)
-    best_r = result.best_r()
-    best_w = result.best()
+    values = criterion_4()
     elapsed = time.perf_counter() - t0
-    assert 1.0 / best_r.r == pytest.approx(16.0, abs=3.0)
-    assert 2e4 <= best_r.m_t <= 8e4          # near M_t = 4e4
-    assert 9.0 <= best_w.w_inv <= 13.5
+    detail = assert_inside(values, C4_BANDS)
     assert elapsed < 300.0
-    report(4, "Monte Carlo optimum",
-           f"max 1/R = {1 / best_r.r:.2f} at M_t = {best_r.m_t:.3g}; "
-           f"max 1/W = {best_w.w_inv:.2f}; {elapsed:.0f} s")
+    report(4, "Monte Carlo optimum", f"{detail}; {elapsed:.0f} s")
+
+
+def criterion_5(k: int = 0) -> dict[str, float]:
+    """Single-shot phase detection, the squeezed arm at master seed
+    SEED + 2k and the CSS arm at SEED + 2k + 1, and the squeezed M_t."""
+    par = PARAMS.with_n(4.3e5)
+    squeezed = exp.phase_detection(par, 2.3e-3, premeasure=True,
+                                   trials=10_000, master_seed=SEED + 2 * k,
+                                   target_w_inv=7.5)
+    css = exp.phase_detection(par, 2.3e-3, premeasure=False,
+                              trials=10_000, master_seed=SEED + 2 * k + 1,
+                              m_t=squeezed.m_t)
+    return {"c5 CSS error rate": css.error_rate,
+            "c5 squeezed error rate": squeezed.error_rate,
+            "c5 squeezed M_t": squeezed.m_t}
 
 
 def test_criterion_5_phase_detection():
     t0 = time.perf_counter()
-    par = PARAMS.with_n(4.3e5)
-    squeezed = exp.phase_detection(par, 2.3e-3, premeasure=True,
-                                   trials=10_000, master_seed=20260810,
-                                   target_w_inv=7.5)
-    css = exp.phase_detection(par, 2.3e-3, premeasure=False,
-                              trials=10_000, master_seed=20260811,
-                              m_t=squeezed.m_t)
+    values = criterion_5()
     elapsed = time.perf_counter() - t0
-    assert 0.20 <= css.error_rate <= 0.30
-    assert 0.012 <= squeezed.error_rate <= 0.032
+    detail = assert_inside(values, C5_BANDS)
     assert elapsed < 120.0
-    report(5, "phase detection",
-           f"CSS error {css.error_rate:.3f} in [0.20, 0.30]; squeezed "
-           f"error {squeezed.error_rate:.4f} in [0.012, 0.032] at "
-           f"M_t = {squeezed.m_t:.3g}; {elapsed:.0f} s")
+    report(5, "phase detection", f"{detail}; {elapsed:.0f} s")
+
+
+def criterion_6(k: int = 0) -> dict[str, float]:
+    """The log-log slopes of the optimal phase variance and of the SQL
+    against N at master seed SEED + 2k, and the 1/W at each N."""
+    result = exp.n_scaling(CAL, [6e4, 1.2e5, 2.4e5, 4.8e5],
+                           trials_per_point=30_000,
+                           master_seed=SEED + 2 * k, scan_trials=2000)
+    return {"c6 phase-variance slope": result.slope_squeezed,
+            "c6 SQL slope": result.slope_sql,
+            **{f"1/W at N = {r.n:.1e}": r.w_inv for r in result.rows}}
 
 
 def test_criterion_6_n_scaling():
     t0 = time.perf_counter()
-    result = exp.n_scaling(CAL, [6e4, 1.2e5, 2.4e5, 4.8e5],
-                           trials_per_point=30_000,
-                           master_seed=20260810, scan_trials=2000)
+    values = criterion_6()
     elapsed = time.perf_counter() - t0
-    assert -2.2 <= result.slope_squeezed <= -1.7
-    assert result.slope_sql == pytest.approx(-0.5, abs=0.05)
+    detail = assert_inside(values, C6_BANDS)
     assert elapsed < 900.0
-    rows = ", ".join(f"N={r.n:.1e}: 1/W={r.w_inv:.2f}" for r in result.rows)
-    report(6, "N scaling",
-           f"phase-variance slope {result.slope_squeezed:.3f} in "
-           f"[-2.2, -1.7]; SQL slope {result.slope_sql:.3f} = -0.5 +-0.05 "
-           f"({rows}); {elapsed:.0f} s")
+    report(6, "N scaling", f"{detail}; {elapsed:.0f} s")
 
 
 def test_criterion_7_legacy_clock_states():
@@ -190,16 +213,8 @@ class TestCriterion8Properties:
             sigma0 = float(rng.uniform(20, 500))
             sigma_m = float(rng.uniform(20, 500))
             z = mu + float(rng.normal(0, math.hypot(sigma0, sigma_m)))
-            grid = np.linspace(mu - 6 * sigma0, mu + 6 * sigma0, 512)
-            logw = (-(grid - mu) ** 2 / (2 * sigma0 ** 2)
-                    - (z - grid) ** 2 / (2 * sigma_m ** 2))
-            w = np.exp(logw - logw.max())
-            w /= w.sum()
-            mean_g = float(np.sum(w * grid))
-            var_g = float(np.sum(w * (grid - mean_g) ** 2))
-            gain = sigma0 ** 2 / (sigma0 ** 2 + sigma_m ** 2)
-            mean_k = mu + gain * (z - mu)
-            var_k = 1.0 / (1.0 / sigma0 ** 2 + 1.0 / sigma_m ** 2)
+            mean_k, var_k, mean_g, var_g = kalman_and_grid(mu, sigma0,
+                                                           sigma_m, z)
             assert abs(mean_k - mean_g) <= 1e-3 * max(abs(mean_g), sigma0)
             assert abs(var_k - var_g) <= 1e-3 * var_g
         report(8, "property: Bayesian grid oracle",

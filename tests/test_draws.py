@@ -28,7 +28,9 @@ from squeezesim.sequence import (
 )
 from squeezesim.state import BatchStream, prepare_css, probe_measure
 from test_engine import (
+    CASES,
     assert_matches_reference,
+    case_z_scores,
     feed_fixed_draws,
     moment_z_scores,
     K_SE,
@@ -272,10 +274,29 @@ def window_draws(monkeypatch, protocol, params, n_trials, master_seed):
             for _, events, _, _ in shared]
 
 
+DRAW_PARAMS = replace(SimParams(), contrast_excess=1.9)
+DRAW_SEED = 21
+# the largest moment z-score of every moment comparison, a gate (see
+# gates.py); z-scores are >= 0
+MOMENT_BANDS = {"moments largest z, every case": (0.0, K_SE)}
+
+
+def draw_path_z_scores(k: int = 0) -> dict[str, float]:
+    """``moment_z_scores`` of the draw paths at master seed DRAW_SEED + 2k."""
+    return moment_z_scores(DRAW_PATHS, DRAW_PARAMS, DRAW_SEED + 2 * k)
+
+
+def largest_moment_z(k: int) -> dict[str, float]:
+    """The largest z-score of every test_engine case and the draw paths."""
+    scores = [case_z_scores(name, k) for name in CASES]
+    scores.append(draw_path_z_scores(k))
+    return {"moments largest z, every case": max(max(z.values())
+                                                 for z in scores)}
+
+
 def test_every_draw_path_equals_scalar_engine(monkeypatch):
-    params = replace(SimParams(), contrast_excess=1.9)
-    seen = window_draws(monkeypatch, DRAW_PATHS, params, 200,
-                        master_seed=21)
+    seen = window_draws(monkeypatch, DRAW_PATHS, DRAW_PARAMS, 200,
+                        master_seed=DRAW_SEED)
     counts = np.vstack([c for c, _ in seen])
     photons = np.concatenate([p for _, p in seen])
     # the scalar engine sums the share of at most 64 events from their
@@ -289,9 +310,10 @@ def test_every_draw_path_equals_scalar_engine(monkeypatch):
     assert np.any(counts == 1)
     assert np.any((photons > 0) & (photons <= 64))
     assert np.any(photons > 64)
-    z = moment_z_scores(DRAW_PATHS, params, master_seed=21)
+    z = draw_path_z_scores()
     worst = max(z, key=z.get)
     assert z[worst] <= K_SE, f"{worst}: {z[worst]:.2f} standard errors"
     with monkeypatch.context() as patch:
         feed_fixed_draws(patch)
-        assert_matches_reference(DRAW_PATHS, params, 200, master_seed=21)
+        assert_matches_reference(DRAW_PATHS, DRAW_PARAMS, 200,
+                                 master_seed=DRAW_SEED)

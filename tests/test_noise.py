@@ -44,6 +44,7 @@ from squeezesim.state import (
     apply_raman_diffusion,
     prepare_css,
 )
+from gates import assert_inside
 
 CAV = CavityParams()
 TP = TransitionProbs()
@@ -54,16 +55,23 @@ EPS = TWO_PI * 1.3
 M_S_REF = 4.1e4  # M_s = 1.0 x M_t at the reference ensemble
 
 
-def bootstrap_hits(seed: int, reps: int = 100) -> dict[str, int]:
-    """How many of ``reps`` noisy 12-point fits (10 % errors, r_q = 0, one
-    generator seeded ``seed`` for the data and the bootstrap) cover each
-    nonzero true coefficient with their 95 % interval."""
+# at least 90 % of BOOT_REPS fits cover each coefficient; a gate (gates.py)
+BOOT_REPS = 100
+BOOT_BANDS = {f"boot {name} hits of {BOOT_REPS}": (0.90 * BOOT_REPS,
+                                                   BOOT_REPS)
+              for name in ("r_psn", "r_tf", "r_c")}
+
+
+def bootstrap_hits(k: int = 0) -> dict[str, int]:
+    """How many of ``BOOT_REPS`` noisy 12-point fits (10 % errors, r_q = 0,
+    one generator seeded 1234 + k for the data and the bootstrap) cover
+    each nonzero true coefficient with their 95 % interval."""
     truth = NoiseCoeffs(r_psn=1281.25, r_tf=1.0 / 73.0, r_q=0.0,
                         r_c=8.9e-12)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234 + k)
     m = np.logspace(3, 5, 12)
     hits = {"r_psn": 0, "r_tf": 0, "r_c": 0}
-    for _ in range(reps):
+    for _ in range(BOOT_REPS):
         pts = [(mi, model_r(mi, truth) * (1 + 0.1 * rng.standard_normal()))
                for mi in m]
         fit = fit_r(pts, n_boot=300, rng=rng)
@@ -71,7 +79,7 @@ def bootstrap_hits(seed: int, reps: int = 100) -> dict[str, int]:
             lo, hi = fit.intervals[name]
             if lo <= getattr(truth, name) <= hi:
                 hits[name] += 1
-    return hits
+    return {f"boot {name} hits of {BOOT_REPS}": n for name, n in hits.items()}
 
 
 class TestModelR:
@@ -106,9 +114,7 @@ class TestFitR:
                 getattr(truth, name), rel=1e-8)
 
     def test_bootstrap_coverage(self):
-        reps = 100
-        for name, k in bootstrap_hits(1234, reps).items():
-            assert k >= 0.90 * reps, f"{name} covered only {k}/{reps}"
+        assert_inside(bootstrap_hits(), BOOT_BANDS)
 
     def test_needs_a_decade(self):
         pts = [(m, 0.1) for m in (1e4, 2e4, 3e4, 4e4)]

@@ -298,6 +298,8 @@ def phase_detection(params: SimParams, psi: float, premeasure: bool,
     ``premeasure`` the discriminating quantity is the squeezed difference
     N_f - N_p, otherwise the CSS population difference 2 N_f - N.
     """
+    check_value("cli", "n_trials", trials, "trials")
+    check_value("cli", "psi", psi, "psi")
     if trials < 1000:
         raise ValueError("phase detection needs >= 1e3 trials per arm")
     if m_t is None:

@@ -161,6 +161,17 @@ class TestPhaseDetection:
         with pytest.raises(ValueError):
             exp.tune_mt_for_w_inverse(PARAMS.with_n(6e4), 50.0)
 
+    @pytest.mark.parametrize("psi,trials,named", [
+        (1e-3, "2000", "trials must be a number (got '2000')"),
+        (1e-3, 0, "trials must be an integer >= 1 (got 0)"),
+        (1e-3, 2500.0, "trials must be an integer >= 1 (got 2500.0)"),
+        (math.nan, 1000, "psi must be finite (got nan)"),
+        ("0.001", 1000, "psi must be a number (got '0.001')")])
+    def test_bad_argument_is_named(self, psi, trials, named):
+        with pytest.raises(ValueError) as err:
+            exp.phase_detection(PARAMS, psi, True, trials=trials)
+        assert str(err.value) == named
+
 
 class TestNScaling:
     def test_needs_three_points(self):

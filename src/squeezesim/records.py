@@ -173,7 +173,15 @@ def read_records(path) -> RecordSet:
     for key in ("labels", "master_seed", "n_trials", "params"):
         if key not in meta:
             raise RecordIOError(f"{meta_path}: no {key!r} entry")
-    labels = meta["labels"]
+    labels, master_seed = meta["labels"], meta["master_seed"]
+    if not (isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise RecordIOError(f"{meta_path}: 'labels' entry must be a list of "
+                            f"strings (got {labels!r})")
+    if master_seed is not None and (isinstance(master_seed, bool)
+                                    or not isinstance(master_seed, int)):
+        raise RecordIOError(f"{meta_path}: 'master_seed' entry must be null "
+                            f"or an integer (got {master_seed!r})")
 
     with open(path, newline="") as fh:
         first = fh.readline().strip()
@@ -217,9 +225,8 @@ def read_records(path) -> RecordSet:
 
     traces = [name for name in header
               if name.startswith("true_jz_") and name not in required]
-    master_seed = meta["master_seed"]
     return RecordSet.from_columns(
-        meta["params"], None if master_seed is None else int(master_seed),
+        meta["params"], master_seed,
         labels=labels, omega_p_offset_hz=floats(["omega_p_offset_hz"])[:, 0],
         n_up=floats(labels),
         freq_hz=floats([f"{lb}_freq_hz" for lb in labels]),

@@ -444,6 +444,25 @@ class TestRecordIO:
             read_records(path)
         assert str(err.value) == f"{meta_path}: no {key!r} entry"
 
+    @pytest.mark.parametrize("key,value,rule", [
+        ("labels", 5, "must be a list of strings (got 5)"),
+        ("labels", [1, 2], "must be a list of strings (got [1, 2])"),
+        ("labels", "Np", "must be a list of strings (got 'Np')"),
+        ("master_seed", "abc", "must be null or an integer (got 'abc')"),
+        ("master_seed", 5.0, "must be null or an integer (got 5.0)"),
+        ("master_seed", True, "must be null or an integer (got True)")])
+    def test_sidecar_entry_of_a_wrong_type_is_named(self, tmp_path, key,
+                                                    value, rule):
+        path = tmp_path / "records.csv"
+        write_records(self.make_records(3), path)
+        meta_path = tmp_path / "records.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(RecordIOError) as err:
+            read_records(path)
+        assert str(err.value) == f"{meta_path}: {key!r} entry {rule}"
+
     def test_schema_line_that_is_not_a_number_is_named(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records(self.make_records(3), path)

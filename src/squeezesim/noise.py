@@ -277,9 +277,11 @@ def _qr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R and Q^T b of the QR factorization of each problem of a stack.
 
     Modified Gram-Schmidt on the columns of [a | b], which is backward
-    stable for least squares, in numpy's own loops: numpy's LAPACK, which
-    nothing else in the package calls, grows the process by about 0.7 MB
-    of resident memory on its first call.  A column that depends exactly
+    stable for least squares, in numpy's own loops, so that ``fit_r`` and
+    its bootstrap never load numpy's LAPACK, which grows the process by
+    about 0.7 MB of resident memory on its first call.  (The fringe fit,
+    the N-scaling slopes and the Raman calibration's lines do call it,
+    through ``np.linalg`` and ``np.polyfit``.)  A column that depends exactly
     on the ones before it gets q = 0.  The columns are read from one
     contiguous copy, not as strided views of ``a``.
     """

@@ -69,22 +69,28 @@ def _check_flags(args) -> None:
                 check_value(section, key, item, flag)
 
 
-def _common(sub: argparse.ArgumentParser) -> None:
+def _common(sub: argparse.ArgumentParser, trials: bool = True) -> None:
     sub.add_argument("--config", help="config file (defaults if omitted)")
     _flag(sub, "--seed", ("run", "master_seed"), type=int,
           help="master seed override")
-    _flag(sub, "--trials", ("run", "trials"), type=int,
-          help="trials per point override")
+    if trials:
+        _flag(sub, "--trials", ("run", "trials"), type=int,
+              help="trials per point override")
     sub.add_argument("--out", help="output directory override")
 
 
-def _context(args) -> tuple[RunConfig, int, int, Path]:
+def _context(args) -> tuple[RunConfig, int, Path]:
     cfg = load_config(args.config) if args.config else default_config()
     seed = cfg.master_seed if args.seed is None else args.seed
-    trials = cfg.trials if args.trials is None else args.trials
     out = Path(args.out if args.out is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, seed, trials, out
+    return cfg, seed, out
+
+
+def _run_context(args) -> tuple[RunConfig, int, int, Path]:
+    """``_context`` plus the trials per point of a command that runs them."""
+    cfg, seed, out = _context(args)
+    return cfg, seed, cfg.trials if args.trials is None else args.trials, out
 
 
 def _write_output(out_dir: Path, name: str, csv_text: str, cfg: RunConfig,
@@ -106,7 +112,7 @@ def _write_output(out_dir: Path, name: str, csv_text: str, cfg: RunConfig,
 
 
 def cmd_sweep(args) -> int:
-    cfg, seed, trials, out = _context(args)
+    cfg, seed, trials, out = _run_context(args)
     grid = np.logspace(np.log10(args.mt_min), np.log10(args.mt_max),
                        args.points)
     result = exp.squeezing_sweep(cfg.sim_params(), grid, trials, seed)
@@ -120,7 +126,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_phase_detect(args) -> int:
-    cfg, seed, trials, out = _context(args)
+    cfg, seed, trials, out = _run_context(args)
     params = cfg.sim_params()
     squeezed = exp.phase_detection(
         params, args.psi, premeasure=True, trials=trials, master_seed=seed,
@@ -139,7 +145,7 @@ def cmd_phase_detect(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    cfg, seed, trials, out = _context(args)
+    cfg, seed, trials, out = _run_context(args)
     result = exp.n_scaling(cfg.sim_params(), args.n_list, trials, seed,
                            scan_trials=args.scan_trials)
     path = _write_output(out, "scaling", result.to_csv(), cfg, seed,
@@ -156,7 +162,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_fringe(args) -> int:
-    cfg, seed, trials, out = _context(args)
+    cfg, seed, trials, out = _run_context(args)
     theta = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
     result = exp.contrast_fringe(cfg.sim_params(), args.mt, theta, trials,
                                  master_seed=seed)
@@ -171,7 +177,7 @@ def cmd_fringe(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    cfg, seed, _, out = _context(args)
+    cfg, seed, out = _context(args)
     m_t = args.mt if args.mt is not None else cfg.get("probe", "m_t")
     report = _noise.budget_report(cfg.sim_params(), m_t)
     path = _write_output(out, "budget", report.to_table(), cfg, seed,
@@ -183,7 +189,7 @@ def cmd_budget(args) -> int:
 
 
 def cmd_calibrate_raman(args) -> int:
-    cfg, seed, trials, out = _context(args)
+    cfg, seed, trials, out = _run_context(args)
     grid = np.linspace(0.0, args.mt_max, args.points)
     result = exp.raman_calibration(cfg.sim_params(), grid, trials, seed,
                                    n_atoms=args.n_atoms)
@@ -198,7 +204,7 @@ def cmd_calibrate_raman(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    cfg, seed, _, out = _context(args)
+    cfg, seed, out = _context(args)
     with open(args.infile, newline="") as fh:
         lines = [(k, s) for k, s in enumerate(fh, 1) if s[:1] != "#"]
     reader = csv.DictReader(s for _, s in lines)
@@ -238,7 +244,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg, seed, trials, out = _context(args)
+    cfg, seed, trials, out = _run_context(args)
     protocol = parse_protocol(Path(args.protocol).read_text())
     rs = run_trials(protocol, cfg.sim_params(), trials, seed)
     path = out / "records.csv"
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fringe)
 
     p = subs.add_parser("budget", help="noise budget table")
-    _common(p)
+    _common(p, trials=False)
     _flag(p, "--mt", strength, type=float, default=None)
     p.set_defaults(func=cmd_budget)
 
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate_raman)
 
     p = subs.add_parser("fit", help="fit the R(M_t) model to a CSV")
-    _common(p)
+    _common(p, trials=False)
     p.add_argument("--in", dest="infile", required=True)
     _flag(p, "--boot", ("cli", "boot"), type=int, default=1000)
     p.set_defaults(func=cmd_fit)

@@ -7,13 +7,13 @@ figure rendering is out of scope, the CSVs are plot-ready.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import noise as _noise
 from .defaults import check_value
-from .physics import TWO_PI, dressed_shift, scattered_ratio
+from .physics import TWO_PI, contrast_decay, dressed_shift, scattered_ratio
 from .sequence import (
     Protocol,
     SimParams,
@@ -61,17 +61,12 @@ def _csv(header: str, rows) -> str:
 
 
 def contrast_model(params: SimParams, m_t: float, windows: int = 1) -> float:
-    """Expected contrast after ``windows`` probe windows of strength m_t.
-
-    A float ``m_t`` gives a float through the C library's ``exp``; an array
-    gives an array through numpy's, which can differ from it in the last
-    bit.
-    """
+    """Expected contrast after ``windows`` probe windows of strength m_t,
+    a float or an array like ``m_t`` (see ``physics.contrast_decay``)."""
     n = params.ensemble.n_effective
-    m_s = m_t * scattered_ratio(n / 2.0, params.cavity)
-    x = -windows * (1.0 + params.contrast_excess) * m_s / n
-    return params.ensemble.initial_contrast * (
-        np.exp(x) if isinstance(x, np.ndarray) else math.exp(x))
+    return params.ensemble.initial_contrast * contrast_decay(
+        m_t * scattered_ratio(n / 2.0, params.cavity), n,
+        params.contrast_excess, windows)
 
 
 def expected_r(params: SimParams, m_t: float) -> float:
@@ -480,12 +475,11 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
 
     def drive(state, m_t: float, rng):
         m_s_ref = m_t * flux_ref
-        new = apply_raman_diffusion(state, m_s_ref, p, rng,
-                                    repump_to_up=True)
-        new.freq_offset -= eps * gaussian_counts(
+        new = apply_raman_diffusion(state, m_s_ref, p, rng, repump_to_up=True)
+        recoil = eps * gaussian_counts(
             m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0),
             rng.standard_normal(trials))
-        return new
+        return replace(new, freq_offset=new.freq_offset - recoil)
 
     def mean_hz(state, rng) -> float:
         return float(np.mean(_calibration_reading(state, p, rng))) / TWO_PI

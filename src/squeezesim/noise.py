@@ -421,8 +421,7 @@ def opto_ringing_trace(delta_p: float, t_grid, cav: CavityParams,
     below it.  ``amp`` in the caller's frequency units, ``tau0`` the
     on-resonance decay time.
     """
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
+    check_arg(tau0 > 0, "tau0", tau0, "positive")
     t = np.asarray(t_grid, dtype=float)
     tau = tau0 * (1.0 + delta_p / cav.kappa)
     tau = max(tau, 1e-3 * tau0)
@@ -490,8 +489,6 @@ def read_noise_freq(m_t: float, coeffs: NoiseCoeffs,
     noise r_psn/M_t at the reference ensemble.
     """
     check_arg(m_t > 0, "m_t", m_t, "positive")
-    if coeffs.r_psn == 0.0:
-        return 0.0
     au_ref = alpha_per_atom("up", coeffs.n_reference / 2.0, cav)
     sigma_atoms = np.sqrt(
         (coeffs.n_reference / 4.0) * coeffs.r_psn / (2.0 * m_t))
@@ -540,8 +537,7 @@ def classical_injection_coeff(coeffs: NoiseCoeffs, frac: float,
 def injected_classical_freq(m_t: float, n: float, r_c_inj: float,
                             coeffs: NoiseCoeffs, cav: CavityParams) -> float:
     """Per-window injected classical frequency noise std. dev., rad/s."""
-    if r_c_inj <= 0.0:
-        return 0.0
+    check_arg(r_c_inj >= 0, "r_c_inj", r_c_inj, "non-negative")
     au = alpha_per_atom("up", n / 2.0, cav)
     var_atoms = 0.5 * r_c_inj * m_t * m_t * (n / 4.0) * classical_scale(
         n, coeffs.n_reference, cav)

@@ -161,6 +161,14 @@ def scattered_ratio(n_up: float, cav: CavityParams) -> float:
         4.0 * probe_det * probe_det)
 
 
+def contrast_decay(m_s, n: float, excess: float, windows: int = 1):
+    """Contrast kept after ``windows`` windows each scattering ``m_s``
+    photons off ``n`` atoms, exp(-windows (1 + excess) m_s / n): a float by
+    libm's ``exp``, an array by numpy's (which may differ in the last bit)."""
+    x = -windows * (1.0 + excess) * m_s / n
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
 def effective_atom_number(n_loaded: float, ens: EnsembleParams) -> float:
     """Uniform-coupling equivalent atom number for ``n_loaded`` trapped atoms."""
     check_arg(n_loaded >= 0, "n_loaded", n_loaded, "non-negative")

@@ -22,15 +22,15 @@ master seed, the trial count, a content hash of the canonical parameter
 text, and a timestamp (the only non-reproducible output field).
 ``read_records`` raises ``RecordIOError``, naming the file and where it
 can the line and column, for a sidecar that is not a JSON object or
-lacks an entry it reads, a schema line other than ``# schema=2``, a
-header that names a column twice, a row count that differs from the
-sidecar's, a row whose length differs from the header's, a cell that is
-not a number, or a sidecar label with no column.  ``write_records``
-raises it, writing nothing, for a probe label that is also the name of
-another column (``trial``, ``omega_p_offset_hz``, another label's
-``_freq_hz`` column or a ``true_jz_`` column).  ``read_records`` rejects
-a schema-1 file, written when every trial drew from a seed of its own,
-the file's ``seed`` column.
+lacks an entry it reads or holds one of the wrong type, a schema line
+other than ``# schema=2``, a header that names a column twice, a row
+count that differs from the sidecar's, a row whose length differs from
+the header's, a cell that is not a number, or a sidecar label with no
+column.  ``write_records`` raises it, writing nothing, for a probe label
+that is also the name of another column (``trial``,
+``omega_p_offset_hz``, another label's ``_freq_hz`` column or a
+``true_jz_`` column).  ``read_records`` rejects a schema-1 file, written
+when every trial drew from a seed of its own, the file's ``seed`` column.
 """
 
 from __future__ import annotations
@@ -174,14 +174,19 @@ def read_records(path) -> RecordSet:
         if key not in meta:
             raise RecordIOError(f"{meta_path}: no {key!r} entry")
     labels, master_seed = meta["labels"], meta["master_seed"]
-    if not (isinstance(labels, list)
-            and all(isinstance(label, str) for label in labels)):
-        raise RecordIOError(f"{meta_path}: 'labels' entry must be a list of "
-                            f"strings (got {labels!r})")
-    if master_seed is not None and (isinstance(master_seed, bool)
-                                    or not isinstance(master_seed, int)):
-        raise RecordIOError(f"{meta_path}: 'master_seed' entry must be null "
-                            f"or an integer (got {master_seed!r})")
+    # a JSON integer loads as an int, and true and false as bools
+    for key, ok, rule in (
+            ("labels", isinstance(labels, list) and all(
+                isinstance(label, str) for label in labels),
+             "a list of strings"),
+            ("master_seed", master_seed is None or type(master_seed) is int,
+             "null or an integer"),
+            ("n_trials", type(meta["n_trials"]) is int
+             and meta["n_trials"] >= 0, "an integer >= 0"),
+            ("params", isinstance(meta["params"], dict), "a JSON object")):
+        if not ok:
+            raise RecordIOError(f"{meta_path}: {key!r} entry must be {rule} "
+                                f"(got {meta[key]!r})")
 
     with open(path, newline="") as fh:
         first = fh.readline().strip()

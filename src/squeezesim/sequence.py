@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -373,10 +373,9 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
             # adding 0.0 turns the -0.0 of a zero spread into 0.0
             delta_p = probe.detuning_spread * stream.normal() + 0.0
         elif isinstance(step, OpticalPump):
-            heating = state.freq_offset  # pumping does not cool the ensemble
-            state = polarized_state(ens.n_effective, ens,
-                                    step.target).tile(n_trials)
-            state.freq_offset = heating
+            # pumping does not cool the ensemble
+            state = replace(polarized_state(ens.n_effective, ens, step.target)
+                            .tile(n_trials), freq_offset=state.freq_offset)
         elif isinstance(step, MicrowavePulse):
             z_angle, z_phase = stream.normal(2)
             state = rotate(

@@ -25,14 +25,17 @@ from the one table ``noise.RAMAN_CHANNELS``.
 A state is a batch of trials: each field is an array over its trials,
 and a single trial is a batch of one (``prepare_css`` and
 ``polarized_state`` return arrays of one element, and ``tile`` repeats
-them).  ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` are
-plain numpy code over the batch.  The two that draw take the batch's
-``BatchStream``: its trials lie in chunks of consecutive trials, each
-chunk with a generator of its own, and each draw is one bulk call of
-normals per chunk over the chunk's trials, so a trial's variates do not
-depend on the other chunks of its batch.  A lone generator is a stream of
-one chunk.  A normal is drawn for every trial, channel and count, and
-scaled by a std. dev. (or a count's mean) that is zero where it is off.
+them).  States are values: ``EnsembleState`` is frozen, and ``rotate``,
+``apply_raman_diffusion`` and ``probe_measure``, plain numpy code over
+the batch, each return a new state and leave their input as it was; no
+code writes into a field's array, so states may share arrays.  The two
+that draw take the batch's ``BatchStream``: its trials lie in chunks of
+consecutive trials, each chunk with a generator of its own, and each
+draw is one bulk call of normals per chunk over the chunk's trials, so a
+trial's variates do not depend on the other chunks of its batch.  A lone
+generator is a stream of one chunk.  A normal is drawn for every trial,
+channel and count, and scaled by a std. dev. (or a count's mean) that is
+zero where it is off.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .physics import (
     EnsembleParams,
     alpha_per_atom,
     check_arg,
+    contrast_decay,
     dressed_shift,
     invert_dressed_shift,
     scattered_ratio,
@@ -154,16 +158,16 @@ class InvariantError(ValueError):
         self.name, self.row = name, row
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleState:
     """Gaussian-moment collective spin state of a batch of trials.
 
     Each field is an array over the batch's trials; a single trial is a
-    batch of one.  ``freq_offset`` accumulates persistent probe-induced
-    displacements of the dressed frequency (recoil heating plus the
-    dispersive pulls of atoms moved out of the up-state bookkeeping);
-    ``echo_phase`` tracks the static inhomogeneous light-shift phase
-    refocused by pi pulses.
+    batch of one; a state is a value (see the module docstring).
+    ``freq_offset`` accumulates persistent probe-induced displacements of
+    the dressed frequency (recoil heating plus the dispersive pulls of
+    atoms moved out of the up-state bookkeeping); ``echo_phase`` tracks
+    the static inhomogeneous light-shift phase refocused by pi pulses.
     """
 
     n_total: np.ndarray
@@ -178,20 +182,13 @@ class EnsembleState:
     freq_offset: np.ndarray
     echo_phase: np.ndarray
 
-    def copy(self) -> "EnsembleState":
-        return EnsembleState(*(np.array(getattr(self, name))
-                               for name in _FIELDS))
-
     def tile(self, size: int) -> "EnsembleState":
         """A batch of ``size`` trials, each in this single-trial state."""
         return EnsembleState(*(np.repeat(getattr(self, name), size)
                                for name in _FIELDS))
 
-    def bloch_length(self) -> np.ndarray:
-        return self.contrast * self.n_total / 2.0
-
     def cos_polar(self) -> np.ndarray:
-        j = self.bloch_length()
+        j = self.contrast * self.n_total / 2.0  # the Bloch vector's length
         with np.errstate(over="ignore"):
             ratio = self.jz_mean / np.where(j > 0.0, j, 1.0)
         return np.where(j > 0.0, np.minimum(1.0, np.maximum(-1.0, ratio)),
@@ -247,8 +244,7 @@ def _single_trial(n: float, up: float, ens: EnsembleParams) -> EnsembleState:
     """A batch of one trial with ``up`` of its ``n`` atoms in the up state,
     its Bloch vector along x-hat or a pole, and an uncertainty disk of the
     N/4 projection noise."""
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check_arg(n > 0, "n", n, "positive")
     return EnsembleState(*(np.array([v], dtype=float) for v in (
         n, up, n - up, 0.0, up - n / 2.0, n / 4.0, n / 4.0,
         ens.initial_contrast, 0.0, 0.0, 0.0)))
@@ -285,19 +281,12 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     the accumulated dephasing into the contrast.  ``angle`` and
     ``pulse_phase`` are numbers or arrays with one value per trial.
     """
-    new = state.copy()
-    turning = angle != 0.0
-    if not np.any(turning):
-        return new
-
     half_turns = angle / math.pi
     turns = np.round(half_turns)
     is_pi = (abs(half_turns - turns) < 1e-12) & (turns % 2 != 0)
     echo = state.echo_phase
-    new.contrast = np.where(is_pi | (echo == 0.0), state.contrast,
-                            state.contrast * np.exp(-0.5 * echo * echo))
-    # a zero phase stays +0.0 under a pi pulse
-    new.echo_phase = np.where(is_pi & (echo != 0.0), -echo, 0.0)
+    contrast = np.where(is_pi | (echo == 0.0), state.contrast,
+                        state.contrast * np.exp(-0.5 * echo * echo))
 
     # Rodrigues' rotation of the unit Bloch vector u about the equatorial
     # axis a = (ax, ay, 0) in components: u ca + (a x u) sa + a (a.u)(1 - ca)
@@ -311,16 +300,21 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
                   uy * ca - ax * cz * sa + ay * along,
                   cz * ca + (ax * uy - ay * ux) * sa)
 
-    new.jz_mean = new.bloch_length() * uz
-    new.azimuth = np.where(ux * ux + uy * uy > 1e-24, np.arctan2(uy, ux),
-                           state.azimuth)
-    new.pop_up = new.n_total / 2.0 + new.jz_mean
-    new.pop_down = new.n_total - new.pop_one - new.pop_up
-    if np.count_nonzero(turning) < np.size(turning):
-        # a zero angle leaves its trial untouched
-        new = EnsembleState(*(np.where(turning, getattr(new, f),
-                                       getattr(state, f)) for f in _FIELDS))
-    return new
+    jz_mean = contrast * state.n_total / 2.0 * uz
+    pop_up = state.n_total / 2.0 + jz_mean
+    new = replace(
+        state, contrast=contrast, jz_mean=jz_mean, pop_up=pop_up,
+        pop_down=state.n_total - state.pop_one - pop_up,
+        azimuth=np.where(ux * ux + uy * uy > 1e-24, np.arctan2(uy, ux),
+                         state.azimuth),
+        # a zero phase stays +0.0 under a pi pulse
+        echo_phase=np.where(is_pi & (echo != 0.0), -echo, 0.0))
+    turning = angle != 0.0
+    if np.all(turning):
+        return new
+    # a zero angle leaves its trial untouched
+    return EnsembleState(*(np.where(turning, getattr(new, f),
+                                    getattr(state, f)) for f in _FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +416,16 @@ def _visible_share(jumps, events, tech_var, z) -> np.ndarray:
     return 0.5 * sum(shifts) + np.sqrt(var) * z
 
 
-def _apply_counts(state: EnsembleState, counts, offsets, moves) -> None:
-    """Move populations for realized transition counts (in place), and add
-    each event's persistent offset to the frequency offset, in table order."""
-    pulls = [o * c for o, c in zip(offsets, counts)]
-    state.freq_offset += sum(pulls[1:], pulls[0])
+def _apply_counts(state: EnsembleState, counts, offsets,
+                  moves) -> EnsembleState:
+    """``state`` with populations moved by realized transition counts, and
+    each event's persistent offset added to the frequency offset."""
+    pulls = [o * c for o, c in zip(offsets, counts)]  # summed in table order
     up, down, one = moves.T @ counts  # sums of integers: exact
-    state.pop_up += up
-    state.pop_down += down
-    state.pop_one += one
-    state.jz_mean += up
+    return replace(
+        state, freq_offset=state.freq_offset + sum(pulls[1:], pulls[0]),
+        pop_up=state.pop_up + up, pop_down=state.pop_down + down,
+        pop_one=state.pop_one + one, jz_mean=state.jz_mean + up)
 
 
 def apply_raman_diffusion(state: EnsembleState, m_s: float,
@@ -447,15 +441,13 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     cav = params.cavity
-    new = state.copy()
-    counts = _sample_counts(new, m_s, params.transitions, BatchStream.of(
-        rng, new.n_total.size).normal(4))
-    au = alpha_per_atom("up", np.maximum(new.pop_up, 0.0), cav)
+    counts = _sample_counts(state, m_s, params.transitions, BatchStream.of(
+        rng, state.n_total.size).normal(4))
+    au = alpha_per_atom("up", np.maximum(state.pop_up, 0.0), cav)
     moves = _noise._REPUMPED_MOVES if repump_to_up else _noise._MOVES
     offsets = _noise._channel_shifts(moves, au, alpha_per_atom(
         "down", 0.0, cav), cav.c1_coupling * au)[0]
-    _apply_counts(new, counts, offsets, moves)
-    return new
+    return _apply_counts(state, counts, offsets, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +474,14 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
         m_t = params.probe.m_t
     if np.any(m_t <= 0):
         raise ValueError("probe window needs m_t > 0; drop the step instead")
-    new = state.copy()
-    n = new.n_total
+    n = state.n_total
     stream = BatchStream.of(rng, n.size)
     z_jz, z_read, z_noise, *z_counts = stream.normal(8)
 
     # realized spin projection; the disk projects onto the lab z axis
-    cz = new.cos_polar()
+    cz = state.cos_polar()
     sin2 = np.maximum(0.0, 1.0 - cz * cz)
-    jz_true = new.jz_mean + np.sqrt(new.jz_var * sin2) * z_jz
+    jz_true = state.jz_mean + np.sqrt(state.jz_var * sin2) * z_jz
     n_up_true = np.minimum(np.maximum(n / 2.0 + jz_true, 0.0), n)
 
     m_s = m_t * scattered_ratio(n_up_true, cav)
@@ -500,11 +491,9 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     eps = TWO_PI * cav.recoil_shift_per_photon
 
     # technical noises of the reading
-    read_sig = _noise.read_noise_freq(m_t, coeffs, cav)
-    if params.lineshape_penalty:
-        offset = detuning_offset / (cav.kappa / 2.0)
-        read_sig = read_sig * np.sqrt(
-            1.0 + params.lineshape_penalty * offset * offset)
+    offset = detuning_offset / (cav.kappa / 2.0)
+    read_sig = _noise.read_noise_freq(m_t, coeffs, cav) * np.sqrt(
+        1.0 + params.lineshape_penalty * offset * offset)
     r_c_inj = _noise.classical_injection_coeff(
         coeffs, params.probe.ms_classical_frac, cav, tp)
     class_sig = _noise.injected_classical_freq(
@@ -513,10 +502,10 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
 
     # Raman events and recoil photons: full effect persists, a (1 - tau)
     # share shows in this window's reading
-    counts = _sample_counts(new, m_s, tp, z_counts[:4])
+    counts = _sample_counts(state, m_s, tp, z_counts[:4])
     n_phot = gaussian_counts(m_s, z_counts[4])
     offsets, jumps = _noise._channel_shifts(_noise._MOVES, au, ad, a1)
-    reading = (dressed_shift(n_up_true, cav) + new.freq_offset
+    reading = (dressed_shift(n_up_true, cav) + state.freq_offset
                + read_sig * z_read + _visible_share(
                    (*jumps, -eps), (*counts, n_phot),
                    class_sig * class_sig + floor_sig * floor_sig, z_noise))
@@ -524,30 +513,29 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     # condition the state on the spin information in the reading
     sigma_m = read_sig / au
     sigma_m2 = sigma_m * sigma_m
-    eff_var = new.jz_var * sin2
+    eff_var = state.jz_var * sin2
     z = jz_true + sigma_m * z_read
     update = (sigma_m != 0.0) & (eff_var > 0.0)
     denominator = np.where(update, eff_var + sigma_m2, 1.0)
     gain = eff_var / denominator
     exact = (sigma_m == 0.0) & (sin2 > 0.0)
-    new.jz_mean = np.where(update, new.jz_mean + gain * (z - new.jz_mean),
-                           np.where(exact, jz_true, new.jz_mean))
-    new.jz_var = np.where(update, new.jz_var * sigma_m2 / denominator,
-                          np.where(exact, 0.0, new.jz_var))
+    jz_var = np.where(update, state.jz_var * sigma_m2 / denominator,
+                      np.where(exact, 0.0, state.jz_var))
+    conditioned = replace(state, jz_var=jz_var, jz_mean=np.where(
+        update, state.jz_mean + gain * (z - state.jz_mean),
+        np.where(exact, jz_true, state.jz_mean)))
 
-    # persistent back-action
-    _apply_counts(new, counts, offsets, _noise._MOVES)
-    new.freq_offset += -eps * n_phot
-    new.contrast *= np.exp(-(1.0 + params.contrast_excess) * m_s / n)
-    if params.light_shift_per_photon:
-        new.echo_phase += params.light_shift_per_photon * m_t
-
-    # anti-squeezing keeps the uncertainty product legal
-    bound = new.contrast * n / 4.0
-    jz_var_floor = np.maximum(new.jz_var, JZ_VAR_FLOOR)
-    new.jy_var = np.maximum(new.jy_var, bound * bound / jz_var_floor)
-
+    # persistent back-action; anti-squeezing keeps the uncertainty product
+    # legal
+    new = _apply_counts(conditioned, counts, offsets, _noise._MOVES)
+    contrast = state.contrast * contrast_decay(m_s, n,
+                                               params.contrast_excess)
+    bound = contrast * n / 4.0
     outcome = MeasurementOutcome(
         freq=reading, n_up=invert_dressed_shift(reading, cav),
         true_jz=jz_true)
-    return outcome, new
+    return outcome, replace(
+        new, freq_offset=new.freq_offset + -eps * n_phot, contrast=contrast,
+        echo_phase=state.echo_phase + params.light_shift_per_photon * m_t,
+        jy_var=np.maximum(state.jy_var, bound * bound / np.maximum(
+            jz_var, JZ_VAR_FLOOR)))

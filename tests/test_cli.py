@@ -22,6 +22,11 @@ def test_unknown_flag_exit_2():
     assert cli_dispatch(["budget", "--frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("command", [["budget"], ["fit", "--in", "r.csv"]])
+def test_trials_flag_only_where_trials_run(command):
+    assert cli_dispatch([*command, "--trials", "5"]) == 2
+
+
 def test_budget_writes_table(tmp_path, capsys):
     rc = cli_dispatch(["budget", "--out", str(tmp_path), "--seed", "1"])
     assert rc == 0

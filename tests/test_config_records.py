@@ -450,7 +450,13 @@ class TestRecordIO:
         ("labels", "Np", "must be a list of strings (got 'Np')"),
         ("master_seed", "abc", "must be null or an integer (got 'abc')"),
         ("master_seed", 5.0, "must be null or an integer (got 5.0)"),
-        ("master_seed", True, "must be null or an integer (got True)")])
+        ("master_seed", True, "must be null or an integer (got True)"),
+        ("n_trials", "3", "must be an integer >= 0 (got '3')"),
+        ("n_trials", True, "must be an integer >= 0 (got True)"),
+        ("n_trials", 3.0, "must be an integer >= 0 (got 3.0)"),
+        ("n_trials", -3, "must be an integer >= 0 (got -3)"),
+        ("params", 5, "must be a JSON object (got 5)"),
+        ("params", ["a"], "must be a JSON object (got ['a'])")])
     def test_sidecar_entry_of_a_wrong_type_is_named(self, tmp_path, key,
                                                     value, rule):
         path = tmp_path / "records.csv"

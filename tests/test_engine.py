@@ -463,7 +463,7 @@ def healthy_state():
 def test_corrupted_state_trips_its_invariant(field, value, name):
     single = healthy_state()
     single.validate()
-    setattr(single, field, value)
+    single = replace(single, **{field: value})
     with pytest.raises(ValueError,
                        match=re.escape(f"invariant violated: {name}")):
         single.validate()
@@ -472,7 +472,7 @@ def test_corrupted_state_trips_its_invariant(field, value, name):
     batch.validate()
     column = getattr(batch, field).copy()
     column[[3, 4]] = value
-    setattr(batch, field, column)
+    batch = replace(batch, **{field: column})
     with pytest.raises(InvariantError) as err:
         batch.validate()
     assert (err.value.name, err.value.row) == (name, 3)
@@ -490,8 +490,7 @@ def corrupt_contrast_at(monkeypatch, position: int) -> None:
         assert new.contrast.size > position  # the batch spans chunks
         contrast = new.contrast.copy()
         contrast[position] = 2.0
-        new.contrast = contrast
-        return new
+        return replace(new, contrast=contrast)
 
     monkeypatch.setattr(sequence, "rotate", corrupting_rotate)
 

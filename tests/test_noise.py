@@ -20,6 +20,7 @@ from squeezesim.noise import (
     classical_injection_coeff,
     classical_scale,
     fit_r,
+    injected_classical_freq,
     legacy_diffusion_limit,
     model_r,
     opto_noise_term,
@@ -345,6 +346,8 @@ class TestModelArguments:
          "m_t must be non-negative"),
         (lambda x: read_noise_freq(x, NoiseCoeffs(), CAV),
          "m_t must be positive"),
+        (lambda x: injected_classical_freq(1e4, N_REF, x, NoiseCoeffs(), CAV),
+         "r_c_inj must be non-negative"),
         (lambda x: pop_noise_quantum(x, N_REF, TP, ALPHAS),
          "m_s must be non-negative"),
         (lambda x: pop_noise_classical(x, 0.04, N_REF, TP, ALPHAS),
@@ -363,6 +366,7 @@ class TestModelArguments:
             prepare_css(N_REF, EnsembleParams()).tile(4), x, SimParams(),
             np.random.default_rng(0)), "m_s must be non-negative")],
         ids=["budget_terms", "model_r", "opto_noise_term", "read_noise_freq",
+             "injected_classical_freq",
              "pop_noise_quantum", "pop_noise_classical-m_s",
              "pop_noise_classical-frac", "recoil_noise",
              "legacy_diffusion_limit", "enhancement-R",
@@ -512,6 +516,13 @@ class TestOpto:
     def test_zero_amplitude(self):
         t = np.linspace(0.0, 20e-6, 50)
         assert np.all(opto_ringing_trace(0.1, t, CAV, 0.0) == 0.0)
+
+    def test_bad_tau0_is_named(self):
+        t = np.linspace(0.0, 20e-6, 50)
+        for bad, got in ((math.nan, "nan"), (0.0, "0.0"), (-2.0, "-2.0")):
+            with pytest.raises(ValueError) as err:
+                opto_ringing_trace(0.1, t, CAV, 1.0, tau0=bad)
+            assert str(err.value) == f"tau0 must be positive (got {got})"
 
     def test_noise_term_calibration(self):
         assert 1.0 / opto_noise_term(4.1e4, N_REF, CAV) == pytest.approx(620.0)

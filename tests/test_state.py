@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -152,6 +152,11 @@ class TestPrepareCss:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prepare_css(0.0, ENS)
+        for make in (prepare_css, polarized_state):
+            for bad, got in ((math.nan, "nan"), (-2.0, "-2.0")):
+                with pytest.raises(ValueError) as err:
+                    make(bad, ENS)
+                assert str(err.value) == f"n must be positive (got {got})"
 
 
 class TestRotate:
@@ -165,7 +170,7 @@ class TestRotate:
     def test_small_angle_displaces_by_contrast_length(self):
         n = 4.3e5
         s = prepare_css(n, ENS)
-        s = replace_state(s, jz_var=100.0)  # squeezed
+        s = replace(s, jz_var=100.0)  # squeezed
         psi = 2.3e-3
         s2 = rotate(s, psi, 0.0)
         expected = s.contrast * (n / 2.0) * psi
@@ -190,7 +195,7 @@ class TestRotate:
 
     def test_pi_flips_jz_exactly(self):
         s = prepare_css(1e5, ENS)
-        s = replace_state(s, jz_mean=137.0)
+        s = replace(s, jz_mean=137.0)
         s2 = rotate(s, math.pi, 0.0)
         assert s2.jz_mean == pytest.approx(-137.0, rel=1e-9)
 
@@ -200,13 +205,6 @@ class TestRotate:
             s = rotate(s, th, ph)
             total = s.pop_up + s.pop_down + s.pop_one
             assert total == pytest.approx(2e5, rel=1e-12)
-
-
-def replace_state(s: EnsembleState, **kw) -> EnsembleState:
-    new = s.copy()
-    for k, v in kw.items():
-        setattr(new, k, v)
-    return new
 
 
 class TestHeisenberg:
@@ -227,8 +225,49 @@ class TestHeisenberg:
 
     def test_violation_detected(self):
         s = prepare_css(1e5, ENS)
-        s = replace_state(s, jy_var=0.0)
+        s = replace(s, jy_var=0.0)
         assert not heisenberg_check(s)
+
+
+def off_equator_batch(trials: int = 64) -> EnsembleState:
+    """A batch off the equator that carries a frequency offset and an echo
+    phase, so that every field is nonzero somewhere."""
+    s = rotate(polarized_state(2e5, ENS, "down"), 0.6 * math.pi, 0.3)
+    return replace(s.tile(trials),
+                   freq_offset=np.linspace(-1e3, 1e3, trials),
+                   echo_phase=np.full(trials, 0.2))
+
+
+class TestStatesAreValues:
+    """Every operation returns a new state and leaves its input as it
+    was, and no field of a state can be assigned."""
+
+    @pytest.mark.parametrize("operation", [
+        lambda s: rotate(s, math.pi / 2, 0.4),
+        lambda s: rotate(s, np.where(np.arange(64) % 2, math.pi, 0.0), 0.0),
+        lambda s: probe_measure(s, sim(), np.random.default_rng(3))[1],
+        lambda s: probe_measure(s, IDEAL, np.random.default_rng(3))[1],
+        lambda s: apply_raman_diffusion(s, 4e4, sim(),
+                                        np.random.default_rng(4)),
+        lambda s: apply_raman_diffusion(s, 4e4, sim(),
+                                        np.random.default_rng(4),
+                                        repump_to_up=True)],
+        ids=["rotate", "rotate-some-zero-angles", "probe_measure",
+             "probe_measure-ideal", "apply_raman_diffusion",
+             "apply_raman_diffusion-repump"])
+    def test_operation_leaves_its_input_bit_identical(self, operation):
+        s = off_equator_batch()
+        before = {f.name: getattr(s, f.name).copy() for f in fields(s)}
+        new = operation(s)
+        assert new is not s
+        for name, value in before.items():
+            assert getattr(s, name).tobytes() == value.tobytes(), name
+
+    def test_fields_cannot_be_assigned(self):
+        s = off_equator_batch()
+        for f in fields(EnsembleState):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, f.name, np.zeros(64))
 
 
 class TestRamanDiffusion:
@@ -328,7 +367,7 @@ class TestProbeMeasure:
         # with a definite Jz realization the decay law is exact per window
         n = 4.8e5
         s = prepare_css(n, ENS)
-        s = replace_state(s, jz_var=1e-12)
+        s = replace(s, jz_var=1e-12)
         rng = np.random.default_rng(10)
         m_s = IDEAL_PROBE.m_t * scattered_ratio(n / 2.0, CAV)
         for k in range(1, 4):

@@ -6,8 +6,12 @@ calibrate-raman, fit, run) at fixed seeds and small sizes in a temporary
 directory, and prints one line per file written: its sha256 and its name.
 That covers every CSV, every ``*.config.ini`` echo and ``fit.json``; the
 ``*.meta.json`` sidecars are left out, since they carry the time of the
-run.  Two revisions whose outputs agree byte for byte print the same
-lines, so a change meant to keep the outputs is checked with
+run.  Then it reads back record files and writes them again: the
+``run-batches`` records, and hand-made files whose cells take each of
+the reader's two paths (spellings JSON lacks, ``nan`` and ``inf``, LF
+line ends, and plain cells at the edges of the float64 range).  Two
+revisions whose outputs agree byte for byte print the same lines, so a
+change meant to keep the outputs is checked with
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -18,11 +22,13 @@ Takes about 2 s on one core.
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from squeezesim.cli import cli_dispatch
+from squeezesim.records import read_records, write_records
 
 PROTOCOL = """\
 prealign
@@ -61,6 +67,29 @@ ms_classical_frac = 0.06
 [transition]
 p_u1 = 5e-3
 """
+
+
+# hand-made record files of probe labels Np and N,d, whose cells are
+# spelled unlike what write_records writes
+RECORD_HEADER = (b'# schema=2\ntrial,Np,"N,d",omega_p_offset_hz,Np_freq_hz,'
+                 b'"N,d_freq_hz",true_jz_1\r\n')
+EDGE_RECORDS = {
+    # text cells: read as text
+    "text-cells.csv": RECORD_HEADER + b"".join(row + b"\r\n" for row in (
+        b"0,nan,inf,-inf,2.3e-05,1e+16,5e-324",
+        b"1,+1,01,.5,1.,-0,1e400",
+        b"2,-1E-400,0.0001,9999999999999998.0,-1e-310,"
+        b"12345678901234567890123,-0e0")),
+    # LF line ends: read as text
+    "lf-ends.csv": RECORD_HEADER.replace(b"\r\n", b"\n") + b"".join(
+        row + b"\n" for row in (b"0,1.5,2.5,3.5,4.5,5.5,6.5",
+                                  b"1,1e16,2.3e-05,5e-324,-0.0,7,8")),
+    # plain cells: one orjson parse
+    "plain-cells.csv": RECORD_HEADER + b"".join(row + b"\r\n" for row in (
+        b"0,1e16,2.3e-05,5e-324,-0.0,1E1,1e+16",
+        b"1,18446744073709551616,-9223372036854775809,4.9e-324,"
+        b"2.2250738585072014e-308,-1.7976931348623157e308,-0e0",
+        b"2,100,0.1,1.7976931348623157e+308,3,0,-2.5"))}
 
 
 def commands(work: Path) -> dict[str, list]:
@@ -132,6 +161,18 @@ def main() -> int:
                 if not path.name.endswith(".meta.json"):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     print(f"{digest}  {name}/{path.name}")
+        sources = {"run-batches.csv": work / "run-batches" / "records.csv"}
+        for name, data in EDGE_RECORDS.items():
+            sources[name] = work / name
+            sources[name].write_bytes(data)
+            (work / f"{name}.meta.json").write_text(json.dumps({
+                "schema": 2, "labels": ["Np", "N,d"], "master_seed": 1,
+                "n_trials": data.count(b"\n") - 2, "params": {}}))
+        for name, path in sources.items():
+            out = work / "records-again" / name
+            write_records(read_records(path), out)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            print(f"{digest}  records-again/{name}")
     return 0
 
 

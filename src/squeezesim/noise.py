@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from statistics import NormalDist
 from typing import TYPE_CHECKING
 
@@ -169,10 +169,12 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     return FitResult(coeffs=coeffs, intervals=intervals, n_boot=n_boot)
 
 
+@cache
 def _t_quantile(p: float, dof: int) -> float:
     """The p-quantile of Student's t with an integer ``dof``: bisects
     theta = atan(t / sqrt(dof)) in (0, pi/2) to the last bit on the closed
-    form of P(|T| <= t), Abramowitz and Stegun 26.7.3 (odd dof) and 26.7.4.
+    form of P(|T| <= t), Abramowitz and Stegun 26.7.3 (odd dof) and 26.7.4;
+    cached, as every fit of as many points asks for the same quantile.
     """
     lo, mid, hi = 0.0, math.pi / 4.0, math.pi / 2.0
     while lo < mid < hi:
@@ -421,6 +423,8 @@ def opto_ringing_trace(delta_p: float, t_grid, cav: CavityParams,
     below it.  ``amp`` in the caller's frequency units, ``tau0`` the
     on-resonance decay time.
     """
+    check_arg(math.isfinite(delta_p), "delta_p", delta_p, "finite")
+    check_arg(math.isfinite(amp), "amp", amp, "finite")
     check_arg(tau0 > 0, "tau0", tau0, "positive")
     t = np.asarray(t_grid, dtype=float)
     tau = tau0 * (1.0 + delta_p / cav.kappa)

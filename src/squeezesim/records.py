@@ -1,7 +1,7 @@
 """Lossless trial-record persistence: CSV rows plus a JSON metadata sidecar.
 
-The CSV starts with a ``# schema=2`` comment, then a header row.  Columns
-for a record set with probe labels L1..Lk::
+A record file is UTF-8 text.  It starts with a ``# schema=2`` comment,
+then a header row.  Columns for a record set with probe labels L1..Lk::
 
     trial, L1, ..., Lk, omega_p_offset_hz,
     L1_freq_hz, ..., Lk_freq_hz, true_jz_1, ..., true_jz_m
@@ -13,31 +13,44 @@ arrays: the k-th label's columns are the k-th column of ``n_up`` and of
 ``freq_hz``, and ``true_jz_j`` is the j-th column of ``true_jz``.  Both
 functions work on those arrays and build no ``TrialRecord``.  Every
 float cell is spelled as ``repr`` spells it (shortest round-trip form), so
-``read_records(write_records(rs)) == rs`` bit-exactly; the writer gets
-most cells from one ``orjson`` call (see :func:`_rows`).  Numbers are
-never quoted, so the reader splits a data row at its commas; only the
-header, whose labels may be quoted, goes through ``csv``.
+``read_records(write_records(rs)) == rs`` bit-exactly.  The writer gets
+most cells from one ``orjson`` call (see :func:`_rows`) and writes the
+rows as one byte string.  Numbers are never quoted; only the header,
+whose labels may be quoted, goes through ``csv``.
+
+The reader has two paths, which read every file alike.  A file laid out
+as the writer lays it out, whose data rows hold only digits, signs,
+points, exponents and commas and end in CRLF, is parsed in one
+``orjson`` call (see :func:`_plain`).  Any other file (a ``nan`` or
+``inf`` cell, a spelling JSON lacks such as ``+1``, ``01`` or ``.5``,
+LF line ends, a blank line, a short row or a cell that is not a number)
+is read as text, each row split at its commas and its cells converted
+by numpy (see :func:`_text_rows` and :func:`_parse`), which also names
+what is wrong with it.
 The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
 master seed, the trial count, a content hash of the canonical parameter
 text, and a timestamp (the only non-reproducible output field).
 ``read_records`` raises ``RecordIOError``, naming the file and where it
 can the line and column, for a sidecar that is not a JSON object or
-lacks an entry it reads or holds one of the wrong type, a schema line
-other than ``# schema=2``, a header that names a column twice, a row
-count that differs from the sidecar's, a row whose length differs from
-the header's, a cell that is not a number, or a sidecar label with no
-column.  ``write_records`` raises it, writing nothing, for a probe label
-that is also the name of another column (``trial``,
-``omega_p_offset_hz``, another label's ``_freq_hz`` column or a
-``true_jz_`` column).  ``read_records`` rejects a schema-1 file, written
-when every trial drew from a seed of its own, the file's ``seed`` column.
+lacks an entry it reads or holds one of the wrong type or repeats a
+label, a schema line other than ``# schema=2``, a header that names a
+column twice, a row count that differs from the sidecar's, a row whose
+length differs from the header's, a cell that is not a number, or a
+sidecar label with no column.  ``write_records`` raises it, writing
+nothing, for a probe label that is also the name of another column
+(``trial``, ``omega_p_offset_hz``, another label's ``_freq_hz`` column
+or a ``true_jz_`` column).  ``read_records`` rejects a schema-1 file,
+written when every trial drew from a seed of its own, the file's
+``seed`` column.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,6 +62,12 @@ from .sequence import RecordSet
 SCHEMA_VERSION = 2
 # file line of the first data row: the schema comment, then the header
 _FIRST_ROW_LINE = 3
+_SCHEMA_LINE = f"# schema={SCHEMA_VERSION}\n".encode()
+# the bytes the cells of a plain data row may hold
+_PLAIN_CELL = b"0123456789.,-+eE"
+# a cell "-0" among rows joined as JSON: JSON reads it as the integer 0,
+# numpy as -0.0
+_MINUS_ZERO = re.compile(rb"-0[,\]]")
 
 
 class RecordIOError(ValueError):
@@ -76,7 +95,7 @@ def _leading(labels: list[str]) -> list[str]:
             + [f"{lb}_freq_hz" for lb in labels])
 
 
-def _rows(matrix: np.ndarray) -> list[str]:
+def _rows(matrix: np.ndarray) -> list[bytes]:
     """Each row of a float64 matrix as its cells' ``repr`` joined by commas.
 
     One ``orjson`` call writes every cell; its shortest round-trip digits
@@ -88,13 +107,12 @@ def _rows(matrix: np.ndarray) -> list[str]:
     if len(matrix) == 0:
         return []
     rows = orjson.dumps(np.ascontiguousarray(matrix),
-                        option=orjson.OPT_SERIALIZE_NUMPY
-                        )[2:-2].decode().split("],[")
+                        option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
     magnitude = np.abs(matrix)
     plain = (((magnitude >= 1e-4) & (magnitude < 1e16))
              | (magnitude == 0.0))
     for k in np.flatnonzero(~plain.all(axis=1)).tolist():
-        rows[k] = ",".join(map(repr, matrix[k].tolist()))
+        rows[k] = ",".join(map(repr, matrix[k].tolist())).encode()
     return rows
 
 
@@ -106,16 +124,19 @@ def write_records(rs: RecordSet, path) -> None:
     if (name := _repeated(header)) is not None:
         raise RecordIOError(f"{path}: probe label {name!r} is also the name "
                             "of another column of the record file")
-    rows = _rows(np.column_stack(
-        (rs.n_up, rs.omega_p_offset_hz, rs.freq_hz, rs.true_jz)))
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    # a number needs no quoting, so a row is its cells joined the way
+    # csv.writer joins them
+    body = b"".join([b"%d,%b\r\n" % row for row in enumerate(_rows(
+        np.column_stack((rs.n_up, rs.omega_p_offset_hz, rs.freq_hz,
+                         rs.true_jz))))])
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={SCHEMA_VERSION}\n")
-        csv.writer(fh).writerow(header)
-        # a number needs no quoting, so a row is its cells joined the way
-        # csv.writer joins them
-        fh.writelines(f"{k},{row}\r\n" for k, row in enumerate(rows))
+    with open(path, "wb") as fh:
+        fh.write(_SCHEMA_LINE)
+        fh.write(head.getvalue().encode())
+        fh.write(body)
 
     meta = {
         "schema": SCHEMA_VERSION,
@@ -129,6 +150,74 @@ def write_records(rs: RecordSet, path) -> None:
     with open(_sidecar(path), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _plain(data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The header and the cells, one row per trial, of a record file whose
+    data rows are plain numbers, read with one ``orjson`` call; None for
+    any other file, which :func:`_text_rows` reads.
+
+    The file must start with the schema line, end its header and every
+    data row in CRLF and hold no other CR or LF, and its rows must hold
+    only the bytes of ``_PLAIN_CELL``, no cell ``-0``, and a cell for each
+    column.  JSON is stricter than numpy about the rest (``+1``, ``01``,
+    ``.5`` and ``1.`` are not JSON) and reads each number it takes to the
+    value numpy reads, so both paths give the same bits.  A header whose
+    quoted label runs on past its line is left to the text path.
+    """
+    # each copy of the file is freed once the next is made, which keeps
+    # the peak memory of a large file down
+    head, *rows = data.split(b"\r\n")
+    del data
+    # the file ends in CRLF and has a data row
+    if not (head.startswith(_SCHEMA_LINE) and rows and rows.pop() == b""
+            and rows):
+        return None
+    line = head[len(_SCHEMA_LINE):]
+    if b"\r" in line or b"\n" in line:
+        return None
+    try:
+        header = next(csv.reader([line.decode()], strict=True))
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    n = len(rows)
+    rows[0] = b"[[" + rows[0]
+    rows[-1] += b"]]"
+    text = b"],[".join(rows)
+    del rows
+    # once a plain cell's bytes are taken out, only the brackets are left
+    if (len(text.translate(None, _PLAIN_CELL)) != 2 * n + 2
+            or _MINUS_ZERO.search(text)):
+        return None
+    try:
+        cells = orjson.loads(text)
+        del text
+        matrix = np.array(cells, dtype=np.float64)
+    except ValueError:  # not JSON, beyond float64, or rows of two lengths
+        return None
+    if matrix.shape != (n, len(header)):
+        return None
+    return header, matrix
+
+
+def _text_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows, each split into its cells, of a record
+    file read as text, or an error naming a bad schema line or header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        first = fh.readline().strip()
+        if not first.startswith("# schema="):
+            raise RecordIOError(f"{path}, line 1: missing '# schema=' "
+                                "comment line")
+        if first != f"# schema={SCHEMA_VERSION}":
+            raise RecordIOError(f"{path}, line 1: unsupported schema "
+                                f"{first[len('# schema='):]!r}")
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise RecordIOError(f"{path}: missing CSV header row")
+        # a number is never quoted: a data row is its line split at commas,
+        # and an empty line has no cells, as csv.reader reads them
+        return header, [line.split(",") if line else []
+                        for line in (text.rstrip("\r\n") for text in fh)]
 
 
 def _parse(path: Path, names: list[str], cells: list[tuple]) -> np.ndarray:
@@ -174,11 +263,14 @@ def read_records(path) -> RecordSet:
         if key not in meta:
             raise RecordIOError(f"{meta_path}: no {key!r} entry")
     labels, master_seed = meta["labels"], meta["master_seed"]
+    strings = isinstance(labels, list) and all(
+        isinstance(label, str) for label in labels)
+    twice = _repeated(labels) if strings else None
     # a JSON integer loads as an int, and true and false as bools
     for key, ok, rule in (
-            ("labels", isinstance(labels, list) and all(
-                isinstance(label, str) for label in labels),
-             "a list of strings"),
+            ("labels", strings, "a list of strings"),
+            ("labels", twice is None,
+             f"a list of strings that names {twice!r} once"),
             ("master_seed", master_seed is None or type(master_seed) is int,
              "null or an integer"),
             ("n_trials", type(meta["n_trials"]) is int
@@ -188,21 +280,11 @@ def read_records(path) -> RecordSet:
             raise RecordIOError(f"{meta_path}: {key!r} entry must be {rule} "
                                 f"(got {meta[key]!r})")
 
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# schema="):
-            raise RecordIOError(f"{path}, line 1: missing '# schema=' "
-                                "comment line")
-        if first != f"# schema={SCHEMA_VERSION}":
-            raise RecordIOError(f"{path}, line 1: unsupported schema "
-                                f"{first[len('# schema='):]!r}")
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise RecordIOError(f"{path}: missing CSV header row")
-        # a number is never quoted: a data row is its line split at commas,
-        # and an empty line has no cells, as csv.reader reads them
-        rows = [line.split(",") if line else []
-                for line in (text.rstrip("\r\n") for text in fh)]
+    # rows: the float matrix of a plain file, else each row's cells; the
+    # text path reads the file again, line by line, not holding its bytes
+    with open(path, "rb") as fh:
+        plain = _plain(fh.read())
+    header, rows = plain or _text_rows(path)
     if (name := _repeated(header)) is not None:
         raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
                             f"{name!r} appears more than once")
@@ -217,14 +299,17 @@ def read_records(path) -> RecordSet:
     if len(rows) != meta["n_trials"]:
         raise RecordIOError(f"{path}: {len(rows)} data rows, but the "
                             f"sidecar says n_trials = {meta['n_trials']}")
-    for k, row in enumerate(rows):
-        if len(row) != len(header):
-            raise RecordIOError(
-                f"{path}, line {_FIRST_ROW_LINE + k}: {len(row)} cells, but "
-                f"the header has {len(header)} columns")
-    cells = list(zip(*rows)) or [()] * len(header)
+    if plain is None:
+        for k, row in enumerate(rows):
+            if len(row) != len(header):
+                raise RecordIOError(
+                    f"{path}, line {_FIRST_ROW_LINE + k}: {len(row)} cells, "
+                    f"but the header has {len(header)} columns")
+        cells = list(zip(*rows)) or [()] * len(header)
 
     def floats(names: list[str]) -> np.ndarray:  # trials x names
+        if plain is not None:
+            return rows[:, [col[name] for name in names]]
         return _parse(path, names, [cells[col[name]] for name in names]
                       ).reshape(len(names), len(rows)).T
 

@@ -20,6 +20,7 @@ from squeezesim.defaults import DEFAULTS, RULES
 from squeezesim.noise import NoiseCoeffs
 from squeezesim.physics import TWO_PI, CavityParams, EnsembleParams
 from squeezesim.state import ProbeConfig, TransitionProbs
+from squeezesim import records
 from squeezesim.records import RecordIOError, read_records, write_records
 from squeezesim.sequence import RecordSet, SimParams, run_trials
 from squeezesim.experiments import standard_protocol
@@ -448,6 +449,8 @@ class TestRecordIO:
         ("labels", 5, "must be a list of strings (got 5)"),
         ("labels", [1, 2], "must be a list of strings (got [1, 2])"),
         ("labels", "Np", "must be a list of strings (got 'Np')"),
+        ("labels", ["Nd", "Nd"], "must be a list of strings that names "
+         "'Nd' once (got ['Nd', 'Nd'])"),
         ("master_seed", "abc", "must be null or an integer (got 'abc')"),
         ("master_seed", 5.0, "must be null or an integer (got 5.0)"),
         ("master_seed", True, "must be null or an integer (got True)"),
@@ -538,3 +541,94 @@ class TestRecordIO:
         elapsed = time.perf_counter() - t0
         assert back == rs
         assert elapsed < 5.0
+
+
+class TestReaderPaths:
+    """A record file is parsed in one orjson call when its rows hold plain
+    numbers, and is otherwise read as text; both read every file alike."""
+
+    @staticmethod
+    def random_set(seed: int, edges: list[float]) -> RecordSet:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        columns = (rng.standard_normal((7, n))
+                   * 10.0 ** rng.uniform(-3, 15, (7, n)))
+        for value in edges:  # each edge value in one random cell
+            columns[rng.integers(7), rng.integers(n)] = value
+        return column_set(columns[0], {"Np": (columns[1], columns[2]),
+                                       "N,d": (columns[3], columns[4])},
+                          columns[5:])
+
+    # the edges that orjson reads but writes unlike repr, and the values
+    # it does not read at all
+    @pytest.mark.parametrize("edges,plain", [
+        ([], True),
+        ([2.3e-05, 1e16, 5e-324, -0.0], True),
+        ([math.nan, math.inf, -math.inf, 2.3e-05, 1e16, 5e-324, -0.0],
+         False)], ids=["plain", "json-edges", "nan-inf"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets_roundtrip_bit_exact(self, tmp_path, edges, plain,
+                                             seed):
+        rs = self.random_set(seed, edges)
+        path = tmp_path / "records.csv"
+        write_records(rs, path)
+        assert (records._plain(path.read_bytes()) is not None) == plain
+        assert_same_bits(read_records(path), rs)
+
+    def test_plain_file_never_takes_the_text_path(self, tmp_path,
+                                                  monkeypatch):
+        rs = self.random_set(7, [2.3e-05, 1e16, 5e-324, -0.0])
+        path = tmp_path / "records.csv"
+        write_records(rs, path)
+
+        def text_path(*args):
+            raise AssertionError("a plain file was read as text")
+
+        monkeypatch.setattr(records, "_parse", text_path)
+        assert_same_bits(read_records(path), rs)
+
+    # trials 0..2; row 1, line 4 of the file, reads
+    # 1,11.25,31.75,1.5,21.5,41.5,51.125 (trial, Np, Nf, omega_p_offset_hz,
+    # Np_freq_hz, Nf_freq_hz, true_jz_1)
+    SMALL = column_set([0.5, 1.5, 2.5],
+                       {"Np": ([10.25, 11.25, 12.25], [20.5, 21.5, 22.5]),
+                        "Nf": ([30.75, 31.75, 32.75], [40.5, 41.5, 42.5])},
+                       [[50.125, 51.125, 52.125]])
+
+    # each edit of the file, and the message it gives after the file's
+    # name or the Nf cell of row 1 it reads
+    @pytest.mark.parametrize("old,new,outcome", [
+        pytest.param(b"\r\n", b"\n", 31.75, id="lf-line-ends"),
+        pytest.param(b",31.75,", b",+1,", 1.0, id="plus"),
+        pytest.param(b",31.75,", b",01,", 1.0, id="leading-zero"),
+        pytest.param(b",31.75,", b",.5,", 0.5, id="point-first"),
+        pytest.param(b",31.75,", b",1.,", 1.0, id="point-last"),
+        pytest.param(b",31.75,", b",1E1,", 10.0, id="upper-e"),
+        # JSON reads "-0" as the integer 0
+        pytest.param(b",31.75,", b",-0,", -0.0, id="minus-zero"),
+        pytest.param(b",31.75,", b",1e400,", math.inf, id="overflow"),
+        pytest.param(b",31.75,", b",nan,", math.nan, id="nan"),
+        pytest.param(b",31.75,", b',"31.75",', ", line 4, column 'Nf': "
+                     "'\"31.75\"' is not a float64 value", id="quoted"),
+        pytest.param(b",31.75,", b",true,", ", line 4, column 'Nf': 'true' "
+                     "is not a float64 value", id="true"),
+        pytest.param(b",31.75,", b",,", ", line 4, column 'Nf': '' is not "
+                     "a float64 value", id="empty"),
+        pytest.param(b",31.75,", b",1e5e5,", ", line 4, column 'Nf': "
+                     "'1e5e5' is not a float64 value", id="two-exponents"),
+        pytest.param(b",51.125\r", b"\r", ", line 4: 6 cells, but the "
+                     "header has 7 columns", id="short-row"),
+        pytest.param(b"52.125\r\n", b"52.125\r\n\r\n", ": 4 data rows, "
+                     "but the sidecar says n_trials = 3", id="blank-line")])
+    def test_malformed_file_reads_as_text(self, tmp_path, old, new,
+                                          outcome):
+        path = tmp_path / "records.csv"
+        write_records(self.SMALL, path)
+        path.write_bytes(path.read_bytes().replace(old, new))
+        if isinstance(outcome, str):
+            with pytest.raises(RecordIOError) as err:
+                read_records(path)
+            assert str(err.value) == f"{path}{outcome}"
+        else:
+            cell = read_records(path).column("Nf")[1]
+            assert np.float64(cell).tobytes() == np.float64(outcome).tobytes()

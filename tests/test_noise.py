@@ -506,6 +506,17 @@ class TestOpto:
         envelope = np.exp(-t / 10e-6)
         assert np.allclose(tr, envelope * np.cos(CAV.omega_ax * t))
 
+    @pytest.mark.parametrize("name,value", [
+        ("delta_p", math.nan), ("delta_p", math.inf), ("amp", math.nan),
+        ("amp", -math.inf)])
+    def test_ringing_argument_that_is_not_finite_is_named(self, name,
+                                                           value):
+        t = np.linspace(0.0, 20e-6, 50)
+        args = {"delta_p": 0.1, "amp": 1.0, name: value}
+        with pytest.raises(ValueError) as err:
+            opto_ringing_trace(args["delta_p"], t, CAV, args["amp"])
+        assert str(err.value) == f"{name} must be finite (got {value!r})"
+
     def test_antidamping_side_decays_slower(self):
         t = np.linspace(0.0, 60e-6, 600)
         above = opto_ringing_trace(+0.3 * CAV.kappa / 2, t, CAV, 1.0)

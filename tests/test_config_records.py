@@ -449,8 +449,6 @@ class TestRecordIO:
         ("labels", 5, "must be a list of strings (got 5)"),
         ("labels", [1, 2], "must be a list of strings (got [1, 2])"),
         ("labels", "Np", "must be a list of strings (got 'Np')"),
-        ("labels", ["Nd", "Nd"], "must be a list of strings that names "
-         "'Nd' once (got ['Nd', 'Nd'])"),
         ("master_seed", "abc", "must be null or an integer (got 'abc')"),
         ("master_seed", 5.0, "must be null or an integer (got 5.0)"),
         ("master_seed", True, "must be null or an integer (got True)"),
@@ -459,7 +457,9 @@ class TestRecordIO:
         ("n_trials", 3.0, "must be an integer >= 0 (got 3.0)"),
         ("n_trials", -3, "must be an integer >= 0 (got -3)"),
         ("params", 5, "must be a JSON object (got 5)"),
-        ("params", ["a"], "must be a JSON object (got ['a'])")])
+        ("params", ["a"], "must be a JSON object (got ['a'])"),
+        ("labels", ["Nd", "Nd"], "must be a list of strings that names "
+         "'Nd' once (got ['Nd', 'Nd'])")])
     def test_sidecar_entry_of_a_wrong_type_is_named(self, tmp_path, key,
                                                     value, rule):
         path = tmp_path / "records.csv"

@@ -16,6 +16,14 @@ change meant to keep the outputs is checked with
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
 
+The first line printed names the Python, numpy and orjson versions, on
+which the last bits of a float may depend.  ``tests/output_digest.txt``
+holds the output of the committed tree, and ``tests/test_output_digest.py``
+makes the digest again with :func:`digest`; a change that moves an output
+on purpose writes that file again:
+
+    PYTHONPATH=src python scripts/output_digest.py > tests/output_digest.txt
+
 Takes about 2 s on one core.
 """
 
@@ -23,9 +31,13 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
+import orjson
 
 from squeezesim.cli import cli_dispatch
 from squeezesim.records import read_records, write_records
@@ -142,7 +154,17 @@ def commands(work: Path) -> dict[str, list]:
     }
 
 
-def main() -> int:
+def versions() -> str:
+    """The digest's first line: the versions its bits were made with."""
+    return (f"# python {platform.python_version()} numpy {np.__version__} "
+            f"orjson {orjson.__version__}")
+
+
+def digest() -> list[str]:
+    """One line per file written, its sha256 and its name, in the order
+    of ``commands`` and then of the record files read back; RuntimeError
+    naming a subcommand that fails."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "protocol.txt").write_text(PROTOCOL)
@@ -154,13 +176,11 @@ def main() -> int:
                 code = cli_dispatch([str(a) for a in argv]
                                     + ["--out", str(out)])
             if code:
-                print(f"error: squeezesim {argv[0]} exited {code}",
-                      file=sys.stderr)
-                return code
+                raise RuntimeError(f"squeezesim {argv[0]} exited {code}")
             for path in sorted(out.iterdir()):
                 if not path.name.endswith(".meta.json"):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {name}/{path.name}")
+                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{sha}  {name}/{path.name}")
         sources = {"run-batches.csv": work / "run-batches" / "records.csv"}
         for name, data in EDGE_RECORDS.items():
             sources[name] = work / name
@@ -171,8 +191,19 @@ def main() -> int:
         for name, path in sources.items():
             out = work / "records-again" / name
             write_records(read_records(path), out)
-            digest = hashlib.sha256(out.read_bytes()).hexdigest()
-            print(f"{digest}  records-again/{name}")
+            sha = hashlib.sha256(out.read_bytes()).hexdigest()
+            lines.append(f"{sha}  records-again/{name}")
+    return lines
+
+
+def main() -> int:
+    try:
+        lines = digest()
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(versions())
+    print("\n".join(lines))
     return 0
 
 

@@ -6,8 +6,9 @@ then a header row.  Columns for a record set with probe labels L1..Lk::
     trial, L1, ..., Lk, omega_p_offset_hz,
     L1_freq_hz, ..., Lk_freq_hz, true_jz_1, ..., true_jz_m
 
-``trial`` is the trial's index in the run; with the sidecar's master seed
-it names the trial, whose chunk is ``trial // sequence.CHUNK_TRIALS``.
+``trial`` is the trial's index in the run, so the column reads 0, 1, ...,
+n - 1; with the sidecar's master seed it names the trial, whose chunk is
+``trial // sequence.CHUNK_TRIALS``.
 Every other file column is a column of one of the ``RecordSet``'s
 arrays: the k-th label's columns are the k-th column of ``n_up`` and of
 ``freq_hz``, and ``true_jz_j`` is the j-th column of ``true_jz``.  Both
@@ -35,13 +36,13 @@ can the line and column, for a sidecar that is not a JSON object or
 lacks an entry it reads or holds one of the wrong type or repeats a
 label, a schema line other than ``# schema=2``, a header that names a
 column twice, a row count that differs from the sidecar's, a row whose
-length differs from the header's, a cell that is not a number, or a
-sidecar label with no column.  ``write_records`` raises it, writing
-nothing, for a probe label that is also the name of another column
-(``trial``, ``omega_p_offset_hz``, another label's ``_freq_hz`` column
-or a ``true_jz_`` column).  ``read_records`` rejects a schema-1 file,
-written when every trial drew from a seed of its own, the file's
-``seed`` column.
+length differs from the header's, a cell that is not a number, a
+``trial`` cell out of order or a sidecar label with no column.
+``write_records`` raises it, writing nothing, for a probe label that is
+also the name of another column (``trial``, ``omega_p_offset_hz``,
+another label's ``_freq_hz`` column or a ``true_jz_`` column).
+``read_records`` rejects a schema-1 file, written when every trial drew
+from a seed of its own, the file's ``seed`` column.
 """
 
 from __future__ import annotations
@@ -313,6 +314,11 @@ def read_records(path) -> RecordSet:
         return _parse(path, names, [cells[col[name]] for name in names]
                       ).reshape(len(names), len(rows)).T
 
+    trial = floats(["trial"])[:, 0]
+    for k in np.flatnonzero(trial != np.arange(len(rows)))[:1].tolist():
+        raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE + k}, column "
+                            f"'trial': {float(trial[k])} where {k} belongs; "
+                            "the column must read 0, 1, ..., n - 1 in order")
     traces = [name for name in header
               if name.startswith("true_jz_") and name not in required]
     return RecordSet.from_columns(

@@ -590,6 +590,8 @@ class TestReaderPaths:
     # trials 0..2; row 1, line 4 of the file, reads
     # 1,11.25,31.75,1.5,21.5,41.5,51.125 (trial, Np, Nf, omega_p_offset_hz,
     # Np_freq_hz, Nf_freq_hz, true_jz_1)
+    ROW_1 = b"1,11.25,31.75,1.5,21.5,41.5,51.125\r\n"
+    ROW_2 = b"2,12.25,32.75,2.5,22.5,42.5,52.125\r\n"
     SMALL = column_set([0.5, 1.5, 2.5],
                        {"Np": ([10.25, 11.25, 12.25], [20.5, 21.5, 22.5]),
                         "Nf": ([30.75, 31.75, 32.75], [40.5, 41.5, 42.5])},
@@ -619,7 +621,17 @@ class TestReaderPaths:
         pytest.param(b",51.125\r", b"\r", ", line 4: 6 cells, but the "
                      "header has 7 columns", id="short-row"),
         pytest.param(b"52.125\r\n", b"52.125\r\n\r\n", ": 4 data rows, "
-                     "but the sidecar says n_trials = 3", id="blank-line")])
+                     "but the sidecar says n_trials = 3", id="blank-line"),
+        # the trial column must read 0, 1, 2: plain rows out of order, on
+        # both paths, and a trial cell that is not a number
+        pytest.param(ROW_1 + ROW_2, ROW_2 + ROW_1, ", line 4, column "
+                     "'trial': 2.0 where 1 belongs; the column must read 0, "
+                     "1, ..., n - 1 in order", id="swapped-rows"),
+        pytest.param(b"\r\n1,", b"\r\n+2,", ", line 4, column 'trial': "
+                     "2.0 where 1 belongs; the column must read 0, 1, ..., "
+                     "n - 1 in order", id="trial-out-of-order-as-text"),
+        pytest.param(b"\r\n1,", b"\r\nabc,", ", line 4, column 'trial': "
+                     "'abc' is not a float64 value", id="trial-not-a-number")])
     def test_malformed_file_reads_as_text(self, tmp_path, old, new,
                                           outcome):
         path = tmp_path / "records.csv"

@@ -8,12 +8,14 @@ and runs each group over K seed indices: criteria 4, 5 and 6 (c4, c5,
 c6), the r_q fit (rq), the oracles of the budget and state tests
 (oracles), the largest z-score of the engine's moment comparisons with
 the scalar engine (moments; a seed outside the band is a false alarm of
-those tests) and the bootstrap coverage (boot).  It prints each value's
+those tests), the bootstrap coverage (boot) and the Raman calibration's
+slopes (calib).  It prints each value's
 minimum, median and maximum next to its band, the least distance of any
 seed's value to an edge of the band (negative outside), and how many
 seeds land inside the band.  Per seed, on one core of a 2-core Xeon
 (Python 3.11, numpy 2.4): c4 and c5 about 0.1 s each, c6 about 1 s, rq
-under 0.1 s, oracles about 1 s, moments about 5 s, boot about 0.5 s;
+under 0.1 s, oracles about 1 s, moments about 5 s, boot about 0.5 s,
+calib about 0.05 s;
 ``--only`` picks some of them, and ``--rq-trials`` sets the r_q fit's
 trials per point (800, the test's size, by default):
 
@@ -23,6 +25,7 @@ trials per point (800, the test's size, by default):
         --rq-trials 3200
     PYTHONPATH=src python scripts/seed_margin.py --seeds 8 --only oracles
     PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only boot
+    PYTHONPATH=src python scripts/seed_margin.py --seeds 32 --only calib
 """
 
 import argparse
@@ -53,6 +56,10 @@ GROUPS = {
         (test_state.ideal_r_steps, test_state.IDEAL_R_BANDS)],
     "moments": [(test_draws.largest_moment_z, test_draws.MOMENT_BANDS)],
     "boot": [(test_noise.bootstrap_hits, test_noise.BOOT_BANDS)],
+    "calib": [
+        (test_experiments.calibration_slopes, test_experiments.CALIB_BANDS),
+        (test_experiments.zero_probability_slopes,
+         test_experiments.ZERO_P_BANDS)],
 }
 
 

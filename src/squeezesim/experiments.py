@@ -6,14 +6,15 @@ figure rendering is out of scope, the CSVs are plot-ready.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as _noise
 from .defaults import check_value
-from .physics import TWO_PI, contrast_decay, dressed_shift, scattered_ratio
+from .physics import contrast_decay, scattered_ratio
 from .sequence import (
     Protocol,
     SimParams,
@@ -23,8 +24,6 @@ from .sequence import (
     spin_noise_reduction,
     trial_seed,
 )
-from .state import (apply_raman_diffusion, gaussian_counts, polarized_state,
-                    rotate)
 
 SQUEEZING_PROTOCOL_TEXT = """\
 prealign
@@ -436,13 +435,11 @@ class CalibrationResult:
             self.m_t_grid, self.mean_freq_down_hz, self.mean_freq_up_hz))
 
 
-def _calibration_reading(state, params: SimParams, rng) -> np.ndarray:
-    """Dressed-frequency readout of (nearly) polarized ensembles, rad/s."""
-    read_sig = _noise.read_noise_freq(params.probe.m_t, params.coeffs,
-                                      params.cavity)
-    return (dressed_shift(np.maximum(state.pop_up, 0.0), params.cavity)
-            + state.freq_offset
-            + read_sig * rng.standard_normal(state.pop_up.size))
+# the calibration's readings count the atoms scattered out of down, then
+# out of up
+CALIBRATION_PROTOCOLS = (
+    "pump down\nscatter {}\nprobe Nc",
+    "pump down\npulse 180 0\nscatter {}\npulse 180 0\nprobe Nc")
 
 
 def raman_calibration(params: SimParams, m_t_grid, trials: int,
@@ -450,16 +447,15 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
                       n_atoms: float = 2.1e5) -> CalibrationResult:
     """Mean dressed-frequency change per transmitted scattering photon.
 
-    Two preparations: all atoms pumped to down (the reading counts atoms
-    scattered out of down), and pumped to up with a population swap before
-    readout (the reading counts atoms scattered out of up).  Scattering is
-    driven at the half-polarized reference flux: transitions for source
-    state s scale as p * M_s(N/2) * N_s/(N/2), and atoms reaching |1> are
-    treated as instantly recycled to up.  Linear fits of the mean reading
-    versus M_t give the two slopes, so the grid needs two distinct M_t
-    values at least one photon apart.  Each M_t point runs its trials as one
-    batch, drawing from one generator,
-    ``default_rng(_sub_seed(master_seed, point))``.
+    Two preparations, ``CALIBRATION_PROTOCOLS``: atoms pumped to down, and
+    swapped to up for the scattering.  A ``scatter`` step drives the
+    Raman transitions at the half-polarized reference flux, p * M_s(N/2) *
+    N_s/(N/2) for source state s, |1> recycled to up.  The reading is a
+    probe window at ``probe.m_t``, whose own back-action is alike at every
+    M_t and drops out of the slopes, the linear fits of the mean reading
+    versus M_t; so the grid needs two distinct M_t at least one photon
+    apart.  Point k of the ``run_grid`` call, each preparation at each M_t
+    in turn, runs at the seed ``_sub_seed(master_seed, k)``.
     """
     check_value("cli", "n_trials", trials, "trials")
     grid = sorted(float(m) for m in m_t_grid)
@@ -468,34 +464,13 @@ def raman_calibration(params: SimParams, m_t_grid, trials: int,
     check_value("cli", "calibration_span", grid[-1] - grid[0],
                 "the M_t span of m_t_grid")
     p = params.with_n(n_atoms)
-    cav = p.cavity
-    n = p.ensemble.n_effective
-    flux_ref = scattered_ratio(n / 2.0, cav)  # photons scattered per M_t
-    eps = TWO_PI * cav.recoil_shift_per_photon
-
-    def drive(state, m_t: float, rng):
-        m_s_ref = m_t * flux_ref
-        new = apply_raman_diffusion(state, m_s_ref, p, rng, repump_to_up=True)
-        recoil = eps * gaussian_counts(
-            m_s_ref * np.maximum(new.pop_up, 0.0) / (n / 2.0),
-            rng.standard_normal(trials))
-        return replace(new, freq_offset=new.freq_offset - recoil)
-
-    def mean_hz(state, rng) -> float:
-        return float(np.mean(_calibration_reading(state, p, rng))) / TWO_PI
-
-    means_down, means_up = [], []
-    for i, m_t in enumerate(grid):
-        rng = np.random.default_rng(_sub_seed(master_seed, i))
-        pumped = polarized_state(n, p.ensemble, "down").tile(trials)
-        means_down.append(mean_hz(drive(pumped, m_t, rng), rng))
-        swapped = rotate(drive(rotate(pumped, math.pi, 0.0), m_t, rng),
-                         math.pi, 0.0)
-        means_up.append(mean_hz(swapped, rng))
-
-    slope_down = float(np.polyfit(grid, means_down, 1)[0])
-    slope_up = float(np.polyfit(grid, means_up, 1)[0])
+    points = [(parse_protocol(text.format(repr(m_t))), p,
+               _sub_seed(master_seed, k)) for k, (text, m_t) in enumerate(
+                   itertools.product(CALIBRATION_PROTOCOLS, grid))]
+    means = np.reshape([np.mean(rs.freq_hz) for rs in run_grid(
+        points, trials)], (2, len(grid)))
+    slope_down, slope_up = np.polyfit(grid, means.T, 1)[0].tolist()
     return CalibrationResult(
-        slope_down_hz=slope_down, slope_up_hz=slope_up,
-        m_t_grid=tuple(grid), mean_freq_down_hz=tuple(means_down),
-        mean_freq_up_hz=tuple(means_up))
+        slope_down_hz=slope_down, slope_up_hz=slope_up, m_t_grid=tuple(grid),
+        mean_freq_down_hz=tuple(means[0].tolist()),
+        mean_freq_up_hz=tuple(means[1].tolist()))

@@ -11,10 +11,11 @@ A protocol is an ordered list of steps in a small line-based language::
     probe Np
     probe Nf
 
-Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``,
-``probe <label> [mt=<float>]``, ``prealign``, ``wait <seconds>``.  Lines
-starting with ``#`` are comments.  Probe labels must be unique, every
-number finite and a wait non-negative.
+Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``, ``prealign``,
+``probe <label> [mt=<float>]``, ``wait <seconds>`` and ``scatter <mt>``
+(Raman scattering with no reading; see ``run_trial``).  Lines starting
+with ``#`` are comments.  Probe labels must be unique, every number
+finite and a wait's or a scatter's non-negative.
 
 Reproducibility contract: trial i of ``run_trials(protocol, params, n,
 master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
@@ -28,8 +29,8 @@ no seed of its own: it is named by its index and the run's master seed.
 ``run_grid`` runs a sequence of (protocol, params, master_seed) points,
 each equal to its own ``run_trials``, which is a grid of one point.  The
 whole chunks of a point, and of consecutive points of one shape (their
-protocols equal but for the numbers of pulses and probes, their params
-but for ``probe.m_t``), run together as batches of at most
+protocols equal but for the numbers of their pulses, probes and scatter
+steps, their params but for ``probe.m_t``), run together as batches of at most
 ``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state and
 each of those numbers as arrays over its trials, and each draw is one
 bulk call per chunk over that chunk's trials, on the chunk's own
@@ -60,15 +61,10 @@ from functools import cached_property
 import numpy as np
 
 from .defaults import check_value
-from .physics import TWO_PI
-from .state import (
-    BatchStream,
-    InvariantError,
-    SimParams,
-    polarized_state,
-    probe_measure,
-    rotate,
-)
+from .physics import TWO_PI, scattered_ratio
+from .state import (BatchStream, InvariantError, SimParams,
+                    apply_raman_diffusion, gaussian_counts, polarized_state,
+                    probe_measure, rotate)
 
 THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
 # trials per chunk of a run, each chunk drawing from a generator of its
@@ -111,7 +107,12 @@ class Wait:
     duration: float  # s
 
 
-Step = OpticalPump | MicrowavePulse | ProbeStep | Prealign | Wait
+@dataclass(frozen=True)
+class Scatter:
+    m_t: float  # transmitted photons driving the scattering
+
+
+Step = OpticalPump | MicrowavePulse | ProbeStep | Prealign | Wait | Scatter
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class Protocol:
 # step's arguments, a bracketed one optional
 _FORMS = {"pump": "pump <up|down>", "pulse": "pulse <deg> <phase_deg>",
           "probe": "probe <label> [mt=<float>]", "prealign": "prealign",
-          "wait": "wait <seconds>"}
+          "wait": "wait <seconds>", "scatter": "scatter <mt>"}
 
 
 def _number(text: str, name: str) -> float:
@@ -181,11 +182,11 @@ def parse_protocol(text: str) -> Protocol:
                 steps.append(ProbeStep(label, m_t))
             elif kind == "prealign":
                 steps.append(Prealign())
-            else:  # wait
-                duration = _number(args[0], "wait")
-                if duration < 0:
-                    raise ValueError(f"wait must be >= 0 (got {args[0]!r})")
-                steps.append(Wait(duration))
+            else:  # wait or scatter: one number >= 0
+                value = _number(args[0], kind)
+                if value < 0:
+                    raise ValueError(f"{kind} must be >= 0 (got {args[0]!r})")
+                steps.append((Wait if kind == "wait" else Scatter)(value))
         except ValueError as exc:
             raise ProtocolError(f"line {lineno}: {exc}") from exc
     return Protocol(tuple(steps))
@@ -350,9 +351,11 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     draws for a batch of one chunk.  Every draw is one bulk call per chunk
     over the chunk's trials: first the common probe-power fluctuation
     shared by all of a trial's windows, then each step's draws in
-    protocol order.  A pulse's angle and phase and a probe's strength may
-    be arrays with one value per trial.  The state invariants are checked
-    after every rotation and probe window; a broken one raises
+    protocol order; a scatter step draws 4 normals per trial for its Raman
+    counts, then 1 for its recoil photons.  A pulse's angle and phase and
+    a probe's or scatter's strength may be arrays with one value per
+    trial.  The state invariants are checked after every rotation, probe
+    window and scatter step; a broken one raises
     ``state.InvariantError``, naming the trial by its row of the batch.
     Returns the batch's records, ``master_seed`` None.
     """
@@ -393,6 +396,17 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
                             outcome.true_jz))
         elif isinstance(step, Wait):
             pass  # no decoherence clock in scope
+        elif isinstance(step, Scatter):
+            # Raman scattering with no reading at the half-polarized
+            # reference flux, |1> repumped to up; recoil follows the up atoms
+            half = ens.n_effective / 2.0
+            m_s = step.m_t * power * scattered_ratio(half, params.cavity)
+            state = apply_raman_diffusion(state, m_s, params, stream, True)
+            recoil = TWO_PI * params.cavity.recoil_shift_per_photon * (
+                gaussian_counts(m_s * np.maximum(state.pop_up, 0.0) / half,
+                                stream.normal()))
+            state = replace(state, freq_offset=state.freq_offset - recoil)
+            state.validate()
         else:  # pragma: no cover - exhaustive by construction
             raise ProtocolError(f"unhandled step {step!r}")
 
@@ -441,13 +455,14 @@ def _check_workers(workers: int | None) -> None:
 
 
 def _with_numbers(protocol: Protocol, numbers) -> Protocol:
-    """``protocol`` with each pulse's angle and phase and each probe's
-    strength, in step order, taken from the iterable ``numbers``."""
+    """``protocol`` with each pulse's angle and phase and each probe's and
+    scatter's strength, in step order, from the iterable ``numbers``."""
     numbers = iter(numbers)
     return Protocol(tuple(
         MicrowavePulse(next(numbers), next(numbers))
         if isinstance(s, MicrowavePulse) else ProbeStep(s.label, next(numbers))
-        if isinstance(s, ProbeStep) else s for s in protocol.steps))
+        if isinstance(s, ProbeStep) else Scatter(next(numbers))
+        if isinstance(s, Scatter) else s for s in protocol.steps))
 
 
 def _numbers(protocol: Protocol, params: SimParams) -> list[float]:
@@ -455,7 +470,8 @@ def _numbers(protocol: Protocol, params: SimParams) -> list[float]:
     return [x for s in protocol.steps for x in (
         (s.angle, s.phase) if isinstance(s, MicrowavePulse)
         else (params.probe.m_t if s.m_t is None else s.m_t,)
-        if isinstance(s, ProbeStep) else ())]
+        if isinstance(s, ProbeStep) else (s.m_t,)
+        if isinstance(s, Scatter) else ())]
 
 
 def _batches(chunks, shapes):

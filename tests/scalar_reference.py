@@ -4,7 +4,7 @@ Everything below the imports is the single-trial code of ``squeezesim``
 before trials were batched: one ``EnsembleState`` of floats per trial,
 ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` on that state,
 ``run_trial`` stepping through a protocol, and ``raman_calibration``
-running its trials one at a time on that state.  It calls the package's
+running the calibration's protocols one trial at a time.  It calls the package's
 physics and noise formulas, which give numpy floats of the values the
 scalar code computed.  It draws exact Poisson counts and the noises of a
 reading one by one; ``_reading_noise`` draws the latter, so that a test
@@ -14,13 +14,15 @@ can swap in the batched engine's merged rule.  Tests compare ``run_trials`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from squeezesim import noise as _noise
-from squeezesim.experiments import CalibrationResult, _sub_seed
+from squeezesim.experiments import (CALIBRATION_PROTOCOLS,
+                                    CalibrationResult, _sub_seed)
 from squeezesim.physics import (
     TWO_PI,
     CavityParams,
@@ -38,9 +40,11 @@ from squeezesim.sequence import (
     ProbeStep,
     Protocol,
     ProtocolError,
+    Scatter,
     TrialRecord,
     Wait,
     _validate_runnable,
+    parse_protocol,
     trial_seed,
 )
 from squeezesim.state import (
@@ -435,6 +439,18 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
             trace.append(outcome.true_jz)
         elif isinstance(step, Wait):
             pass  # no decoherence clock in scope
+        elif isinstance(step, Scatter):
+            # Raman scattering with no reading, |1> repumped to up, at the
+            # half-polarized reference flux; recoil follows the up population
+            half = params.ensemble.n_effective / 2.0
+            m_s = step.m_t * power * scattered_ratio(half, params.cavity)
+            state = apply_raman_diffusion(state, m_s, params.transitions, rng,
+                                          params.cavity, repump_to_up=True)
+            recoil_photons = m_s * max(state.pop_up, 0.0) / half
+            if recoil_photons > 0:
+                state.freq_offset -= (TWO_PI
+                                      * params.cavity.recoil_shift_per_photon
+                                      * rng.poisson(recoil_photons))
         else:  # pragma: no cover - exhaustive by construction
             raise ProtocolError(f"unhandled step {step!r}")
 
@@ -442,64 +458,28 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
                        omega_p_offset_hz=delta_p / TWO_PI)
 
 
-def _calibration_reading(state, params: SimParams, rng) -> float:
-    """Dressed-frequency readout of a (nearly) polarized ensemble, rad/s."""
-    read_sig = _noise.read_noise_freq(params.probe.m_t, params.coeffs,
-                                      params.cavity)
-    return (dressed_shift(max(state.pop_up, 0.0), params.cavity)
-            + state.freq_offset + read_sig * rng.standard_normal())
-
-
 def raman_calibration(params: SimParams, m_t_grid, trials: int,
                       master_seed: int = 0,
                       n_atoms: float = 2.1e5) -> CalibrationResult:
     """Mean dressed-frequency change per transmitted scattering photon.
 
-    Two preparations: all atoms pumped to down (the reading counts atoms
-    scattered out of down), and pumped to up with a population swap before
-    readout (the reading counts atoms scattered out of up).  Scattering is
-    driven at the half-polarized reference flux: transitions for source
-    state s scale as p * M_s(N/2) * N_s/(N/2), and atoms reaching |1> are
-    treated as instantly recycled to up.  Linear fits of the mean reading
-    versus M_t give the two slopes.
+    The two preparations of ``experiments.CALIBRATION_PROTOCOLS`` at each
+    M_t, point k in the package's order, trial j of it run by ``run_trial``
+    at the seed ``trial_seed(_sub_seed(master_seed, k), j)``.  Linear fits
+    of the mean reading versus M_t give the two slopes.
     """
     grid = sorted(float(m) for m in m_t_grid)
     if not grid:
         raise ValueError("m_t_grid must be non-empty")
     p = params.with_n(n_atoms)
-    cav, tp = p.cavity, p.transitions
-    n = p.ensemble.n_effective
-    flux_ref = scattered_ratio(n / 2.0, cav)  # photons scattered per M_t
-    eps = TWO_PI * cav.recoil_shift_per_photon
-
-    def drive(state, m_t: float, rng):
-        m_s_ref = m_t * flux_ref
-        new = apply_raman_diffusion(state, m_s_ref, tp, rng, cav,
-                                    repump_to_up=True)
-        recoil_photons = m_s_ref * max(new.pop_up, 0.0) / (n / 2.0)
-        if recoil_photons > 0:
-            new.freq_offset -= eps * rng.poisson(recoil_photons)
-        return new
-
-    means_down, means_up = [], []
-    for i, m_t in enumerate(grid):
-        acc_d, acc_u = 0.0, 0.0
-        for j in range(trials):
-            rng = np.random.default_rng(trial_seed(_sub_seed(master_seed, i),
-                                                   j))
-            s = polarized_state(n, p.ensemble, "down")
-            if m_t > 0:
-                s = drive(s, m_t, rng)
-            acc_d += _calibration_reading(s, p, rng)
-
-            s = polarized_state(n, p.ensemble, "down")
-            s = rotate(s, math.pi, 0.0)
-            if m_t > 0:
-                s = drive(s, m_t, rng)
-            s = rotate(s, math.pi, 0.0)
-            acc_u += _calibration_reading(s, p, rng)
-        means_down.append(float(acc_d) / trials / TWO_PI)
-        means_up.append(float(acc_u) / trials / TWO_PI)
+    means = []
+    for k, (text, m_t) in enumerate(itertools.product(CALIBRATION_PROTOCOLS,
+                                                      grid)):
+        protocol = parse_protocol(text.format(repr(m_t)))
+        means.append(sum(run_trial(protocol, p, trial_seed(
+            _sub_seed(master_seed, k), j)).outcomes["Nc"].freq_hz
+            for j in range(trials)) / trials)
+    means_down, means_up = means[:len(grid)], means[len(grid):]
 
     slope_down = float(np.polyfit(grid, means_down, 1)[0])
     slope_up = float(np.polyfit(grid, means_up, 1)[0])

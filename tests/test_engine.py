@@ -74,6 +74,17 @@ pump down
 pulse 90 30
 probe C mt=20000.5
 """)
+# scatter steps on a pumped state and on a rotated one, each followed by
+# a reading
+SCATTERED = parse_protocol("""\
+prealign
+pump down
+scatter 60000
+probe D
+pulse 90 0
+scatter 30000.5
+probe C
+""")
 TINY_N = BASE.with_n(8.0).with_mt(1e8)
 # every knob that the default run leaves off, switched on
 KNOBS = replace(BASE, contrast_excess=1.9, light_shift_per_photon=2e-5,
@@ -103,6 +114,7 @@ CASES = {
     # an exact read: the Kalman update sets the Jz variance to 0
     "noiseless_read": (STANDARD, replace(
         BASE, coeffs=replace(BASE.coeffs, r_psn=0.0)), 80),
+    "scatter": (SCATTERED, BASE, 120),
 }
 
 

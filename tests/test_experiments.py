@@ -195,8 +195,43 @@ class TestNScaling:
         assert fine.w_inv == pytest.approx(coarse.w_inv, rel=0.05)
 
 
+# the calibration gates (see gates.py): the slopes within 50 % of the
+# measured 1.11 and -0.86 Hz per photon; with no Raman transitions the
+# down preparation barely scatters (its slope strictly within 0.1), and
+# the up preparation shows the full recoil drift at the reference flux
+# with weight 2, within 15 %
+CALIB_GRID = np.linspace(0.0, 1.2e5, 7)
+RECOIL_UP = (-1.3 * sq.scattered_ratio(2.1e5 / 2.0, PARAMS.cavity)
+             * (1.0 + PARAMS.ensemble.initial_contrast))
+CALIB_BANDS = {"calib slope down": (1.11 * (1 - 0.5), 1.11 * (1 + 0.5)),
+               "calib slope up": (-0.86 * (1 + 0.5), -0.86 * (1 - 0.5))}
+ZERO_P_BANDS = {"calib zero-p slope down": (math.nextafter(-0.1, 0.0),
+                                            math.nextafter(0.1, 0.0)),
+                "calib zero-p slope up": (RECOIL_UP * (1 + 0.15),
+                                          RECOIL_UP * (1 - 0.15))}
+
+
+def calibration_slopes(k: int = 0) -> dict[str, float]:
+    """The two calibration slopes, Hz per photon, at 60 trials per point
+    and master seed 5 + 2k."""
+    res = exp.raman_calibration(PARAMS, CALIB_GRID, trials=60,
+                                master_seed=5 + 2 * k)
+    return {"calib slope down": res.slope_down_hz,
+            "calib slope up": res.slope_up_hz}
+
+
+def zero_probability_slopes(k: int = 0) -> dict[str, float]:
+    """The two calibration slopes with every Raman transition probability
+    zero, at 60 trials per point and master seed 6 + 2k."""
+    par = replace(PARAMS, transitions=PARAMS.transitions.zeroed())
+    res = exp.raman_calibration(par, CALIB_GRID, trials=60,
+                                master_seed=6 + 2 * k)
+    return {"calib zero-p slope down": res.slope_down_hz,
+            "calib zero-p slope up": res.slope_up_hz}
+
+
 class TestRamanCalibration:
-    GRID = np.linspace(0.0, 1.2e5, 7)
+    GRID = CALIB_GRID
 
     def test_slope_signs(self):
         res = exp.raman_calibration(PARAMS, self.GRID, trials=40,
@@ -205,21 +240,10 @@ class TestRamanCalibration:
         assert res.slope_up_hz < 0.0
 
     def test_slopes_near_measured_values(self):
-        res = exp.raman_calibration(PARAMS, self.GRID, trials=60,
-                                    master_seed=5)
-        assert res.slope_down_hz == pytest.approx(1.11, rel=0.5)
-        assert res.slope_up_hz == pytest.approx(-0.86, rel=0.5)
+        assert_inside(calibration_slopes(), CALIB_BANDS)
 
     def test_zero_probability_recoil_baseline(self):
-        par = replace(PARAMS, transitions=PARAMS.transitions.zeroed())
-        res = exp.raman_calibration(par, self.GRID, trials=60, master_seed=6)
-        # down preparation barely scatters; up preparation shows the full
-        # recoil drift at the reference flux with weight 2
-        flux = sq.scattered_ratio(2.1e5 / 2.0, par.cavity)
-        ci = par.ensemble.initial_contrast
-        recoil_up = -1.3 * flux * (1.0 + ci)
-        assert abs(res.slope_down_hz) < 0.1
-        assert res.slope_up_hz == pytest.approx(recoil_up, rel=0.15)
+        assert_inside(zero_probability_slopes(), ZERO_P_BANDS)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -242,13 +266,12 @@ class TestRamanCalibration:
 
     @pytest.mark.parametrize("trials", [1, 7, 100])
     def test_batch_equals_per_trial_loop(self, trials, monkeypatch):
-        # each M_t point runs its trials as one batch; fed the same
-        # variates, the result must be the per-trial loop's to 1e-12,
-        # M_t = 0 included
+        # the grid runner's batches against the scalar engine's per-trial
+        # loop: fed the same variates and one reading-noise rule, the
+        # result must be the loop's to 1e-12, M_t = 0 included
         import scalar_reference
-        from test_engine import FixedDraws
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed=None: FixedDraws())
+        from test_engine import feed_fixed_draws
+        feed_fixed_draws(monkeypatch)
         assert self.GRID[0] == 0.0
         res = exp.raman_calibration(PARAMS, self.GRID, trials, master_seed=5)
         ref = scalar_reference.raman_calibration(PARAMS, self.GRID, trials,

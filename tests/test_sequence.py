@@ -15,6 +15,7 @@ from squeezesim.sequence import (
     Protocol,
     ProtocolError,
     RecordSet,
+    Scatter,
     SimParams,
     TrialRecord,
     parse_protocol,
@@ -73,6 +74,10 @@ class TestParser:
         p = parse_protocol("probe A mt=123.5")
         assert p.steps[0] == ProbeStep("A", 123.5)
 
+    def test_scatter_step(self):
+        p = parse_protocol("scatter 0\nscatter 1.5e4")
+        assert p.steps == (Scatter(0.0), Scatter(1.5e4))
+
     @pytest.mark.parametrize("text,message", [
         ("probe Np mt=nan", "mt must be finite (got 'nan')"),
         ("probe Np mt=inf", "mt must be finite (got 'inf')"),
@@ -85,6 +90,11 @@ class TestParser:
         ("probe A B C", "expected: probe <label> [mt=<float>]"),
         ("prealign now", "expected: prealign"),
         ("wait", "expected: wait <seconds>"),
+        ("scatter", "expected: scatter <mt>"),
+        ("scatter 1e4 2e4", "expected: scatter <mt>"),
+        ("scatter nan", "scatter must be finite (got 'nan')"),
+        ("scatter inf", "scatter must be finite (got 'inf')"),
+        ("scatter -1", "scatter must be >= 0 (got '-1')"),
     ])
     def test_bad_step_named_at_parse(self, text, message):
         with pytest.raises(ProtocolError) as err:

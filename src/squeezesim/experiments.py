@@ -435,8 +435,6 @@ class CalibrationResult:
             self.m_t_grid, self.mean_freq_down_hz, self.mean_freq_up_hz))
 
 
-# the calibration's readings count the atoms scattered out of down, then
-# out of up
 CALIBRATION_PROTOCOLS = (
     "pump down\nscatter {}\nprobe Nc",
     "pump down\npulse 180 0\nscatter {}\npulse 180 0\nprobe Nc")

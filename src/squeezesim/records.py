@@ -315,7 +315,9 @@ def read_records(path) -> RecordSet:
                       ).reshape(len(names), len(rows)).T
 
     trial = floats(["trial"])[:, 0]
-    for k in np.flatnonzero(trial != np.arange(len(rows)))[:1].tolist():
+    wrong = np.flatnonzero(trial != np.arange(len(rows)))
+    if wrong.size:
+        k = int(wrong[0])
         raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE + k}, column "
                             f"'trial': {float(trial[k])} where {k} belongs; "
                             "the column must read 0, 1, ..., n - 1 in order")

@@ -401,7 +401,8 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
             # reference flux, |1> repumped to up; recoil follows the up atoms
             half = ens.n_effective / 2.0
             m_s = step.m_t * power * scattered_ratio(half, params.cavity)
-            state = apply_raman_diffusion(state, m_s, params, stream, True)
+            state = apply_raman_diffusion(state, m_s, params, stream,
+                                          repump_to_up=True)
             recoil = TWO_PI * params.cavity.recoil_shift_per_photon * (
                 gaussian_counts(m_s * np.maximum(state.pop_up, 0.0) / half,
                                 stream.normal()))

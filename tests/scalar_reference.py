@@ -4,12 +4,13 @@ Everything below the imports is the single-trial code of ``squeezesim``
 before trials were batched: one ``EnsembleState`` of floats per trial,
 ``rotate``, ``apply_raman_diffusion`` and ``probe_measure`` on that state,
 ``run_trial`` stepping through a protocol, and ``raman_calibration``
-running the calibration's protocols one trial at a time.  It calls the package's
-physics and noise formulas, which give numpy floats of the values the
-scalar code computed.  It draws exact Poisson counts and the noises of a
-reading one by one; ``_reading_noise`` draws the latter, so that a test
-can swap in the batched engine's merged rule.  Tests compare ``run_trials`` and
-``experiments.raman_calibration`` with it; it is not part of the package.
+running the calibration's protocols one trial at a time.  It calls the
+package's physics and noise formulas, which give numpy floats of the
+values the scalar code computed.  It draws exact Poisson counts and the
+noises of a reading one by one; ``_reading_noise`` draws the latter, so
+that a test can swap in the batched engine's merged rule.  Tests compare
+``run_trials`` and ``experiments.raman_calibration`` with it; it is not
+part of the package.
 """
 
 from __future__ import annotations

@@ -101,7 +101,14 @@ EDGE_RECORDS = {
         b"0,1e16,2.3e-05,5e-324,-0.0,1E1,1e+16",
         b"1,18446744073709551616,-9223372036854775809,4.9e-324,"
         b"2.2250738585072014e-308,-1.7976931348623157e308,-0e0",
-        b"2,100,0.1,1.7976931348623157e+308,3,0,-2.5"))}
+        b"2,100,0.1,1.7976931348623157e+308,3,0,-2.5")),
+    # plain rows around a nan row and a +1 row
+    "mixed-rows.csv": RECORD_HEADER + b"".join(row + b"\r\n" for row in (
+        b"0,1.5,2.5,3.5,4.5,5.5,6.5",
+        b"1,nan,2.3e-05,1e16,-0.0,7,8",
+        b"2,1e16,2.3e-05,5e-324,-0.0,1E1,-2.5",
+        b"3,+1,0.1,-3,1e+16,0,9",
+        b"4,100,0.25,-1.7976931348623157e308,3,4.9e-324,-0e0"))}
 
 
 def commands(work: Path) -> dict[str, list]:

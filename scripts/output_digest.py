@@ -7,11 +7,12 @@ directory, and prints one line per file written: its sha256 and its name.
 That covers every CSV, every ``*.config.ini`` echo and ``fit.json``; the
 ``*.meta.json`` sidecars are left out, since they carry the time of the
 run.  Then it reads back record files and writes them again: the
-``run-batches`` records, and hand-made files whose cells take each of
-the reader's two paths (spellings JSON lacks, ``nan`` and ``inf``, LF
-line ends, and plain cells at the edges of the float64 range).  Two
-revisions whose outputs agree byte for byte print the same lines, so a
-change meant to keep the outputs is checked with
+``run-batches`` records, and hand-made files whose rows the reader
+parses as JSON or converts cell by cell (spellings JSON lacks, ``nan``
+and ``inf``, LF line ends, plain cells at the edges of the float64
+range, and plain rows around other rows).  Two revisions whose outputs
+agree byte for byte print the same lines, so a change meant to keep the
+outputs is checked with
 
     PYTHONPATH=src python scripts/output_digest.py > after.txt
     diff before.txt after.txt
@@ -86,13 +87,13 @@ p_u1 = 5e-3
 RECORD_HEADER = (b'# schema=2\ntrial,Np,"N,d",omega_p_offset_hz,Np_freq_hz,'
                  b'"N,d_freq_hz",true_jz_1\r\n')
 EDGE_RECORDS = {
-    # text cells: read as text
+    # cells JSON lacks: each row converted cell by cell
     "text-cells.csv": RECORD_HEADER + b"".join(row + b"\r\n" for row in (
         b"0,nan,inf,-inf,2.3e-05,1e+16,5e-324",
         b"1,+1,01,.5,1.,-0,1e400",
         b"2,-1E-400,0.0001,9999999999999998.0,-1e-310,"
         b"12345678901234567890123,-0e0")),
-    # LF line ends: read as text
+    # LF line ends: plain rows all the same
     "lf-ends.csv": RECORD_HEADER.replace(b"\r\n", b"\n") + b"".join(
         row + b"\n" for row in (b"0,1.5,2.5,3.5,4.5,5.5,6.5",
                                   b"1,1e16,2.3e-05,5e-324,-0.0,7,8")),

@@ -19,15 +19,13 @@ most cells from one ``orjson`` call (see :func:`_rows`) and writes the
 rows as one byte string.  Numbers are never quoted; only the header,
 whose labels may be quoted, goes through ``csv``.
 
-The reader has two paths, which read every file alike.  A file laid out
-as the writer lays it out, whose data rows hold only digits, signs,
-points, exponents and commas and end in CRLF, is parsed in one
-``orjson`` call (see :func:`_plain`).  Any other file (a ``nan`` or
-``inf`` cell, a spelling JSON lacks such as ``+1``, ``01`` or ``.5``,
-LF line ends, a blank line, a short row or a cell that is not a number)
-is read as text, each row split at its commas and its cells converted
-by numpy (see :func:`_text_rows` and :func:`_parse`), which also names
-what is wrong with it.
+The reader splits a file into lines at CRLF, LF or CR.  Its plain rows,
+of digits, signs, points, exponents and commas, no cell ``-0`` and JSON
+numbers only, are parsed in one ``orjson`` call (see :func:`_table`),
+which reads each number to the value numpy reads.  Each other row (with
+``nan``, ``inf``, ``+1``, ``01`` or ``.5``, say, or a cell that is not a
+number) is split at its commas and converted by numpy (see
+:func:`_parse`), which also names what is wrong with it.
 The sidecar ``<path>.meta.json`` carries the parameter snapshot, the
 master seed, the trial count, a content hash of the canonical parameter
 text, and a timestamp (the only non-reproducible output field).
@@ -63,12 +61,11 @@ from .sequence import RecordSet
 SCHEMA_VERSION = 2
 # file line of the first data row: the schema comment, then the header
 _FIRST_ROW_LINE = 3
-_SCHEMA_LINE = f"# schema={SCHEMA_VERSION}\n".encode()
 # the bytes the cells of a plain data row may hold
 _PLAIN_CELL = b"0123456789.,-+eE"
-# a cell "-0" among rows joined as JSON: JSON reads it as the integer 0,
+# a cell "-0", in a row or in a file: JSON reads it as the integer 0,
 # numpy as -0.0
-_MINUS_ZERO = re.compile(rb"-0[,\]]")
+_MINUS_ZERO = re.compile(rb"-0(?![^,\r\n])")
 
 
 class RecordIOError(ValueError):
@@ -135,7 +132,7 @@ def write_records(rs: RecordSet, path) -> None:
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(_SCHEMA_LINE)
+        fh.write(f"# schema={SCHEMA_VERSION}\n".encode())
         fh.write(head.getvalue().encode())
         fh.write(body)
 
@@ -153,82 +150,106 @@ def write_records(rs: RecordSet, path) -> None:
         fh.write("\n")
 
 
-def _plain(data: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The header and the cells, one row per trial, of a record file whose
-    data rows are plain numbers, read with one ``orjson`` call; None for
-    any other file, which :func:`_text_rows` reads.
+def _joined(rows: list[bytes], odd: list[int], other: dict[int, list[str]],
+            zeros: bytes) -> bytes:
+    """The rows as one JSON array between two rows of zeros, once each row
+    of ``odd`` has gone to ``other`` split at its commas, leaving zeros."""
+    for k in odd:
+        other[k] = rows[k].decode().split(",") if rows[k] else []
+        rows[k] = zeros
+    return b"],[".join([b"[[" + zeros, *rows, zeros + b"]]"])
 
-    The file must start with the schema line, end its header and every
-    data row in CRLF and hold no other CR or LF, and its rows must hold
-    only the bytes of ``_PLAIN_CELL``, no cell ``-0``, and a cell for each
-    column.  JSON is stricter than numpy about the rest (``+1``, ``01``,
-    ``.5`` and ``1.`` are not JSON) and reads each number it takes to the
-    value numpy reads, so both paths give the same bits.  A header whose
-    quoted label runs on past its line is left to the text path.
-    """
-    # each copy of the file is freed once the next is made, which keeps
-    # the peak memory of a large file down
-    head, *rows = data.split(b"\r\n")
-    del data
-    # the file ends in CRLF and has a data row
-    if not (head.startswith(_SCHEMA_LINE) and rows and rows.pop() == b""
-            and rows):
-        return None
-    line = head[len(_SCHEMA_LINE):]
-    if b"\r" in line or b"\n" in line:
-        return None
+
+def _json(row: bytes) -> list | None:
+    """The numbers of a row of plain bytes, or None if JSON rejects it."""
     try:
-        header = next(csv.reader([line.decode()], strict=True))
-    except (csv.Error, UnicodeDecodeError):
+        return orjson.loads(b"[%b]" % row)
+    except ValueError:  # not JSON, or a number beyond float64
         return None
-    n = len(rows)
-    rows[0] = b"[[" + rows[0]
-    rows[-1] += b"]]"
-    text = b"],[".join(rows)
+
+
+def _table(path: Path, labels: list[str], n_trials: int
+           ) -> tuple[list[str], np.ndarray, dict[int, list[str]]]:
+    """The header of a record file, its data rows as float64, and the cells
+    of each row that is not plain, whose float64 row reads 0, by row index;
+    or an error naming what is wrong, short of a cell that is no number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # read as text, whose universal newlines end lines as splitlines does
+    head = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    first = head.readline().strip()
+    if not first.startswith("# schema="):
+        raise RecordIOError(f"{path}, line 1: missing '# schema=' "
+                            "comment line")
+    if first != f"# schema={SCHEMA_VERSION}":
+        raise RecordIOError(f"{path}, line 1: unsupported schema "
+                            f"{first[len('# schema='):]!r}")
+    reader = csv.reader(head)
+    header = next(reader, None)
+    if header is None:
+        raise RecordIOError(f"{path}: missing CSV header row")
+    if (name := _repeated(header)) is not None:
+        raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
+                            f"{name!r} appears more than once")
+    for name in _leading(labels):
+        if name not in header:
+            raise RecordIOError(
+                f"{path}, line {_FIRST_ROW_LINE - 1}: missing column "
+                f"{name!r} (sidecar labels: {', '.join(labels) or 'none'})")
+    skip = 1 + reader.line_num
+    # the bytes no plain row holds, the header's too, are counted before the
+    # split, and each copy is freed once the next is made, to save memory
+    odd = len(data.translate(None, _PLAIN_CELL + b"\r\n"))
+    minus_zero = _MINUS_ZERO.search(data)
+    rows = data.splitlines()
+    del data, head, reader
+    odd -= len(b"".join(rows[:skip]).translate(None, _PLAIN_CELL))
+    del rows[:skip]
+    if len(rows) != n_trials:
+        raise RecordIOError(f"{path}: {len(rows)} data rows, but the "
+                            f"sidecar says n_trials = {n_trials}")
+
+    width = len(header)
+    zeros = b",".join([b"0"] * width)
+    other: dict[int, list[str]] = {}
+    # the rows are looked at one by one only when some row is not plain
+    text = _joined(rows, [k for k, row in enumerate(rows)
+                          if row.translate(None, _PLAIN_CELL)
+                          or (minus_zero and _MINUS_ZERO.search(row))]
+                   if odd or minus_zero else [], other, zeros)
     del rows
-    # once a plain cell's bytes are taken out, only the brackets are left
-    if (len(text.translate(None, _PLAIN_CELL)) != 2 * n + 2
-            or _MINUS_ZERO.search(text)):
-        return None
     try:
         cells = orjson.loads(text)
-        del text
-        matrix = np.array(cells, dtype=np.float64)
-    except ValueError:  # not JSON, beyond float64, or rows of two lengths
-        return None
-    if matrix.shape != (n, len(header)):
-        return None
-    return header, matrix
-
-
-def _text_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows, each split into its cells, of a record
-    file read as text, or an error naming a bad schema line or header."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# schema="):
-            raise RecordIOError(f"{path}, line 1: missing '# schema=' "
-                                "comment line")
-        if first != f"# schema={SCHEMA_VERSION}":
-            raise RecordIOError(f"{path}, line 1: unsupported schema "
-                                f"{first[len('# schema='):]!r}")
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise RecordIOError(f"{path}: missing CSV header row")
-        # a number is never quoted: a data row is its line split at commas,
-        # and an empty line has no cells, as csv.reader reads them
-        return header, [line.split(",") if line else []
-                        for line in (text.rstrip("\r\n") for text in fh)]
-
-
-def _parse(path: Path, names: list[str], cells: list[tuple]) -> np.ndarray:
-    """The named columns' cells as one float64 array, a row per column, or
-    an error naming the first cell that is not a number."""
+    except ValueError:  # a row of plain bytes that is not JSON
+        # the rows left hold plain bytes only, so none holds a "],["
+        rows = text.split(b"],[")[1:-1]
+        text = _joined(rows, [k for k, row in enumerate(rows)
+                              if _json(row) is None], other, zeros)
+        cells = orjson.loads(text)
+    del text
+    lengths = {k: len(row) for k, row in other.items()}
     try:
-        return np.array(cells, dtype=np.float64)
+        matrix = np.array(cells, dtype=np.float64)[1:-1]
+    except ValueError:  # a plain row whose cells do not match the columns
+        lengths = {k: len(row) for k, row in enumerate(cells[1:-1])} | lengths
+    for k in sorted(lengths):
+        if lengths[k] != width:
+            raise RecordIOError(
+                f"{path}, line {_FIRST_ROW_LINE + k}: {lengths[k]} cells, "
+                f"but the header has {width} columns")
+    return header, matrix, dict(sorted(other.items()))
+
+
+def _parse(path: Path, names: list[str], rows: dict[int, list[str]]
+           ) -> np.ndarray:
+    """The cells of the given rows, each row's cells in the named columns
+    by its row index, as one float64 array with a row per given row; or an
+    error naming the first cell, column by column, that is not a number."""
+    try:
+        return np.array(list(rows.values()), dtype=np.float64)
     except (ValueError, OverflowError):
-        for name, column in zip(names, cells):
-            for k, cell in enumerate(column):
+        for name, column in zip(names, zip(*rows.values())):
+            for k, cell in zip(rows, column):
                 try:
                     np.array(cell, dtype=np.float64)
                 except (ValueError, OverflowError):
@@ -281,48 +302,26 @@ def read_records(path) -> RecordSet:
             raise RecordIOError(f"{meta_path}: {key!r} entry must be {rule} "
                                 f"(got {meta[key]!r})")
 
-    # rows: the float matrix of a plain file, else each row's cells; the
-    # text path reads the file again, line by line, not holding its bytes
-    with open(path, "rb") as fh:
-        plain = _plain(fh.read())
-    header, rows = plain or _text_rows(path)
-    if (name := _repeated(header)) is not None:
-        raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
-                            f"{name!r} appears more than once")
-
-    required = _leading(labels)
-    col: dict[str, int] = {name: i for i, name in enumerate(header)}
-    for name in required:
-        if name not in col:
-            raise RecordIOError(
-                f"{path}, line {_FIRST_ROW_LINE - 1}: missing column "
-                f"{name!r} (sidecar labels: {', '.join(labels) or 'none'})")
-    if len(rows) != meta["n_trials"]:
-        raise RecordIOError(f"{path}: {len(rows)} data rows, but the "
-                            f"sidecar says n_trials = {meta['n_trials']}")
-    if plain is None:
-        for k, row in enumerate(rows):
-            if len(row) != len(header):
-                raise RecordIOError(
-                    f"{path}, line {_FIRST_ROW_LINE + k}: {len(row)} cells, "
-                    f"but the header has {len(header)} columns")
-        cells = list(zip(*rows)) or [()] * len(header)
+    header, matrix, other = _table(path, labels, meta["n_trials"])
 
     def floats(names: list[str]) -> np.ndarray:  # trials x names
-        if plain is not None:
-            return rows[:, [col[name] for name in names]]
-        return _parse(path, names, [cells[col[name]] for name in names]
-                      ).reshape(len(names), len(rows)).T
+        idx = [header.index(name) for name in names]
+        out = matrix[:, idx]
+        if other:
+            out[list(other)] = _parse(path, names, {
+                k: [cells[i] for i in idx] for k, cells in other.items()})
+        return out
 
     trial = floats(["trial"])[:, 0]
-    wrong = np.flatnonzero(trial != np.arange(len(rows)))
+    wrong = np.flatnonzero(trial != np.arange(len(trial)))
     if wrong.size:
         k = int(wrong[0])
         raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE + k}, column "
                             f"'trial': {float(trial[k])} where {k} belongs; "
                             "the column must read 0, 1, ..., n - 1 in order")
+    leading = _leading(labels)
     traces = [name for name in header
-              if name.startswith("true_jz_") and name not in required]
+              if name.startswith("true_jz_") and name not in leading]
     return RecordSet.from_columns(
         meta["params"], master_seed,
         labels=labels, omega_p_offset_hz=floats(["omega_p_offset_hz"])[:, 0],

@@ -544,13 +544,14 @@ class TestRecordIO:
 
 
 class TestReaderPaths:
-    """A record file is parsed in one orjson call when its rows hold plain
-    numbers, and is otherwise read as text; both read every file alike."""
+    """A record file's plain rows are parsed in one orjson call, and only
+    its other rows are converted cell by cell; both read every row alike."""
 
     @staticmethod
-    def random_set(seed: int, edges: list[float]) -> RecordSet:
+    def random_set(seed: int, edges: list[float], n: int | None = None
+                   ) -> RecordSet:
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 40))
+        n = n or int(rng.integers(1, 40))
         columns = (rng.standard_normal((7, n))
                    * 10.0 ** rng.uniform(-3, 15, (7, n)))
         for value in edges:  # each edge value in one random cell
@@ -559,21 +560,39 @@ class TestReaderPaths:
                                        "N,d": (columns[3], columns[4])},
                           columns[5:])
 
-    # the edges that orjson reads but writes unlike repr, and the values
-    # it does not read at all
-    @pytest.mark.parametrize("edges,plain", [
-        ([], True),
-        ([2.3e-05, 1e16, 5e-324, -0.0], True),
-        ([math.nan, math.inf, -math.inf, 2.3e-05, 1e16, 5e-324, -0.0],
-         False)], ids=["plain", "json-edges", "nan-inf"])
+    # the edges that orjson reads but writes unlike repr, the values it does
+    # not read at all, and a long file with a nan and a 1.0 spelled +1
+    @pytest.mark.parametrize("edges,n", [
+        ([], None),
+        ([2.3e-05, 1e16, 5e-324, -0.0], None),
+        ([math.nan, math.inf, -math.inf, 2.3e-05, 1e16, 5e-324, -0.0], None),
+        ([math.nan, 1.0], 2000)],
+        ids=["plain", "json-edges", "nan-inf", "nan-and-plus"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_sets_roundtrip_bit_exact(self, tmp_path, edges, plain,
-                                             seed):
-        rs = self.random_set(seed, edges)
+    def test_random_sets_roundtrip_bit_exact(self, tmp_path, monkeypatch,
+                                             edges, n, seed):
+        rs = self.random_set(seed, edges, n)
         path = tmp_path / "records.csv"
         write_records(rs, path)
-        assert (records._plain(path.read_bytes()) is not None) == plain
+        path.write_bytes(re.sub(rb"(?<=,)1\.0(?=[,\r])", b"+1",
+                                path.read_bytes()))
+        # the rows orjson cannot read: a nan or inf, or a cell spelled +1
+        values = np.column_stack((rs.omega_p_offset_hz, rs.n_up, rs.freq_hz,
+                                  rs.true_jz))
+        odd = np.flatnonzero((~np.isfinite(values) | (values == 1.0))
+                             .any(axis=1)).tolist()
+        parsed = set()
+        parse = records._parse
+
+        def spy(path, names, rows):
+            parsed.update(rows)
+            return parse(path, names, rows)
+
+        monkeypatch.setattr(records, "_parse", spy)
         assert_same_bits(read_records(path), rs)
+        assert sorted(parsed) == odd
+        if n:  # the nan and the +1 are in two rows of the long file
+            assert len(odd) == 2
 
     def test_plain_file_never_takes_the_text_path(self, tmp_path,
                                                   monkeypatch):

@@ -334,13 +334,18 @@ def _unpickled(params, master_seed, labels, *arrays) -> RecordSet:
 
 
 def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
-    for step in protocol.steps:
+    for i, step in enumerate(protocol.steps):
         if isinstance(step, ProbeStep):
             m_t = step.m_t if step.m_t is not None else params.probe.m_t
             if np.any(m_t <= 0):
                 raise ProtocolError(
                     f"probe step {step.label!r} has m_t = {m_t}; probes need "
                     "m_t > 0 (drop the step for a no-probe sequence)")
+        elif isinstance(step, Scatter) and not np.all(
+                np.isfinite(step.m_t) & (step.m_t >= 0)):
+            raise ProtocolError(
+                f"scatter step {i + 1} has m_t = {step.m_t}; scattering "
+                "needs a finite m_t >= 0")
 
 
 def run_trial(protocol: Protocol, params: SimParams, rng,

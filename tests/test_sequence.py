@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from squeezesim import sequence
 from squeezesim.records import read_records, write_records
 from squeezesim.sequence import (
     LabeledOutcome,
     MicrowavePulse,
+    OpticalPump,
     Prealign,
     ProbeStep,
     Protocol,
@@ -193,6 +195,24 @@ class TestRunTrials:
             run_trials(standard_protocol(), PARAMS, n, master_seed=1)
         with pytest.raises(ValueError, match=message):
             run_grid([(standard_protocol(), PARAMS, 1)], n)
+
+    @pytest.mark.parametrize("m_t", [-1.0, math.nan, math.inf])
+    def test_bad_scatter_strength_named_before_any_trial(self, monkeypatch,
+                                                         m_t):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sequence, "run_trial", no_trial)
+        proto = Protocol((OpticalPump("down"), Scatter(m_t), ProbeStep("A")))
+        message = (f"scatter step 2 has m_t = {m_t}; scattering needs a "
+                   "finite m_t >= 0")
+        with pytest.raises(ProtocolError) as err:
+            run_trials(proto, PARAMS, 3, 1)
+        assert str(err.value) == message
+        with pytest.raises(ProtocolError) as err:
+            run_grid([(standard_protocol(), PARAMS, 1), (proto, PARAMS, 2)],
+                     3)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("n", ["3", None, True])
     def test_trial_count_that_is_not_a_number_is_named(self, n):

@@ -14,7 +14,8 @@ import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .defaults import DEFAULTS, check_value
+# CALIBRATED_CONTRAST_EXCESS is imported for callers that take it from here
+from .defaults import CALIBRATED_CONTRAST_EXCESS, DEFAULTS, check_value
 from .noise import NoiseCoeffs
 from .physics import TWO_PI, CavityParams, EnsembleParams
 from .state import ProbeConfig, SimParams, TransitionProbs
@@ -22,9 +23,6 @@ from .state import ProbeConfig, SimParams, TransitionProbs
 
 class ConfigError(ValueError):
     pass
-
-
-CALIBRATED_CONTRAST_EXCESS = 1.9
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ text, and a timestamp (the only non-reproducible output field).
 ``read_records`` raises ``RecordIOError``, naming the file and where it
 can the line and column, for a sidecar that is not a JSON object or
 lacks an entry it reads or holds one of the wrong type or repeats a
-label, a schema line other than ``# schema=2``, a header that names a
+label, a byte that is not UTF-8, a schema line other than
+``# schema=2``, a header that names a
 column twice, a row count that differs from the sidecar's, a row whose
 length differs from the header's, a cell that is not a number, a
 ``trial`` cell out of order or a sidecar label with no column.
@@ -59,8 +60,6 @@ import orjson
 from .sequence import RecordSet
 
 SCHEMA_VERSION = 2
-# file line of the first data row: the schema comment, then the header
-_FIRST_ROW_LINE = 3
 # the bytes the cells of a plain data row may hold
 _PLAIN_CELL = b"0123456789.,-+eE"
 # a cell "-0", in a row or in a file: JSON reads it as the integer 0,
@@ -168,11 +167,11 @@ def _json(row: bytes) -> list | None:
         return None
 
 
-def _table(path: Path, labels: list[str], n_trials: int
-           ) -> tuple[list[str], np.ndarray, dict[int, list[str]]]:
-    """The header of a record file, its data rows as float64, and the cells
-    of each row that is not plain, whose float64 row reads 0, by row index;
-    or an error naming what is wrong, short of a cell that is no number."""
+def _table(path: Path, labels: list[str], n_trials: int) -> tuple:
+    """The header of a record file, its data rows as float64, the cells of
+    each row that is not plain, whose float64 row reads 0, by row index,
+    and a function naming the file and line of a row by its index; or an
+    error naming what is wrong, short of a cell that is no number."""
     with open(path, "rb") as fh:
         data = fh.read()
     # read as text, whose universal newlines end lines as splitlines does
@@ -189,14 +188,18 @@ def _table(path: Path, labels: list[str], n_trials: int
     if header is None:
         raise RecordIOError(f"{path}: missing CSV header row")
     if (name := _repeated(header)) is not None:
-        raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE - 1}: column "
-                            f"{name!r} appears more than once")
+        raise RecordIOError(f"{path}, line 2: column {name!r} appears "
+                            "more than once")
     for name in _leading(labels):
         if name not in header:
             raise RecordIOError(
-                f"{path}, line {_FIRST_ROW_LINE - 1}: missing column "
-                f"{name!r} (sidecar labels: {', '.join(labels) or 'none'})")
-    skip = 1 + reader.line_num
+                f"{path}, line 2: missing column {name!r} (sidecar labels: "
+                f"{', '.join(labels) or 'none'})")
+    skip = 1 + reader.line_num  # the schema line and the header's lines
+
+    def where(k: int) -> str:
+        return f"{path}, line {skip + 1 + k}"
+
     # the bytes no plain row holds, the header's too, are counted before the
     # split, and each copy is freed once the next is made, to save memory
     odd = len(data.translate(None, _PLAIN_CELL + b"\r\n"))
@@ -235,16 +238,17 @@ def _table(path: Path, labels: list[str], n_trials: int
     for k in sorted(lengths):
         if lengths[k] != width:
             raise RecordIOError(
-                f"{path}, line {_FIRST_ROW_LINE + k}: {lengths[k]} cells, "
-                f"but the header has {width} columns")
-    return header, matrix, dict(sorted(other.items()))
+                f"{where(k)}: {lengths[k]} cells, but the header has {width} "
+                "columns")
+    return header, matrix, dict(sorted(other.items())), where
 
 
-def _parse(path: Path, names: list[str], rows: dict[int, list[str]]
+def _parse(where, names: list[str], rows: dict[int, list[str]]
            ) -> np.ndarray:
     """The cells of the given rows, each row's cells in the named columns
     by its row index, as one float64 array with a row per given row; or an
-    error naming the first cell, column by column, that is not a number."""
+    error naming the first cell, column by column, that is not a number,
+    where ``where`` names the file and line of a row by its index."""
     try:
         return np.array(list(rows.values()), dtype=np.float64)
     except (ValueError, OverflowError):
@@ -254,9 +258,21 @@ def _parse(path: Path, names: list[str], rows: dict[int, list[str]]
                     np.array(cell, dtype=np.float64)
                 except (ValueError, OverflowError):
                     raise RecordIOError(
-                        f"{path}, line {_FIRST_ROW_LINE + k}, column "
-                        f"{name!r}: {cell!r} is not a float64 value") from None
+                        f"{where(k)}, column {name!r}: {cell!r} is not a "
+                        "float64 value") from None
         raise
+
+
+def _undecodable(path: Path) -> RecordIOError:
+    """The error naming the first line of a record file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for n, line in enumerate(lines, start=1):
+        try:
+            line.decode()
+        except UnicodeDecodeError as exc:
+            return RecordIOError(f"{path}, line {n}: byte "
+                                 f"{line[exc.start]:#04x} is not UTF-8 text")
 
 
 def read_records(path) -> RecordSet:
@@ -302,13 +318,16 @@ def read_records(path) -> RecordSet:
             raise RecordIOError(f"{meta_path}: {key!r} entry must be {rule} "
                                 f"(got {meta[key]!r})")
 
-    header, matrix, other = _table(path, labels, meta["n_trials"])
+    try:
+        header, matrix, other, where = _table(path, labels, meta["n_trials"])
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
 
     def floats(names: list[str]) -> np.ndarray:  # trials x names
         idx = [header.index(name) for name in names]
         out = matrix[:, idx]
         if other:
-            out[list(other)] = _parse(path, names, {
+            out[list(other)] = _parse(where, names, {
                 k: [cells[i] for i in idx] for k, cells in other.items()})
         return out
 
@@ -316,8 +335,8 @@ def read_records(path) -> RecordSet:
     wrong = np.flatnonzero(trial != np.arange(len(trial)))
     if wrong.size:
         k = int(wrong[0])
-        raise RecordIOError(f"{path}, line {_FIRST_ROW_LINE + k}, column "
-                            f"'trial': {float(trial[k])} where {k} belongs; "
+        raise RecordIOError(f"{where(k)}, column 'trial': "
+                            f"{float(trial[k])} where {k} belongs; "
                             "the column must read 0, 1, ..., n - 1 in order")
     leading = _leading(labels)
     traces = [name for name in header

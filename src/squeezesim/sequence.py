@@ -15,7 +15,9 @@ Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``, ``prealign``,
 ``probe <label> [mt=<float>]``, ``wait <seconds>`` and ``scatter <mt>``
 (Raman scattering with no reading; see ``run_trial``).  Lines starting
 with ``#`` are comments.  Probe labels must be unique, every number
-finite and a wait's or a scatter's non-negative.
+finite and a wait's or a scatter's non-negative; a hand-built protocol
+that breaks these rules, or has a pump target other than up or down or
+a probe m_t <= 0, is refused before any trial runs.
 
 Reproducibility contract: trial i of ``run_trials(protocol, params, n,
 master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
@@ -24,7 +26,8 @@ constant), and chunk k draws from one generator,
 records are a function of (protocol, params, n_trials, master_seed)
 alone, and every full chunk is also independent of n_trials.  A trial has
 no seed of its own: it is named by its index and the run's master seed.
-``workers`` and SQUEEZE_SIM_THREADS are validated but change nothing.
+``workers`` is checked (>= 1) and ignored; it goes once the benchmark
+no longer passes it (``perfbench/reference.py``).
 
 ``run_grid`` runs a sequence of (protocol, params, master_seed) points,
 each equal to its own ``run_trials``, which is a grid of one point.  The
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -66,7 +68,6 @@ from .state import (BatchStream, InvariantError, SimParams,
                     apply_raman_diffusion, gaussian_counts, polarized_state,
                     probe_measure, rotate)
 
-THREAD_ENV_VAR = "SQUEEZE_SIM_THREADS"
 # trials per chunk of a run, each chunk drawing from a generator of its
 # own: a fixed constant of the reproducibility contract
 CHUNK_TRIALS = 512
@@ -337,15 +338,30 @@ def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
     for i, step in enumerate(protocol.steps):
         if isinstance(step, ProbeStep):
             m_t = step.m_t if step.m_t is not None else params.probe.m_t
-            if np.any(m_t <= 0):
+            if not np.all(np.isfinite(m_t) & (m_t > 0)):
                 raise ProtocolError(
                     f"probe step {step.label!r} has m_t = {m_t}; probes need "
-                    "m_t > 0 (drop the step for a no-probe sequence)")
+                    "a finite m_t > 0 (drop the step for a no-probe "
+                    "sequence)")
         elif isinstance(step, Scatter) and not np.all(
                 np.isfinite(step.m_t) & (step.m_t >= 0)):
             raise ProtocolError(
                 f"scatter step {i + 1} has m_t = {step.m_t}; scattering "
                 "needs a finite m_t >= 0")
+        elif (isinstance(step, OpticalPump)
+              and step.target not in ("up", "down")):
+            raise ProtocolError(
+                f"pump step {i + 1} has target = {step.target!r}; pumping "
+                "needs 'up' or 'down'")
+        elif isinstance(step, MicrowavePulse) and not np.all(
+                np.isfinite(step.angle) & np.isfinite(step.phase)):
+            raise ProtocolError(
+                f"pulse step {i + 1} has angle = {step.angle} and phase = "
+                f"{step.phase}; pulses need a finite angle and phase")
+        elif isinstance(step, Wait) and not 0 <= step.duration < math.inf:
+            raise ProtocolError(
+                f"wait step {i + 1} has duration = {step.duration}; waiting "
+                "needs a finite duration >= 0")
 
 
 def run_trial(protocol: Protocol, params: SimParams, rng,
@@ -445,21 +461,6 @@ def trial_seed(master_seed: int, index: int) -> int:
         1, np.uint64)[0])
 
 
-def _check_workers(workers: int | None) -> None:
-    """Validate the worker count and its environment cap; neither is used."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    cap = os.environ.get(THREAD_ENV_VAR)
-    if cap:
-        try:
-            valid = int(cap) >= 1
-        except ValueError:
-            valid = False
-        if not valid:
-            raise ValueError(f"{THREAD_ENV_VAR} must be an integer worker "
-                             f"count >= 1, got {cap!r}")
-
-
 def _with_numbers(protocol: Protocol, numbers) -> Protocol:
     """``protocol`` with each pulse's angle and phase and each probe's and
     scatter's strength, in step order, from the iterable ``numbers``."""
@@ -540,7 +541,8 @@ def run_trials(protocol: Protocol, params: SimParams, n_trials: int,
                master_seed: int, workers: int | None = None) -> RecordSet:
     """Run ``n_trials`` trials seeded by ``master_seed``, as the module
     docstring's contract sets out.  ``workers`` changes nothing."""
-    _check_workers(workers)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     return next(run_grid([(protocol, params, master_seed)], n_trials))
 
 

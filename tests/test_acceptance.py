@@ -7,7 +7,6 @@ calibration where stated.
 """
 
 import math
-import os
 import time
 from dataclasses import replace
 
@@ -236,14 +235,8 @@ class TestCriterion8Properties:
         base = sq.run_trials(proto, PARAMS, 40, master_seed=4, workers=1)
         assert sq.run_trials(proto, PARAMS, 40, master_seed=4,
                              workers=3) == base
-        os.environ["SQUEEZE_SIM_THREADS"] = "2"
-        try:
-            assert sq.run_trials(proto, PARAMS, 40, master_seed=4,
-                                 workers=8) == base
-        finally:
-            del os.environ["SQUEEZE_SIM_THREADS"]
         report(8, "property: determinism",
-               "records identical for 1, 3 and env-capped worker counts")
+               "records identical for 1 and 3 workers")
 
     def test_config_roundtrip_fixed_point(self):
         cfg = loads_config("[ensemble]\nn_effective = 2.4e5\n"

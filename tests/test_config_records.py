@@ -355,6 +355,21 @@ class TestRecordIO:
                            r"column 'Np': 'abc' is not a float64 value"):
             read_records(path)
 
+    def test_rows_numbered_after_a_header_of_several_lines(self, tmp_path):
+        # the label's line break, in its own and its _freq_hz column, puts
+        # the header on lines 2 to 4 and the first data row on line 5
+        path = tmp_path / "records.csv"
+        write_records(column_set([0.5, 1.5], {"a\nb": ([1.25, 2.25],
+                                                       [4.5, 5.5])},
+                                 [[7.0, 8.0]]), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4].replace(b"1.25", b"abc")
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(RecordIOError) as err:
+            read_records(path)
+        assert str(err.value) == (f"{path}, line 5, column 'a\\nb': 'abc' "
+                                  "is not a float64 value")
+
     def test_sidecar_label_without_column_named(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records(self.make_records(3), path)
@@ -650,7 +665,15 @@ class TestReaderPaths:
                      "2.0 where 1 belongs; the column must read 0, 1, ..., "
                      "n - 1 in order", id="trial-out-of-order-as-text"),
         pytest.param(b"\r\n1,", b"\r\nabc,", ", line 4, column 'trial': "
-                     "'abc' is not a float64 value", id="trial-not-a-number")])
+                     "'abc' is not a float64 value", id="trial-not-a-number"),
+        # a byte that is not UTF-8 in the header, in a row that the header's
+        # text reader decodes with it, and in a row past its first 8 KiB
+        pytest.param(b"true_jz_1", b"true_jz_\xff", ", line 2: byte 0xff is "
+                     "not UTF-8 text", id="not-utf-8-header"),
+        pytest.param(b",31.75,", b",\xff,", ", line 4: byte 0xff is not "
+                     "UTF-8 text", id="not-utf-8-row"),
+        pytest.param(b",32.75,", b"," + b"1" * 9000 + b"\xff,", ", line 5: "
+                     "byte 0xff is not UTF-8 text", id="not-utf-8-far-row")])
     def test_malformed_file_reads_as_text(self, tmp_path, old, new,
                                           outcome):
         path = tmp_path / "records.csv"

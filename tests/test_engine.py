@@ -448,11 +448,9 @@ def test_phase_detection_arms_equal_their_own_runs(psi, premeasure):
         tuple(np.histogram(a, bins=edges)[0].tolist()) for a in arms)
 
 
-def test_records_do_not_depend_on_workers(monkeypatch):
+def test_records_do_not_depend_on_workers():
     one = run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=1)
     assert run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4, workers=4) == one
-    monkeypatch.setenv("SQUEEZE_SIM_THREADS", "2")
-    assert run_trials(STANDARD, BASE, CHUNK_TRIALS + 3, 4) == one
 
 
 # ---------------------------------------------------------------------------

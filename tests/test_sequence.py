@@ -1,7 +1,8 @@
+import ast
 import math
-import os
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from squeezesim.sequence import (
     Scatter,
     SimParams,
     TrialRecord,
+    Wait,
     parse_protocol,
     run_grid,
     run_trial,
@@ -160,21 +162,32 @@ class TestRunTrials:
         assert serial == threaded
 
     def test_env_var_caps_workers(self):
-        os.environ["SQUEEZE_SIM_THREADS"] = "1"
-        try:
-            capped = run_trials(standard_protocol(), PARAMS, 20,
-                                master_seed=9, workers=8)
-        finally:
-            del os.environ["SQUEEZE_SIM_THREADS"]
+        many = run_trials(standard_protocol(), PARAMS, 20, master_seed=9,
+                          workers=8)
         plain = run_trials(standard_protocol(), PARAMS, 20, master_seed=9)
-        assert capped == plain
+        assert many == plain
 
     def test_env_var_garbage_named(self, monkeypatch):
-        # the variable obeys the rule of ``workers``: an integer >= 1
-        for value in ("abc", "0", "-3"):
-            monkeypatch.setenv("SQUEEZE_SIM_THREADS", value)
-            with pytest.raises(ValueError, match="SQUEEZE_SIM_THREADS"):
-                run_trials(standard_protocol(), PARAMS, 2, master_seed=9)
+        # SQUEEZE_SIM_THREADS is no longer read: garbage in it changes nothing
+        plain = run_trials(standard_protocol(), PARAMS, 2, master_seed=9)
+        monkeypatch.setenv("SQUEEZE_SIM_THREADS", "abc")
+        assert run_trials(standard_protocol(), PARAMS, 2,
+                          master_seed=9) == plain
+
+    def test_no_module_reads_the_environment(self):
+        # a run reads its config, flags and seed, and no environment knob
+        package = Path(sequence.__file__).parent
+        for module in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(module.read_text())):
+                name = (node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                assert name not in ("environ", "environb", "getenv",
+                                    "getenvb"), f"{module.name} reads {name}"
+
+    def test_bad_worker_count_named(self):
+        with pytest.raises(ValueError, match=r"workers must be >= 1, got 0"):
+            run_trials(standard_protocol(), PARAMS, 2, master_seed=9,
+                       workers=0)
 
     def test_params_snapshot_holds_knobs_once(self):
         params = replace(PARAMS, contrast_excess=1.9, lineshape_penalty=3.0)
@@ -196,16 +209,30 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=message):
             run_grid([(standard_protocol(), PARAMS, 1)], n)
 
-    @pytest.mark.parametrize("m_t", [-1.0, math.nan, math.inf])
+    # a hand-built second step that the parser would refuse, and its message
+    @pytest.mark.parametrize("step,message", [
+        *(pytest.param(Scatter(m_t), f"scatter step 2 has m_t = {m_t}; "
+                       "scattering needs a finite m_t >= 0", id=str(m_t))
+          for m_t in (-1.0, math.nan, math.inf)),
+        pytest.param(OpticalPump("sideways"), "pump step 2 has target = "
+                     "'sideways'; pumping needs 'up' or 'down'", id="pump"),
+        pytest.param(MicrowavePulse(math.nan, 0.0), "pulse step 2 has angle "
+                     "= nan and phase = 0.0; pulses need a finite angle and "
+                     "phase", id="pulse-nan"),
+        *(pytest.param(ProbeStep("B", m_t), f"probe step 'B' has m_t = "
+                       f"{m_t}; probes need a finite m_t > 0 (drop the step "
+                       "for a no-probe sequence)", id=f"probe-{m_t}")
+          for m_t in (math.nan, math.inf)),
+        *(pytest.param(Wait(t), f"wait step 2 has duration = {t}; waiting "
+                       "needs a finite duration >= 0", id=f"wait-{t}")
+          for t in (-1.0, math.nan))])
     def test_bad_scatter_strength_named_before_any_trial(self, monkeypatch,
-                                                         m_t):
+                                                         step, message):
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(sequence, "run_trial", no_trial)
-        proto = Protocol((OpticalPump("down"), Scatter(m_t), ProbeStep("A")))
-        message = (f"scatter step 2 has m_t = {m_t}; scattering needs a "
-                   "finite m_t >= 0")
+        proto = Protocol((OpticalPump("down"), step, ProbeStep("A")))
         with pytest.raises(ProtocolError) as err:
             run_trials(proto, PARAMS, 3, 1)
         assert str(err.value) == message

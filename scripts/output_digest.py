@@ -55,6 +55,19 @@ pulse 90 90
 probe N4
 """
 
+# pulses of phase -0: with rotation noise off, -0 + 0 z takes the sign of
+# z, so a pulse's phase per trial may be +0 or -0
+SIGNED_ZERO = """\
+prealign
+pump down
+pulse 90 -0
+probe Np
+pulse 180 -0
+probe Nf
+pulse 90 -0
+probe Nr
+"""
+
 # a config that switches on the knobs the default run leaves off
 KNOBS = """\
 [noise]
@@ -159,6 +172,9 @@ def commands(work: Path) -> dict[str, list]:
         # the no-probe reference: no pre-measurement window
         "fringe-noprobe": ["fringe", "--seed", 20, "--trials", 100,
                            "--points", 6, "--mt", 0],
+        # pulses of phase -0 at the default (zero) rotation noise
+        "run-signed-zero": ["run", "--seed", 22, "--trials", 700,
+                            "--protocol", work / "signed-zero.txt"],
     }
 
 
@@ -176,6 +192,7 @@ def digest() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "protocol.txt").write_text(PROTOCOL)
+        (work / "signed-zero.txt").write_text(SIGNED_ZERO)
         (work / "knobs.ini").write_text(KNOBS)
         (work / "params.ini").write_text(PARAMS)
         for name, argv in commands(work).items():

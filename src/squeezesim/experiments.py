@@ -229,14 +229,17 @@ def squeezing_sweep(params: SimParams, m_t_list, trials_per_point: int,
     proto = standard_protocol()
     runs = run_grid([(proto, params.with_mt(m), _sub_seed(master_seed, i))
                      for i, m in enumerate(m_ts)], trials_per_point)
+    # one call for every point: each element is the float call's term
+    terms = vars(_noise.budget_terms(params, np.array(m_ts)))
     rows = []
-    for m_t, rs in zip(m_ts, runs):
+    for i, (m_t, rs) in enumerate(zip(m_ts, runs)):
         r = spin_noise_reduction(rs, "Nf", "Np")
         c = contrast_model(params, m_t)
         w_inv = _noise.spectroscopic_enhancement(
             r, c, params.ensemble.initial_contrast)
         rows.append(SweepRow(m_t=m_t, r=r, contrast=c, w_inv=w_inv,
-                             terms=_noise.budget_terms(params, m_t)))
+                             terms=_noise.BudgetTerms(**{
+                                 k: float(v[i]) for k, v in terms.items()})))
     return SweepResult(rows=tuple(rows),
                        n_effective=params.ensemble.n_effective,
                        trials_per_point=trials_per_point,

@@ -35,13 +35,13 @@ whole chunks of a point, and of consecutive points of one shape (their
 protocols equal but for the numbers of their pulses, probes and scatter
 steps, their params but for ``probe.m_t``), run together as batches of at most
 ``BATCH_TRIALS`` (4096) trials: ``run_trial`` holds a batch's state and
-each of those numbers as arrays over its trials, and each draw is one
-bulk call per chunk over that chunk's trials, on the chunk's own
-generator (see ``state.BatchStream``), so how chunks are batched changes
-no record.  Every draw is of normals, event counts included (from their
-Gaussian moments, ``state.gaussian_counts``).  ``run_trial`` knows a
-batch's trials only as rows: ``run_grid`` alone maps them to points,
-trials and chunks.
+each of those numbers as arrays over its trials, or as one value that
+every trial shares, and each draw is one bulk call per chunk over that
+chunk's trials, on the chunk's own generator (see ``state.BatchStream``),
+so how chunks are batched changes no record.  Every draw is of normals,
+event counts included (from their Gaussian moments,
+``state.gaussian_counts``).  ``run_trial`` knows a batch's trials only
+as rows: ``run_grid`` alone maps them to points, trials and chunks.
 
 A ``RecordSet`` holds a run's records as four read-only float64 arrays
 with one row per trial: ``omega_p_offset_hz``, ``n_up`` and ``freq_hz``
@@ -372,11 +372,13 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     draws for a batch of one chunk.  Every draw is one bulk call per chunk
     over the chunk's trials: first the common probe-power fluctuation
     shared by all of a trial's windows, then each step's draws in
-    protocol order; a scatter step draws 4 normals per trial for its Raman
-    counts, then 1 for its recoil photons.  A pulse's angle and phase and
-    a probe's or scatter's strength may be arrays with one value per
-    trial.  The state invariants are checked after every rotation, probe
-    window and scatter step; a broken one raises
+    protocol order; a pulse draws 2 normals per trial even with the
+    rotation noise off; a scatter step draws 4 normals per trial for its
+    Raman counts, then 1 for its recoil photons.  A pulse's angle and
+    phase and a probe's or scatter's strength are floats or arrays with
+    one value per trial, and the state is a batch of one until a draw or a
+    per-trial number widens it.  The state invariants are checked after
+    every rotation, probe window and scatter step; a broken one raises
     ``state.InvariantError``, naming the trial by its row of the batch.
     Returns the batch's records, ``master_seed`` None.
     """
@@ -388,7 +390,7 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     power = np.maximum(1.0 + probe.ms_classical_frac * stream.normal(),
                        0.05)
 
-    state = polarized_state(ens.n_effective, ens, "down").tile(n_trials)
+    state = polarized_state(ens.n_effective, ens, "down")
     delta_p = np.zeros(n_trials)
     windows = []  # per probe window: (n_up, freq_hz, true_jz)
 
@@ -398,14 +400,18 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
             delta_p = probe.detuning_spread * stream.normal() + 0.0
         elif isinstance(step, OpticalPump):
             # pumping does not cool the ensemble
-            state = replace(polarized_state(ens.n_effective, ens, step.target)
-                            .tile(n_trials), freq_offset=state.freq_offset)
+            state = replace(polarized_state(ens.n_effective, ens, step.target),
+                            freq_offset=state.freq_offset)
         elif isinstance(step, MicrowavePulse):
+            # with a knob at 0.0 the step's own number is the noisy one to
+            # the bit, but for the sign of a -0.0 phase
             z_angle, z_phase = stream.normal(2)
-            state = rotate(
-                state,
-                step.angle * (1.0 + params.rotation_angle_noise * z_angle),
-                step.phase + params.rotation_phase_noise * z_phase)
+            angle, phase = step.angle, step.phase
+            if params.rotation_angle_noise:
+                angle = angle * (1.0 + params.rotation_angle_noise * z_angle)
+            if params.rotation_phase_noise:
+                phase = phase + params.rotation_phase_noise * z_phase
+            state = rotate(state, angle, phase)
             state.validate()
         elif isinstance(step, ProbeStep):
             base = step.m_t if step.m_t is not None else probe.m_t
@@ -440,10 +446,9 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
         true_jz=true_jz)
 
 
-def _seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
-    """``SeedSequence(master_seed, spawn_key=(index,))``; ValueError naming
-    a master seed that is not a non-negative integer, or an index that is
-    not an integer in [0, ``INDEX_LIMIT``)."""
+def _check_seed(master_seed: int, index: int) -> None:
+    """ValueError naming a master seed that is not a non-negative integer,
+    or an index that is not an integer in [0, ``INDEX_LIMIT``)."""
     if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
         raise ValueError(f"master_seed must be a non-negative integer, "
                          f"got {master_seed!r}")
@@ -451,6 +456,12 @@ def _seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
             0 <= index < INDEX_LIMIT):
         raise ValueError(f"trial index must be an integer in [0, 2**32), "
                          f"got {index!r}")
+
+
+def _seed_sequence(master_seed: int, index: int) -> np.random.SeedSequence:
+    """``SeedSequence(master_seed, spawn_key=(index,))``, its arguments
+    checked by ``_check_seed``."""
+    _check_seed(master_seed, index)
     return np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
 
 
@@ -512,9 +523,12 @@ def _run_points(points: list, n_trials: int):
         stream = BatchStream([np.random.default_rng(_seed_sequence(
             points[i][2], j)) for i, j in zip(point, k)], size)
         protocol, params, _ = points[point[0]]
+        # a number every chunk shares, to the bit, stays one float
+        table = np.array([numbers[i] for i in point], dtype=float).T
         try:
-            rs = run_trial(_with_numbers(protocol, np.repeat(
-                np.transpose([numbers[i] for i in point]), size, axis=-1)),
+            rs = run_trial(_with_numbers(protocol, (
+                float(row[0]) if row.tobytes() == row[:1].tobytes() * row.size
+                else np.repeat(row, size) for row in table)),
                 params, stream, stream.size)
         except InvariantError as exc:
             j = next(j for j, (_, hi) in enumerate(stream.spans)
@@ -561,7 +575,7 @@ def run_grid(points, n_trials: int):
     check_value("cli", "n_trials", n_trials, "n_trials")
     for protocol, params, seed in points:
         _validate_runnable(protocol, params)
-        _seed_sequence(seed, 0)  # a bad seed fails before any trial runs
+        _check_seed(seed, 0)  # a bad seed fails before any trial runs
     return _run_points(points, n_trials)
 
 

@@ -23,19 +23,20 @@ population, population moves, reading jump and persistent offset) is read
 from the one table ``noise.RAMAN_CHANNELS``.
 
 A state is a batch of trials: each field is an array over its trials,
-and a single trial is a batch of one (``prepare_css`` and
-``polarized_state`` return arrays of one element, and ``tile`` repeats
-them).  States are values: ``EnsembleState`` is frozen, and ``rotate``,
-``apply_raman_diffusion`` and ``probe_measure``, plain numpy code over
-the batch, each return a new state and leave their input as it was; no
-code writes into a field's array, so states may share arrays.  The two
-that draw take the batch's ``BatchStream``: its trials lie in chunks of
-consecutive trials, each chunk with a generator of its own, and each
-draw is one bulk call of normals per chunk over the chunk's trials, so a
-trial's variates do not depend on the other chunks of its batch.  A lone
-generator is a stream of one chunk.  A normal is drawn for every trial,
-channel and count, and scaled by a std. dev. (or a count's mean) that is
-zero where it is off.
+or of one element that they all share, and a single trial is a batch of
+one (``prepare_css`` and ``polarized_state`` return arrays of one
+element, and ``tile`` repeats them).  States are values:
+``EnsembleState`` is frozen, and ``rotate``, ``apply_raman_diffusion``
+and ``probe_measure``, plain numpy code over the batch, each return a
+new state and leave their input as it was; no code writes into a
+field's array, so states may share arrays.  The two that draw take the
+batch's ``BatchStream``: its trials lie in chunks of consecutive trials,
+each chunk with a generator of its own, and each draw is one bulk call
+of normals per chunk over the chunk's trials, so a trial's variates do
+not depend on the other chunks of its batch.  A lone generator is a
+stream of one chunk as wide as the state's widest field.  A normal is
+drawn for every trial, channel and count, and scaled by a std. dev. (or
+a count's mean) that is zero where it is off.
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ class InvariantError(ValueError):
 class EnsembleState:
     """Gaussian-moment collective spin state of a batch of trials.
 
-    Each field is an array over the batch's trials; a single trial is a
-    batch of one; a state is a value (see the module docstring).
+    Each field is an array over the batch's trials, or of one element
+    that every trial shares; a single trial is a batch of one; a state is
+    a value (see the module docstring).
     ``freq_offset`` accumulates persistent probe-induced displacements of
     the dressed frequency (recoil heating plus the dispersive pulls of
     atoms moved out of the up-state bookkeeping); ``echo_phase`` tracks
@@ -283,10 +285,11 @@ def rotate(state: EnsembleState, angle, pulse_phase) -> EnsembleState:
     """
     half_turns = angle / math.pi
     turns = np.round(half_turns)
-    is_pi = (abs(half_turns - turns) < 1e-12) & (turns % 2 != 0)
+    is_pi = (abs(half_turns - turns) < 1e-12) & (np.fmod(turns, 2.0) != 0)
     echo = state.echo_phase
-    contrast = np.where(is_pi | (echo == 0.0), state.contrast,
-                        state.contrast * np.exp(-0.5 * echo * echo))
+    folding = ~is_pi & (echo != 0.0)
+    contrast = np.where(folding, state.contrast * np.exp(-0.5 * echo * echo),
+                        state.contrast) if np.any(folding) else state.contrast
 
     # Rodrigues' rotation of the unit Bloch vector u about the equatorial
     # axis a = (ax, ay, 0) in components: u ca + (a x u) sa + a (a.u)(1 - ca)
@@ -399,6 +402,14 @@ class BatchStream:
             a, b) in zip(self.generators, self.spans)], axis=-1)
 
 
+def _stream(rng, state: EnsembleState) -> BatchStream:
+    """``rng`` as the stream of ``state``'s batch (see the module
+    docstring); a state of one trial broadcasts over a stream's trials."""
+    width = max(np.size(getattr(state, f)) for f in _FIELDS)
+    return BatchStream.of(rng, rng.size if width == 1 and isinstance(
+        rng, BatchStream) else width)
+
+
 def _visible_share(jumps, events, tech_var, z) -> np.ndarray:
     """The share of ``events`` (counts with frequency jumps ``jumps``)
     visible in a reading, plus its technical noise of variance
@@ -441,8 +452,8 @@ def apply_raman_diffusion(state: EnsembleState, m_s: float,
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     cav = params.cavity
-    counts = _sample_counts(state, m_s, params.transitions, BatchStream.of(
-        rng, state.n_total.size).normal(4))
+    counts = _sample_counts(state, m_s, params.transitions,
+                            _stream(rng, state).normal(4))
     au = alpha_per_atom("up", np.maximum(state.pop_up, 0.0), cav)
     moves = _noise._REPUMPED_MOVES if repump_to_up else _noise._MOVES
     offsets = _noise._channel_shifts(moves, au, alpha_per_atom(
@@ -475,8 +486,7 @@ def probe_measure(state: EnsembleState, params: SimParams, rng,
     if np.any(m_t <= 0):
         raise ValueError("probe window needs m_t > 0; drop the step instead")
     n = state.n_total
-    stream = BatchStream.of(rng, n.size)
-    z_jz, z_read, z_noise, *z_counts = stream.normal(8)
+    z_jz, z_read, z_noise, *z_counts = _stream(rng, state).normal(8)
 
     # realized spin projection; the disk projects onto the lab z axis
     cz = state.cos_polar()

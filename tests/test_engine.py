@@ -491,12 +491,16 @@ def test_corrupted_state_trips_its_invariant(field, value, name):
 
 
 def corrupt_contrast_at(monkeypatch, position: int) -> None:
-    """Every rotation leaves the trial at ``position`` of its batch with
-    a contrast of 2."""
+    """Every rotation whose state spans the batch leaves the trial at
+    ``position`` of its batch with a contrast of 2.  A rotation before the
+    first probe window acts on a state of one trial that every trial of
+    the batch shares, and is left as it is."""
     real_rotate = sequence.rotate
 
     def corrupting_rotate(state, angle, phase):
         new = real_rotate(state, angle, phase)
+        if new.contrast.size == 1:
+            return new
         assert new.contrast.size > position  # the batch spans chunks
         contrast = new.contrast.copy()
         contrast[position] = 2.0

@@ -8,6 +8,7 @@ import pytest
 
 import squeezesim as sq
 from squeezesim import experiments as exp
+from squeezesim.noise import budget_terms
 from gates import assert_inside
 from test_budget_additivity import IDEAL
 
@@ -83,6 +84,9 @@ class TestSqueezingSweep:
         for row in res.rows:
             w = sq.spectroscopic_enhancement(row.r, row.contrast, 0.97)
             assert row.w_inv == pytest.approx(w, rel=1e-12)
+            # one array call gives each row the float call's terms
+            assert row.terms == budget_terms(CAL, row.m_t)
+            assert all(type(v) is float for v in vars(row.terms).values())
 
     def test_ideal_probe_monotone(self):
         res = exp.squeezing_sweep(IDEAL, [1e3, 1e4, 1e5],

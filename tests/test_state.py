@@ -207,6 +207,76 @@ class TestRotate:
             assert total == pytest.approx(2e5, rel=1e-12)
 
 
+def assert_same_bits(got, expected) -> None:
+    """Each array of ``got``, broadcast to the shape of its counterpart in
+    ``expected``, has the same bits, the sign of a zero included."""
+    for have, want in zip(got, expected, strict=True):
+        assert np.broadcast_to(have, want.shape).tobytes() == want.tobytes()
+
+
+def arrays(s: EnsembleState) -> list:
+    return [getattr(s, f.name) for f in fields(s)]
+
+
+# a light shift, so that a probe window leaves an echo phase that a pulse
+# folds into the contrast or negates
+ECHOING = replace(sim(), light_shift_per_photon=1e-5)
+
+
+class TestSharedNumbers:
+    """A batch runs a number its trials share as a float, and a state its
+    trials share as a batch of one; either gives the bits that numbers
+    and states repeated over the batch give."""
+
+    TRIALS = 5
+
+    def shared_state(self, after: str, trials: int = 1) -> EnsembleState:
+        s = polarized_state(2e5, ENS, "down").tile(trials)
+        if after == "probe":
+            s = probe_measure(rotate(s, math.pi / 2, 0.0), ECHOING,
+                              np.random.default_rng(7))[1]
+        return s
+
+    @pytest.mark.parametrize("after", ["pump", "probe"])
+    @pytest.mark.parametrize("angle", [
+        0.0, math.pi / 2, math.pi, math.pi * (1 + 1e-13),
+        math.pi * (1 - 1e-13), 2 * math.pi])
+    @pytest.mark.parametrize("phase", [0.0, -0.0, math.pi / 2])
+    def test_rotate_gives_the_same_bits(self, after, angle, phase):
+        one = self.shared_state(after)
+        # a batch whose trials differ after a probe window
+        batch = self.shared_state(after, self.TRIALS)
+        each = np.full(self.TRIALS, angle), np.full(self.TRIALS, phase)
+        for s in (one, batch):
+            expected = arrays(rotate(s, angle, phase))
+            assert_same_bits(expected, arrays(rotate(
+                s, np.array([angle]), np.array([phase]))))
+            assert_same_bits(expected, arrays(rotate(s, *each)))
+        assert_same_bits(arrays(rotate(one, *each)),
+                         arrays(rotate(one.tile(self.TRIALS), *each)))
+
+    @staticmethod
+    def probe(s, rng) -> list:
+        outcome, new = probe_measure(s, ECHOING, rng)
+        return [*vars(outcome).values(), *arrays(new)]
+
+    @pytest.mark.parametrize("draw", [
+        probe, lambda s, rng: arrays(apply_raman_diffusion(s, 4e4, sim(),
+                                                           rng))],
+        ids=["probe_measure", "apply_raman_diffusion"])
+    def test_a_shared_state_draws_for_the_stream(self, draw):
+        # a batch of one drawing on a stream broadcasts to its trials
+        def stream():
+            return state.BatchStream(
+                [np.random.default_rng(k) for k in (1, 2)],
+                [2, self.TRIALS - 2])
+
+        one = rotate(self.shared_state("pump"), math.pi / 2, 0.0)
+        got = draw(one, stream())
+        assert max(a.size for a in got) == self.TRIALS
+        assert_same_bits(got, draw(one.tile(self.TRIALS), stream()))
+
+
 class TestHeisenberg:
     def test_fresh_css_at_unit_contrast(self):
         ens = EnsembleParams(n_effective=1e5, initial_contrast=1.0)

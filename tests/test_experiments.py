@@ -297,6 +297,18 @@ class TestModelHelpers:
         c2 = exp.contrast_model(PARAMS, 4.1e4, windows=2)
         assert c2 == pytest.approx(c1 ** 2 / 0.97, rel=1e-9)
 
+    def test_calibrated_excess_puts_the_optimum_in_the_papers_band(self):
+        # the paper's 1/W = 10.5(1.5) at the optimum probe strength
+        grid = np.logspace(3.0, 5.5, 20001)
+
+        def optimum(excess: float) -> float:
+            return float(np.max(exp.expected_w_inverse(
+                replace(PARAMS, contrast_excess=excess), grid)))
+
+        assert 9.0 <= optimum(sq.CALIBRATED_CONTRAST_EXCESS) <= 12.0
+        # the excess the constant's comment names for 10.5
+        assert optimum(1.858) == pytest.approx(10.5, abs=1e-3)
+
 
 def scalar_tune(params, target, contrast_windows=1):
     """tune_mt_for_w_inverse as it was before its grid became one array

@@ -68,6 +68,22 @@ pulse 90 -0
 probe Nr
 """
 
+# every step kind the other protocols lack: a pump to up, a probe on a
+# pole, probes at fixed strengths, a second pump down mid-sequence and
+# pulses at odd phases
+VARIED = """\
+prealign
+pump up
+probe Z mt=3000
+pulse 90 0
+probe A mt=1000
+pulse 180 45
+probe B
+pump down
+pulse 90 30
+probe C mt=20000.5
+"""
+
 # a config that switches on the knobs the default run leaves off
 KNOBS = """\
 [noise]
@@ -175,6 +191,12 @@ def commands(work: Path) -> dict[str, list]:
         # pulses of phase -0 at the default (zero) rotation noise
         "run-signed-zero": ["run", "--seed", 22, "--trials", 700,
                             "--protocol", work / "signed-zero.txt"],
+        # every step kind, at the default knobs and with every knob on
+        "run-varied": ["run", "--seed", 23, "--trials", 700,
+                       "--protocol", work / "varied.txt"],
+        "run-varied-knobs": ["run", "--seed", 24, "--trials", 700,
+                             "--protocol", work / "varied.txt",
+                             "--config", work / "knobs.ini"],
     }
 
 
@@ -193,6 +215,7 @@ def digest() -> list[str]:
         work = Path(tmp)
         (work / "protocol.txt").write_text(PROTOCOL)
         (work / "signed-zero.txt").write_text(SIGNED_ZERO)
+        (work / "varied.txt").write_text(VARIED)
         (work / "knobs.ini").write_text(KNOBS)
         (work / "params.ini").write_text(PARAMS)
         for name, argv in commands(work).items():

@@ -12,12 +12,14 @@ A protocol is an ordered list of steps in a small line-based language::
     probe Nf
 
 Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``, ``prealign``,
-``probe <label> [mt=<float>]``, ``wait <seconds>`` and ``scatter <mt>``
-(Raman scattering with no reading; see ``run_trial``).  Lines starting
-with ``#`` are comments.  Probe labels must be unique, every number
-finite and a wait's or a scatter's non-negative; a hand-built protocol
-that breaks these rules, or has a pump target other than up or down or
-a probe m_t <= 0, is refused before any trial runs.
+``probe <label> [mt=<float>]`` and ``scatter <mt>`` (Raman scattering
+with no reading).  Lines starting with ``#`` are comments.  Each step
+kind is one class below: its keyword and form, its rule, its numbers and
+its run.  Probe labels must be unique, a pump's target up or down, every
+number finite, a probe's m_t > 0 and a scatter's >= 0.  The parser
+refuses a line that breaks a rule, naming the line; a hand-built protocol
+that breaks one, or a probe whose configured m_t is not > 0, is refused
+before any trial runs.
 
 Reproducibility contract: trial i of ``run_trials(protocol, params, n,
 master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
@@ -38,7 +40,9 @@ steps, their params but for ``probe.m_t``), run together as batches of at most
 each of those numbers as arrays over its trials, or as one value that
 every trial shares, and each draw is one bulk call per chunk over that
 chunk's trials, on the chunk's own generator (see ``state.BatchStream``),
-so how chunks are batched changes no record.  Every draw is of normals,
+so how chunks are batched changes no record.  ``run_grid`` checks each
+point once, and ``run_trial`` runs its batches without checking them
+again.  Every draw is of normals,
 event counts included (from their Gaussian moments,
 ``state.gaussian_counts``).  ``run_trial`` knows a batch's trials only
 as rows: ``run_grid`` alone maps them to points, trials and chunks.
@@ -81,62 +85,6 @@ class ProtocolError(ValueError):
     """Raised for malformed protocol text or unrunnable protocols."""
 
 
-@dataclass(frozen=True)
-class OpticalPump:
-    target: str  # "up" | "down"
-
-
-@dataclass(frozen=True)
-class MicrowavePulse:
-    angle: float  # rad
-    phase: float  # rad
-
-
-@dataclass(frozen=True)
-class ProbeStep:
-    label: str
-    m_t: float | None = None  # None -> take the configured default
-
-
-@dataclass(frozen=True)
-class Prealign:
-    pass
-
-
-@dataclass(frozen=True)
-class Wait:
-    duration: float  # s
-
-
-@dataclass(frozen=True)
-class Scatter:
-    m_t: float  # transmitted photons driving the scattering
-
-
-Step = OpticalPump | MicrowavePulse | ProbeStep | Prealign | Wait | Scatter
-
-
-@dataclass(frozen=True)
-class Protocol:
-    steps: tuple[Step, ...]
-
-    def __post_init__(self) -> None:
-        labels = [s.label for s in self.steps if isinstance(s, ProbeStep)]
-        if len(labels) != len(set(labels)):
-            raise ProtocolError("duplicate probe labels in protocol")
-
-    @property
-    def probe_labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.steps if isinstance(s, ProbeStep))
-
-
-# step keyword -> the step's form: its words after the keyword are the
-# step's arguments, a bracketed one optional
-_FORMS = {"pump": "pump <up|down>", "pulse": "pulse <deg> <phase_deg>",
-          "probe": "probe <label> [mt=<float>]", "prealign": "prealign",
-          "wait": "wait <seconds>", "scatter": "scatter <mt>"}
-
-
 def _number(text: str, name: str) -> float:
     """``text`` as a float; ValueError unless it is a finite number."""
     value = float(text)
@@ -145,49 +93,202 @@ def _number(text: str, name: str) -> float:
     return value
 
 
+class _Step:
+    """A step kind, one row of the protocol language: its keyword and
+    arguments (``_form``), its step of their words (``_of``), its rule
+    (``_fine``), which the parser and the run-time check both apply, and
+    their messages for a step that breaks it (``_refused``, of its last
+    word; ``_unrunnable``, of its fields and its number ``n``), the fields
+    the points of one shape may differ in (``_numbers``), and its draws
+    and its effect on a ``_Batch`` (``_run``)."""
+
+    _numbers = ()
+    _window = False  # a probe window, recorded under the step's label
+
+    @classmethod
+    def _of(cls, words):
+        return cls(*words)
+
+    def _fine(self) -> bool:
+        return True
+
+
+@dataclass(frozen=True)
+class OpticalPump(_Step):
+    target: str  # "up" | "down"
+
+    _form = "pump <up|down>"
+    _refused = "unknown pump target {}"
+    _unrunnable = ("pump step {n} has target = {target!r}; pumping needs "
+                   "'up' or 'down'")
+
+    def _fine(self) -> bool:
+        return self.target in ("up", "down")
+
+    def _run(self, batch: _Batch) -> None:
+        ens = batch.params.ensemble
+        # pumping does not cool the ensemble
+        batch.state = replace(
+            polarized_state(ens.n_effective, ens, self.target),
+            freq_offset=batch.state.freq_offset)
+
+
+@dataclass(frozen=True)
+class MicrowavePulse(_Step):
+    angle: float  # rad
+    phase: float  # rad
+
+    _form = "pulse <deg> <phase_deg>"
+    _numbers = ("angle", "phase")
+    _unrunnable = ("pulse step {n} has angle = {angle} and phase = {phase}; "
+                   "pulses need a finite angle and phase")
+
+    @classmethod
+    def _of(cls, words):
+        return cls(*(math.radians(_number(word, f"pulse {name}"))
+                     for word, name in zip(words, ("angle", "phase"))))
+
+    def _fine(self) -> bool:
+        return (np.isfinite(self.angle) & np.isfinite(self.phase)).all()
+
+    def _run(self, batch: _Batch) -> None:
+        # with a knob at 0.0 the step's own number is the noisy one to the
+        # bit, but for the sign of a -0.0 phase
+        z_angle, z_phase = batch.stream.normal(2)
+        params, angle, phase = batch.params, self.angle, self.phase
+        if params.rotation_angle_noise:
+            angle = angle * (1.0 + params.rotation_angle_noise * z_angle)
+        if params.rotation_phase_noise:
+            phase = phase + params.rotation_phase_noise * z_phase
+        batch.state = rotate(batch.state, angle, phase)
+        batch.state.validate()
+
+
+@dataclass(frozen=True)
+class ProbeStep(_Step):
+    label: str
+    m_t: float | None = None  # None -> take the configured default
+
+    _form = "probe <label> [mt=<float>]"
+    _numbers = ("m_t",)
+    _window = True
+    _refused = "mt must be > 0 (got {})"
+    _unrunnable = ("probe step {label!r} has m_t = {m_t}; probes need a "
+                   "finite m_t > 0 (drop the step for a no-probe sequence)")
+
+    @classmethod
+    def _of(cls, words):
+        return cls(words[0], *(_number(word, "mt") for word in words[1:]))
+
+    def _fine(self) -> bool:
+        return self.m_t is None or (np.isfinite(self.m_t)
+                                    & (self.m_t > 0)).all()
+
+    def _run(self, batch: _Batch) -> None:
+        outcome, batch.state = probe_measure(
+            batch.state, batch.params, batch.stream,
+            m_t=self.m_t * batch.power, detuning_offset=batch.delta_p)
+        batch.state.validate()
+        batch.windows.append((outcome.n_up, outcome.freq / TWO_PI,
+                              outcome.true_jz))
+
+
+@dataclass(frozen=True)
+class Prealign(_Step):
+    _form = "prealign"
+
+    def _run(self, batch: _Batch) -> None:
+        # adding 0.0 turns the -0.0 of a zero spread into 0.0
+        batch.delta_p = (batch.params.probe.detuning_spread
+                         * batch.stream.normal() + 0.0)
+
+
+@dataclass(frozen=True)
+class Scatter(_Step):
+    m_t: float  # transmitted photons driving the scattering
+
+    _form = "scatter <mt>"
+    _numbers = ("m_t",)
+    _refused = "scatter must be >= 0 (got {})"
+    _unrunnable = ("scatter step {n} has m_t = {m_t}; scattering needs a "
+                   "finite m_t >= 0")
+
+    @classmethod
+    def _of(cls, words):
+        return cls(_number(words[0], "scatter"))
+
+    def _fine(self) -> bool:
+        return (np.isfinite(self.m_t) & (self.m_t >= 0)).all()
+
+    def _run(self, batch: _Batch) -> None:
+        # Raman scattering with no reading at the half-polarized reference
+        # flux, |1> repumped to up; recoil follows the up atoms
+        params, stream = batch.params, batch.stream
+        half = params.ensemble.n_effective / 2.0
+        m_s = self.m_t * batch.power * scattered_ratio(half, params.cavity)
+        state = apply_raman_diffusion(batch.state, m_s, params, stream,
+                                      repump_to_up=True)
+        recoil = TWO_PI * params.cavity.recoil_shift_per_photon * (
+            gaussian_counts(m_s * np.maximum(state.pop_up, 0.0) / half,
+                            stream.normal()))
+        batch.state = replace(state, freq_offset=state.freq_offset - recoil)
+        batch.state.validate()
+
+
+# the step kinds by keyword
+_KINDS = {kind._form.split()[0]: kind for kind in (
+    OpticalPump, MicrowavePulse, ProbeStep, Prealign, Scatter)}
+
+
+@dataclass(frozen=True)
+class Protocol:
+    steps: tuple[_Step, ...]
+
+    def __post_init__(self) -> None:
+        labels = self.probe_labels
+        if len(labels) != len(set(labels)):
+            raise ProtocolError("duplicate probe labels in protocol")
+
+    @property
+    def probe_labels(self) -> tuple[str, ...]:
+        return tuple(s.label for s in self.steps if s._window)
+
+
+class _Checked(Protocol):
+    """A protocol that ``_validate_runnable`` passed, or one of a batch's
+    numbers of such protocols: ``run_trial`` runs it unchecked."""
+
+
 def parse_protocol(text: str) -> Protocol:
     """Parse protocol text; raises :class:`ProtocolError` with line numbers,
     stating the expected form of a step given the wrong arguments."""
-    steps: list[Step] = []
-    seen_labels: set[str] = set()
+    steps: list[_Step] = []
+    labels: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        kind, args = tokens[0].lower(), tokens[1:]
+        keyword, args = tokens[0].lower(), tokens[1:]
         try:
-            if kind not in _FORMS:
-                raise ValueError(f"unknown step keyword {kind!r}")
-            form = _FORMS[kind]
-            most = len(form.split()) - 1
-            if not most - form.count("[") <= len(args) <= most or (
-                    kind == "probe" and args[1:]
-                    and not args[1].startswith("mt=")):
-                raise ValueError(f"expected: {form}")
-            if kind == "pump":
-                if args[0] not in ("up", "down"):
-                    raise ValueError(f"unknown pump target {args[0]!r}")
-                steps.append(OpticalPump(args[0]))
-            elif kind == "pulse":
-                deg, phase_deg = (_number(a, name) for a, name in
-                                  zip(args, ("pulse angle", "pulse phase")))
-                steps.append(MicrowavePulse(math.radians(deg),
-                                            math.radians(phase_deg)))
-            elif kind == "probe":
-                label = args[0]
-                m_t = _number(args[1][3:], "mt") if args[1:] else None
-                if label in seen_labels:
-                    raise ValueError(f"duplicate probe label {label!r}")
-                seen_labels.add(label)
-                steps.append(ProbeStep(label, m_t))
-            elif kind == "prealign":
-                steps.append(Prealign())
-            else:  # wait or scatter: one number >= 0
-                value = _number(args[0], kind)
-                if value < 0:
-                    raise ValueError(f"{kind} must be >= 0 (got {args[0]!r})")
-                steps.append((Wait if kind == "wait" else Scatter)(value))
+            if keyword not in _KINDS:
+                raise ValueError(f"unknown step keyword {keyword!r}")
+            kind = _KINDS[keyword]
+            # the literal start of each place's word: "mt=" of "[mt=<float>]"
+            starts = [place.strip("[]").partition("<")[0]
+                      for place in kind._form.split()[1:]]
+            if not (len(starts) - kind._form.count("[") <= len(args)
+                    <= len(starts) and all(map(str.startswith, args, starts))):
+                raise ValueError(f"expected: {kind._form}")
+            words = [word[len(start):] for word, start in zip(args, starts)]
+            step = kind._of(words)
+            if not step._fine():
+                raise ValueError(step._refused.format(repr(words[-1])))
+            if step._window:
+                if step.label in labels:
+                    raise ValueError(f"duplicate probe label {step.label!r}")
+                labels.add(step.label)
+            steps.append(step)
         except ValueError as exc:
             raise ProtocolError(f"line {lineno}: {exc}") from exc
     return Protocol(tuple(steps))
@@ -334,34 +435,29 @@ def _unpickled(params, master_seed, labels, *arrays) -> RecordSet:
                                   **dict(zip(_ARRAYS, arrays)))
 
 
-def _validate_runnable(protocol: Protocol, params: SimParams) -> None:
-    for i, step in enumerate(protocol.steps):
-        if isinstance(step, ProbeStep):
-            m_t = step.m_t if step.m_t is not None else params.probe.m_t
-            if not np.all(np.isfinite(m_t) & (m_t > 0)):
-                raise ProtocolError(
-                    f"probe step {step.label!r} has m_t = {m_t}; probes need "
-                    "a finite m_t > 0 (drop the step for a no-probe "
-                    "sequence)")
-        elif isinstance(step, Scatter) and not np.all(
-                np.isfinite(step.m_t) & (step.m_t >= 0)):
-            raise ProtocolError(
-                f"scatter step {i + 1} has m_t = {step.m_t}; scattering "
-                "needs a finite m_t >= 0")
-        elif (isinstance(step, OpticalPump)
-              and step.target not in ("up", "down")):
-            raise ProtocolError(
-                f"pump step {i + 1} has target = {step.target!r}; pumping "
-                "needs 'up' or 'down'")
-        elif isinstance(step, MicrowavePulse) and not np.all(
-                np.isfinite(step.angle) & np.isfinite(step.phase)):
-            raise ProtocolError(
-                f"pulse step {i + 1} has angle = {step.angle} and phase = "
-                f"{step.phase}; pulses need a finite angle and phase")
-        elif isinstance(step, Wait) and not 0 <= step.duration < math.inf:
-            raise ProtocolError(
-                f"wait step {i + 1} has duration = {step.duration}; waiting "
-                "needs a finite duration >= 0")
+def _validate_runnable(protocol: Protocol, params: SimParams) -> _Checked:
+    """``protocol`` with each probe's strength of None the configured one;
+    ProtocolError naming the first step that breaks its kind's rule."""
+    checked = _with_numbers(protocol, (params.probe.m_t if x is None else x
+                                       for x in _numbers(protocol)))
+    for n, step in enumerate(checked.steps, start=1):
+        if not step._fine():
+            raise ProtocolError(step._unrunnable.format(n=n, **vars(step)))
+    return checked
+
+
+class _Batch:
+    """A batch's params and draws, and the state its steps change."""
+
+    def __init__(self, params: SimParams, stream: BatchStream) -> None:
+        ens, probe = params.ensemble, params.probe
+        self.params, self.stream = params, stream
+        # common probe-power fluctuation: the classical M_s noise channel
+        self.power = np.maximum(
+            1.0 + probe.ms_classical_frac * stream.normal(), 0.05)
+        self.state = polarized_state(ens.n_effective, ens, "down")
+        self.delta_p = np.zeros(stream.size)
+        self.windows = []  # per probe window: (n_up, freq_hz, true_jz)
 
 
 def run_trial(protocol: Protocol, params: SimParams, rng,
@@ -369,10 +465,11 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     """Run one batch of ``n_trials`` trials of a protocol.
 
     ``rng`` is the batch's ``BatchStream``, or a lone generator that
-    draws for a batch of one chunk.  Every draw is one bulk call per chunk
-    over the chunk's trials: first the common probe-power fluctuation
-    shared by all of a trial's windows, then each step's draws in
-    protocol order; a pulse draws 2 normals per trial even with the
+    draws for a batch of one chunk.  A protocol that ``run_grid`` has not
+    checked is checked first, before any draw.  Every draw is one bulk
+    call per chunk over the chunk's trials: first the common probe-power
+    fluctuation shared by all of a trial's windows, then each step's draws
+    in protocol order; a pulse draws 2 normals per trial even with the
     rotation noise off; a scatter step draws 4 normals per trial for its
     Raman counts, then 1 for its recoil photons.  A pulse's angle and
     phase and a probe's or scatter's strength are floats or arrays with
@@ -382,68 +479,19 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     ``state.InvariantError``, naming the trial by its row of the batch.
     Returns the batch's records, ``master_seed`` None.
     """
-    _validate_runnable(protocol, params)
-    ens, probe = params.ensemble, params.probe
-    stream = BatchStream.of(rng, n_trials)
-
-    # common probe-power fluctuation: the classical M_s noise channel
-    power = np.maximum(1.0 + probe.ms_classical_frac * stream.normal(),
-                       0.05)
-
-    state = polarized_state(ens.n_effective, ens, "down")
-    delta_p = np.zeros(n_trials)
-    windows = []  # per probe window: (n_up, freq_hz, true_jz)
-
+    if not isinstance(protocol, _Checked):
+        protocol = _validate_runnable(protocol, params)
+    batch = _Batch(params, BatchStream.of(rng, n_trials))
     for step in protocol.steps:
-        if isinstance(step, Prealign):
-            # adding 0.0 turns the -0.0 of a zero spread into 0.0
-            delta_p = probe.detuning_spread * stream.normal() + 0.0
-        elif isinstance(step, OpticalPump):
-            # pumping does not cool the ensemble
-            state = replace(polarized_state(ens.n_effective, ens, step.target),
-                            freq_offset=state.freq_offset)
-        elif isinstance(step, MicrowavePulse):
-            # with a knob at 0.0 the step's own number is the noisy one to
-            # the bit, but for the sign of a -0.0 phase
-            z_angle, z_phase = stream.normal(2)
-            angle, phase = step.angle, step.phase
-            if params.rotation_angle_noise:
-                angle = angle * (1.0 + params.rotation_angle_noise * z_angle)
-            if params.rotation_phase_noise:
-                phase = phase + params.rotation_phase_noise * z_phase
-            state = rotate(state, angle, phase)
-            state.validate()
-        elif isinstance(step, ProbeStep):
-            base = step.m_t if step.m_t is not None else probe.m_t
-            outcome, state = probe_measure(state, params, stream,
-                                           m_t=base * power,
-                                           detuning_offset=delta_p)
-            state.validate()
-            windows.append((outcome.n_up, outcome.freq / TWO_PI,
-                            outcome.true_jz))
-        elif isinstance(step, Wait):
-            pass  # no decoherence clock in scope
-        elif isinstance(step, Scatter):
-            # Raman scattering with no reading at the half-polarized
-            # reference flux, |1> repumped to up; recoil follows the up atoms
-            half = ens.n_effective / 2.0
-            m_s = step.m_t * power * scattered_ratio(half, params.cavity)
-            state = apply_raman_diffusion(state, m_s, params, stream,
-                                          repump_to_up=True)
-            recoil = TWO_PI * params.cavity.recoil_shift_per_photon * (
-                gaussian_counts(m_s * np.maximum(state.pop_up, 0.0) / half,
-                                stream.normal()))
-            state = replace(state, freq_offset=state.freq_offset - recoil)
-            state.validate()
-        else:  # pragma: no cover - exhaustive by construction
-            raise ProtocolError(f"unhandled step {step!r}")
+        step._run(batch)
 
+    windows = batch.windows
     n_up, freq_hz, true_jz = np.reshape(
         windows, (len(windows), 3, n_trials)).transpose(1, 2, 0)
     return RecordSet.from_columns(
         params.snapshot(), None, labels=protocol.probe_labels,
-        omega_p_offset_hz=delta_p / TWO_PI, n_up=n_up, freq_hz=freq_hz,
-        true_jz=true_jz)
+        omega_p_offset_hz=batch.delta_p / TWO_PI, n_up=n_up,
+        freq_hz=freq_hz, true_jz=true_jz)
 
 
 def _check_seed(master_seed: int, index: int) -> None:
@@ -472,24 +520,17 @@ def trial_seed(master_seed: int, index: int) -> int:
         1, np.uint64)[0])
 
 
-def _with_numbers(protocol: Protocol, numbers) -> Protocol:
-    """``protocol`` with each pulse's angle and phase and each probe's and
-    scatter's strength, in step order, from the iterable ``numbers``."""
+def _numbers(protocol: Protocol) -> list:
+    """The numbers of ``protocol``'s steps (each kind's ``_numbers``)."""
+    return [getattr(s, name) for s in protocol.steps for name in s._numbers]
+
+
+def _with_numbers(protocol: Protocol, numbers) -> _Checked:
+    """``protocol`` with the numbers of its steps, in step order, from the
+    iterable ``numbers``."""
     numbers = iter(numbers)
-    return Protocol(tuple(
-        MicrowavePulse(next(numbers), next(numbers))
-        if isinstance(s, MicrowavePulse) else ProbeStep(s.label, next(numbers))
-        if isinstance(s, ProbeStep) else Scatter(next(numbers))
-        if isinstance(s, Scatter) else s for s in protocol.steps))
-
-
-def _numbers(protocol: Protocol, params: SimParams) -> list[float]:
-    """The numbers ``_with_numbers`` replaces, a probe's None resolved."""
-    return [x for s in protocol.steps for x in (
-        (s.angle, s.phase) if isinstance(s, MicrowavePulse)
-        else (params.probe.m_t if s.m_t is None else s.m_t,)
-        if isinstance(s, ProbeStep) else (s.m_t,)
-        if isinstance(s, Scatter) else ())]
+    return _Checked(tuple(replace(s, **dict(zip(s._numbers, numbers)))
+                          if s._numbers else s for s in protocol.steps))
 
 
 def _batches(chunks, shapes):
@@ -508,12 +549,13 @@ def _batches(chunks, shapes):
 
 
 def _run_points(points: list, n_trials: int):
-    """``run_grid`` once its arguments are checked, each row written once."""
+    """``run_grid`` once its arguments are checked, each point's protocol
+    checked by ``_validate_runnable``, each row written once."""
     # params but for probe.m_t, without building (and checking) a SimParams
     shapes = [(_with_numbers(protocol, itertools.repeat(None)),
                {**vars(params), "probe": {**vars(params.probe), "m_t": 0.0}})
               for protocol, params, _ in points]
-    numbers = [_numbers(protocol, params) for protocol, params, _ in points]
+    numbers = [_numbers(protocol) for protocol, _, _ in points]
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
               for i in range(len(points))
               for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
@@ -571,12 +613,12 @@ def run_grid(points, n_trials: int):
     invariant violation names the point's index in ``points`` as well as
     the trial and its chunk.
     """
-    points = list(points)
     check_value("cli", "n_trials", n_trials, "n_trials")
+    checked = []
     for protocol, params, seed in points:
-        _validate_runnable(protocol, params)
+        checked.append((_validate_runnable(protocol, params), params, seed))
         _check_seed(seed, 0)  # a bad seed fails before any trial runs
-    return _run_points(points, n_trials)
+    return _run_points(checked, n_trials)
 
 
 def spin_noise_reduction(rs: RecordSet, final_label: str,

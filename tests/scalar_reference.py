@@ -43,7 +43,6 @@ from squeezesim.sequence import (
     ProtocolError,
     Scatter,
     TrialRecord,
-    Wait,
     _validate_runnable,
     parse_protocol,
     trial_seed,
@@ -438,8 +437,6 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
             outcomes[step.label] = LabeledOutcome(
                 n_up=outcome.n_up, freq_hz=outcome.freq / TWO_PI)
             trace.append(outcome.true_jz)
-        elif isinstance(step, Wait):
-            pass  # no decoherence clock in scope
         elif isinstance(step, Scatter):
             # Raman scattering with no reading, |1> repumped to up, at the
             # half-polarized reference flux; recoil follows the up population

@@ -59,15 +59,14 @@ ENGINE_TRIALS, SCALAR_TRIALS = 5000, 500
 BASE = SimParams()
 STANDARD = standard_protocol()
 # a pump to up, a probe on a pole (no projection noise to draw), probes at
-# a fixed strength (few Raman events, whose scalar shares are exact sums),
-# a wait and pulses at odd phases
+# a fixed strength (few Raman events, whose scalar shares are exact sums)
+# and pulses at odd phases
 VARIED = parse_protocol("""\
 prealign
 pump up
 probe Z mt=3000
 pulse 90 0
 probe A mt=1000
-wait 0.001
 pulse 180 45
 probe B
 pump down

@@ -21,7 +21,6 @@ from squeezesim.sequence import (
     Scatter,
     SimParams,
     TrialRecord,
-    Wait,
     parse_protocol,
     run_grid,
     run_trial,
@@ -40,6 +39,13 @@ def rng(seed: int) -> np.random.Generator:
 def chunk_generator(master_seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed,
                                                         spawn_key=(k,)))
+
+
+class RaisingDraws:
+    """A generator whose every draw fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a draw was made: {name}")
 
 
 class TestParser:
@@ -70,7 +76,7 @@ class TestParser:
             parse_protocol("pulse ninety 0")
 
     def test_comments_and_blanks_skipped(self):
-        p = parse_protocol("# a comment\n\nprealign\nwait 0.001\n")
+        p = parse_protocol("# a comment\n\nprealign\npump up\n")
         assert len(p.steps) == 2
         assert isinstance(p.steps[0], Prealign)
 
@@ -87,18 +93,17 @@ class TestParser:
         ("probe Np mt=inf", "mt must be finite (got 'inf')"),
         ("pulse 90 inf", "pulse phase must be finite (got 'inf')"),
         ("pulse nan 0", "pulse angle must be finite (got 'nan')"),
-        ("wait -1", "wait must be >= 0 (got '-1')"),
-        ("wait nan", "wait must be finite (got 'nan')"),
         ("pulse 90 0 extra", "expected: pulse <deg> <phase_deg>"),
         ("pump", "expected: pump <up|down>"),
         ("probe A B C", "expected: probe <label> [mt=<float>]"),
         ("prealign now", "expected: prealign"),
-        ("wait", "expected: wait <seconds>"),
         ("scatter", "expected: scatter <mt>"),
         ("scatter 1e4 2e4", "expected: scatter <mt>"),
         ("scatter nan", "scatter must be finite (got 'nan')"),
         ("scatter inf", "scatter must be finite (got 'inf')"),
         ("scatter -1", "scatter must be >= 0 (got '-1')"),
+        ("probe A mt=0", "mt must be > 0 (got '0')"),
+        ("probe B mt=-3", "mt must be > 0 (got '-3')"),
     ])
     def test_bad_step_named_at_parse(self, text, message):
         with pytest.raises(ProtocolError) as err:
@@ -222,17 +227,18 @@ class TestRunTrials:
         *(pytest.param(ProbeStep("B", m_t), f"probe step 'B' has m_t = "
                        f"{m_t}; probes need a finite m_t > 0 (drop the step "
                        "for a no-probe sequence)", id=f"probe-{m_t}")
-          for m_t in (math.nan, math.inf)),
-        *(pytest.param(Wait(t), f"wait step 2 has duration = {t}; waiting "
-                       "needs a finite duration >= 0", id=f"wait-{t}")
-          for t in (-1.0, math.nan))])
+          for m_t in (math.nan, math.inf))])
     def test_bad_scatter_strength_named_before_any_trial(self, monkeypatch,
                                                          step, message):
+        proto = Protocol((OpticalPump("down"), step, ProbeStep("A")))
+        with pytest.raises(ProtocolError) as err:
+            run_trial(proto, PARAMS, RaisingDraws(), 3)
+        assert str(err.value) == message
+
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(sequence, "run_trial", no_trial)
-        proto = Protocol((OpticalPump("down"), step, ProbeStep("A")))
         with pytest.raises(ProtocolError) as err:
             run_trials(proto, PARAMS, 3, 1)
         assert str(err.value) == message
@@ -240,6 +246,23 @@ class TestRunTrials:
             run_grid([(standard_protocol(), PARAMS, 1), (proto, PARAMS, 2)],
                      3)
         assert str(err.value) == message
+
+    def test_each_point_checked_once(self, monkeypatch):
+        # a sweep's 15 points of 1000 trials run as 4 batches: the batches
+        # run the points' checked protocols without checking them again
+        checks = []
+        real_check = sequence._validate_runnable
+
+        def counted(protocol, params):
+            checks.append(params.probe.m_t)
+            return real_check(protocol, params)
+
+        monkeypatch.setattr(sequence, "_validate_runnable", counted)
+        strengths = np.logspace(3, 5, 15)
+        grid = run_grid([(standard_protocol(), PARAMS.with_mt(m_t), 1)
+                         for m_t in strengths], 1000)
+        assert len(list(grid)) == 15
+        assert checks == strengths.tolist()
 
     @pytest.mark.parametrize("n", ["3", None, True])
     def test_trial_count_that_is_not_a_number_is_named(self, n):

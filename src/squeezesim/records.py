@@ -203,8 +203,12 @@ def _table(path: Path, labels: list[str], n_trials: int) -> tuple:
     # the bytes no plain row holds, the header's too, are counted before the
     # split, and each copy is freed once the next is made, to save memory
     odd = len(data.translate(None, _PLAIN_CELL + b"\r\n"))
-    minus_zero = _MINUS_ZERO.search(data)
     rows = data.splitlines()
+    start = 0  # the first data row's offset: the header's lines and ends
+    for row in rows[:skip]:
+        start += len(row)
+        start += 2 if data.startswith(b"\r\n", start) else 1
+    minus_zero = _MINUS_ZERO.search(data, start)
     del data, head, reader
     odd -= len(b"".join(rows[:skip]).translate(None, _PLAIN_CELL))
     del rows[:skip]

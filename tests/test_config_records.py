@@ -621,6 +621,28 @@ class TestReaderPaths:
         monkeypatch.setattr(records, "_parse", text_path)
         assert_same_bits(read_records(path), rs)
 
+    def test_minus_zero_label_sends_no_row_through_the_row_scan(
+            self, tmp_path, monkeypatch):
+        # the header's "N-0," is no cell: the search for a "-0" cell starts
+        # at the first data row, so no row is searched on its own
+        plain = self.random_set(5, [], 50)
+        rs = column_set(plain.omega_p_offset_hz,
+                        {"N-0": (plain.n_up[:, 0], plain.freq_hz[:, 0])},
+                        plain.true_jz.T)
+        path = tmp_path / "records.csv"
+        write_records(rs, path)
+        assert b"N-0," in path.read_bytes()
+        pattern, searched = records._MINUS_ZERO, []
+
+        class Counted:
+            def search(self, data, *pos):
+                searched.append(len(data))
+                return pattern.search(data, *pos)
+
+        monkeypatch.setattr(records, "_MINUS_ZERO", Counted())
+        assert_same_bits(read_records(path), rs)
+        assert len(searched) == 1
+
     # trials 0..2; row 1, line 4 of the file, reads
     # 1,11.25,31.75,1.5,21.5,41.5,51.125 (trial, Np, Nf, omega_p_offset_hz,
     # Np_freq_hz, Nf_freq_hz, true_jz_1)

@@ -255,8 +255,8 @@ class Protocol:
 
 
 class _Checked(Protocol):
-    """A protocol that ``_validate_runnable`` passed, or one of a batch's
-    numbers of such protocols: ``run_trial`` runs it unchecked."""
+    """A protocol that ``_validate_runnable`` passed, or a batch's built
+    from the numbers of such protocols: ``run_trial`` runs it unchecked."""
 
 
 def parse_protocol(text: str) -> Protocol:
@@ -436,8 +436,9 @@ def _unpickled(params, master_seed, labels, *arrays) -> RecordSet:
 
 
 def _validate_runnable(protocol: Protocol, params: SimParams) -> _Checked:
-    """``protocol`` with each probe's strength of None the configured one;
-    ProtocolError naming the first step that breaks its kind's rule."""
+    """``protocol`` as a ``_Checked`` one, each probe of no strength (None)
+    given the configured one; ProtocolError naming the first step that
+    breaks its kind's rule."""
     checked = _with_numbers(protocol, (params.probe.m_t if x is None else x
                                        for x in _numbers(protocol)))
     for n, step in enumerate(checked.steps, start=1):
@@ -551,7 +552,8 @@ def _batches(chunks, shapes):
 def _run_points(points: list, n_trials: int):
     """``run_grid`` once its arguments are checked, each point's protocol
     checked by ``_validate_runnable``, each row written once."""
-    # params but for probe.m_t, without building (and checking) a SimParams
+    # a point's steps without their numbers, never run, and its params but
+    # for probe.m_t, without building (and checking) a SimParams
     shapes = [(_with_numbers(protocol, itertools.repeat(None)),
                {**vars(params), "probe": {**vars(params.probe), "m_t": 0.0}})
               for protocol, params, _ in points]

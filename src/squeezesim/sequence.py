@@ -245,6 +245,9 @@ class Protocol:
     steps: tuple[_Step, ...]
 
     def __post_init__(self) -> None:
+        for step in self.steps:
+            if not isinstance(step, _Step):
+                raise ProtocolError(f"unhandled step {step!r}")
         labels = self.probe_labels
         if len(labels) != len(set(labels)):
             raise ProtocolError("duplicate probe labels in protocol")

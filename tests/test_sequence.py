@@ -114,6 +114,11 @@ class TestParser:
         with pytest.raises(ProtocolError):
             Protocol((ProbeStep("A"), ProbeStep("A")))
 
+    def test_manual_step_that_is_no_step_rejected(self):
+        # a line of protocol text is not a step
+        with pytest.raises(ProtocolError, match="unhandled step 'pump down'"):
+            Protocol((OpticalPump("down"), "pump down"))
+
 
 class TestRunTrial:
     def test_structural_labels(self):

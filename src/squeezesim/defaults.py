@@ -79,6 +79,7 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _UNIT_OPEN = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
 _UNIT_HALF_OPEN = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_FINITE = (lambda v: True, "must be finite")
 
 RULES: dict[str, dict] = {
     "cavity": {"g_hz": _POSITIVE, "kappa_hz": _POSITIVE,
@@ -97,7 +98,7 @@ RULES: dict[str, dict] = {
     # config file; the calibration slope is a line fit in Hz per photon, so
     # its M_t grid needs two distinct points at least one photon apart
     "cli": {"m_t": _POSITIVE, "target_winv": _POSITIVE,
-            "psi": (lambda v: True, "must be finite"),
+            "psi": _FINITE,
             "boot": _NON_NEGATIVE,
             "calibration_points": (lambda v: v >= 2,
                                    "must be >= 2 for the line fit"),
@@ -105,6 +106,10 @@ RULES: dict[str, dict] = {
                                  "for the line fit"),
             "n_trials": (lambda v: isinstance(v, numbers.Integral) and v >= 1,
                          "must be an integer >= 1")},
+    # the numbers of the protocol steps (sequence.py), keyed
+    # <keyword>.<field>; a pulse's angle and phase are in rad
+    "steps": {"pulse.angle": _FINITE, "pulse.phase": _FINITE,
+              "probe.m_t": _POSITIVE, "scatter.m_t": _NON_NEGATIVE},
 }
 
 

@@ -14,12 +14,13 @@ A protocol is an ordered list of steps in a small line-based language::
 Steps: ``pump <up|down>``, ``pulse <deg> <phase_deg>``, ``prealign``,
 ``probe <label> [mt=<float>]`` and ``scatter <mt>`` (Raman scattering
 with no reading).  Lines starting with ``#`` are comments.  Each step
-kind is one class below: its keyword and form, its rule, its numbers and
-its run.  Probe labels must be unique, a pump's target up or down, every
-number finite, a probe's m_t > 0 and a scatter's >= 0.  The parser
-refuses a line that breaks a rule, naming the line; a hand-built protocol
-that breaks one, or a probe whose configured m_t is not > 0, is refused
-before any trial runs.
+kind is one class below: its keyword and form, its numbers and its run.
+A step checks its fields when it is built, as the parameter dataclasses
+do: a pump's target is up or down, and each number obeys its
+``defaults.RULES["steps"]`` row (finite; a probe's m_t > 0, or None for
+the configured one; a scatter's >= 0).  The parser names the line of a
+step that breaks one.  Probe labels must be unique, and a probe of no
+m_t needs a configured one > 0, checked before any trial runs.
 
 Reproducibility contract: trial i of ``run_trials(protocol, params, n,
 master_seed)`` belongs to chunk k = i // ``CHUNK_TRIALS`` (512, a fixed
@@ -40,10 +41,9 @@ steps, their params but for ``probe.m_t``), run together as batches of at most
 each of those numbers as arrays over its trials, or as one value that
 every trial shares, and each draw is one bulk call per chunk over that
 chunk's trials, on the chunk's own generator (see ``state.BatchStream``),
-so how chunks are batched changes no record.  ``run_grid`` checks each
-point once, and ``run_trial`` runs its batches without checking them
-again.  Every draw is of normals,
-event counts included (from their Gaussian moments,
+so how chunks are batched changes no record.  A batch's steps are built
+from checked steps' numbers, and are not checked again.  Every draw is of
+normals, event counts included (from their Gaussian moments,
 ``state.gaussian_counts``).  ``run_trial`` knows a batch's trials only
 as rows: ``run_grid`` alone maps them to points, trials and chunks.
 
@@ -59,7 +59,6 @@ on demand.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -85,32 +84,27 @@ class ProtocolError(ValueError):
     """Raised for malformed protocol text or unrunnable protocols."""
 
 
-def _number(text: str, name: str) -> float:
-    """``text`` as a float; ValueError unless it is a finite number."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite (got {text!r})")
-    return value
-
-
 class _Step:
     """A step kind, one row of the protocol language: its keyword and
-    arguments (``_form``), its step of their words (``_of``), its rule
-    (``_fine``), which the parser and the run-time check both apply, and
-    their messages for a step that breaks it (``_refused``, of its last
-    word; ``_unrunnable``, of its fields and its number ``n``), the fields
-    the points of one shape may differ in (``_numbers``), and its draws
-    and its effect on a ``_Batch`` (``_run``)."""
+    arguments (``_form``), its step of their words (``_of``), the fields
+    the points of one shape may differ in (``_numbers``, each checked when
+    the step is built by the ``defaults.RULES["steps"]`` row
+    ``<keyword>.<field>``), and its draws and its effect on a ``_Batch``
+    (``_run``)."""
 
     _numbers = ()
+    _unit = 1.0  # a number field's value per unit of its word
     _window = False  # a probe window, recorded under the step's label
+
+    def __post_init__(self) -> None:
+        for name in self._numbers:
+            key = f"{self._form.split()[0]}.{name}"
+            check_value("steps", key, getattr(self, name), key)
 
     @classmethod
     def _of(cls, words):
-        return cls(*words)
-
-    def _fine(self) -> bool:
-        return True
+        return cls(*(float(word) * cls._unit if name in cls._numbers else word
+                     for word, name in zip(words, cls.__dataclass_fields__)))
 
 
 @dataclass(frozen=True)
@@ -118,12 +112,11 @@ class OpticalPump(_Step):
     target: str  # "up" | "down"
 
     _form = "pump <up|down>"
-    _refused = "unknown pump target {}"
-    _unrunnable = ("pump step {n} has target = {target!r}; pumping needs "
-                   "'up' or 'down'")
 
-    def _fine(self) -> bool:
-        return self.target in ("up", "down")
+    def __post_init__(self) -> None:
+        if self.target not in ("up", "down"):
+            raise ValueError(f"pump.target must be 'up' or 'down' "
+                             f"(got {self.target!r})")
 
     def _run(self, batch: _Batch) -> None:
         ens = batch.params.ensemble
@@ -140,16 +133,7 @@ class MicrowavePulse(_Step):
 
     _form = "pulse <deg> <phase_deg>"
     _numbers = ("angle", "phase")
-    _unrunnable = ("pulse step {n} has angle = {angle} and phase = {phase}; "
-                   "pulses need a finite angle and phase")
-
-    @classmethod
-    def _of(cls, words):
-        return cls(*(math.radians(_number(word, f"pulse {name}"))
-                     for word, name in zip(words, ("angle", "phase"))))
-
-    def _fine(self) -> bool:
-        return (np.isfinite(self.angle) & np.isfinite(self.phase)).all()
+    _unit = math.pi / 180.0  # rad per degree
 
     def _run(self, batch: _Batch) -> None:
         # with a knob at 0.0 the step's own number is the noisy one to the
@@ -172,17 +156,10 @@ class ProbeStep(_Step):
     _form = "probe <label> [mt=<float>]"
     _numbers = ("m_t",)
     _window = True
-    _refused = "mt must be > 0 (got {})"
-    _unrunnable = ("probe step {label!r} has m_t = {m_t}; probes need a "
-                   "finite m_t > 0 (drop the step for a no-probe sequence)")
 
-    @classmethod
-    def _of(cls, words):
-        return cls(words[0], *(_number(word, "mt") for word in words[1:]))
-
-    def _fine(self) -> bool:
-        return self.m_t is None or (np.isfinite(self.m_t)
-                                    & (self.m_t > 0)).all()
+    def __post_init__(self) -> None:
+        if self.m_t is not None:
+            super().__post_init__()
 
     def _run(self, batch: _Batch) -> None:
         outcome, batch.state = probe_measure(
@@ -209,16 +186,6 @@ class Scatter(_Step):
 
     _form = "scatter <mt>"
     _numbers = ("m_t",)
-    _refused = "scatter must be >= 0 (got {})"
-    _unrunnable = ("scatter step {n} has m_t = {m_t}; scattering needs a "
-                   "finite m_t >= 0")
-
-    @classmethod
-    def _of(cls, words):
-        return cls(_number(words[0], "scatter"))
-
-    def _fine(self) -> bool:
-        return (np.isfinite(self.m_t) & (self.m_t >= 0)).all()
 
     def _run(self, batch: _Batch) -> None:
         # Raman scattering with no reading at the half-polarized reference
@@ -257,11 +224,6 @@ class Protocol:
         return tuple(s.label for s in self.steps if s._window)
 
 
-class _Checked(Protocol):
-    """A protocol that ``_validate_runnable`` passed, or a batch's built
-    from the numbers of such protocols: ``run_trial`` runs it unchecked."""
-
-
 def parse_protocol(text: str) -> Protocol:
     """Parse protocol text; raises :class:`ProtocolError` with line numbers,
     stating the expected form of a step given the wrong arguments."""
@@ -283,10 +245,8 @@ def parse_protocol(text: str) -> Protocol:
             if not (len(starts) - kind._form.count("[") <= len(args)
                     <= len(starts) and all(map(str.startswith, args, starts))):
                 raise ValueError(f"expected: {kind._form}")
-            words = [word[len(start):] for word, start in zip(args, starts)]
-            step = kind._of(words)
-            if not step._fine():
-                raise ValueError(step._refused.format(repr(words[-1])))
+            step = kind._of([word[len(start):]
+                             for word, start in zip(args, starts)])
             if step._window:
                 if step.label in labels:
                     raise ValueError(f"duplicate probe label {step.label!r}")
@@ -438,16 +398,21 @@ def _unpickled(params, master_seed, labels, *arrays) -> RecordSet:
                                   **dict(zip(_ARRAYS, arrays)))
 
 
-def _validate_runnable(protocol: Protocol, params: SimParams) -> _Checked:
-    """``protocol`` as a ``_Checked`` one, each probe of no strength (None)
-    given the configured one; ProtocolError naming the first step that
-    breaks its kind's rule."""
-    checked = _with_numbers(protocol, (params.probe.m_t if x is None else x
-                                       for x in _numbers(protocol)))
-    for n, step in enumerate(checked.steps, start=1):
-        if not step._fine():
-            raise ProtocolError(step._unrunnable.format(n=n, **vars(step)))
-    return checked
+def _resolved(protocol: Protocol, params: SimParams) -> Protocol:
+    """``protocol`` with each probe of no strength (None) given the
+    configured one; ProtocolError naming the first such probe if that
+    strength is not > 0."""
+    m_t = params.probe.m_t
+    unset = [s._window and s.m_t is None for s in protocol.steps]
+    if not any(unset):
+        return protocol
+    if not m_t > 0:
+        label = protocol.steps[unset.index(True)].label
+        raise ProtocolError(f"probe step {label!r} has m_t = {m_t}; probes "
+                            "need a finite m_t > 0 (drop the step for a "
+                            "no-probe sequence)")
+    return Protocol(tuple(_copied(s, m_t=m_t) if none else s
+                          for s, none in zip(protocol.steps, unset)))
 
 
 class _Batch:
@@ -469,13 +434,14 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     """Run one batch of ``n_trials`` trials of a protocol.
 
     ``rng`` is the batch's ``BatchStream``, or a lone generator that
-    draws for a batch of one chunk.  A protocol that ``run_grid`` has not
-    checked is checked first, before any draw.  Every draw is one bulk
-    call per chunk over the chunk's trials: first the common probe-power
-    fluctuation shared by all of a trial's windows, then each step's draws
-    in protocol order; a pulse draws 2 normals per trial even with the
-    rotation noise off; a scatter step draws 4 normals per trial for its
-    Raman counts, then 1 for its recoil photons.  A pulse's angle and
+    draws for a batch of one chunk.  A probe of no strength takes the
+    configured one, refused before any draw unless > 0; the steps checked
+    their own numbers when built.  Every draw is one bulk call per chunk
+    over the chunk's trials: first the common probe-power fluctuation
+    shared by all of a trial's windows, then each step's draws in protocol
+    order; a pulse draws 2 normals per trial even with the rotation noise
+    off; a scatter step draws 4 normals per trial for its Raman counts,
+    then 1 for its recoil photons.  A pulse's angle and
     phase and a probe's or scatter's strength are floats or arrays with
     one value per trial, and the state is a batch of one until a draw or a
     per-trial number widens it.  The state invariants are checked after
@@ -483,8 +449,7 @@ def run_trial(protocol: Protocol, params: SimParams, rng,
     ``state.InvariantError``, naming the trial by its row of the batch.
     Returns the batch's records, ``master_seed`` None.
     """
-    if not isinstance(protocol, _Checked):
-        protocol = _validate_runnable(protocol, params)
+    protocol = _resolved(protocol, params)
     batch = _Batch(params, BatchStream.of(rng, n_trials))
     for step in protocol.steps:
         step._run(batch)
@@ -524,16 +489,19 @@ def trial_seed(master_seed: int, index: int) -> int:
         1, np.uint64)[0])
 
 
-def _numbers(protocol: Protocol) -> list:
-    """The numbers of ``protocol``'s steps (each kind's ``_numbers``)."""
-    return [getattr(s, name) for s in protocol.steps for name in s._numbers]
+def _copied(step: _Step, **fields) -> _Step:
+    """A copy of ``step`` with ``fields``, not checked again: the instance
+    dict is written directly, as the step is frozen."""
+    new = object.__new__(type(step))
+    new.__dict__.update(vars(step), **fields)
+    return new
 
 
-def _with_numbers(protocol: Protocol, numbers) -> _Checked:
+def _with_numbers(protocol: Protocol, numbers) -> Protocol:
     """``protocol`` with the numbers of its steps, in step order, from the
-    iterable ``numbers``."""
+    iterable ``numbers``: checked steps' numbers, or arrays of them."""
     numbers = iter(numbers)
-    return _Checked(tuple(replace(s, **dict(zip(s._numbers, numbers)))
+    return Protocol(tuple(_copied(s, **dict(zip(s._numbers, numbers)))
                           if s._numbers else s for s in protocol.steps))
 
 
@@ -554,13 +522,15 @@ def _batches(chunks, shapes):
 
 def _run_points(points: list, n_trials: int):
     """``run_grid`` once its arguments are checked, each point's protocol
-    checked by ``_validate_runnable``, each row written once."""
-    # a point's steps without their numbers, never run, and its params but
-    # for probe.m_t, without building (and checking) a SimParams
-    shapes = [(_with_numbers(protocol, itertools.repeat(None)),
+    resolved by ``_resolved``, each row written once."""
+    # a point's steps but for their numbers, and its params but for
+    # probe.m_t, without building a protocol or a SimParams
+    shapes = [([(type(s), [v for k, v in vars(s).items()
+                           if k not in s._numbers]) for s in protocol.steps],
                {**vars(params), "probe": {**vars(params.probe), "m_t": 0.0}})
               for protocol, params, _ in points]
-    numbers = [_numbers(protocol) for protocol, _, _ in points]
+    numbers = [[getattr(s, name) for s in protocol.steps
+                for name in s._numbers] for protocol, _, _ in points]
     chunks = [(i, k, first, min(CHUNK_TRIALS, n_trials - first))
               for i in range(len(points))
               for k, first in enumerate(range(0, n_trials, CHUNK_TRIALS))]
@@ -619,11 +589,11 @@ def run_grid(points, n_trials: int):
     the trial and its chunk.
     """
     check_value("cli", "n_trials", n_trials, "n_trials")
-    checked = []
+    resolved = []
     for protocol, params, seed in points:
-        checked.append((_validate_runnable(protocol, params), params, seed))
+        resolved.append((_resolved(protocol, params), params, seed))
         _check_seed(seed, 0)  # a bad seed fails before any trial runs
-    return _run_points(checked, n_trials)
+    return _run_points(resolved, n_trials)
 
 
 def spin_noise_reduction(rs: RecordSet, final_label: str,

@@ -43,7 +43,7 @@ from squeezesim.sequence import (
     ProtocolError,
     Scatter,
     TrialRecord,
-    _validate_runnable,
+    _resolved,
     parse_protocol,
     trial_seed,
 )
@@ -399,7 +399,7 @@ def run_trial(protocol: Protocol, params: SimParams, seed: int) -> TrialRecord:
     a generator seeded with ``seed`` alone, so records are reproducible
     individually.
     """
-    _validate_runnable(protocol, params)
+    _resolved(protocol, params)
     rng = np.random.default_rng(int(seed))
 
     # common probe-power fluctuation: the classical M_s noise channel

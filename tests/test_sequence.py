@@ -1,13 +1,14 @@
 import ast
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from squeezesim import sequence
+from squeezesim.defaults import RULES
 from squeezesim.records import read_records, write_records
 from squeezesim.sequence import (
     LabeledOutcome,
@@ -89,21 +90,23 @@ class TestParser:
         assert p.steps == (Scatter(0.0), Scatter(1.5e4))
 
     @pytest.mark.parametrize("text,message", [
-        ("probe Np mt=nan", "mt must be finite (got 'nan')"),
-        ("probe Np mt=inf", "mt must be finite (got 'inf')"),
-        ("pulse 90 inf", "pulse phase must be finite (got 'inf')"),
-        ("pulse nan 0", "pulse angle must be finite (got 'nan')"),
+        ("probe Np mt=nan", "probe.m_t must be finite (got nan)"),
+        ("probe Np mt=inf", "probe.m_t must be finite (got inf)"),
+        ("pulse 90 inf", "pulse.phase must be finite (got inf)"),
+        ("pulse nan 0", "pulse.angle must be finite (got nan)"),
         ("pulse 90 0 extra", "expected: pulse <deg> <phase_deg>"),
         ("pump", "expected: pump <up|down>"),
+        ("pump sideways",
+         "pump.target must be 'up' or 'down' (got 'sideways')"),
         ("probe A B C", "expected: probe <label> [mt=<float>]"),
         ("prealign now", "expected: prealign"),
         ("scatter", "expected: scatter <mt>"),
         ("scatter 1e4 2e4", "expected: scatter <mt>"),
-        ("scatter nan", "scatter must be finite (got 'nan')"),
-        ("scatter inf", "scatter must be finite (got 'inf')"),
-        ("scatter -1", "scatter must be >= 0 (got '-1')"),
-        ("probe A mt=0", "mt must be > 0 (got '0')"),
-        ("probe B mt=-3", "mt must be > 0 (got '-3')"),
+        ("scatter nan", "scatter.m_t must be finite (got nan)"),
+        ("scatter inf", "scatter.m_t must be finite (got inf)"),
+        ("scatter -1", "scatter.m_t must be >= 0 (got -1.0)"),
+        ("probe A mt=0", "probe.m_t must be > 0 (got 0.0)"),
+        ("probe B mt=-3", "probe.m_t must be > 0 (got -3.0)"),
     ])
     def test_bad_step_named_at_parse(self, text, message):
         with pytest.raises(ProtocolError) as err:
@@ -120,6 +123,18 @@ class TestParser:
             Protocol((OpticalPump("down"), "pump down"))
 
 
+class TestStepRules:
+    def test_each_number_of_each_step_kind_has_one_rule(self):
+        # a step's numbers are its float fields, and each has the one row
+        # <keyword>.<field> of RULES["steps"]; no row is left unread
+        keys = []
+        for keyword, kind in sequence._KINDS.items():
+            numbers = [f.name for f in fields(kind) if "float" in f.type]
+            assert list(kind._numbers) == numbers
+            keys += [f"{keyword}.{name}" for name in numbers]
+        assert sorted(keys) == sorted(RULES["steps"])
+
+
 class TestRunTrial:
     def test_structural_labels(self):
         rec = run_trial(standard_protocol(), PARAMS, rng(17), 1).trials[0]
@@ -132,9 +147,10 @@ class TestRunTrial:
         assert a == b
 
     def test_zero_mt_probe_is_configuration_error(self):
+        # refused before any draw
         proto = parse_protocol("probe A")
         with pytest.raises(ProtocolError):
-            run_trial(proto, PARAMS.with_mt(0.0), rng(1), 1)
+            run_trial(proto, PARAMS.with_mt(0.0), RaisingDraws(), 1)
 
     def test_nominal_noise_reduction_band(self):
         # 800 trials at the reference operating point: the band reaches
@@ -219,55 +235,62 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=message):
             run_grid([(standard_protocol(), PARAMS, 1)], n)
 
-    # a hand-built second step that the parser would refuse, and its message
-    @pytest.mark.parametrize("step,message", [
-        *(pytest.param(Scatter(m_t), f"scatter step 2 has m_t = {m_t}; "
-                       "scattering needs a finite m_t >= 0", id=str(m_t))
-          for m_t in (-1.0, math.nan, math.inf)),
-        pytest.param(OpticalPump("sideways"), "pump step 2 has target = "
-                     "'sideways'; pumping needs 'up' or 'down'", id="pump"),
-        pytest.param(MicrowavePulse(math.nan, 0.0), "pulse step 2 has angle "
-                     "= nan and phase = 0.0; pulses need a finite angle and "
-                     "phase", id="pulse-nan"),
-        *(pytest.param(ProbeStep("B", m_t), f"probe step 'B' has m_t = "
-                       f"{m_t}; probes need a finite m_t > 0 (drop the step "
-                       "for a no-probe sequence)", id=f"probe-{m_t}")
-          for m_t in (math.nan, math.inf))])
-    def test_bad_scatter_strength_named_before_any_trial(self, monkeypatch,
-                                                         step, message):
-        proto = Protocol((OpticalPump("down"), step, ProbeStep("A")))
-        with pytest.raises(ProtocolError) as err:
-            run_trial(proto, PARAMS, RaisingDraws(), 3)
-        assert str(err.value) == message
-
-        def no_trial(*args):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr(sequence, "run_trial", no_trial)
-        with pytest.raises(ProtocolError) as err:
-            run_trials(proto, PARAMS, 3, 1)
-        assert str(err.value) == message
-        with pytest.raises(ProtocolError) as err:
-            run_grid([(standard_protocol(), PARAMS, 1), (proto, PARAMS, 2)],
-                     3)
+    # a hand-built step that the parser would refuse, or that holds what
+    # no protocol line can (no number but a probe's m_t may be None: the
+    # configured strength), and its message
+    @pytest.mark.parametrize("kind,args,message", [
+        *(pytest.param(Scatter, (m_t,), f"scatter.m_t must be {rule} (got "
+                       f"{m_t})", id=str(m_t))
+          for m_t, rule in ((-1.0, ">= 0"), (math.nan, "finite"),
+                            (math.inf, "finite"))),
+        pytest.param(OpticalPump, ("sideways",), "pump.target must be 'up' "
+                     "or 'down' (got 'sideways')", id="pump"),
+        pytest.param(MicrowavePulse, (math.nan, 0.0), "pulse.angle must be "
+                     "finite (got nan)", id="pulse-nan"),
+        *(pytest.param(ProbeStep, ("B", m_t), f"probe.m_t must be finite "
+                       f"(got {m_t})", id=f"probe-{m_t}")
+          for m_t in (math.nan, math.inf)),
+        pytest.param(MicrowavePulse, (None, 0.0), "pulse.angle must be a "
+                     "number (got None)", id="pulse-None"),
+        pytest.param(MicrowavePulse, (0.0, None), "pulse.phase must be a "
+                     "number (got None)", id="pulse-phase-None"),
+        pytest.param(Scatter, (None,), "scatter.m_t must be a number (got "
+                     "None)", id="scatter-None"),
+        pytest.param(Scatter, ("5",), "scatter.m_t must be a number (got "
+                     "'5')", id="scatter-str"),
+        pytest.param(Scatter, (True,), "scatter.m_t must be a number (got "
+                     "True)", id="scatter-bool"),
+        pytest.param(ProbeStep, ("A", "5"), "probe.m_t must be a number "
+                     "(got '5')", id="probe-str")])
+    def test_bad_scatter_strength_named_before_any_trial(self, kind, args,
+                                                         message):
+        # refused when built, so no protocol, and no trial, can hold it
+        with pytest.raises(ValueError) as err:
+            kind(*args)
         assert str(err.value) == message
 
     def test_each_point_checked_once(self, monkeypatch):
-        # a sweep's 15 points of 1000 trials run as 4 batches: the batches
-        # run the points' checked protocols without checking them again
+        # a sweep's 15 points of 1000 trials run as 4 batches: every step
+        # rule ran when the points' steps were built, and neither a point
+        # nor a batch applies one again
         checks = []
-        real_check = sequence._validate_runnable
+        real_check = sequence.check_value
 
-        def counted(protocol, params):
-            checks.append(params.probe.m_t)
-            return real_check(protocol, params)
+        def counted(section, key, *args):
+            checks.append((section, key))
+            return real_check(section, key, *args)
 
-        monkeypatch.setattr(sequence, "_validate_runnable", counted)
         strengths = np.logspace(3, 5, 15)
-        grid = run_grid([(standard_protocol(), PARAMS.with_mt(m_t), 1)
-                         for m_t in strengths], 1000)
-        assert len(list(grid)) == 15
-        assert checks == strengths.tolist()
+        points = [(standard_protocol(), PARAMS.with_mt(m_t), 1)
+                  for m_t in strengths]
+        calls = []
+        real_run = sequence.run_trial
+        monkeypatch.setattr(sequence, "check_value", counted)
+        monkeypatch.setattr(sequence, "run_trial",
+                            lambda *args: calls.append(1) or real_run(*args))
+        assert len(list(run_grid(points, 1000))) == 15
+        assert len(calls) == 4
+        assert checks == [("cli", "n_trials")]
 
     @pytest.mark.parametrize("n", ["3", None, True])
     def test_trial_count_that_is_not_a_number_is_named(self, n):

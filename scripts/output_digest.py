@@ -154,6 +154,11 @@ def commands(work: Path) -> dict[str, list]:
                             "--points", 4],
         "fit": ["fit", "--seed", 9, "--boot", 200, "--in",
                 work / "sweep" / "sweep.csv"],
+        # no resample, and one full block of resamples and one more
+        "fit-boot0": ["fit", "--seed", 9, "--boot", 0, "--in",
+                      work / "sweep" / "sweep.csv"],
+        "fit-boot129": ["fit", "--seed", 9, "--boot", 129, "--in",
+                        work / "sweep" / "sweep.csv"],
         "run": ["run", "--seed", 10, "--trials", 600, "--protocol",
                 work / "protocol.txt"],
         "run-knobs": ["run", "--seed", 11, "--trials", 600, "--protocol",

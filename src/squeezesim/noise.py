@@ -125,8 +125,8 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     weights default to 1/R^2 (constant fractional error).  ``n_boot`` (an
     integer >= 0) pair resamples give 95 % intervals at expanded percentile
     levels, a small-sample correction; for 12 points with 10 % errors they
-    cover about 92 %, not 95 % (ROADMAP item 4).  :func:`_nnls_batch`
-    solves the point estimate and every resample (:func:`_bootstrap`).
+    cover about 92 %, not 95 % (ROADMAP item 4).  :func:`_bootstrap`
+    solves the point estimate and every resample in one stacked call.
     """
     if (isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer))
             or n_boot < 0):
@@ -149,15 +149,13 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
     sw = np.sqrt(w)
     design = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
     design = design * sw[:, None]
-    rhs = r * sw
-    sol = _nnls_batch(design[None], rhs[None])[0]
+    sol, samples = _bootstrap(m, design, r * sw, n_boot, rng)
     if not np.any(sol > 0):
         raise ValueError("degenerate design: fit collapsed to zero")
     names = ("r_psn", "r_tf", "r_q", "r_c")
 
     intervals: dict = {}
     if n_boot > 0:
-        samples = _bootstrap(m, design, rhs, sol, n_boot, rng)
         n_pts = len(m)
         alpha = NormalDist().cdf(
             _t_quantile(0.025, n_pts - 1) * math.sqrt(n_pts / (n_pts - 1)))
@@ -189,28 +187,29 @@ def _t_quantile(p: float, dof: int) -> float:
 
 
 def _bootstrap(m: np.ndarray, design: np.ndarray, rhs: np.ndarray,
-               sol: np.ndarray, n_boot: int, rng) -> np.ndarray:
-    """The ``n_boot`` pair-resampled NNLS solutions of :func:`fit_r`.
+               n_boot: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The NNLS point estimate of :func:`fit_r` and its ``n_boot``
+    pair-resampled solutions.
 
-    A resample takes rows of the weighted problem (``design``, ``rhs``) at
-    the probe strengths ``m``; the indices of a block of ``_BOOT_BLOCK``
-    resamples come from one ``integers`` call, and are the indices, and
-    leave the generator in the state, that one ``choice`` call per
-    resample gives.  :func:`_qr` reduces a block at once to 4 x 4
-    problems, and :func:`_solve` runs the support search once over all
-    of them; a resample whose M_t are all equal keeps the full fit ``sol``.
+    Each row of one stack takes rows of the weighted problem (``design``,
+    ``rhs``) at the probe strengths ``m``.  Row 0, the point estimate,
+    takes each of them once and draws nothing.  The indices of a block of
+    ``_BOOT_BLOCK`` resamples come from one ``integers`` call, and are the
+    indices, and leave the generator in the state, that one ``choice``
+    call per resample gives.  :func:`_qr` reduces a block at once to 4 x 4
+    problems, and :func:`_solve` runs the support search once over the
+    whole stack; a resample whose M_t are all equal keeps the point
+    estimate.
     """
     gen, n = np.random.default_rng(rng), len(m)
-    t, c = np.empty((n_boot, 4, 4)), np.empty((n_boot, 4))
-    flat = np.empty(n_boot, dtype=bool)
-    for lo in range(0, n_boot, _BOOT_BLOCK):
-        hi = min(lo + _BOOT_BLOCK, n_boot)
-        take = gen.integers(0, n, size=(hi - lo, n))
-        t[lo:hi], c[lo:hi] = _qr(design[take], rhs[take])
-        flat[lo:hi] = np.ptp(m[take], axis=1) == 0
+    takes = itertools.chain([np.arange(n)[None]], (
+        gen.integers(0, n, size=(min(_BOOT_BLOCK, n_boot - lo), n))
+        for lo in range(0, n_boot, _BOOT_BLOCK)))
+    t, c, flat = map(np.concatenate, zip(*[
+        (*_qr(design[k], rhs[k]), np.ptp(m[k], axis=1) == 0) for k in takes]))
     samples = _solve(t, c)
-    samples[flat] = sol
-    return samples
+    samples[flat] = samples[0]
+    return samples[0], samples[1:]
 
 
 # Bootstrap resamples drawn and QR-reduced together; bounds the working set
@@ -227,12 +226,6 @@ _GRADIENT_TOL = 1e-13
 # every support of the four coefficients, largest first
 _SUPPORTS = tuple(list(s) for k in (4, 3, 2, 1)
                   for s in itertools.combinations(range(4), k))
-
-
-def _nnls_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact solutions of a stack of four-column NNLS problems: row i of
-    the result minimizes |a[i] x - b[i]| over x >= 0."""
-    return _solve(*_qr(a, b))
 
 
 def _solve(t: np.ndarray, c: np.ndarray) -> np.ndarray:

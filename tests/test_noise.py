@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -278,7 +279,9 @@ class TestBootstrap:
         sol = fit_r(pts, n_boot=0).coeffs
         sol = np.array([sol.r_psn, sol.r_tf, sol.r_q, sol.r_c])
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = noise._bootstrap(m, design, rhs, sol, n_boot, rng)
+        point, got = noise._bootstrap(m, design, rhs, n_boot, rng)
+        # row 0 of the stack is the point estimate, bit for bit
+        assert point.tobytes() == sol.tobytes()
         ref, takes = scipy_bootstrap(m, r, w, sol, n_boot, ref_rng)
         # the same indices: the generators end in one state
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -307,7 +310,7 @@ class TestBootstrap:
         m = np.array([1e3, 1e4, 1e4 * (1.0 + 1e-9), 1e5, 1e5])
         a = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
         b = np.ones(5)
-        x = noise._nnls_batch(a[None], b[None])[0]
+        x = noise._solve(*noise._qr(a[None], b[None]))[0]
         assert np.all(x >= 0)
         assert (np.linalg.norm(a @ x - b)
                 <= np.linalg.norm(a @ nnls(a, b)[0] - b) + 1e-12 * 5 ** 0.5)
@@ -334,6 +337,23 @@ class TestBootstrap:
     def test_same_seed_same_intervals(self):
         pts = BOOT_SETS["mirrored-24"]
         assert fit_r(pts, n_boot=300, rng=5) == fit_r(pts, n_boot=300, rng=5)
+
+    @pytest.mark.parametrize("n_boot", [0, 1, 129, 1000])
+    def test_one_solve_per_fit(self, monkeypatch, n_boot):
+        # the point estimate is row 0 of the stack of resamples
+        sizes = []
+        real_solve = noise._solve
+        monkeypatch.setattr(noise, "_solve", lambda t, c: sizes.append(
+            len(c)) or real_solve(t, c))
+        fit_r(BOOT_SETS["mirrored-24"], n_boot=n_boot, rng=5)
+        assert sizes == [n_boot + 1]
+
+    @pytest.mark.parametrize("name", sorted(BOOT_SETS))
+    def test_resamples_leave_the_point_estimate(self, name):
+        pts = BOOT_SETS[name]
+        alone = astuple(fit_r(pts, n_boot=0).coeffs)
+        stacked = astuple(fit_r(pts, n_boot=1000, rng=5).coeffs)
+        assert np.array(alone).tobytes() == np.array(stacked).tobytes()
 
 
 class TestModelArguments:

@@ -36,6 +36,12 @@ probe Nf
 """
 
 
+# its preparation (prealign, pump down, pulse 90 0) and its
+# premeasurement (probe Nd, pulse 180 0, probe Np)
+_PREPARE = SQUEEZING_PROTOCOL_TEXT.splitlines()[:3]
+_PREMEASURE = SQUEEZING_PROTOCOL_TEXT.splitlines()[3:6]
+
+
 def standard_protocol() -> Protocol:
     """Pre-alignment, CSS preparation, echo pair, pre- and final measurement."""
     return parse_protocol(SQUEEZING_PROTOCOL_TEXT)
@@ -169,7 +175,7 @@ def contrast_fringe(params: SimParams, m_t: float, theta_grid,
     theta = np.asarray(list(theta_grid), dtype=float)
     if len(theta) < 6 or np.ptp(theta) < math.pi:
         raise ValueError("need >= 6 phase points spanning at least pi")
-    head = ["prealign", "pump down", "pulse 90 0"]
+    head = list(_PREPARE)
     if m_t > 0:
         head.append(f"probe Np mt={float(m_t)!r}")
     points = [(parse_protocol("\n".join(
@@ -269,18 +275,10 @@ class PhaseDetectionResult:
 
 
 def _detection_protocol(psi: float, premeasure: bool) -> Protocol:
-    if premeasure:
-        lines = ["prealign", "pump down", "pulse 90 0", "probe Nd",
-                 "pulse 180 0", "probe Np"]
-        if psi != 0.0:
-            lines.append(f"pulse {math.degrees(psi)!r} 180")
-        lines.append("probe Nf")
-    else:
-        lines = ["prealign", "pump down", "pulse 90 0"]
-        if psi != 0.0:
-            lines.append(f"pulse {math.degrees(psi)!r} 0")
-        lines.append("probe Nf")
-    return parse_protocol("\n".join(lines))
+    lines = _PREPARE + _PREMEASURE if premeasure else list(_PREPARE)
+    if psi != 0.0:
+        lines.append(f"pulse {math.degrees(psi)!r} {180 if premeasure else 0}")
+    return parse_protocol("\n".join(lines + ["probe Nf"]))
 
 
 def phase_detection(params: SimParams, psi: float, premeasure: bool,

@@ -158,6 +158,9 @@ class ProbeStep(_Step):
     _window = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"probe.label must be a string "
+                             f"(got {self.label!r})")
         if self.m_t is not None:
             super().__post_init__()
 

@@ -261,7 +261,10 @@ class TestRunTrials:
         pytest.param(Scatter, (True,), "scatter.m_t must be a number (got "
                      "True)", id="scatter-bool"),
         pytest.param(ProbeStep, ("A", "5"), "probe.m_t must be a number "
-                     "(got '5')", id="probe-str")])
+                     "(got '5')", id="probe-str"),
+        # a label no record file could name: read_records refuses it
+        pytest.param(ProbeStep, (5,), "probe.label must be a string (got "
+                     "5)", id="probe-label-int")])
     def test_bad_scatter_strength_named_before_any_trial(self, kind, args,
                                                          message):
         # refused when built, so no protocol, and no trial, can hold it

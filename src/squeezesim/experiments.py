@@ -36,8 +36,8 @@ probe Nf
 """
 
 
-# its preparation (prealign, pump down, pulse 90 0) and its
-# premeasurement (probe Nd, pulse 180 0, probe Np)
+# the standard protocol's preparation (prealign, pump down, pulse 90 0)
+# and premeasurement (probe Nd, pulse 180 0, probe Np)
 _PREPARE = SQUEEZING_PROTOCOL_TEXT.splitlines()[:3]
 _PREMEASURE = SQUEEZING_PROTOCOL_TEXT.splitlines()[3:6]
 

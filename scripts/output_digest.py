@@ -4,9 +4,10 @@
 Runs each CLI subcommand (sweep, phase-detect, scaling, fringe, budget,
 calibrate-raman, fit, run) at fixed seeds and small sizes in a temporary
 directory, and prints one line per file written: its sha256 and its name.
-That covers every CSV, every ``*.config.ini`` echo and ``fit.json``; the
-``*.meta.json`` sidecars are left out, since they carry the time of the
-run.  Then it reads back record files and writes them again: the
+That covers every CSV, every ``*.config.ini`` echo, ``fit.json`` and
+every ``*.meta.json`` sidecar; a sidecar is hashed without its
+``created`` key, the time of the run, as its other keys dumped in sorted
+order.  Then it reads back record files and writes them again: the
 ``run-batches`` records, and hand-made files whose rows the reader
 parses as JSON or converts cell by cell (spellings JSON lacks, ``nan``
 and ``inf``, LF line ends, plain cells at the edges of the float64
@@ -211,6 +212,17 @@ def versions() -> str:
             f"orjson {orjson.__version__}")
 
 
+def file_sha(path: Path) -> str:
+    """The sha256 of a written file; of a sidecar, that of its keys but
+    ``created``, dumped in sorted order."""
+    data = path.read_bytes()
+    if path.name.endswith(".meta.json"):
+        meta = json.loads(data)
+        del meta["created"]
+        data = json.dumps(meta, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest() -> list[str]:
     """One line per file written, its sha256 and its name, in the order
     of ``commands`` and then of the record files read back; RuntimeError
@@ -231,9 +243,7 @@ def digest() -> list[str]:
             if code:
                 raise RuntimeError(f"squeezesim {argv[0]} exited {code}")
             for path in sorted(out.iterdir()):
-                if not path.name.endswith(".meta.json"):
-                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{sha}  {name}/{path.name}")
+                lines.append(f"{file_sha(path)}  {name}/{path.name}")
         sources = {"run-batches.csv": work / "run-batches" / "records.csv"}
         for name, data in EDGE_RECORDS.items():
             sources[name] = work / name
@@ -244,8 +254,9 @@ def digest() -> list[str]:
         for name, path in sources.items():
             out = work / "records-again" / name
             write_records(read_records(path), out)
-            sha = hashlib.sha256(out.read_bytes()).hexdigest()
-            lines.append(f"{sha}  records-again/{name}")
+            for written in (out, out.with_name(f"{name}.meta.json")):
+                lines.append(f"{file_sha(written)}  records-again/"
+                             f"{written.name}")
     return lines
 
 

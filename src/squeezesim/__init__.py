@@ -50,8 +50,8 @@ from .sequence import (
     run_grid,
     run_trial,
     run_trials,
-    spin_noise_reduction,
 )
+from .stats import spin_noise_reduction
 from .records import read_records, write_records
 from .config import (
     CALIBRATED_CONTRAST_EXCESS,

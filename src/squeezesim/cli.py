@@ -37,7 +37,8 @@ from .config import (
 )
 from .defaults import DEFAULTS, check_value
 from .records import params_hash, write_records
-from .sequence import parse_protocol, run_trials, spin_noise_reduction
+from .sequence import parse_protocol, run_trials
+from .stats import spin_noise_reduction
 
 USAGE_EXIT = 2
 

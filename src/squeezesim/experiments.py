@@ -21,9 +21,9 @@ from .sequence import (
     parse_protocol,
     run_grid,
     run_trials,
-    spin_noise_reduction,
     trial_seed,
 )
+from .stats import fit_fringe, spin_noise_reduction
 
 SQUEEZING_PROTOCOL_TEXT = """\
 prealign
@@ -140,27 +140,6 @@ class FringeResult:
     def to_csv(self) -> str:
         return _csv("theta_rad,mean_n_up", zip(self.theta_grid,
                                                 self.mean_n_up))
-
-
-def fit_fringe(theta: np.ndarray,
-               n_up: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares fit of offset + amplitude * cos(theta - phase).
-
-    Returns (offset, amplitude, amplitude standard error); linear in the
-    {1, cos, sin} basis so it cannot fail to converge.  Its error projects
-    the covariance sigma^2 (X^T X)^-1 on the amplitude's direction (cos at 0).
-    """
-    design = np.column_stack([np.ones_like(theta), np.cos(theta),
-                              np.sin(theta)])
-    coef, _, rank, _ = np.linalg.lstsq(design, n_up, rcond=None)
-    if rank < 3:
-        raise ValueError("degenerate fringe fit: need >= 3 distinct phases")
-    amp = math.hypot(coef[1], coef[2])
-    resid = n_up - design @ coef
-    cov = (np.linalg.inv(design.T @ design)[1:, 1:]
-           * float(resid @ resid) / max(len(theta) - 3, 1))
-    unit = coef[1:] / amp if amp else np.array([1.0, 0.0])
-    return float(coef[0]), amp, math.sqrt(float(unit @ cov @ unit))
 
 
 def contrast_fringe(params: SimParams, m_t: float, theta_grid,

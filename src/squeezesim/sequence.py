@@ -597,13 +597,3 @@ def run_grid(points, n_trials: int):
         resolved.append((_resolved(protocol, params), params, seed))
         _check_seed(seed, 0)  # a bad seed fails before any trial runs
     return _run_points(resolved, n_trials)
-
-
-def spin_noise_reduction(rs: RecordSet, final_label: str,
-                         pre_label: str) -> float:
-    """Sample variance of (N_final - N_pre) over CSS projection noise N/4."""
-    if len(rs) < 2:
-        raise ValueError("need at least 2 trials to estimate a variance")
-    diff = rs.column(final_label) - rs.column(pre_label)
-    n = rs.params["ensemble.n_effective"]
-    return float(np.var(diff, ddof=1) / (n / 4.0))

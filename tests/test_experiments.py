@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import squeezesim as sq
-from squeezesim import experiments as exp
+from squeezesim import experiments as exp, stats
 from squeezesim.noise import budget_terms
 from gates import assert_inside
 from test_budget_additivity import IDEAL
@@ -33,7 +33,7 @@ class TestContrastFringe:
         n = 4.8e5
         theta = np.linspace(0, 2 * np.pi, 30, endpoint=False)
         data = n / 2.0 * (1.0 + 0.5 * np.cos(theta))
-        _, amp, _ = exp.fit_fringe(theta, data)
+        _, amp, _ = stats.fit_fringe(theta, data)
         assert amp / (n / 2.0) == pytest.approx(0.5, abs=0.01)
 
     def test_amplitude_error_on_a_uniform_grid(self):
@@ -41,18 +41,18 @@ class TestContrastFringe:
         theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
         data = (10 + 5 * np.cos(theta - 0.3)
                 + np.random.default_rng(5).standard_normal(16))
-        _, _, err = exp.fit_fringe(theta, data)
+        _, _, err = stats.fit_fringe(theta, data)
         design = np.column_stack([np.ones(16), np.cos(theta), np.sin(theta)])
         resid = data - design @ np.linalg.lstsq(design, data, rcond=None)[0]
         assert err == pytest.approx(
             math.sqrt(2 * float(resid @ resid) / 13 / 16), rel=1e-12, abs=0)
         # a zero amplitude has no direction; its error is still defined
-        assert exp.fit_fringe(theta, np.zeros(16)) == (0.0, 0.0, 0.0)
+        assert stats.fit_fringe(theta, np.zeros(16)) == (0.0, 0.0, 0.0)
 
     def test_amplitude_error_matches_the_spread_of_fits(self):
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         noise = np.random.default_rng(11).standard_normal((2000, 64))
-        fits = [exp.fit_fringe(theta, 10 + 5 * np.cos(theta - 0.3) + z)
+        fits = [stats.fit_fringe(theta, 10 + 5 * np.cos(theta - 0.3) + z)
                 for z in noise]
         amps, errs = np.array([f[1:] for f in fits]).T
         assert 0.9 <= np.std(amps, ddof=1) / np.mean(errs) <= 1.15

@@ -10,7 +10,7 @@ import pytest
 
 import squeezesim
 
-from squeezesim import noise
+from squeezesim import noise, stats
 from squeezesim.noise import (
     BETA_TIME_AVERAGE,
     BudgetTerms,
@@ -192,7 +192,7 @@ def test_t_quantile_matches_scipy():
 
     for dof in [*range(3, 201), 999, 4999]:
         ref = stdtrit(dof, 0.025)
-        assert abs(noise._t_quantile(0.025, dof) - ref) <= 1e-12 * abs(ref)
+        assert abs(stats._t_quantile(0.025, dof) - ref) <= 1e-12 * abs(ref)
 
 
 def weighted_problem(pts):
@@ -269,7 +269,7 @@ class TestBootstrap:
         ("mirrored-24", 1000), ("four-points", 1000), ("five-points", 1000),
         ("flat", 1000), ("near-coincident", 1000), ("five-points", 1),
         ("five-points", 127),
-        ("mirrored-24", 129), ("mirrored-24", 2 * noise._BOOT_BLOCK + 5)])
+        ("mirrored-24", 129), ("mirrored-24", 2 * stats._BOOT_BLOCK + 5)])
     def test_every_resample_matches_scipy(self, name, n_boot):
         pts = BOOT_SETS[name]
         design, rhs = weighted_problem(pts)
@@ -279,7 +279,7 @@ class TestBootstrap:
         sol = fit_r(pts, n_boot=0).coeffs
         sol = np.array([sol.r_psn, sol.r_tf, sol.r_q, sol.r_c])
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        point, got = noise._bootstrap(m, design, rhs, n_boot, rng)
+        point, got = stats._bootstrap(m, design, rhs, n_boot, rng)
         # row 0 of the stack is the point estimate, bit for bit
         assert point.tobytes() == sol.tobytes()
         ref, takes = scipy_bootstrap(m, r, w, sol, n_boot, ref_rng)
@@ -310,7 +310,7 @@ class TestBootstrap:
         m = np.array([1e3, 1e4, 1e4 * (1.0 + 1e-9), 1e5, 1e5])
         a = np.column_stack([1.0 / m, np.ones_like(m), m, m * m])
         b = np.ones(5)
-        x = noise._solve(*noise._qr(a[None], b[None]))[0]
+        x = stats._solve(*stats._qr(a[None], b[None]))[0]
         assert np.all(x >= 0)
         assert (np.linalg.norm(a @ x - b)
                 <= np.linalg.norm(a @ nnls(a, b)[0] - b) + 1e-12 * 5 ** 0.5)
@@ -342,8 +342,8 @@ class TestBootstrap:
     def test_one_solve_per_fit(self, monkeypatch, n_boot):
         # the point estimate is row 0 of the stack of resamples
         sizes = []
-        real_solve = noise._solve
-        monkeypatch.setattr(noise, "_solve", lambda t, c: sizes.append(
+        real_solve = stats._solve
+        monkeypatch.setattr(stats, "_solve", lambda t, c: sizes.append(
             len(c)) or real_solve(t, c))
         fit_r(BOOT_SETS["mirrored-24"], n_boot=n_boot, rng=5)
         assert sizes == [n_boot + 1]

@@ -26,8 +26,8 @@ from squeezesim.sequence import (
     run_grid,
     run_trial,
     run_trials,
-    spin_noise_reduction,
 )
+from squeezesim.stats import spin_noise_reduction
 from squeezesim.experiments import SQUEEZING_PROTOCOL_TEXT, standard_protocol
 
 PARAMS = SimParams()

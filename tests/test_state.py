@@ -180,7 +180,7 @@ class TestRotate:
     def test_fringe_geometry_fit(self):
         # mean populations trace (N/2)(1 + C cos theta); a cosine fit to the
         # deterministic sweep recovers the contrast exactly
-        from squeezesim.experiments import fit_fringe
+        from squeezesim.stats import fit_fringe
         n = 4.8e5
         theta = np.linspace(0.0, 2 * math.pi, 24, endpoint=False)
         pops = []

@@ -17,7 +17,6 @@ from .state import (
     ProbeConfig,
     TransitionProbs,
     apply_raman_diffusion,
-    heisenberg_check,
     polarized_state,
     prepare_css,
     probe_measure,
@@ -71,8 +70,8 @@ __all__ = [
     "effective_atom_number", "invert_dressed_shift",
     "qpn_frequency_fluctuation", "scattered_ratio",
     "BatchStream", "EnsembleState", "MeasurementOutcome", "ProbeConfig",
-    "TransitionProbs", "apply_raman_diffusion", "heisenberg_check",
-    "polarized_state", "prepare_css", "probe_measure", "rotate",
+    "TransitionProbs", "apply_raman_diffusion", "polarized_state",
+    "prepare_css", "probe_measure", "rotate",
     "Alphas", "BudgetReport", "FitResult", "NoiseCoeffs",
     "alphas_for_ensemble", "budget_report", "fit_r",
     "legacy_diffusion_limit", "model_r", "opto_noise_term",

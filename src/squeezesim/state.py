@@ -25,7 +25,7 @@ from the one table ``noise.RAMAN_CHANNELS``.
 A state is a batch of trials: each field is an array over its trials,
 or of one element that they all share, and a single trial is a batch of
 one (``prepare_css`` and ``polarized_state`` return arrays of one
-element, and ``tile`` repeats them).  States are values:
+element).  States are values:
 ``EnsembleState`` is frozen, and ``rotate``, ``apply_raman_diffusion``
 and ``probe_measure``, plain numpy code over the batch, each return a
 new state and leave their input as it was; no code writes into a
@@ -78,9 +78,6 @@ class TransitionProbs:
 
     def __post_init__(self) -> None:
         check_fields(self, "transition")
-
-    def zeroed(self) -> "TransitionProbs":
-        return TransitionProbs(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -184,11 +181,6 @@ class EnsembleState:
     freq_offset: np.ndarray
     echo_phase: np.ndarray
 
-    def tile(self, size: int) -> "EnsembleState":
-        """A batch of ``size`` trials, each in this single-trial state."""
-        return EnsembleState(*(np.repeat(getattr(self, name), size)
-                               for name in _FIELDS))
-
     def cos_polar(self) -> np.ndarray:
         j = self.contrast * self.n_total / 2.0  # the Bloch vector's length
         with np.errstate(over="ignore"):
@@ -225,11 +217,6 @@ class EnsembleState:
 
 
 _FIELDS = tuple(f.name for f in fields(EnsembleState))
-
-
-def heisenberg_check(state: EnsembleState) -> bool:
-    """True iff the quadrature product respects the uncertainty relation."""
-    return bool(np.all(state.invariants()["Heisenberg product"]))
 
 
 @dataclass(frozen=True)

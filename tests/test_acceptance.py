@@ -200,7 +200,7 @@ class TestCriterion8Properties:
                         s, float(rng.uniform(0, 1e5)), PARAMS, rng)
                 total = s.pop_up + s.pop_down + s.pop_one
                 assert total == pytest.approx(n, abs=1e-6 * n)
-                assert sq.heisenberg_check(s)
+                assert np.all(s.invariants()["Heisenberg product"])
         report(8, "property: invariants",
                f"1000 random sequences hold Heisenberg product and "
                f"population conservation; {time.perf_counter() - t0:.1f} s")

@@ -19,7 +19,7 @@ TRIALS = 100_000
 BASE = sq.SimParams()
 IDEAL = replace(
     BASE,
-    transitions=BASE.transitions.zeroed(),
+    transitions=sq.TransitionProbs(0.0, 0.0, 0.0, 0.0),
     cavity=replace(BASE.cavity, recoil_shift_per_photon=0.0),
     probe=replace(BASE.probe, ms_classical_frac=0.0, detuning_spread=0.0),
     coeffs=replace(BASE.coeffs, r_tf=0.0, r_c=0.0))

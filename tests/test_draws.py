@@ -35,6 +35,7 @@ from test_engine import (
     moment_z_scores,
     K_SE,
 )
+from test_state import tile
 
 
 def seed_sequence_seed(master: int, index: int) -> int:
@@ -225,7 +226,7 @@ def spy_on(patch, name: str, seen: list) -> None:
 @pytest.mark.parametrize("sizes", [[7], [3, 5]])
 def test_probe_window_makes_one_call_per_chunk(sizes, monkeypatch):
     params = SimParams()
-    css = prepare_css(4.8e5, params.ensemble).tile(sum(sizes))
+    css = tile(prepare_css(4.8e5, params.ensemble), sum(sizes))
     recorders = [RecordingGenerator(k) for k in range(len(sizes))]
     rng = (recorders[0] if len(sizes) == 1
            else BatchStream(recorders, sizes))

@@ -44,9 +44,9 @@ from squeezesim.sequence import (
     trial_seed,
 )
 import squeezesim.experiments as exp
-from squeezesim.state import (BatchStream, InvariantError,
-                              heisenberg_check, polarized_state,
+from squeezesim.state import (BatchStream, InvariantError, polarized_state,
                               probe_measure, rotate)
+from test_state import tile
 
 # the fixed variate of each normal; a Poisson count is the engine's count
 # rule at it.  Z < 0 takes the power_clamp case below its clamp.
@@ -477,7 +477,7 @@ def test_corrupted_state_trips_its_invariant(field, value, name):
                        match=re.escape(f"invariant violated: {name}")):
         single.validate()
     # in a batch the first trial that breaks it is named by its row
-    batch = healthy_state().tile(5)
+    batch = tile(healthy_state(), 5)
     batch.validate()
     column = getattr(batch, field).copy()
     column[[3, 4]] = value
@@ -539,7 +539,7 @@ def test_exact_read_passes_the_heisenberg_check():
     _, after = probe_measure(state, params, np.random.default_rng(1))
     assert after.jz_var == 0.0
     after.validate()
-    assert heisenberg_check(after)
+    assert np.all(after.invariants()["Heisenberg product"])
 
 
 def test_normal_runs_pass_the_invariant_checks():

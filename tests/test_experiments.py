@@ -227,7 +227,7 @@ def calibration_slopes(k: int = 0) -> dict[str, float]:
 def zero_probability_slopes(k: int = 0) -> dict[str, float]:
     """The two calibration slopes with every Raman transition probability
     zero, at 60 trials per point and master seed 6 + 2k."""
-    par = replace(PARAMS, transitions=PARAMS.transitions.zeroed())
+    par = replace(PARAMS, transitions=sq.TransitionProbs(0.0, 0.0, 0.0, 0.0))
     res = exp.raman_calibration(par, CALIB_GRID, trials=60,
                                 master_seed=6 + 2 * k)
     return {"calib zero-p slope down": res.slope_down_hz,

@@ -47,6 +47,7 @@ from squeezesim.state import (
     prepare_css,
 )
 from gates import assert_inside
+from test_state import tile
 
 CAV = CavityParams()
 TP = TransitionProbs()
@@ -383,7 +384,7 @@ class TestModelArguments:
         (lambda x: spectroscopic_enhancement(0.1, x, 0.97),
          "contrast must be in (0, initial_contrast = 0.97]"),
         (lambda x: apply_raman_diffusion(
-            prepare_css(N_REF, EnsembleParams()).tile(4), x, SimParams(),
+            tile(prepare_css(N_REF, EnsembleParams()), 4), x, SimParams(),
             np.random.default_rng(0)), "m_s must be non-negative")],
         ids=["budget_terms", "model_r", "opto_noise_term", "read_noise_freq",
              "injected_classical_freq",
@@ -456,7 +457,8 @@ class TestModelOnArrays:
 
 class TestPopNoise:
     def test_quantum_zero_probabilities(self):
-        assert pop_noise_quantum(4.1e4, N_REF, TP.zeroed(), ALPHAS) == 0.0
+        assert pop_noise_quantum(
+            4.1e4, N_REF, TransitionProbs(0.0, 0.0, 0.0, 0.0), ALPHAS) == 0.0
 
     def test_quantum_reference_window(self):
         r = pop_noise_quantum(M_S_REF, N_REF, TP, ALPHAS)

@@ -52,17 +52,6 @@ def _out(x):
     return x if isinstance(x, np.ndarray) else float(x)
 
 
-def _square(x):
-    """x ** 2, by the C library's pow for an array too.
-
-    A number's ``** 2`` calls pow, and numpy's ``** 2`` on an array
-    multiplies; the two differ in the last bit on about 1 input in 1000,
-    so an M_t-dependent square goes through here and an array of M_t gives
-    what each of its numbers gives, to the bit.
-    """
-    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x ** 2
-
-
 @dataclass(frozen=True)
 class NoiseCoeffs:
     """Fitted coefficients of the R(M_t) model plus calibration anchors.
@@ -224,8 +213,8 @@ def pop_noise_classical(m_s: float, frac: float, n: float, tp,
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     check_arg(frac >= 0, "frac", frac, "non-negative")
-    signed = _bracket(vars(tp), alphas, 1)
-    return _out(_square(frac * m_s) / (n / 4.0) * (signed / alphas.up) ** 2)
+    signed, f_m = _bracket(vars(tp), alphas, 1), frac * m_s
+    return _out(f_m * f_m / (n / 4.0) * (signed / alphas.up) ** 2)
 
 
 def recoil_noise(m_s: float, frac: float, n: float, eps: float,
@@ -241,7 +230,8 @@ def recoil_noise(m_s: float, frac: float, n: float, eps: float,
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     per_photon_atoms = eps / alpha_up
     quantum = BETA_TIME_AVERAGE * m_s * per_photon_atoms ** 2 / (n / 4.0)
-    classical = _square(frac * m_s * per_photon_atoms) / (n / 4.0)
+    f_atoms = frac * m_s * per_photon_atoms
+    classical = f_atoms * f_atoms / (n / 4.0)
     return _out(quantum), _out(classical)
 
 
@@ -295,7 +285,8 @@ def opto_noise_term(m_t: float, n: float, cav: CavityParams) -> float:
     :func:`classical_scale`).
     """
     check_arg(m_t >= 0, "m_t", m_t, "non-negative")
-    return _out((1.0 / 620.0) * _square(m_t / _NOISE["m_reference"])
+    m = m_t / _NOISE["m_reference"]
+    return _out((1.0 / 620.0) * (m * m)
                 * classical_scale(n, _NOISE["n_reference"], cav))
 
 
@@ -365,9 +356,10 @@ def _back_action(n: float, m_t: float, cav: CavityParams, tp,
     m_s = m_t * scattered_ratio(n / 2.0, cav)
     eps = TWO_PI * cav.recoil_shift_per_photon
     ext_q, ext_c = recoil_noise(m_s, frac, n, eps, alphas.up)
+    f_m = frac * m_s
     # one power draw scales the Raman counts and the recoil photons, so
     # their classical responses add in amplitude: the cross term of the two
-    cross_c = (2.0 * _square(frac * m_s) / (n / 4.0) * _bracket(
+    cross_c = (2.0 * (f_m * f_m) / (n / 4.0) * _bracket(
         vars(tp), alphas, 1) * -eps / (alphas.up * alphas.up))
     return {"pop_q": pop_noise_quantum(m_s, n, tp, alphas), "ext_q": ext_q,
             "pop_c": pop_noise_classical(m_s, frac, n, tp, alphas),

@@ -15,7 +15,6 @@ from .state import (
     EnsembleState,
     MeasurementOutcome,
     ProbeConfig,
-    TransitionProbs,
     apply_raman_diffusion,
     polarized_state,
     prepare_css,
@@ -27,6 +26,7 @@ from .noise import (
     BudgetReport,
     FitResult,
     NoiseCoeffs,
+    TransitionProbs,
     alphas_for_ensemble,
     budget_report,
     fit_r,

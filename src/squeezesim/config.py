@@ -16,9 +16,9 @@ from pathlib import Path
 
 # CALIBRATED_CONTRAST_EXCESS is imported for callers that take it from here
 from .defaults import CALIBRATED_CONTRAST_EXCESS, DEFAULTS, check_value
-from .noise import NoiseCoeffs
+from .noise import NoiseCoeffs, TransitionProbs
 from .physics import TWO_PI, CavityParams, EnsembleParams
-from .state import ProbeConfig, SimParams, TransitionProbs
+from .state import ProbeConfig, SimParams
 
 
 class ConfigError(ValueError):

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # annotations only: state imports this module
 # averaging of the two measurement windows forming the differenced record.
 BETA_TIME_AVERAGE = 2.0 / 3.0
 
-_NOISE = DEFAULTS["noise"]
+_NOISE, _TRANSITION = DEFAULTS["noise"], DEFAULTS["transition"]
 
 
 def _out(x):
@@ -154,6 +154,21 @@ def fit_r(points, n_boot: int = 1000, rng=None) -> FitResult:
 # ---------------------------------------------------------------------------
 # population (Raman) back-action
 
+
+@dataclass(frozen=True)
+class TransitionProbs:
+    """Raman transition probabilities per free-space scattered photon, one
+    for each channel of ``RAMAN_CHANNELS``."""
+
+    p_ud: float = _TRANSITION["p_ud"]
+    p_du: float = _TRANSITION["p_du"]
+    p_u1: float = _TRANSITION["p_u1"]
+    p_d1: float = _TRANSITION["p_d1"]
+
+    def __post_init__(self) -> None:
+        check_fields(self, "transition")
+
+
 # The Raman channels, one row each: the ``TransitionProbs`` field of its
 # probability per free-space scattered photon, its source population, and
 # the moves of (up, down, one) one event makes.
@@ -174,20 +189,13 @@ def _channel_shifts(moves: np.ndarray, au, ad, a1):
     return moves[:, 1:] @ alphas[1:], moves @ alphas
 
 
-@lru_cache(maxsize=16)
-def _brackets(probs: tuple, au, ad, a1) -> tuple[float, float]:
-    """sum p jump**2 and sum p jump over the channels of ``probs``, (field,
-    p) pairs, in table order; cached, as the budget asks at every call."""
-    p, jumps = dict(probs), _channel_shifts(_MOVES, au, ad, a1)[1].ravel()
-    pj = [(p[row[0]], j) for row, j in zip(RAMAN_CHANNELS, jumps.tolist())
-          if row[0] in p]
-    return sum(q * j ** 2 for q, j in pj), sum(q * j for q, j in pj)
-
-
-def _bracket(probs: dict, alphas: Alphas, power: int) -> float:
-    """sum p jump**power, power 1 or 2, over the channels of ``probs``."""
-    return _brackets(tuple(probs.items()), alphas.up, alphas.down,
-                     alphas.one)[2 - power]
+@lru_cache(maxsize=32)
+def _bracket(tp: TransitionProbs, alphas: Alphas, power: int) -> float:
+    """sum p jump**power, power 1 or 2, over the four channels in table
+    order; cached, as the budget asks at every call."""
+    jumps = _channel_shifts(_MOVES, alphas.up, alphas.down, alphas.one)[1]
+    return sum(getattr(tp, row[0]) * j ** power
+               for row, j in zip(RAMAN_CHANNELS, jumps.ravel().tolist()))
 
 
 def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:
@@ -199,7 +207,7 @@ def pop_noise_quantum(m_s: float, n: float, tp, alphas: Alphas) -> float:
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     return _out(BETA_TIME_AVERAGE * m_s / (n / 4.0) * _bracket(
-        vars(tp), alphas, 2) / (alphas.up * alphas.up))
+        tp, alphas, 2) / (alphas.up * alphas.up))
 
 
 def pop_noise_classical(m_s: float, frac: float, n: float, tp,
@@ -213,7 +221,7 @@ def pop_noise_classical(m_s: float, frac: float, n: float, tp,
     """
     check_arg(m_s >= 0, "m_s", m_s, "non-negative")
     check_arg(frac >= 0, "frac", frac, "non-negative")
-    signed, f_m = _bracket(vars(tp), alphas, 1), frac * m_s
+    signed, f_m = _bracket(tp, alphas, 1), frac * m_s
     return _out(f_m * f_m / (n / 4.0) * (signed / alphas.up) ** 2)
 
 
@@ -241,16 +249,16 @@ def legacy_diffusion_limit(m_s: float, n: float, alphas: Alphas,
 
     In a clock-state system the per-scattered-photon transition probability
     applies to scattering out of either spin state, and each window's
-    diffusion variance enters the differenced record independently:
+    diffusion variance enters the differenced record independently, so R
+    is twice :func:`pop_noise_quantum` at p_ud = p_du = ``p_clock`` and
+    p_u1 = p_d1 = 0:
 
         R = 2 * beta * (M_s / (N/4)) * p * [(a_d-a_u)^2 + (a_u-a_d)^2] / a_u^2
 
     with beta = ``BETA_TIME_AVERAGE``.
     """
-    check_arg(m_s >= 0, "m_s", m_s, "non-negative")
-    bracket = (_bracket({"p_ud": p_clock, "p_du": p_clock}, alphas, 2)
-               / (alphas.up * alphas.up))
-    return _out(2.0 * BETA_TIME_AVERAGE * m_s / (n / 4.0) * bracket)
+    return 2.0 * pop_noise_quantum(
+        m_s, n, TransitionProbs(p_clock, p_clock, 0.0, 0.0), alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +368,7 @@ def _back_action(n: float, m_t: float, cav: CavityParams, tp,
     # one power draw scales the Raman counts and the recoil photons, so
     # their classical responses add in amplitude: the cross term of the two
     cross_c = (2.0 * (f_m * f_m) / (n / 4.0) * _bracket(
-        vars(tp), alphas, 1) * -eps / (alphas.up * alphas.up))
+        tp, alphas, 1) * -eps / (alphas.up * alphas.up))
     return {"pop_q": pop_noise_quantum(m_s, n, tp, alphas), "ext_q": ext_q,
             "pop_c": pop_noise_classical(m_s, frac, n, tp, alphas),
             "ext_c": ext_c, "cross_c": _out(cross_c)}

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import noise as _noise
 from .defaults import DEFAULTS, check_fields
+from .noise import TransitionProbs
 from .physics import (
     TWO_PI,
     CavityParams,
@@ -63,21 +64,7 @@ from .physics import (
 HEISENBERG_SLACK = 1e-9
 # the least Jz variance the uncertainty relation is applied with
 JZ_VAR_FLOOR = 1e-30
-_PROBE, _TRANSITION, _NOISE = (DEFAULTS["probe"], DEFAULTS["transition"],
-                               DEFAULTS["noise"])
-
-
-@dataclass(frozen=True)
-class TransitionProbs:
-    """Raman transition probabilities per free-space scattered photon."""
-
-    p_ud: float = _TRANSITION["p_ud"]
-    p_du: float = _TRANSITION["p_du"]
-    p_u1: float = _TRANSITION["p_u1"]
-    p_d1: float = _TRANSITION["p_d1"]
-
-    def __post_init__(self) -> None:
-        check_fields(self, "transition")
+_PROBE, _NOISE = DEFAULTS["probe"], DEFAULTS["noise"]
 
 
 @dataclass(frozen=True)

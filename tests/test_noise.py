@@ -520,6 +520,13 @@ class TestLegacyLimit:
         r = legacy_diffusion_limit(M_S_REF, N_REF, ALPHAS)
         assert 1.0 / r == pytest.approx(1.9, abs=0.4)
 
+    def test_twice_the_clock_state_diffusion(self):
+        clock = TransitionProbs(p_ud=0.6667, p_du=0.6667, p_u1=0.0, p_d1=0.0)
+        for m_s in (M_S_REF, np.logspace(2.0, 6.0, 50)):
+            assert np.array_equal(
+                legacy_diffusion_limit(m_s, N_REF, ALPHAS, p_clock=0.6667),
+                2.0 * pop_noise_quantum(m_s, N_REF, clock, ALPHAS))
+
 
 class TestOpto:
     def test_ringing_on_resonance_decay(self):

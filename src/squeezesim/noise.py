@@ -30,6 +30,7 @@ from .defaults import DEFAULTS, check_fields
 from .physics import (
     TWO_PI,
     CavityParams,
+    _out,
     alpha_per_atom,
     check_arg,
     scattered_ratio,
@@ -44,12 +45,6 @@ if TYPE_CHECKING:  # annotations only: state imports this module
 BETA_TIME_AVERAGE = 2.0 / 3.0
 
 _NOISE, _TRANSITION = DEFAULTS["noise"], DEFAULTS["transition"]
-
-
-def _out(x):
-    """A model result: an array as it is, a number as a Python float (the
-    repr of a numpy float reads ``np.float64(...)``)."""
-    return x if isinstance(x, np.ndarray) else float(x)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ TWO_PI = 2.0 * math.pi
 _CAV, _ENS = DEFAULTS["cavity"], DEFAULTS["ensemble"]
 
 
+def _out(x):
+    """A model result: an array as it is, a number as a Python float (the
+    repr of a numpy float reads ``np.float64(...)``)."""
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
 def check_arg(ok, name: str, x, rule: str) -> None:
     """Raise ``ValueError("<name> must be <rule> (got <value>)")`` unless
     ``ok``, a test of ``x`` (a number or an array; NaN fails every test),
@@ -163,10 +169,10 @@ def scattered_ratio(n_up: float, cav: CavityParams) -> float:
 
 def contrast_decay(m_s, n: float, excess: float, windows: int = 1):
     """Contrast kept after ``windows`` windows each scattering ``m_s``
-    photons off ``n`` atoms, exp(-windows (1 + excess) m_s / n): a float by
-    libm's ``exp``, an array by numpy's (which may differ in the last bit)."""
-    x = -windows * (1.0 + excess) * m_s / n
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    photons off ``n`` atoms, exp(-windows (1 + excess) m_s / n), by numpy's
+    ``exp``: a float for a number, an array for an array, each element the
+    float its own ``m_s`` gives."""
+    return _out(np.exp(-windows * (1.0 + excess) * m_s / n))
 
 
 def effective_atom_number(n_loaded: float, ens: EnsembleParams) -> float:

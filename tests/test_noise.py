@@ -428,8 +428,8 @@ class TestModelOnArrays:
             assert terms.total[i] == one.total
 
     def test_terms_equal_the_scalar_calls(self):
-        # enough values that a square taken by multiplying, not by pow as
-        # a float's ** 2 takes it, differs somewhere (about 1 in 1000)
+        # enough values that an array taking other arithmetic than its
+        # floats, pow against multiplying say, would differ somewhere
         m_s = 10.0 ** np.random.default_rng(3).uniform(2.0, 6.0, 5000)
         frac = 0.04
         arrays = {

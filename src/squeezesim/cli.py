@@ -21,7 +21,6 @@ import csv
 import functools
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ from .config import (
     load_config,
 )
 from .defaults import DEFAULTS, check_value
-from .records import params_hash, write_records
+from .records import params_hash, write_records, write_sidecar
 from .sequence import parse_protocol, run_trials
 from .stats import spin_noise_reduction
 
@@ -100,15 +99,12 @@ def _write_output(out_dir: Path, name: str, csv_text: str, cfg: RunConfig,
     path.write_text(csv_text)
     echo = echo_config(cfg)
     (out_dir / f"{name}.config.ini").write_text(echo)
-    meta = {
+    write_sidecar(out_dir / f"{name}.meta.json", {
         "command": command,
         "master_seed": seed,
         "config_hash": params_hash({"config": echo}),
-        "created": datetime.now(timezone.utc).isoformat(),
         **extra,
-    }
-    (out_dir / f"{name}.meta.json").write_text(
-        json.dumps(meta, indent=1, sort_keys=True) + "\n")
+    })
     return path
 
 

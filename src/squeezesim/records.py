@@ -80,6 +80,13 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def write_sidecar(path: Path, meta: dict) -> None:
+    """Write a JSON sidecar: ``meta`` and ``created``, the time of the run,
+    dumped indented in sorted order."""
+    meta = {**meta, "created": datetime.now(timezone.utc).isoformat()}
+    path.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+
+
 def _repeated(header: list[str]) -> str | None:
     """The first name that ``header`` holds twice, or None."""
     return next((name for i, name in enumerate(header)
@@ -135,18 +142,14 @@ def write_records(rs: RecordSet, path) -> None:
         fh.write(head.getvalue().encode())
         fh.write(body)
 
-    meta = {
+    write_sidecar(_sidecar(path), {
         "schema": SCHEMA_VERSION,
         "master_seed": rs.master_seed,
         "n_trials": len(rs),
         "labels": labels,
         "params": rs.params,
         "content_hash": params_hash(rs.params),
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(_sidecar(path), "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _joined(rows: list[bytes], odd: list[int], other: dict[int, list[str]],

@@ -381,6 +381,8 @@ def n_scaling(params: SimParams, n_list, trials_per_point: int,
     ns = sorted(float(n) for n in n_list)
     if len(ns) < 3:
         raise ValueError("n_scaling needs >= 3 atom numbers for slope fits")
+    for n in ns:
+        check_value("ensemble", "n_effective", n, "n_list")
     if max(ns) / min(ns) < 8.0:
         raise ValueError("n_list should span close to a decade")
     rows = []

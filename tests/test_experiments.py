@@ -186,6 +186,14 @@ class TestNScaling:
         with pytest.raises(ValueError):
             exp.n_scaling(PARAMS, [1e5, 2e5, 3e5], 100)
 
+    @pytest.mark.parametrize("n_list,named", [
+        ([0.0, 1e5, 2e5], "n_list must be > 0 (got 0.0)"),
+        ([-1e5, 1e5, 2e5], "n_list must be > 0 (got -100000.0)")])
+    def test_bad_atom_number_is_named(self, n_list, named):
+        with pytest.raises(ValueError) as err:
+            exp.n_scaling(PARAMS, n_list, 100)
+        assert str(err.value) == named
+
     def test_optimizer_grid_stability(self):
         # the chosen optimum is insensitive to grid refinement beyond
         # 20 points per decade (5% tolerance on 1/W)

@@ -4,7 +4,8 @@ Everything in this module is a pure function of its inputs.  All angular
 frequencies are in rad/s; atom counts are real-valued (the simulator works
 at the Gaussian-moment level, so fractional atoms are meaningful).  The
 formulas are plain numpy code: they take a number or an array of atom
-counts, one per trial, and give numpy numbers or arrays.
+counts, one per trial, and give numpy numbers or arrays (``_out`` makes a
+model result that is a number a Python float).
 """
 
 from __future__ import annotations
